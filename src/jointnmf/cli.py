@@ -19,10 +19,10 @@ from scipy import sparse
 
 from . import factorize, graph, metrics, textprep
 from .errors import DataError, NumericalError, UniverseMismatch, VocabMismatch
-from .matrix import max_abs, read_matrix_market, write_matrix_market
+from .matrix import read_matrix_market, write_matrix_market
 from .recommend import (
-    baseline_nmf2,
     baseline_shared_words,
+    _nmf2_coordinates,
     fit_recommender,
     project_document,
     recommend as recommend_above,
@@ -191,7 +191,7 @@ def _cmd_preprocess(args) -> int:
         g = graph.symmetrize(graph.read_edge_list(args.edges), n_vertices=n_orig)
         g = graph.induce_subgraph(g, positions)
         lcc = graph.largest_connected_component(g)
-        outside_lcc = [doc_ids[i] for i in range(len(doc_ids)) if i not in set(lcc.tolist())]
+        outside_lcc = _outside(doc_ids, lcc)
         g = graph.induce_subgraph(g, lcc)
         S = g.adjacency if args.raw_adjacency else graph.normalized_adjacency(g)
         doc_ids = [doc_ids[i] for i in lcc]
@@ -206,7 +206,7 @@ def _cmd_preprocess(args) -> int:
             )
         sub, _ = graph.induce_subhypergraph(hg, positions)
         lcc_v, lcc_e = graph.largest_connected_component(sub)
-        outside_lcc = [doc_ids[i] for i in range(len(doc_ids)) if i not in set(lcc_v.tolist())]
+        outside_lcc = _outside(doc_ids, lcc_v)
         final, _ = graph.induce_subhypergraph(sub, lcc_v, lcc_e)
         S = graph.hypergraph_similarity(final)
         doc_ids = [doc_ids[i] for i in lcc_v]
@@ -302,48 +302,38 @@ def _cmd_cluster(args) -> int:
     if len(doc_ids) != n:
         raise DataError(f"{len(doc_ids)} doc ids for {n} documents")
 
-    alpha = beta = None
-    if method == "joint":
-        alpha = args.alpha if args.alpha is not None else factorize.default_alpha(X, S)
-        beta = args.beta if args.beta is not None else factorize.default_beta(alpha, S)
-    elif method == "symnmf":
-        beta = args.beta if args.beta is not None else max_abs(S)
-
     truth_sets = None
     if args.truth:
         truth_sets = _aligned_truth(metrics.read_labels(args.truth), doc_ids)
 
-    runs = []
-    best = None
-    for t in range(args.trials):
-        opts = factorize.FactorizeOptions(
-            k=args.k, alpha=alpha, beta=beta, max_sweeps=args.max_sweeps,
-            rel_tol=args.tol, seed=args.seed + t, trials=1,
-        )
-        if method == "joint":
-            res = factorize.joint_nmf(X, S, opts)
-        elif method == "nmf":
-            res = factorize.nmf(X, opts)
-        else:
-            res = factorize.symnmf(S, opts)
-        labels = factorize.hard_assign(res.H)
-        row = {"trial": t, "seed": res.seed_used, "objective": res.objective_history[-1]}
+    opts = factorize.FactorizeOptions(
+        k=args.k, alpha=args.alpha, beta=args.beta, max_sweeps=args.max_sweeps,
+        rel_tol=args.tol, seed=args.seed, trials=args.trials,
+    )
+    if method == "joint":
+        res = factorize.joint_nmf(X, S, opts)
+    elif method == "nmf":
+        res = factorize.nmf(X, opts)
+    else:
+        res = factorize.symnmf(S, opts)
+
+    rows = []
+    for t, run in enumerate(res.trials):
+        row = {"trial": t, "seed": run.seed_used, "objective": run.objective_history[-1]}
         if truth_sets is not None:
+            labels = factorize.hard_assign(run.H)
             cm = metrics.confusion(labels, truth_sets, n_pred_clusters=args.k)
             row["average_f1"] = metrics.average_f1(cm)
             row.update(_pairwise_row(labels, truth_sets))
-        runs.append((res, labels, row))
-        if best is None or res.objective_history[-1] < best[0].objective_history[-1]:
-            best = (res, labels, row)
+        rows.append(row)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    res, labels, _ = best
     factorize.write_result(res, out)
-    metrics.write_labels(out / "labels.tsv", doc_ids, labels)
+    metrics.write_labels(out / "labels.tsv", doc_ids, factorize.hard_assign(res.H))
     if truth_sets is not None:
-        _write_metrics_table(out / "metrics.tsv", [r for _, _, r in runs])
-    seeds = ",".join(str(args.seed + t) for t in range(args.trials))
+        _write_metrics_table(out / "metrics.tsv", rows)
+    seeds = ",".join(str(run.seed_used) for run in res.trials)
     _write_manifest(out / "manifest.tsv", {
         "command": "cluster",
         "method": method,
@@ -356,8 +346,8 @@ def _cmd_cluster(args) -> int:
         "doc_ids": _abs(args.doc_ids),
         "truth": _abs(args.truth),
         "k": str(args.k),
-        "alpha": "-" if alpha is None else repr(alpha),
-        "beta": "-" if beta is None else repr(beta),
+        "alpha": "-" if res.alpha is None else repr(res.alpha),
+        "beta": "-" if res.beta is None else repr(res.beta),
         "max_sweeps": str(args.max_sweeps),
         "tol": repr(args.tol),
         "seed": str(args.seed),
@@ -367,7 +357,7 @@ def _cmd_cluster(args) -> int:
     print(f"method={method} k={args.k} best_seed={res.seed_used} "
           f"objective={res.objective_history[-1]!r} sweeps={res.sweeps_run}")
     if truth_sets is not None:
-        mean_f1 = float(np.mean([r["average_f1"] for _, _, r in runs]))
+        mean_f1 = float(np.mean([r["average_f1"] for r in rows]))
         print(f"mean_average_f1={mean_f1!r}")
     print(f"artifacts -> {out}")
     return 0
@@ -454,6 +444,7 @@ def _cmd_recommend(args) -> int:
     model = fit_recommender(X_train, S, opts, train_ids)
     nmf_res = factorize.nmf(X_train, opts)
     proj = [project_document(nmf_res.W, x) for x in test_cols]
+    nmf2 = [_nmf2_coordinates(X_train, args.k, opts, x) for x in test_cols]
 
     score_sets: dict[str, list[np.ndarray]] = {}
     for scoring in ("inner", "cosine"):
@@ -462,9 +453,7 @@ def _cmd_recommend(args) -> int:
             score_model(model, x, scoring) for x in test_cols
         ]
         score_sets[f"nmf1_{scoring}"] = [score_one(nmf_res.H, h) for h in proj]
-        score_sets[f"nmf2_{scoring}"] = [
-            baseline_nmf2(X_train, args.k, opts, x, scoring) for x in test_cols
-        ]
+        score_sets[f"nmf2_{scoring}"] = [score_one(H, h) for H, h in nmf2]
     score_sets["sharedwords"] = [
         baseline_shared_words(X_train, x).astype(np.float64) for x in test_cols
     ]
@@ -576,6 +565,13 @@ def _load_similarity(args, n_expected):
             hg = graph.dual_hypergraph(hg)
         return graph.hypergraph_similarity(hg)
     return None
+
+
+def _outside(doc_ids, kept):
+    # ids at the positions not in kept, in their original order
+    mask = np.ones(len(doc_ids), dtype=bool)
+    mask[kept] = False
+    return [doc_ids[i] for i in np.flatnonzero(mask)]
 
 
 def _aligned_truth(truth_map, doc_ids):

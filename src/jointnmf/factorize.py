@@ -9,9 +9,14 @@ Three solvers share one sweep engine:
 
 The similarity factor is split into H and a tether copy Ht so every
 block update is an exact nonnegative least squares solve; the beta term
-pulls the copies together.  A sweep updates W, then Ht, then H, each via
-block principal pivoting on stacked normal equations.  The penalized
-objective is recorded after every sweep and never increases.
+pulls the copies together.  A sweep updates W, then Ht, then H.  Each
+block is a weighted sum of terms (text, similarity, tether), each term
+a Gram matrix and right-hand side; the block solves the stacked normal
+equations by block principal pivoting.  The three solvers differ only
+in which terms exist, and a block without terms is skipped.  Each
+term's residual follows in closed form from the same products, so the
+penalized objective is recorded after every block and every sweep
+without re-multiplying the inputs, and it never increases.
 
 alpha defaults to ||X||_F^2 / ||S||_F^2 so both data terms start on the
 same scale, and beta defaults to alpha times the largest entry of S.
@@ -19,7 +24,7 @@ same scale, and beta defaults to alpha times the largest entry of S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,12 +62,10 @@ class FactorizeOptions:
     """Settings shared by all three solvers.
 
     alpha and beta left as None are resolved from the data via
-    default_alpha / default_beta.  trials > 1 runs independent starts
-    from seeds seed, seed+1, ... and keeps the best final objective.
-    beta_multiplier rescales beta once per sweep (1.0 keeps it fixed;
-    anything else trades the monotonicity guarantee for experimentation).
-    track_blocks records the objective after every individual block
-    update, not just every sweep.
+    default_alpha / default_beta (symnmf: beta = max|S|).  trials > 1
+    runs independent starts from seeds seed, seed+1, ... and keeps the
+    best final objective.  A run stops after max_sweeps sweeps, or once
+    a sweep changes the objective by less than rel_tol relative.
     """
 
     k: int
@@ -72,8 +75,6 @@ class FactorizeOptions:
     rel_tol: float = 1e-4
     seed: int = 0
     trials: int = 1
-    beta_multiplier: float = 1.0
-    track_blocks: bool = False
     nls: NlsOptions | None = None
 
     def __post_init__(self):
@@ -91,19 +92,31 @@ class FactorizeOptions:
             raise ValueError("seed must be a nonnegative integer")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.beta_multiplier <= 0:
-            raise ValueError("beta_multiplier must be positive")
 
 
 @dataclass
 class FactorizationResult:
+    """Factors and objective log of the best trial, plus every trial.
+
+    objective_history holds the objective after each sweep and
+    block_objective_history after each block update: two per sweep for
+    nmf and symnmf, three for joint_nmf (two when alpha = beta = 0
+    leave Ht without terms).  alpha and beta are the weights the solve
+    used, None where the method has no such term.  trials lists every
+    run in seed order, each with its own seed, histories and factors
+    (and an empty trials list).
+    """
+
     W: np.ndarray | None
     H: np.ndarray
     H_tilde: np.ndarray | None
     objective_history: list[float]
     sweeps_run: int
     seed_used: int
-    block_objective_history: list[float] | None = None
+    block_objective_history: list[float]
+    alpha: float | None = None
+    beta: float | None = None
+    trials: list[FactorizationResult] = field(default_factory=list)
 
 
 def default_alpha(X, S) -> float:
@@ -154,10 +167,7 @@ def nmf(X, opts: FactorizeOptions) -> FactorizationResult:
         raise ValueError("X must have at least one row and one column")
     if opts.k > min(m, n):
         raise ValueError(f"k={opts.k} exceeds min(m, n)={min(m, n)}")
-    return _best_trial(
-        opts,
-        lambda seed: _sweeps(X, None, 0.0, 0.0, opts, seed, use_text=True, use_sim=False),
-    )
+    return _best_trial(opts, None, None, lambda seed: _sweeps(X, None, 0.0, 0.0, opts, seed))
 
 
 def symnmf(S, opts: FactorizeOptions) -> FactorizationResult:
@@ -168,10 +178,7 @@ def symnmf(S, opts: FactorizeOptions) -> FactorizationResult:
     if opts.k > n:
         raise ValueError(f"k={opts.k} exceeds n={n}")
     beta = opts.beta if opts.beta is not None else max_abs(S)
-    return _best_trial(
-        opts,
-        lambda seed: _sweeps(None, S, 1.0, beta, opts, seed, use_text=False, use_sim=True),
-    )
+    return _best_trial(opts, None, beta, lambda seed: _sweeps(None, S, 1.0, beta, opts, seed))
 
 
 def joint_nmf(X, S, opts: FactorizeOptions) -> FactorizationResult:
@@ -186,10 +193,7 @@ def joint_nmf(X, S, opts: FactorizeOptions) -> FactorizationResult:
         raise ValueError(f"k={opts.k} exceeds min(m, n)={min(m, n)}")
     alpha = opts.alpha if opts.alpha is not None else default_alpha(X, S)
     beta = opts.beta if opts.beta is not None else default_beta(alpha, S)
-    return _best_trial(
-        opts,
-        lambda seed: _sweeps(X, S, alpha, beta, opts, seed, use_text=True, use_sim=True),
-    )
+    return _best_trial(opts, alpha, beta, lambda seed: _sweeps(X, S, alpha, beta, opts, seed))
 
 
 def hard_assign(H) -> np.ndarray:
@@ -235,105 +239,100 @@ def _accept(M, name):
     return M
 
 
-def _best_trial(opts, run_one):
-    best = None
-    for t in range(opts.trials):
-        r = run_one(opts.seed + t)
-        if best is None or r.objective_history[-1] < best.objective_history[-1]:
-            best = r
-    return best
+def _best_trial(opts, alpha, beta, run_one):
+    runs = [run_one(opts.seed + t) for t in range(opts.trials)]
+    best = min(runs, key=lambda r: r.objective_history[-1])
+    return replace(best, alpha=alpha, beta=beta, trials=runs)
 
 
-def _sweeps(X, S, alpha, beta, opts, seed, use_text, use_sim):
+# term slots: ||X - W H||^2, ||S - Ht^T H||^2, ||Ht - H||^2
+TEXT, SIM, TETHER = range(3)
+
+
+def _sweeps(X, S, alpha, beta, opts, seed):
+    # X is None for symnmf, S is None for nmf (which passes alpha = beta = 0)
     rng = np.random.default_rng(seed)
-    n = X.shape[1] if use_text else S.shape[0]
     k = opts.k
-    W = rng.random((X.shape[0], k)) if use_text else None
-    H = rng.random((k, n))
-    Ht = rng.random((k, n)) if use_sim else None
+    W = rng.random((X.shape[0], k)) if X is not None else None
+    H = rng.random((k, X.shape[1] if X is not None else S.shape[0]))
+    Ht = rng.random(H.shape) if S is not None else None
 
-    x_nsq = frobenius_norm_sq(X) if use_text else 0.0
-    s_nsq = frobenius_norm_sq(S) if use_sim else 0.0
-    objective = lambda b: _objective(
-        x_nsq, s_nsq, X, S, W, H, Ht, alpha, b, use_text, use_sim
-    )
+    x_nsq = frobenius_norm_sq(X) if X is not None else 0.0
+    s_nsq = frobenius_norm_sq(S) if S is not None else 0.0
+    eye = np.eye(k)
+    weights = (1.0, alpha, beta)
+    # unweighted residual of each term at the current factors (0 for an
+    # absent term); only the random start is evaluated directly, after
+    # that every block refreshes the residuals of its own terms
+    resid = [0.0, 0.0, 0.0]
+    if X is not None:
+        resid[TEXT] = _text_obj(x_nsq, X, W, H)
+    if alpha > 0.0:
+        resid[SIM] = _sim_obj(s_nsq, S, Ht, H)
+    if beta > 0.0:
+        d = Ht - H
+        resid[TETHER] = float(np.vdot(d, d))
+
+    def tie_terms(G):
+        # similarity and tether terms of the block opposite G (H or Ht)
+        terms = []
+        if alpha > 0.0:
+            terms.append((SIM, G @ G.T, _mul_right(G, S), s_nsq))
+        if beta > 0.0:
+            terms.append((TETHER, eye, G, float(np.vdot(G, G))))
+        return terms
+
+    def solve(terms):
+        F, r = _solve_block([(weights[i], g, b, t) for i, g, b, t in terms], opts.nls)
+        for (i, *_), v in zip(terms, r):
+            resid[i] = v
+        blocks.append(sum(w * v for w, v in zip(weights, resid)))
+        return F
 
     history: list[float] = []
-    blocks: list[float] | None = [] if opts.track_blocks else None
-    nls_opts = opts.nls
-    beta_t = beta
-    sweeps_run = 0
+    blocks: list[float] = []
     for _ in range(opts.max_sweeps):
-        sweeps_run += 1
-        if use_text:
-            W = _update_w(X, H, nls_opts)
-            if blocks is not None:
-                blocks.append(objective(beta_t))
-        if use_sim and (alpha > 0.0 or beta_t > 0.0):
-            Ht = _update_ht(S, H, alpha, beta_t, nls_opts)
-            if blocks is not None:
-                blocks.append(objective(beta_t))
-        H = _update_h(X, S, W, Ht, alpha, beta_t, use_text, use_sim, nls_opts)
-        if blocks is not None:
-            blocks.append(objective(beta_t))
-        f = objective(beta_t)
+        if X is not None:
+            # W^T solves min ||H^T W^T - X^T||_F^2
+            W = solve([(TEXT, H @ H.T, _mul_left(H, X), x_nsq)]).T
+        terms = tie_terms(H)
+        if terms:
+            Ht = solve(terms)
+        terms = tie_terms(Ht)
+        if X is not None:
+            terms.insert(0, (TEXT, W.T @ W, _wtx(W, X), x_nsq))
+        H = solve(terms)
+        f = blocks[-1]
         history.append(f)
         if len(history) >= 2 and abs(f - history[-2]) / max(history[-2], STOP_FLOOR) < opts.rel_tol:
             break
-        beta_t = beta_t * opts.beta_multiplier
     return FactorizationResult(
         W=W,
         H=H,
         H_tilde=Ht,
         objective_history=history,
-        sweeps_run=sweeps_run,
+        sweeps_run=len(history),
         seed_used=seed,
         block_objective_history=blocks,
     )
 
 
-def _update_w(X, H, nls_opts):
-    # min over W >= 0 of ||H^T W^T - X^T||_F^2
-    ata = H @ H.T
-    atb = _mul_left(H, X)  # H X^T read as (X H^T)^T
-    return nls_bpp_gram(ata, atb, nls_opts).T
-
-
-def _update_ht(S, H, alpha, beta_t, nls_opts):
-    # min over Ht >= 0 of alpha ||H^T Ht - S||_F^2 + beta ||Ht - H||_F^2
-    k = H.shape[0]
-    ata = None
-    atb = None
-    if alpha > 0.0:
-        ata = alpha * (H @ H.T)
-        atb = alpha * _mul_right(H, S)
-    if beta_t > 0.0:
-        eye = beta_t * np.eye(k)
-        ata = eye if ata is None else ata + eye
-        atb = beta_t * H if atb is None else atb + beta_t * H
-    return nls_bpp_gram(ata, atb, nls_opts)
-
-
-def _update_h(X, S, W, Ht, alpha, beta_t, use_text, use_sim, nls_opts):
-    # min over H >= 0 of the full stacked system: text rows, similarity
-    # rows scaled by sqrt(alpha), tether rows scaled by sqrt(beta)
-    ata = None
-    atb = None
-    if use_text:
-        ata = W.T @ W
-        atb = _wtx(W, X)
-    if use_sim and alpha > 0.0:
-        t = alpha * (Ht @ Ht.T)
-        ata = t if ata is None else ata + t
-        t = alpha * _mul_right(Ht, S)
-        atb = t if atb is None else atb + t
-    if use_sim and beta_t > 0.0:
-        k = Ht.shape[0]
-        t = beta_t * np.eye(k)
-        ata = t if ata is None else ata + t
-        t = beta_t * Ht
-        atb = t if atb is None else atb + t
-    return nls_bpp_gram(ata, atb, nls_opts)
+def _solve_block(terms, nls_opts):
+    # a term (weight, gram, rhs, target_nsq) stands for weight *
+    # ||A F - T||_F^2 with gram = A^T A, rhs = A^T T, target_nsq =
+    # ||T||_F^2; returns the exact NLS solution F of the summed normal
+    # equations and each term's unweighted residual at F, clamped at 0
+    # against cancellation
+    ata = atb = None
+    for w, gram, rhs, _ in terms:
+        ata = w * gram if ata is None else ata + w * gram
+        atb = w * rhs if atb is None else atb + w * rhs
+    F = nls_bpp_gram(ata, atb, nls_opts)
+    fft = F @ F.T
+    return F, [
+        max(t - 2.0 * float(np.sum(F * rhs)) + float(np.sum(gram * fft)), 0.0)
+        for _, gram, rhs, t in terms
+    ]
 
 
 def _wtx(W, X):
@@ -369,19 +368,6 @@ def _sim_obj(s_nsq, S, Ht, H):
     cross = float(np.sum(H * _mul_right(Ht, S)))
     gram = float(np.sum((Ht @ Ht.T) * (H @ H.T)))
     return max(s_nsq - 2.0 * cross + gram, 0.0)
-
-
-def _objective(x_nsq, s_nsq, X, S, W, H, Ht, alpha, beta_t, use_text, use_sim):
-    total = 0.0
-    if use_text:
-        total += _text_obj(x_nsq, X, W, H)
-    if use_sim:
-        if alpha != 0.0:
-            total += alpha * _sim_obj(s_nsq, S, Ht, H)
-        if beta_t != 0.0:
-            d = Ht - H
-            total += beta_t * float(np.vdot(d, d))
-    return total
 
 
 def _conform_text(X, W, H):

@@ -131,21 +131,8 @@ def baseline_nmf1(X_train, k: int, opts: FactorizeOptions | None, x, scoring: st
 
 def baseline_nmf2(X_train, k: int, opts: FactorizeOptions | None, x, scoring: str = "cosine") -> np.ndarray:
     """NMF on [X_train, x]; the last coordinate column is the query."""
-    x = _dense_vector(x)
-    if sparse.issparse(X_train):
-        n = X_train.shape[1]
-        if n == 0:
-            raise EmptyCorpus("X_train has no documents")
-        aug = sparse.hstack([X_train.tocsc(), sparse.csc_array(x[:, None])], format="csc")
-    else:
-        X = np.asarray(X_train, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] == 0:
-            raise EmptyCorpus("X_train has no documents")
-        n = X.shape[1]
-        aug = np.hstack([X, x[:, None]])
-    result = nmf(aug, _with_k(opts, k))
-    h = result.H[:, -1]
-    return _score(result.H[:, :n], h, scoring)
+    H, h = _nmf2_coordinates(X_train, k, opts, x)
+    return _score(H, h, scoring)
 
 
 def fit_recommender(X_train, S_train, opts: FactorizeOptions, train_doc_ids=None) -> RecommendationModel:
@@ -160,6 +147,25 @@ def score_model(model: RecommendationModel, x, scoring: str = "cosine",
                 nls_opts: NlsOptions | None = None) -> np.ndarray:
     h = project_document(model.W, x, nls_opts)
     return _score(model.H, h, scoring)
+
+
+def _nmf2_coordinates(X_train, k, opts, x):
+    # one NMF fit of [X_train, x]: training coordinates and the query's,
+    # so both scorings of the NMF-2 baseline can share a fit
+    x = _dense_vector(x)
+    if sparse.issparse(X_train):
+        n = X_train.shape[1]
+        if n == 0:
+            raise EmptyCorpus("X_train has no documents")
+        aug = sparse.hstack([X_train.tocsc(), sparse.csc_array(x[:, None])], format="csc")
+    else:
+        X = np.asarray(X_train, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] == 0:
+            raise EmptyCorpus("X_train has no documents")
+        n = X.shape[1]
+        aug = np.hstack([X, x[:, None]])
+    result = nmf(aug, _with_k(opts, k))
+    return result.H[:, :n], result.H[:, -1]
 
 
 def _score(H, h, scoring):

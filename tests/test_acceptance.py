@@ -108,9 +108,7 @@ def test_criterion_2_block_updates_descend_monotonically():
         S = (S + S.T) / 2
         res = joint_nmf(
             X, S,
-            FactorizeOptions(
-                k=5, seed=i, max_sweeps=100, rel_tol=0.0, track_blocks=True
-            ),
+            FactorizeOptions(k=5, seed=i, max_sweeps=100, rel_tol=0.0),
         )
         vals = np.array(res.block_objective_history)
         assert len(vals) == 300

@@ -159,20 +159,32 @@ def test_cluster_data_errors(tmp_path):
 
 def test_cluster_manifest_replay_is_bit_identical(tmp_path):
     make_planted_dir(tmp_path)
-    first = tmp_path / "first"
-    again = tmp_path / "again"
-    args = [
-        "cluster", "--x", str(tmp_path / "X.mtx"), "--edges", str(tmp_path / "edges.tsv"),
-        "--doc-ids", str(tmp_path / "ids.txt"), "--truth", str(tmp_path / "truth.tsv"),
-        "--k", "3", "--seed", "3", "--trials", "2", "--out-dir", str(first),
-    ]
-    assert main(args) == 0
-    assert main([
-        "cluster", "--manifest", str(first / "manifest.tsv"), "--out-dir", str(again),
-    ]) == 0
-    for name in ("W.mtx", "H.mtx", "Htilde.mtx", "labels.tsv", "metrics.tsv",
-                 "objective.log", "manifest.tsv"):
-        assert (first / name).read_bytes() == (again / name).read_bytes()
+    x = ["--x", str(tmp_path / "X.mtx")]
+    edges = ["--edges", str(tmp_path / "edges.tsv")]
+    inputs = {"joint": x + edges, "nmf": x, "symnmf": edges}
+    for method, given in inputs.items():
+        first = tmp_path / f"first-{method}"
+        again = tmp_path / f"again-{method}"
+        assert main([
+            "cluster", "--method", method, *given,
+            "--doc-ids", str(tmp_path / "ids.txt"), "--truth", str(tmp_path / "truth.tsv"),
+            "--k", "3", "--seed", "3", "--trials", "2", "--out-dir", str(first),
+        ]) == 0
+        assert main([
+            "cluster", "--manifest", str(first / "manifest.tsv"), "--out-dir", str(again),
+        ]) == 0
+        for name in ("W.mtx", "H.mtx", "Htilde.mtx", "labels.tsv", "metrics.tsv",
+                     "objective.log", "manifest.tsv"):
+            assert (first / name).exists() == (again / name).exists()
+            if (first / name).exists():
+                assert (first / name).read_bytes() == (again / name).read_bytes()
+        manifest = dict(
+            line.split("\t") for line in (again / "manifest.tsv").read_text().splitlines()
+        )
+        unused = {"joint": ["similarity", "hyperedges"],
+                  "nmf": ["similarity", "edges", "hyperedges", "alpha", "beta"],
+                  "symnmf": ["x", "similarity", "hyperedges", "alpha"]}[method]
+        assert [manifest[key] for key in unused] == ["-"] * len(unused)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +406,24 @@ def test_preprocess_end_to_end(tmp_path):
     assert "short\td4" in report
     assert "duplicate\td5" in report
     assert "outside\td6" in report
+
+
+def test_preprocess_hyperedges_reports_outside_in_order(tmp_path):
+    preprocess_setup(tmp_path)
+    # after filtering d0 d1 d2 d3 d6 remain; the component is d1 d2 d6
+    (tmp_path / "hyper.txt").write_text("1 2 6\n0 4\n3 5\n")
+    out = tmp_path / "pph"
+    assert main([
+        "preprocess", "--vocab", str(tmp_path / "vocab.txt"),
+        "--doc-ids", str(tmp_path / "docs.txt"), "--counts", str(tmp_path / "counts.mtx"),
+        "--hyperedges", str(tmp_path / "hyper.txt"), "--out-dir", str(out),
+    ]) == 0
+    assert (out / "doc_ids.txt").read_text().splitlines() == ["d1", "d2", "d6"]
+    report = (out / "report.txt").read_text().splitlines()
+    assert "docs_outside_component\t2" in report
+    assert [line for line in report if line.startswith("outside\t")] == [
+        "outside\td0", "outside\td3",
+    ]
 
 
 def test_preprocess_without_graph(tmp_path):

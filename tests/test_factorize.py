@@ -17,7 +17,7 @@ from jointnmf.factorize import (
     symnmf,
     write_result,
 )
-from jointnmf.matrix import read_matrix_market
+from jointnmf.matrix import max_abs, read_matrix_market
 from jointnmf.metrics import average_f1, confusion
 
 
@@ -51,7 +51,6 @@ def test_options_validation():
         dict(k=2, rel_tol=-1e-9),
         dict(k=2, trials=0),
         dict(k=2, seed=-1),
-        dict(k=2, beta_multiplier=0.0),
     ):
         with pytest.raises(ValueError):
             FactorizeOptions(**bad)
@@ -287,7 +286,7 @@ def test_joint_block_updates_never_increase_objective():
         S = (S + S.T) / 2
         res = joint_nmf(
             X, S,
-            FactorizeOptions(k=4, seed=i, max_sweeps=30, rel_tol=0.0, track_blocks=True),
+            FactorizeOptions(k=4, seed=i, max_sweeps=30, rel_tol=0.0),
         )
         vals = np.array(res.block_objective_history)
         assert len(vals) == 3 * res.sweeps_run
@@ -354,6 +353,82 @@ def test_max_sweeps_honored():
     S = (S + S.T) / 2
     res = joint_nmf(X, S, FactorizeOptions(k=2, seed=0, max_sweeps=5, rel_tol=0.0))
     assert res.sweeps_run == 5 and len(res.objective_history) == 5
+
+
+# ---------------------------------------------------------------------------
+# closed-form objective and trial bookkeeping
+
+
+def noisy_pair(seed, m=12, n=15, sparse_inputs=False):
+    rng = np.random.default_rng(seed)
+    X = rng.random((m, n))
+    X[X < 0.4] = 0.0
+    S = rng.random((n, n))
+    S = (S + S.T) / 2
+    S[S < 0.3] = 0.0
+    if sparse_inputs:
+        return sparse.csc_array(X), sparse.csc_array(S)
+    return X, S
+
+
+def run_method(method, X, S, opts):
+    if method == "nmf":
+        return nmf(X, opts)
+    if method == "symnmf":
+        return symnmf(S, opts)
+    return joint_nmf(X, S, opts)
+
+
+@pytest.mark.parametrize("sparse_inputs", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("method", ["nmf", "symnmf", "joint"])
+def test_closed_form_objective_matches_reference(method, sparse_inputs):
+    X, S = noisy_pair(21, sparse_inputs=sparse_inputs)
+    res = run_method(method, X, S, FactorizeOptions(k=3, seed=4, max_sweeps=25, rel_tol=0.0))
+    k, n = res.H.shape
+    if method == "nmf":
+        ref = penalized_objective(X, np.zeros((n, n)), res.W, res.H, res.H, 0.0, 0.0)
+    elif method == "symnmf":
+        ref = penalized_objective(
+            np.zeros((1, n)), S, np.zeros((1, k)), res.H, res.H_tilde, 1.0, res.beta
+        )
+    else:
+        ref = penalized_objective(X, S, res.W, res.H, res.H_tilde, res.alpha, res.beta)
+    assert abs(res.objective_history[-1] - ref) <= 1e-12 * ref
+    per_sweep = 3 if method == "joint" else 2
+    blocks = res.block_objective_history
+    assert len(blocks) == per_sweep * res.sweeps_run == per_sweep * 25
+    assert blocks[per_sweep - 1::per_sweep] == res.objective_history
+
+
+@pytest.mark.parametrize("method", ["nmf", "symnmf", "joint"])
+def test_trials_recorded_in_seed_order(method):
+    X, S = noisy_pair(22)
+    multi = run_method(method, X, S, FactorizeOptions(k=3, seed=5, trials=3))
+    singles = [run_method(method, X, S, FactorizeOptions(k=3, seed=5 + t)) for t in range(3)]
+    assert [r.seed_used for r in multi.trials] == [5, 6, 7]
+    assert [r.objective_history for r in multi.trials] == [
+        r.objective_history for r in singles
+    ]
+    best = int(np.argmin([r.objective_history[-1] for r in singles]))
+    assert multi.seed_used == 5 + best
+    assert (multi.H == multi.trials[best].H).all()
+    if method == "joint":
+        alpha = default_alpha(X, S)
+        expected = (alpha, default_beta(alpha, S))
+    elif method == "symnmf":
+        expected = (None, max_abs(S))
+    else:
+        expected = (None, None)
+    for r in [multi] + singles:
+        assert (r.alpha, r.beta) == expected
+
+
+def test_explicit_weights_are_reported():
+    X, S = noisy_pair(23)
+    opts = FactorizeOptions(k=2, alpha=0.5, beta=2.0, max_sweeps=3)
+    for method, expected in (("joint", (0.5, 2.0)), ("symnmf", (None, 2.0)), ("nmf", (None, None))):
+        res = run_method(method, X, S, opts)
+        assert (res.alpha, res.beta) == expected
 
 
 # ---------------------------------------------------------------------------

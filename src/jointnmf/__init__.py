@@ -16,6 +16,7 @@ from .errors import (
     JointNmfError,
     LabelMissing,
     NonConvergence,
+    NonFinite,
     NotSymmetric,
     NumericalError,
     ShapeMismatch,

@@ -19,16 +19,15 @@ from scipy import sparse
 
 from . import factorize, graph, metrics, textprep
 from .errors import DataError, NumericalError, UniverseMismatch, VocabMismatch
-from .matrix import read_matrix_market, write_matrix_market
+from .matrix import as_dense, read_matrix_market, require_nonnegative, write_matrix_market
+from .nls import nls_bpp
 from .recommend import (
     baseline_shared_words,
     _nmf2_coordinates,
     fit_recommender,
-    project_document,
     recommend as recommend_above,
     score_cosine,
     score_inner,
-    score_model,
 )
 
 __all__ = ["TopicReport", "top_terms", "main"]
@@ -439,20 +438,22 @@ def _cmd_recommend(args) -> int:
         k=args.k, alpha=args.alpha, beta=args.beta, max_sweeps=args.max_sweeps,
         rel_tol=args.tol, seed=args.seed, trials=args.trials,
     )
-    test_cols = [np.asarray(_col(X_test, j)).ravel() for j in range(len(test_ids))]
+    X_test = as_dense(X_test)
+    require_nonnegative(X_test, what="test_x")
+    test_cols = list(X_test.T)
 
     model = fit_recommender(X_train, S, opts, train_ids)
     nmf_res = factorize.nmf(X_train, opts)
-    proj = [project_document(nmf_res.W, x) for x in test_cols]
+    # both scorings read one projection of all test documents per basis
+    joint_h = nls_bpp(model.W, X_test)
+    nmf1_h = nls_bpp(nmf_res.W, X_test)
     nmf2 = [_nmf2_coordinates(X_train, args.k, opts, x) for x in test_cols]
 
     score_sets: dict[str, list[np.ndarray]] = {}
     for scoring in ("inner", "cosine"):
         score_one = score_inner if scoring == "inner" else score_cosine
-        score_sets[f"joint_{scoring}"] = [
-            score_model(model, x, scoring) for x in test_cols
-        ]
-        score_sets[f"nmf1_{scoring}"] = [score_one(nmf_res.H, h) for h in proj]
+        score_sets[f"joint_{scoring}"] = [score_one(model.H, h) for h in joint_h.T]
+        score_sets[f"nmf1_{scoring}"] = [score_one(nmf_res.H, h) for h in nmf1_h.T]
         score_sets[f"nmf2_{scoring}"] = [score_one(H, h) for H, h in nmf2]
     score_sets["sharedwords"] = [
         baseline_shared_words(X_train, x).astype(np.float64) for x in test_cols
@@ -631,12 +632,6 @@ def _read_citations(path, test_ids, train_ids):
                 raise DataError(f"{path}:{ln}: unknown train id {b!r}")
             pairs.add((a, b))
     return pairs
-
-
-def _col(M, j):
-    if sparse.issparse(M):
-        return M.tocsc()[:, [j]].toarray()
-    return np.asarray(M)[:, j]
 
 
 def _read_lines(path):

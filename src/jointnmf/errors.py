@@ -22,6 +22,10 @@ class ShapeMismatch(DataError):
     """Operands have incompatible dimensions."""
 
 
+class NonFinite(DataError):
+    """A matrix holds NaN or infinite entries."""
+
+
 class NotSymmetric(DataError):
     """A matrix required to be symmetric is not."""
 

@@ -12,7 +12,8 @@ block update is an exact nonnegative least squares solve; the beta term
 pulls the copies together.  A sweep updates W, then Ht, then H.  Each
 block is a weighted sum of terms (text, similarity, tether), each term
 a Gram matrix and right-hand side; the block solves the stacked normal
-equations by block principal pivoting.  The three solvers differ only
+equations by block principal pivoting, starting from the support of
+the block's previous value.  The three solvers differ only
 in which terms exist, and a block without terms is skipped.  Each
 term's residual follows in closed form from the same products, so the
 penalized objective is recorded after every block and every sweep
@@ -35,6 +36,7 @@ from .matrix import (
     as_csc,
     frobenius_norm_sq,
     max_abs,
+    require_nonnegative,
     require_symmetric,
     write_matrix_market,
 )
@@ -228,14 +230,11 @@ def write_result(result: FactorizationResult, out_dir) -> None:
 def _accept(M, name):
     if sparse.issparse(M):
         M = as_csc(M)
-        bad = M.data.size and M.data.min() < 0
     else:
         M = np.asarray(M, dtype=np.float64)
         if M.ndim != 2:
             raise ShapeMismatch(f"{name} must be 2-d, got shape {M.shape}")
-        bad = M.size and M.min() < 0
-    if bad:
-        raise ValueError(f"{name} must be nonnegative")
+    require_nonnegative(M, what=name)
     return M
 
 
@@ -282,8 +281,8 @@ def _sweeps(X, S, alpha, beta, opts, seed):
             terms.append((TETHER, eye, G, float(np.vdot(G, G))))
         return terms
 
-    def solve(terms):
-        F, r = _solve_block([(weights[i], g, b, t) for i, g, b, t in terms], opts.nls)
+    def solve(terms, prev):
+        F, r = _solve_block([(weights[i], g, b, t) for i, g, b, t in terms], prev, opts.nls)
         for (i, *_), v in zip(terms, r):
             resid[i] = v
         blocks.append(sum(w * v for w, v in zip(weights, resid)))
@@ -294,14 +293,14 @@ def _sweeps(X, S, alpha, beta, opts, seed):
     for _ in range(opts.max_sweeps):
         if X is not None:
             # W^T solves min ||H^T W^T - X^T||_F^2
-            W = solve([(TEXT, H @ H.T, _mul_left(H, X), x_nsq)]).T
+            W = solve([(TEXT, H @ H.T, _mul_left(H, X), x_nsq)], W.T).T
         terms = tie_terms(H)
         if terms:
-            Ht = solve(terms)
+            Ht = solve(terms, Ht)
         terms = tie_terms(Ht)
         if X is not None:
             terms.insert(0, (TEXT, W.T @ W, _wtx(W, X), x_nsq))
-        H = solve(terms)
+        H = solve(terms, H)
         f = blocks[-1]
         history.append(f)
         if len(history) >= 2 and abs(f - history[-2]) / max(history[-2], STOP_FLOOR) < opts.rel_tol:
@@ -317,17 +316,18 @@ def _sweeps(X, S, alpha, beta, opts, seed):
     )
 
 
-def _solve_block(terms, nls_opts):
+def _solve_block(terms, prev, nls_opts):
     # a term (weight, gram, rhs, target_nsq) stands for weight *
     # ||A F - T||_F^2 with gram = A^T A, rhs = A^T T, target_nsq =
     # ||T||_F^2; returns the exact NLS solution F of the summed normal
-    # equations and each term's unweighted residual at F, clamped at 0
+    # equations, warm-started from the support of the block's previous
+    # value prev, and each term's unweighted residual at F, clamped at 0
     # against cancellation
     ata = atb = None
     for w, gram, rhs, _ in terms:
         ata = w * gram if ata is None else ata + w * gram
         atb = w * rhs if atb is None else atb + w * rhs
-    F = nls_bpp_gram(ata, atb, nls_opts)
+    F = nls_bpp_gram(ata, atb, nls_opts, passive=prev > 0.0)
     fft = F @ F.T
     return F, [
         max(t - 2.0 * float(np.sum(F * rhs)) + float(np.sum(gram * fft)), 0.0)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 from scipy.io import mmread, mmwrite
 
-from .errors import ShapeMismatch
+from .errors import NonFinite, ShapeMismatch
 
 __all__ = [
     "as_dense",
@@ -21,6 +21,7 @@ __all__ = [
     "frobenius_norm_sq",
     "max_abs",
     "is_symmetric",
+    "require_nonnegative",
     "require_symmetric",
     "read_matrix_market",
     "write_matrix_market",
@@ -76,6 +77,18 @@ def is_symmetric(m, tol: float = SYMMETRY_TOL) -> bool:
         return bool(np.all(np.abs(d.data) <= tol)) if d.data.size else True
     a = np.asarray(m, dtype=np.float64)
     return bool(np.abs(a - a.T).max() <= tol) if a.size else True
+
+
+def require_nonnegative(m, what: str = "matrix"):
+    """Reject NaN or infinite entries (NonFinite), then negative ones (ValueError).
+
+    Sparse matrices are checked on their stored entries only.
+    """
+    data = m.data if sparse.issparse(m) else np.asarray(m, dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise NonFinite(f"{what} has NaN or infinite entries")
+    if data.size and data.min() < 0:
+        raise ValueError(f"{what} must be nonnegative")
 
 
 def require_symmetric(m, tol: float = SYMMETRY_TOL, what: str = "matrix"):

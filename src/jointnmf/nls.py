@@ -10,7 +10,22 @@ exchanges every infeasible variable at once.  When full exchanges stop
 shrinking the infeasible set, a backup rule swaps only the
 lowest-index infeasible variable, which restores finite termination.
 
-Columns are independent; identical inputs give identical outputs.
+The passive-set systems of all pending columns are solved as one
+stacked batch: column c gets A^T A masked to its passive rows and
+columns, identity on its active diagonal and a zero right-hand side
+there, and np.linalg.solve factors the whole (c, k, k) stack in
+compiled code.  The stack is built in chunks of at most STACK_ENTRIES
+entries so memory stays flat however many columns are pending.  A
+chunk whose batched solve hits a singular matrix, or returns a
+nonfinite column, is solved column by column with a Cholesky
+factorization and one ridge-regularized retry.
+
+A caller that knows a good support, such as the previous iterate of an
+alternating scheme, passes it as the initial passive set; columns whose
+initial system is singular start over from the empty passive set.  With
+A^T A positive definite the optimum is unique, so the starting set
+changes only the number of rounds.  Columns are independent; identical
+inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -26,6 +41,9 @@ __all__ = ["NlsOptions", "nls_bpp", "nls_bpp_gram", "kkt_residual", "kkt_residua
 
 KKT_TOL = 1e-10
 RIDGE_SCALE = 1e-12
+# entries (columns x k x k) of one stacked passive-set solve: 256 columns
+# at k = 10, which keeps peak memory flat on wide solves
+STACK_ENTRIES = 25_600
 
 
 @dataclass
@@ -67,11 +85,13 @@ def nls_bpp(A, B, opts: NlsOptions | None = None) -> np.ndarray:
     return X[:, 0] if single else X
 
 
-def nls_bpp_gram(ata, atb, opts: NlsOptions | None = None) -> np.ndarray:
+def nls_bpp_gram(ata, atb, opts: NlsOptions | None = None, *, passive=None) -> np.ndarray:
     """Same solver fed the precomputed products A^T A (k x k) and A^T B (k x n).
 
     This is the entry point the factorization sweeps use, since their
-    stacked subproblems assemble the products directly.
+    stacked subproblems assemble the products directly.  passive, a
+    k x n boolean array, is the initial passive set (default: empty);
+    columns whose system on it is singular start from the empty set.
     """
     opts = opts or NlsOptions()
     ata = np.asarray(ata, dtype=np.float64)
@@ -91,7 +111,16 @@ def nls_bpp_gram(ata, atb, opts: NlsOptions | None = None) -> np.ndarray:
 
     X = np.zeros((k, n))
     Y = -atb.copy()
-    passive = np.zeros((k, n), dtype=bool)
+    if passive is None:
+        passive = np.zeros((k, n), dtype=bool)
+    else:
+        passive = np.array(passive, dtype=bool)
+        if passive.shape != (k, n):
+            raise ShapeMismatch(f"A^T B is {atb.shape}, the passive set is {passive.shape}")
+        cold = _solve_passive(ata, atb, passive, np.flatnonzero(passive.any(axis=0)), X, Y, ridge)
+        passive[:, cold] = False
+        X[:, cold] = 0.0
+        Y[:, cold] = -atb[:, cold]
     # per-column backup budget and best infeasibility count seen so far
     budget = np.full(n, opts.backup_rule_threshold, dtype=np.int64)
     best_ninf = np.full(n, k + 1, dtype=np.int64)
@@ -119,7 +148,12 @@ def nls_bpp_gram(ata, atb, opts: NlsOptions | None = None) -> np.ndarray:
             i = int(np.argmax(infeasible[:, c]))  # lowest infeasible index
             passive[i, c] = not passive[i, c]
 
-        _solve_passive(ata, atb, passive, cols, X, Y, ridge)
+        singular = _solve_passive(ata, atb, passive, cols, X, Y, ridge)
+        if singular.size:
+            raise SingularSystem(
+                f"passive-set system is singular even with ridge {ridge:g} "
+                f"in {singular.size} column(s)"
+            )
         infeasible[:, cols] = _infeasibility(X[:, cols], Y[:, cols], passive[:, cols])
         cols = cols[infeasible[:, cols].any(axis=0)]
     return X
@@ -132,50 +166,62 @@ def _infeasibility(X, Y, passive):
 def _solve_passive(ata, atb, passive, cols, X, Y, ridge):
     """Refresh X and Y on the given columns from their passive sets.
 
-    Columns sharing a passive pattern are solved together with one
-    Cholesky factorization.
+    The columns are solved in chunks of at most STACK_ENTRIES stack
+    entries.  In a chunk, column c's system is A^T A masked to
+    passive[:, c] on both sides, with 1 on the diagonal and 0 on the
+    right-hand side of each active variable, so one np.linalg.solve call
+    on the (c, k, k) stack returns every column's passive solution with
+    zeros on its active set.  When the stack has a singular matrix, or
+    a column comes back nonfinite, the affected columns fall back to
+    _solve_spd one at a time.  Returns the columns that stayed singular
+    even with the ridge; their X and Y are not meaningful.
     """
-    groups: dict[bytes, list[int]] = {}
-    for c in cols:
-        groups.setdefault(passive[:, c].tobytes(), []).append(c)
-    for key, members in groups.items():
-        pattern = np.frombuffer(key, dtype=bool)
-        free = np.flatnonzero(pattern)
-        cs = np.asarray(members)
-        if free.size == 0:
-            X[:, cs] = 0.0
-            Y[:, cs] = -atb[:, cs]
-            continue
-        sub = ata[np.ix_(free, free)]
-        rhs = atb[np.ix_(free, cs)]
-        sol = _solve_spd(sub, rhs, ridge)
-        X[:, cs] = 0.0
-        X[free[:, None], cs[None, :]] = sol
-        Y[:, cs] = ata[:, free] @ sol - atb[:, cs]
-        Y[free[:, None], cs[None, :]] = 0.0
+    k = ata.shape[0]
+    step = max(1, STACK_ENTRIES // (k * k))
+    diag = np.arange(k)
+    singular = []
+    for start in range(0, cols.size, step):
+        cs = cols[start:start + step]
+        P = passive[:, cs].T
+        rhs = np.where(P, atb[:, cs].T, 0.0)
+        M = ata * (P[:, :, None] & P[:, None, :])
+        M[:, diag, diag] += ~P
+        try:
+            sol = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+            bad = np.flatnonzero(~np.isfinite(sol).all(axis=1))
+        except np.linalg.LinAlgError:
+            sol = np.zeros_like(rhs)
+            bad = np.arange(cs.size)
+        for j in bad:
+            free = np.flatnonzero(P[j])
+            sol[j] = 0.0
+            s = _solve_spd(ata[np.ix_(free, free)], rhs[j, free], ridge)
+            if s is None:
+                singular.append(cs[j])
+            else:
+                sol[j, free] = s
+        X[:, cs] = sol.T
+        Y[:, cs] = np.where(P.T, 0.0, ata @ X[:, cs] - atb[:, cs])
+    return np.asarray(singular, dtype=np.intp)
 
 
 def _solve_spd(sub, rhs, ridge):
-    """Cholesky solve with one ridge-regularized retry on singular systems."""
-    try:
-        f = linalg.cho_factor(sub, lower=True, check_finite=False)
+    """Cholesky solve with one ridge-regularized retry on singular systems.
+
+    Returns None when the system stays singular or the solution
+    nonfinite even with the ridge.
+    """
+    for shift in (0.0, ridge):
+        try:
+            f = linalg.cho_factor(
+                sub + shift * np.eye(sub.shape[0]), lower=True, check_finite=False
+            )
+        except linalg.LinAlgError:
+            continue
         sol = linalg.cho_solve(f, rhs, check_finite=False)
         if np.isfinite(sol).all():
             return sol
-    except linalg.LinAlgError:
-        pass
-    try:
-        f = linalg.cho_factor(
-            sub + ridge * np.eye(sub.shape[0]), lower=True, check_finite=False
-        )
-        sol = linalg.cho_solve(f, rhs, check_finite=False)
-    except linalg.LinAlgError as exc:
-        raise SingularSystem(
-            f"passive-set system of order {sub.shape[0]} is singular even with ridge {ridge:g}"
-        ) from exc
-    if not np.isfinite(sol).all():
-        raise SingularSystem("passive-set solve produced nonfinite values")
-    return sol
+    return None
 
 
 def kkt_residual(A, B, X) -> float:

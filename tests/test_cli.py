@@ -157,6 +157,22 @@ def test_cluster_data_errors(tmp_path):
     ]) == 2
 
 
+def test_cluster_nonfinite_input_exits_2(tmp_path, capsys):
+    make_planted_dir(tmp_path)
+    X = read_matrix_market(tmp_path / "X.mtx")
+    X[2, 5] = np.nan
+    write_matrix_market(tmp_path / "X_nan.mtx", X)
+    n = X.shape[1]
+    S = sparse.csc_array(([np.inf, np.inf, 1.0], ([0, 1, 2], [1, 0, 2])), shape=(n, n))
+    write_matrix_market(tmp_path / "S_inf.mtx", S)
+    for given in (
+        ["--x", str(tmp_path / "X_nan.mtx"), "--edges", str(tmp_path / "edges.tsv")],
+        ["--x", str(tmp_path / "X.mtx"), "--similarity", str(tmp_path / "S_inf.mtx")],
+    ):
+        assert main(["cluster", *given, "--k", "3", "--out-dir", str(tmp_path / "o")]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
+
 def test_cluster_manifest_replay_is_bit_identical(tmp_path):
     make_planted_dir(tmp_path)
     x = ["--x", str(tmp_path / "X.mtx")]
@@ -353,6 +369,16 @@ def test_recommend_empty_test_set_exits_2(tmp_path):
     args = recommend_args(tmp_path, "rec3")
     args[args.index("--test-x") + 1] = str(tmp_path / "Xempty.mtx")
     args[args.index("--test-ids") + 1] = str(tmp_path / "te_empty.txt")
+    assert main(args) == 2
+
+
+def test_recommend_nonfinite_test_document_exits_2(tmp_path):
+    recommend_setup(tmp_path)
+    X = read_matrix_market(tmp_path / "Xte.mtx")
+    X[0, 1] = np.nan
+    write_matrix_market(tmp_path / "Xte_nan.mtx", X)
+    args = recommend_args(tmp_path, "rec5")
+    args[args.index("--test-x") + 1] = str(tmp_path / "Xte_nan.mtx")
     assert main(args) == 2
 
 

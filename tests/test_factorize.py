@@ -1,10 +1,17 @@
 """Factorization engine: objectives, descent, recovery, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from jointnmf.errors import NotSymmetric, ShapeMismatch, ZeroSimilarity
+import jointnmf
+
+from jointnmf.errors import NonFinite, NotSymmetric, ShapeMismatch, ZeroSimilarity
 from jointnmf.factorize import (
     FactorizeOptions,
     default_alpha,
@@ -194,6 +201,21 @@ def test_nmf_rejects_negative_input():
         nmf(X, FactorizeOptions(k=1))
 
 
+@pytest.mark.parametrize("as_sparse", [False, True])
+def test_nonfinite_input_rejected_at_entry(as_sparse):
+    wrap = sparse.csc_array if as_sparse else np.asarray
+    X = np.ones((3, 2))
+    X[1, 0] = np.nan
+    with pytest.raises(NonFinite):
+        nmf(wrap(X), FactorizeOptions(k=1))
+    # an inf in S is reported as such, not as an asymmetry
+    S = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    with pytest.raises(NonFinite):
+        joint_nmf(np.ones((3, 2)), wrap(S), FactorizeOptions(k=1))
+    with pytest.raises(NonFinite):
+        symnmf(wrap(S), FactorizeOptions(k=1))
+
+
 # ---------------------------------------------------------------------------
 # symnmf
 
@@ -318,6 +340,33 @@ def test_joint_deterministic_across_runs():
     a = joint_nmf(X, S, FactorizeOptions(k=2, seed=7))
     b = joint_nmf(X, S, FactorizeOptions(k=2, seed=7))
     assert (a.W == b.W).all() and (a.H == b.H).all() and (a.H_tilde == b.H_tilde).all()
+
+
+# n = 1200 columns at k = 5 span two stacked NLS solves per round
+SAME_SEED_RUN = """
+import sys
+import numpy as np
+from scipy import sparse
+from jointnmf.factorize import FactorizeOptions, joint_nmf
+rng = np.random.default_rng(16)
+X = rng.random((40, 1200))
+S = sparse.random(1200, 1200, density=0.01, random_state=17)
+res = joint_nmf(X, S + S.T, FactorizeOptions(k=5, seed=3, max_sweeps=5, rel_tol=0.0))
+sys.stdout.buffer.write(res.W.tobytes() + res.H.tobytes() + res.H_tilde.tobytes())
+"""
+
+
+def test_joint_bit_identical_across_processes():
+    src = str(Path(jointnmf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    runs = [
+        subprocess.run([sys.executable, "-c", SAME_SEED_RUN], env=env,
+                       capture_output=True, check=True, timeout=120).stdout
+        for _ in range(2)
+    ]
+    assert len(runs[0]) == 8 * 5 * (40 + 2 * 1200)
+    assert runs[0] == runs[1]
 
 
 def test_joint_factors_nonnegative_and_shapes():

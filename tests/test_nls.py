@@ -10,9 +10,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jointnmf.errors import NonConvergence, SingularSystem
+from jointnmf.errors import NonConvergence, ShapeMismatch, SingularSystem
 from jointnmf.nls import (
+    STACK_ENTRIES,
     NlsOptions,
     kkt_residual,
     kkt_residual_gram,
@@ -100,8 +103,22 @@ def test_columns_solve_independently():
         assert np.allclose(X[:, c], xc, atol=1e-12, rtol=0.0)
 
 
+def test_columns_match_single_column_solves_across_chunks():
+    # more columns than two stacked solves hold, so every chunk boundary
+    # is crossed
+    k = 8
+    n = 2 * (STACK_ENTRIES // (k * k)) + 37
+    rng = np.random.default_rng(13)
+    A = rng.random((12, k))
+    B = rng.standard_normal((12, n))
+    X = nls_bpp(A, B)
+    assert kkt_residual(A, B, X) <= 1e-10
+    for c in range(n):
+        assert np.allclose(X[:, c], nls_bpp(A, B[:, c]), atol=1e-12, rtol=0.0)
+
+
 def test_shared_support_columns_solved_in_one_group():
-    # many columns with the same sign structure exercise the grouped path
+    # many columns with the same sign structure share one passive set
     rng = np.random.default_rng(11)
     A = rng.random((6, 3))
     base = rng.random(3)
@@ -145,6 +162,15 @@ def test_singular_system_reported():
         nls_bpp_gram(ata, atb)
 
 
+def test_singular_system_reported_among_regular_columns():
+    # columns 1 and 3 are optimal at zero and never reach a solve; the
+    # other two share a stacked solve and are singular even with the ridge
+    ata = np.zeros((2, 2))
+    atb = np.array([[1.0, -1.0, 2.0, 0.0], [1.0, -1.0, 0.5, -3.0]])
+    with pytest.raises(SingularSystem):
+        nls_bpp_gram(ata, atb)
+
+
 def test_ridge_rescues_mildly_singular_gram():
     # duplicated column: unconstrained solve is ambiguous but a ridge
     # retry keeps one representative
@@ -154,6 +180,59 @@ def test_ridge_rescues_mildly_singular_gram():
     x = nls_bpp(A, b)
     assert np.all(x >= 0.0)
     assert np.allclose(A @ x, b, atol=1e-6, rtol=0.0)
+
+
+def test_ridge_rescues_singular_columns_inside_a_chunk():
+    # columns 0 and 1 of A are equal; b = 2a and b = a + e put both
+    # copies in the passive set, whose system is singular, while
+    # b = e - a and b = -a never do.  The singular columns share one
+    # stacked solve with the regular ones, and every column must match
+    # its own single-column solve.
+    a = np.array([1.0, 0.0, 1.0, 0.0])
+    e = np.array([0.0, 1.0, 0.0, 1.0])
+    A = np.column_stack([a, a, e])
+    B = np.column_stack([2.0 * a, e - a, a + e, -a, 3.0 * e, 2.0 * a + e])
+    X = nls_bpp(A, B)
+    assert np.all(X >= 0.0)
+    for c in range(B.shape[1]):
+        assert np.allclose(X[:, c], nls_bpp(A, B[:, c]), atol=1e-12, rtol=0.0)
+    assert np.allclose(A @ X[:, [0, 2, 4, 5]], B[:, [0, 2, 4, 5]], atol=1e-6, rtol=0.0)
+    assert np.allclose(X[:, 1], [0.0, 0.0, 1.0]) and np.all(X[:, 3] == 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=st.integers(1, 5), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_warm_start_matches_cold_start_and_oracle(k, n, seed, data):
+    rng = np.random.default_rng(seed)
+    A = rng.random((k + 2, k))
+    B = rng.standard_normal((k + 2, n))
+    passive = np.array(
+        data.draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n))
+    ).reshape(k, n)
+    ata, atb = A.T @ A, A.T @ B
+    X = nls_bpp_gram(ata, atb, passive=passive)
+    assert kkt_residual_gram(ata, atb, X) <= 1e-10
+    assert np.allclose(X, nls_bpp_gram(ata, atb), atol=1e-9, rtol=0.0)
+    for c in range(n):
+        star, _ = oracle_nnls(A, B[:, c])
+        assert objective(A, B[:, [c]], X[:, [c]]) <= star + 1e-8
+
+
+def test_warm_start_on_zero_gram_restarts_cold():
+    # every warm system is singular even with the ridge (which is 0 for
+    # a zero Gram); the columns start over from the empty passive set
+    # rather than raise
+    passive = np.array([[True, False, True], [True, True, False]])
+    X = nls_bpp_gram(np.zeros((2, 2)), np.zeros((2, 3)), passive=passive)
+    assert X.shape == (2, 3) and np.all(X == 0.0)
+    # a column the cold start cannot solve either still fails
+    with pytest.raises(SingularSystem):
+        nls_bpp_gram(np.zeros((2, 2)), np.ones((2, 3)), passive=passive)
+
+
+def test_warm_start_rejects_misshapen_passive_set():
+    with pytest.raises(ShapeMismatch):
+        nls_bpp_gram(np.eye(2), np.ones((2, 3)), passive=np.ones((3, 2), dtype=bool))
 
 
 def test_kkt_residual_flags_violations():

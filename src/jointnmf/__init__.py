@@ -15,6 +15,7 @@ from .errors import (
     IndexOutOfRange,
     JointNmfError,
     LabelMissing,
+    NegativeEntries,
     NonConvergence,
     NonFinite,
     NotSymmetric,
@@ -77,7 +78,7 @@ from .metrics import (
     roc_curve,
     write_labels,
 )
-from .nls import NlsOptions, kkt_residual, kkt_residual_gram, nls_bpp, nls_bpp_gram
+from .nls import kkt_residual, kkt_residual_gram, nls_bpp, nls_bpp_gram
 from .recommend import (
     RecommendationModel,
     baseline_nmf1,

@@ -152,12 +152,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args) or 0
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
@@ -248,23 +248,24 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
+# manifest key (also the args attribute) -> its type; "-" means unset
 _CLUSTER_MANIFEST_FIELDS = {
-    "method": ("method", str),
-    "x": ("x", None),
-    "similarity": ("similarity", None),
-    "edges": ("edges", None),
-    "hyperedges": ("hyperedges", None),
-    "dual": ("dual", "flag"),
-    "raw_adjacency": ("raw_adjacency", "flag"),
-    "doc_ids": ("doc_ids", None),
-    "truth": ("truth", None),
-    "k": ("k", int),
-    "alpha": ("alpha", float),
-    "beta": ("beta", float),
-    "max_sweeps": ("max_sweeps", int),
-    "tol": ("tol", float),
-    "seed": ("seed", int),
-    "trials": ("trials", int),
+    "method": str,
+    "x": str,
+    "similarity": str,
+    "edges": str,
+    "hyperedges": str,
+    "dual": "flag",
+    "raw_adjacency": "flag",
+    "doc_ids": str,
+    "truth": str,
+    "k": int,
+    "alpha": float,
+    "beta": float,
+    "max_sweeps": int,
+    "tol": float,
+    "seed": int,
+    "trials": int,
 }
 
 
@@ -273,17 +274,15 @@ def _cmd_cluster(args) -> int:
         stored = _read_manifest(args.manifest)
         if stored.get("command") != "cluster":
             raise DataError(f"{args.manifest} is not a cluster manifest")
-        for key, (attr, typ) in _CLUSTER_MANIFEST_FIELDS.items():
+        for key, typ in _CLUSTER_MANIFEST_FIELDS.items():
             raw = stored.get(key, "-")
             if raw == "-":
                 value = False if typ == "flag" else None
             elif typ == "flag":
                 value = raw == "1"
-            elif typ is None:
-                value = raw
             else:
                 value = typ(raw)
-            setattr(args, attr, value)
+            setattr(args, key, value)
     if args.k is None:
         raise ValueError("--k is required")
 
@@ -432,7 +431,7 @@ def _cmd_recommend(args) -> int:
     else:
         raise ValueError("recommend needs --similarity or --edges")
 
-    cited = _read_citations(args.citations, set(test_ids), set(train_ids))
+    flags = _read_citations(args.citations, test_ids, train_ids).ravel()
 
     opts = factorize.FactorizeOptions(
         k=args.k, alpha=args.alpha, beta=args.beta, max_sweeps=args.max_sweeps,
@@ -461,9 +460,6 @@ def _cmd_recommend(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    flags = np.array(
-        [(ti, tj) in cited for ti in test_ids for tj in train_ids], dtype=bool
-    )
     for name, per_test in score_sets.items():
         flat = np.concatenate(per_test)
         fpr, tpr = metrics.roc_curve(flat, flags)
@@ -616,7 +612,10 @@ def _score_str(v):
 
 
 def _read_citations(path, test_ids, train_ids):
-    pairs = set()
+    """Boolean (test x train) array, True where path lists the pair."""
+    row = _positions(test_ids, "test")
+    col = _positions(train_ids, "train")
+    cited = np.zeros((len(row), len(col)), dtype=bool)
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -626,12 +625,19 @@ def _read_citations(path, test_ids, train_ids):
             if len(parts) != 2:
                 raise DataError(f"{path}:{ln}: expected `test_id<TAB>train_id`")
             a, b = parts
-            if a not in test_ids:
+            if a not in row:
                 raise DataError(f"{path}:{ln}: unknown test id {a!r}")
-            if b not in train_ids:
+            if b not in col:
                 raise DataError(f"{path}:{ln}: unknown train id {b!r}")
-            pairs.add((a, b))
-    return pairs
+            cited[row[a], col[b]] = True
+    return cited
+
+
+def _positions(ids, what):
+    pos = {d: i for i, d in enumerate(ids)}
+    if len(pos) != len(ids):
+        raise DataError(f"{what} ids are not unique")
+    return pos
 
 
 def _read_lines(path):

@@ -26,6 +26,10 @@ class NonFinite(DataError):
     """A matrix holds NaN or infinite entries."""
 
 
+class NegativeEntries(DataError, ValueError):
+    """A matrix required to be nonnegative has negative entries."""
+
+
 class NotSymmetric(DataError):
     """A matrix required to be symmetric is not."""
 

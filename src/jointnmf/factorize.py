@@ -40,7 +40,7 @@ from .matrix import (
     require_symmetric,
     write_matrix_market,
 )
-from .nls import NlsOptions, nls_bpp_gram
+from .nls import nls_bpp_gram
 
 __all__ = [
     "FactorizeOptions",
@@ -77,7 +77,6 @@ class FactorizeOptions:
     rel_tol: float = 1e-4
     seed: int = 0
     trials: int = 1
-    nls: NlsOptions | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -282,7 +281,7 @@ def _sweeps(X, S, alpha, beta, opts, seed):
         return terms
 
     def solve(terms, prev):
-        F, r = _solve_block([(weights[i], g, b, t) for i, g, b, t in terms], prev, opts.nls)
+        F, r = _solve_block([(weights[i], g, b, t) for i, g, b, t in terms], prev)
         for (i, *_), v in zip(terms, r):
             resid[i] = v
         blocks.append(sum(w * v for w, v in zip(weights, resid)))
@@ -316,7 +315,7 @@ def _sweeps(X, S, alpha, beta, opts, seed):
     )
 
 
-def _solve_block(terms, prev, nls_opts):
+def _solve_block(terms, prev):
     # a term (weight, gram, rhs, target_nsq) stands for weight *
     # ||A F - T||_F^2 with gram = A^T A, rhs = A^T T, target_nsq =
     # ||T||_F^2; returns the exact NLS solution F of the summed normal
@@ -327,7 +326,7 @@ def _solve_block(terms, prev, nls_opts):
     for w, gram, rhs, _ in terms:
         ata = w * gram if ata is None else ata + w * gram
         atb = w * rhs if atb is None else atb + w * rhs
-    F = nls_bpp_gram(ata, atb, nls_opts, passive=prev > 0.0)
+    F = nls_bpp_gram(ata, atb, passive=prev > 0.0)
     fft = F @ F.T
     return F, [
         max(t - 2.0 * float(np.sum(F * rhs)) + float(np.sum(gram * fft)), 0.0)

@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     ZeroDegree,
 )
-from .matrix import as_csc, require_symmetric
+from .matrix import as_csc, require_nonnegative, require_symmetric
 
 __all__ = [
     "Graph",
@@ -56,11 +56,10 @@ class Graph:
     def __post_init__(self):
         A = as_csc(self.adjacency)
         A.eliminate_zeros()
+        require_nonnegative(A, what="adjacency")
         require_symmetric(A, what="adjacency")
         if A.diagonal().any():
             raise ValueError("adjacency has nonzero diagonal entries")
-        if A.data.size and A.data.min() < 0:
-            raise ValueError("adjacency has negative entries")
         self.adjacency = A
 
     @property

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 from scipy.io import mmread, mmwrite
 
-from .errors import NonFinite, ShapeMismatch
+from .errors import NegativeEntries, NonFinite, ShapeMismatch
 
 __all__ = [
     "as_dense",
@@ -80,7 +80,7 @@ def is_symmetric(m, tol: float = SYMMETRY_TOL) -> bool:
 
 
 def require_nonnegative(m, what: str = "matrix"):
-    """Reject NaN or infinite entries (NonFinite), then negative ones (ValueError).
+    """Reject NaN or infinite entries (NonFinite), then negative ones (NegativeEntries).
 
     Sparse matrices are checked on their stored entries only.
     """
@@ -88,7 +88,7 @@ def require_nonnegative(m, what: str = "matrix"):
     if not np.isfinite(data).all():
         raise NonFinite(f"{what} has NaN or infinite entries")
     if data.size and data.min() < 0:
-        raise ValueError(f"{what} must be nonnegative")
+        raise NegativeEntries(f"{what} must be nonnegative")
 
 
 def require_symmetric(m, tol: float = SYMMETRY_TOL, what: str = "matrix"):

@@ -4,6 +4,12 @@ Labelings are positional: item i carries pred[i] and truth[i].
 Predictions are hard (one label per item).  Truth may overlap, in
 which case truth[i] is a set of labels; two items count as
 truth-connected when their label sets intersect.
+
+Both the confusion matrix and the pairwise counts are read off one
+contingency table of predicted cluster x distinct truth label set
+(Hubert & Arabie, Comparing partitions, 1985): with k clusters and G
+distinct label sets, a labeling of n items costs O(n + k G^2) time and
+memory, never O(n^2), and the counts stay exact for overlapping truth.
 """
 
 from __future__ import annotations
@@ -65,35 +71,11 @@ def confusion(pred, truth, n_pred_clusters: int | None = None) -> ConfusionMatri
     received no item still get a (zero) row, so empty clusters are
     visible to average_f1.
     """
-    pred = list(pred)
-    truth_sets = _as_sets(truth)
-    if len(pred) != len(truth_sets):
-        raise UniverseMismatch(
-            f"{len(pred)} predicted items vs {len(truth_sets)} truth items"
-        )
-    if not pred:
-        raise UniverseMismatch("empty labelings")
-
-    if n_pred_clusters is not None:
-        codes = np.asarray(pred, dtype=np.int64)
-        if codes.min() < 0 or codes.max() >= n_pred_clusters:
-            raise DataError("prediction label outside [0, n_pred_clusters)")
-        pred_labels = list(range(n_pred_clusters))
-        k = n_pred_clusters
-    else:
-        pred_labels, codes = np.unique(np.asarray(pred, dtype=object), return_inverse=True)
-        pred_labels = list(pred_labels)
-        k = len(pred_labels)
-
-    truth_labels = sorted({lab for s in truth_sets for lab in s}, key=_label_key)
-    tcode = {lab: j for j, lab in enumerate(truth_labels)}
-    counts = np.zeros((k, len(truth_labels)), dtype=np.int64)
-    for i, s in enumerate(truth_sets):
-        for lab in s:
-            counts[codes[i], tcode[lab]] += 1
+    pred_labels, truth_labels, table, member = _contingency(pred, truth, n_pred_clusters)
+    counts = table @ member
     return ConfusionMatrix(
         counts=counts,
-        pred_sizes=np.bincount(codes, minlength=k).astype(np.int64),
+        pred_sizes=table.sum(axis=1),
         truth_sizes=counts.sum(axis=0),
         pred_labels=pred_labels,
         truth_labels=truth_labels,
@@ -118,36 +100,26 @@ def pairwise_counts(pred, truth) -> PairwiseCounts:
     """Tally every unordered item pair.
 
     Predicted-connected means same hard cluster; truth-connected means
-    intersecting label sets.
+    intersecting label sets.  Counting ordered pairs, self-pairs
+    included, gives sum_p n_p^2 same-cluster pairs, N^T L N
+    truth-connected ones and sum_p t_p^T L t_p that are both, where t_p
+    is row p of the contingency table, N its column sums and L[g, h]
+    whether label sets g and h intersect; removing the n self-pairs and
+    halving leaves the unordered counts.  Each float64 sum is an integer
+    of at most n^2, exact while n^2 < 2^53.
     """
-    pred = list(pred)
-    truth_sets = _as_sets(truth)
-    n = len(pred)
-    if n != len(truth_sets):
-        raise UniverseMismatch(f"{n} predicted items vs {len(truth_sets)} truth items")
+    _, _, table, member = _contingency(pred, truth)
+    n = int(table.sum())
     if n < 2:
         raise DataError("pairwise counts need at least 2 items")
-
-    _, codes = np.unique(np.asarray(pred, dtype=object), return_inverse=True)
-    same_pred = codes[:, None] == codes[None, :]
-
-    labels = sorted({lab for s in truth_sets for lab in s}, key=_label_key)
-    tcode = {lab: j for j, lab in enumerate(labels)}
-    member = np.zeros((n, len(labels)), dtype=bool)
-    for i, s in enumerate(truth_sets):
-        for lab in s:
-            member[i, tcode[lab]] = True
-    truth_conn = member @ member.T
-
-    iu = np.triu_indices(n, k=1)
-    p = same_pred[iu]
-    t = truth_conn[iu]
-    return PairwiseCounts(
-        tp=int(np.count_nonzero(p & t)),
-        tn=int(np.count_nonzero(~p & ~t)),
-        fp=int(np.count_nonzero(p & ~t)),
-        fn=int(np.count_nonzero(~p & t)),
-    )
+    linked = (member @ member.T > 0).astype(np.float64)
+    t = table.astype(np.float64)
+    N = t.sum(axis=0)
+    tp = (int(np.sum((t @ linked) * t)) - n) // 2
+    same_pred = (int(np.sum(table.sum(axis=1) ** 2)) - n) // 2
+    connected = (int(N @ linked @ N) - n) // 2
+    return PairwiseCounts(tp=tp, tn=n * (n - 1) // 2 - same_pred - connected + tp,
+                          fp=same_pred - tp, fn=connected - tp)
 
 
 def pairwise_scores(pc: PairwiseCounts) -> PairwiseScores:
@@ -233,6 +205,45 @@ def read_pair_scores(path) -> list[tuple[str, str, float]]:
             except ValueError as exc:
                 raise DataError(f"{path}:{ln}: bad score {parts[2]!r}") from exc
     return out
+
+
+def _contingency(pred, truth, n_pred_clusters=None):
+    """Encode a labeling once.
+
+    Returns (pred_labels, truth_labels, table, member): table[p, g]
+    counts the items of predicted cluster p whose truth label set is
+    the g-th distinct one, and member[g, l] is 1 when label l is in set
+    g.  Both are int64.
+    """
+    pred = list(pred)
+    truth_sets = _as_sets(truth)
+    if len(pred) != len(truth_sets):
+        raise UniverseMismatch(
+            f"{len(pred)} predicted items vs {len(truth_sets)} truth items"
+        )
+    if not pred:
+        raise UniverseMismatch("empty labelings")
+
+    if n_pred_clusters is not None:
+        codes = np.asarray(pred, dtype=np.int64)
+        if codes.min() < 0 or codes.max() >= n_pred_clusters:
+            raise DataError("prediction label outside [0, n_pred_clusters)")
+        pred_labels = list(range(n_pred_clusters))
+    else:
+        pred_labels, codes = np.unique(np.asarray(pred, dtype=object), return_inverse=True)
+        pred_labels = list(pred_labels)
+
+    set_code: dict[frozenset, int] = {}
+    gcodes = np.array([set_code.setdefault(s, len(set_code)) for s in truth_sets], dtype=np.int64)
+    truth_labels = sorted({lab for s in set_code for lab in s}, key=_label_key)
+    tcode = {lab: j for j, lab in enumerate(truth_labels)}
+    member = np.zeros((len(set_code), len(truth_labels)), dtype=np.int64)
+    for g, s in enumerate(set_code):
+        member[g, [tcode[lab] for lab in s]] = 1
+
+    k, G = len(pred_labels), len(set_code)
+    table = np.bincount(codes * G + gcodes, minlength=k * G).reshape(k, G)
+    return pred_labels, truth_labels, table, member
 
 
 def _as_sets(truth) -> list[frozenset]:

@@ -30,43 +30,25 @@ inputs give identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import linalg
 
 from .errors import NonConvergence, ShapeMismatch, SingularSystem
 
-__all__ = ["NlsOptions", "nls_bpp", "nls_bpp_gram", "kkt_residual", "kkt_residual_gram"]
+__all__ = ["nls_bpp", "nls_bpp_gram", "kkt_residual", "kkt_residual_gram"]
 
 KKT_TOL = 1e-10
 RIDGE_SCALE = 1e-12
 # entries (columns x k x k) of one stacked passive-set solve: 256 columns
 # at k = 10, which keeps peak memory flat on wide solves
 STACK_ENTRIES = 25_600
+# exchange rounds allowed per variable, and non-improving full exchanges
+# a column may make before the backup rule swaps one variable at a time
+ROUNDS_PER_VARIABLE = 5
+BACKUP_THRESHOLD = 3
 
 
-@dataclass
-class NlsOptions:
-    """Knobs for the pivoting loop.
-
-    max_pivot_rounds: bound on exchange rounds; None means 5 times the
-        number of variables per column.
-    backup_rule_threshold: how many non-improving full exchanges are
-        tolerated before falling back to single-variable swaps.
-    """
-
-    max_pivot_rounds: int | None = None
-    backup_rule_threshold: int = 3
-
-    def __post_init__(self):
-        if self.max_pivot_rounds is not None and self.max_pivot_rounds < 1:
-            raise ValueError("max_pivot_rounds must be positive")
-        if self.backup_rule_threshold < 0:
-            raise ValueError("backup_rule_threshold must be nonnegative")
-
-
-def nls_bpp(A, B, opts: NlsOptions | None = None) -> np.ndarray:
+def nls_bpp(A, B) -> np.ndarray:
     """Minimize ||A X - B||_F^2 over X >= 0.
 
     A is dense m x k, B is dense m x n (a single m-vector is accepted
@@ -81,11 +63,11 @@ def nls_bpp(A, B, opts: NlsOptions | None = None) -> np.ndarray:
         B = B[:, None]
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise ShapeMismatch(f"A is {A.shape}, B is {B.shape}")
-    X = nls_bpp_gram(A.T @ A, A.T @ B, opts)
+    X = nls_bpp_gram(A.T @ A, A.T @ B)
     return X[:, 0] if single else X
 
 
-def nls_bpp_gram(ata, atb, opts: NlsOptions | None = None, *, passive=None) -> np.ndarray:
+def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     """Same solver fed the precomputed products A^T A (k x k) and A^T B (k x n).
 
     This is the entry point the factorization sweeps use, since their
@@ -93,7 +75,6 @@ def nls_bpp_gram(ata, atb, opts: NlsOptions | None = None, *, passive=None) -> n
     k x n boolean array, is the initial passive set (default: empty);
     columns whose system on it is singular start from the empty set.
     """
-    opts = opts or NlsOptions()
     ata = np.asarray(ata, dtype=np.float64)
     atb = np.asarray(atb, dtype=np.float64)
     if ata.ndim != 2 or ata.shape[0] != ata.shape[1]:
@@ -106,7 +87,7 @@ def nls_bpp_gram(ata, atb, opts: NlsOptions | None = None, *, passive=None) -> n
     k, n = atb.shape
     if n == 0:
         return np.zeros((k, 0))
-    max_rounds = opts.max_pivot_rounds if opts.max_pivot_rounds is not None else 5 * k
+    max_rounds = ROUNDS_PER_VARIABLE * k
     ridge = RIDGE_SCALE * np.trace(ata) / k
 
     X = np.zeros((k, n))
@@ -122,7 +103,7 @@ def nls_bpp_gram(ata, atb, opts: NlsOptions | None = None, *, passive=None) -> n
         X[:, cold] = 0.0
         Y[:, cold] = -atb[:, cold]
     # per-column backup budget and best infeasibility count seen so far
-    budget = np.full(n, opts.backup_rule_threshold, dtype=np.int64)
+    budget = np.full(n, BACKUP_THRESHOLD, dtype=np.int64)
     best_ninf = np.full(n, k + 1, dtype=np.int64)
 
     infeasible = _infeasibility(X, Y, passive)
@@ -137,7 +118,7 @@ def nls_bpp_gram(ata, atb, opts: NlsOptions | None = None, *, passive=None) -> n
         ninf = infeasible[:, cols].sum(axis=0)
         improved = ninf < best_ninf[cols]
         best_ninf[cols[improved]] = ninf[improved]
-        budget[cols[improved]] = opts.backup_rule_threshold
+        budget[cols[improved]] = BACKUP_THRESHOLD
         stalled = ~improved
         has_budget = budget[cols] > 0
         budget[cols[stalled & has_budget]] -= 1

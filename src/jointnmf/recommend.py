@@ -22,7 +22,8 @@ from scipy import sparse
 
 from .errors import EmptyCorpus, ShapeMismatch, ZeroQuery
 from .factorize import FactorizeOptions, joint_nmf, nmf
-from .nls import NlsOptions, nls_bpp
+from .matrix import require_nonnegative
+from .nls import nls_bpp
 
 __all__ = [
     "RecommendationModel",
@@ -53,21 +54,18 @@ class RecommendationModel:
             raise ShapeMismatch(
                 f"{len(self.train_doc_ids)} ids for {self.H.shape[1]} training columns"
             )
-        if (self.W.size and self.W.min() < 0) or (self.H.size and self.H.min() < 0):
-            raise ValueError("model factors must be nonnegative")
+        require_nonnegative(self.W, what="W")
+        require_nonnegative(self.H, what="H")
 
 
-def project_document(W, x, nls_opts: NlsOptions | None = None) -> np.ndarray:
+def project_document(W, x) -> np.ndarray:
     """Nonnegative coordinates of x in the basis W (single-column NLS)."""
     W = np.asarray(W, dtype=np.float64)
     x = _dense_vector(x)
     if W.ndim != 2 or x.shape[0] != W.shape[0]:
         raise ShapeMismatch(f"W is {W.shape}, x has length {x.shape[0]}")
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
-    if x.size and x.min() < 0:
-        raise ValueError("x must be nonnegative")
-    return nls_bpp(W, x, nls_opts)
+    require_nonnegative(x, what="x")
+    return nls_bpp(W, x)
 
 
 def score_inner(H, h) -> np.ndarray:
@@ -125,7 +123,7 @@ def baseline_nmf1(X_train, k: int, opts: FactorizeOptions | None, x, scoring: st
     """NMF on the training text alone, then project x and score."""
     opts = _with_k(opts, k)
     result = nmf(X_train, opts)
-    h = project_document(result.W, x, opts.nls)
+    h = project_document(result.W, x)
     return _score(result.H, h, scoring)
 
 
@@ -143,9 +141,8 @@ def fit_recommender(X_train, S_train, opts: FactorizeOptions, train_doc_ids=None
     return RecommendationModel(W=result.W, H=result.H, train_doc_ids=ids)
 
 
-def score_model(model: RecommendationModel, x, scoring: str = "cosine",
-                nls_opts: NlsOptions | None = None) -> np.ndarray:
-    h = project_document(model.W, x, nls_opts)
+def score_model(model: RecommendationModel, x, scoring: str = "cosine") -> np.ndarray:
+    h = project_document(model.W, x)
     return _score(model.H, h, scoring)
 
 

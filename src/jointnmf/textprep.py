@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyCorpus, ShapeMismatch, ZeroColumn
-from .matrix import as_csc, read_matrix_market
+from .matrix import as_csc, read_matrix_market, require_nonnegative
 
 __all__ = [
     "Corpus",
@@ -49,8 +49,7 @@ class Corpus:
             raise ShapeMismatch(
                 f"{len(self.doc_ids)} document ids but counts has {n} columns"
             )
-        if self.counts.data.size and self.counts.data.min() < 0:
-            raise ValueError("counts must be nonnegative")
+        require_nonnegative(self.counts, what="counts")
 
 
 @dataclass

@@ -173,6 +173,18 @@ def test_cluster_nonfinite_input_exits_2(tmp_path, capsys):
         assert "NaN or infinite" in capsys.readouterr().err
 
 
+def test_cluster_negative_input_exits_2(tmp_path, capsys):
+    make_planted_dir(tmp_path)
+    X = read_matrix_market(tmp_path / "X.mtx")
+    X[2, 5] = -1.0
+    write_matrix_market(tmp_path / "X_neg.mtx", X)
+    assert main([
+        "cluster", "--x", str(tmp_path / "X_neg.mtx"), "--edges", str(tmp_path / "edges.tsv"),
+        "--k", "3", "--out-dir", str(tmp_path / "o"),
+    ]) == 2
+    assert "data error: X must be nonnegative" in capsys.readouterr().err
+
+
 def test_cluster_manifest_replay_is_bit_identical(tmp_path):
     make_planted_dir(tmp_path)
     x = ["--x", str(tmp_path / "X.mtx")]
@@ -388,6 +400,16 @@ def test_recommend_unknown_citation_id_exits_2(tmp_path):
     args = recommend_args(tmp_path, "rec4")
     args[args.index("--citations") + 1] = str(tmp_path / "bad_cites.tsv")
     assert main(args) == 2
+
+
+def test_recommend_duplicate_test_id_exits_2(tmp_path, capsys):
+    # the citation flags are indexed by id, so an id must name one document
+    recommend_setup(tmp_path)
+    (tmp_path / "te_dup.txt").write_text("doc7\ndoc7\ndoc23\n")
+    args = recommend_args(tmp_path, "rec6")
+    args[args.index("--test-ids") + 1] = str(tmp_path / "te_dup.txt")
+    assert main(args) == 2
+    assert "test ids are not unique" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Clustering metrics: confusion, F1 family, pairwise counts, ROC."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointnmf.errors import DataError, DegenerateLabels, UniverseMismatch
 from jointnmf.metrics import (
@@ -125,6 +130,60 @@ def test_pairwise_matches_brute_force():
             ]
         pc = pairwise_counts(pred, truth)
         assert (pc.tp, pc.tn, pc.fp, pc.fn) == brute_force_pairwise(pred, truth)
+
+
+@st.composite
+def labelings(draw):
+    # hard predictions and possibly overlapping truth sets, each side
+    # drawn from int or str labels
+    n = draw(st.integers(2, 40))
+    pred_pool = draw(st.sampled_from([list(range(4)), ["p", "q", "r", "s"]]))
+    truth_pool = draw(st.sampled_from([list(range(5)), ["a", "b", "c", "d", "e"]]))
+    pred = draw(st.lists(st.sampled_from(pred_pool), min_size=n, max_size=n))
+    truth = draw(st.lists(
+        st.frozensets(st.sampled_from(truth_pool), min_size=1, max_size=3),
+        min_size=n, max_size=n,
+    ))
+    return pred, truth
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(labelings())
+def test_counts_match_per_item_and_per_pair_references(labeling):
+    pred, truth = labeling
+    pc = pairwise_counts(pred, truth)
+    assert (pc.tp, pc.tn, pc.fp, pc.fn) == brute_force_pairwise(pred, truth)
+    assert pc.total == len(pred) * (len(pred) - 1) // 2
+
+    per_item = Counter((p, lab) for p, s in zip(pred, truth) for lab in s)
+    given_k = [{}] if isinstance(pred[0], str) else [{}, {"n_pred_clusters": 4}]
+    for kw in given_k:
+        cm = confusion(pred, truth, **kw)
+        cells = {
+            (p, t): int(cm.counts[i, j])
+            for i, p in enumerate(cm.pred_labels)
+            for j, t in enumerate(cm.truth_labels)
+            if cm.counts[i, j]
+        }
+        assert cells == per_item
+        sizes = Counter(pred)
+        assert cm.pred_sizes.tolist() == [sizes[p] for p in cm.pred_labels]
+        labels = Counter(lab for s in truth for lab in s)
+        assert cm.truth_sizes.tolist() == [labels[t] for t in cm.truth_labels]
+
+
+def test_pairwise_counts_memory_is_not_quadratic():
+    rng = np.random.default_rng(44)
+    n = 5000
+    pred = rng.integers(0, 10, n).tolist()
+    truth = [{int(a), int(b)} for a, b in rng.integers(0, 10, (n, 2))]
+    tracemalloc.start()
+    try:
+        pairwise_counts(pred, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_pairwise_undefined_scores_are_none():

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointnmf import nls
 from jointnmf.errors import NonConvergence, ShapeMismatch, SingularSystem
 from jointnmf.nls import (
     STACK_ENTRIES,
-    NlsOptions,
     kkt_residual,
     kkt_residual_gram,
     nls_bpp,
@@ -145,14 +145,13 @@ def test_zero_rhs_gives_zero_solution():
     assert np.all(X == 0.0)
 
 
-def test_non_convergence_when_pivot_budget_exhausted():
+def test_non_convergence_when_pivot_budget_exhausted(monkeypatch):
     rng = np.random.default_rng(8)
     A = rng.random((6, 4))
     B = rng.standard_normal((6, 2))
+    monkeypatch.setattr(nls, "ROUNDS_PER_VARIABLE", 0)
     with pytest.raises(NonConvergence):
-        nls_bpp(A, B, NlsOptions(max_pivot_rounds=1))
-    with pytest.raises(ValueError):
-        NlsOptions(max_pivot_rounds=0)
+        nls_bpp(A, B)
 
 
 def test_singular_system_reported():

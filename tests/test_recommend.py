@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from jointnmf.errors import EmptyCorpus, ShapeMismatch, ZeroQuery
+from jointnmf.errors import EmptyCorpus, NonFinite, ShapeMismatch, ZeroQuery
 from jointnmf.factorize import FactorizeOptions
 from jointnmf.recommend import (
     RecommendationModel,
@@ -59,7 +59,7 @@ def test_project_rejects_bad_query():
     W = np.ones((3, 2))
     with pytest.raises(ShapeMismatch):
         project_document(W, np.ones(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFinite):
         project_document(W, np.array([1.0, np.nan, 0.0]))
     with pytest.raises(ValueError):
         project_document(W, np.array([1.0, -1.0, 0.0]))

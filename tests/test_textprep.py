@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from jointnmf.errors import EmptyCorpus, ShapeMismatch, ZeroColumn
+from jointnmf.errors import EmptyCorpus, NonFinite, ShapeMismatch, ZeroColumn
 from jointnmf.matrix import write_matrix_market
 from jointnmf.textprep import (
     Corpus,
@@ -30,6 +30,13 @@ def test_corpus_validation():
         Corpus(["a", "b"], ["d0"], M)
     with pytest.raises(ValueError):
         Corpus(["a", "b"], ["x", "y", "z"], sparse.csc_array(-np.ones((2, 3))))
+
+
+def test_corpus_rejects_nan_count():
+    M = np.ones((2, 3))
+    M[1, 2] = np.nan
+    with pytest.raises(NonFinite):
+        Corpus(["a", "b"], ["x", "y", "z"], sparse.csc_array(M))
 
 
 def test_filter_removes_rare_terms_then_short_docs_then_duplicates():

@@ -94,11 +94,12 @@ from .recommend import (
 from .textprep import (
     Corpus,
     FilterReport,
+    TopicReport,
     filter_corpus,
     normalize_columns,
     read_corpus,
     tfidf,
+    top_terms,
 )
-from .cli import TopicReport, top_terms
 
 __version__ = "0.1.0"

@@ -2,23 +2,23 @@
 
 Subcommands: preprocess, cluster, eval, recommend, hypergraph-sim,
 topics.  Exit codes: 0 success, 1 usage, 2 data problem, 3 numerical
-failure.  Every command that writes artifacts also writes a
-manifest.tsv of resolved parameters; `cluster --manifest` replays one
-and reproduces the outputs byte for byte.
+failure.  Each subparser is the one list of its command's parameters:
+every command that writes artifacts also writes a manifest.tsv with
+each of its options, and `cluster --manifest` reads one back through
+the same option types and reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from . import factorize, graph, metrics, textprep
-from .errors import DataError, NumericalError, UniverseMismatch, VocabMismatch
+from .errors import DataError, NumericalError, UniverseMismatch
 from .matrix import as_dense, read_matrix_market, require_nonnegative, write_matrix_market
 from .nls import nls_bpp
 from .recommend import (
@@ -29,31 +29,9 @@ from .recommend import (
     score_cosine,
     score_inner,
 )
+from .textprep import top_terms
 
-__all__ = ["TopicReport", "top_terms", "main"]
-
-
-@dataclass
-class TopicReport:
-    """Per cluster, the strongest terms with their basis weights."""
-
-    clusters: list[list[tuple[str, float]]]
-
-
-def top_terms(W, vocab, t: int) -> TopicReport:
-    """The t heaviest terms of each basis column, ties by term index."""
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise VocabMismatch(f"W must be 2-d, got shape {W.shape}")
-    if len(vocab) != W.shape[0]:
-        raise VocabMismatch(f"{len(vocab)} terms for {W.shape[0]} rows of W")
-    if t < 1:
-        raise ValueError("top-terms count must be at least 1")
-    clusters = []
-    for c in range(W.shape[1]):
-        order = np.argsort(-W[:, c], kind="stable")[:t]
-        clusters.append([(vocab[i], float(W[i, c])) for i in order])
-    return TopicReport(clusters)
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -68,68 +46,73 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pp = sub.add_parser("preprocess", help="filter counts, tf-idf, normalize, align with graph")
-    pp.add_argument("--vocab", required=True, help="one term per line")
-    pp.add_argument("--doc-ids", required=True, help="one document id per line")
-    pp.add_argument("--counts", required=True, help="Matrix Market term-document counts")
-    pp.add_argument("--edges", help="citation edge list, src<TAB>dst, 0-based doc positions")
-    pp.add_argument("--hyperedges", help="one hyperedge per line, whitespace-separated vertex ids")
+    pp.add_argument("--vocab", required=True, type=_path, help="one term per line")
+    pp.add_argument("--doc-ids", required=True, type=_path, help="one document id per line")
+    pp.add_argument("--counts", required=True, type=_path,
+                    help="Matrix Market term-document counts")
+    pp.add_argument("--edges", type=_path,
+                    help="citation edge list, src<TAB>dst, 0-based doc positions")
+    pp.add_argument("--hyperedges", type=_path,
+                    help="one hyperedge per line, whitespace-separated vertex ids")
     pp.add_argument("--dual", action="store_true", help="documents are the hyperedges (dual hypergraph)")
     pp.add_argument("--raw-adjacency", action="store_true", help="skip degree normalization of S")
     pp.add_argument("--min-term-df", type=int, default=textprep.DEFAULT_MIN_TERM_DF)
     pp.add_argument("--min-doc-len", type=int, default=textprep.DEFAULT_MIN_DOC_LEN)
     pp.add_argument("--keep-duplicates", action="store_true", help="skip duplicate-column removal")
     pp.add_argument("--out-dir", required=True)
-    pp.set_defaults(func=_cmd_preprocess)
+    pp.set_defaults(func=_cmd_preprocess, parser=pp)
 
     pc = sub.add_parser("cluster", help="factorize and write factors, labels, metrics")
-    pc.add_argument("--x", help="Matrix Market term-document matrix")
-    pc.add_argument("--similarity", help="Matrix Market similarity matrix")
-    pc.add_argument("--edges", help="edge list to build similarity from")
-    pc.add_argument("--hyperedges", help="hyperedge file to build similarity from")
+    pc.add_argument("--method", choices=("joint", "nmf", "symnmf"), default="joint")
+    pc.add_argument("--x", type=_path, help="Matrix Market term-document matrix")
+    pc.add_argument("--similarity", type=_path, help="Matrix Market similarity matrix")
+    pc.add_argument("--edges", type=_path, help="edge list to build similarity from")
+    pc.add_argument("--hyperedges", type=_path, help="hyperedge file to build similarity from")
     pc.add_argument("--dual", action="store_true")
     pc.add_argument("--raw-adjacency", action="store_true",
                     help="use the raw 0/1 adjacency instead of D^-1/2 A D^-1/2")
-    pc.add_argument("--method", choices=("joint", "nmf", "symnmf"), default="joint")
-    pc.add_argument("--doc-ids")
-    pc.add_argument("--truth", help="item_id<TAB>label ground truth for the metrics report")
+    pc.add_argument("--doc-ids", type=_path)
+    pc.add_argument("--truth", type=_path,
+                    help="item_id<TAB>label ground truth for the metrics report")
     _factor_flags(pc)
     pc.add_argument("--manifest", help="replay a previous run's manifest.tsv")
     pc.add_argument("--out-dir", required=True)
-    pc.set_defaults(func=_cmd_cluster)
+    pc.set_defaults(func=_cmd_cluster, parser=pc)
 
     pe = sub.add_parser("eval", help="score a predicted labeling against ground truth")
-    pe.add_argument("--pred", required=True)
-    pe.add_argument("--truth", required=True)
+    pe.add_argument("--pred", required=True, type=_path)
+    pe.add_argument("--truth", required=True, type=_path)
     pe.add_argument("--out-dir")
-    pe.set_defaults(func=_cmd_eval)
+    pe.set_defaults(func=_cmd_eval, parser=pe)
 
     pr = sub.add_parser("recommend", help="citation recommendation with baselines")
-    pr.add_argument("--train-x", required=True)
-    pr.add_argument("--train-ids", required=True)
-    pr.add_argument("--similarity", help="prebuilt similarity over training docs")
-    pr.add_argument("--edges", help="training citation edges; raw adjacency is used")
-    pr.add_argument("--test-x", required=True)
-    pr.add_argument("--test-ids", required=True)
-    pr.add_argument("--citations", required=True, help="held-out truth, test_id<TAB>train_id")
+    pr.add_argument("--train-x", required=True, type=_path)
+    pr.add_argument("--train-ids", required=True, type=_path)
+    pr.add_argument("--similarity", type=_path, help="prebuilt similarity over training docs")
+    pr.add_argument("--edges", type=_path, help="training citation edges; raw adjacency is used")
+    pr.add_argument("--test-x", required=True, type=_path)
+    pr.add_argument("--test-ids", required=True, type=_path)
+    pr.add_argument("--citations", required=True, type=_path,
+                    help="held-out truth, test_id<TAB>train_id")
     pr.add_argument("--threshold", type=float, default=0.0,
                     help="recommend train docs scoring strictly above this")
     _factor_flags(pr)
     pr.add_argument("--out-dir", required=True)
-    pr.set_defaults(func=_cmd_recommend)
+    pr.set_defaults(func=_cmd_recommend, parser=pr)
 
     ph = sub.add_parser("hypergraph-sim", help="similarity matrix from a hyperedge file")
-    ph.add_argument("--hyperedges", required=True)
+    ph.add_argument("--hyperedges", required=True, type=_path)
     ph.add_argument("--dual", action="store_true")
     ph.add_argument("--n-vertices", type=int)
     ph.add_argument("--out-dir", required=True)
-    ph.set_defaults(func=_cmd_hypergraph_sim)
+    ph.set_defaults(func=_cmd_hypergraph_sim, parser=ph)
 
     pt = sub.add_parser("topics", help="top terms per cluster from a basis matrix")
-    pt.add_argument("--w", required=True, help="Matrix Market basis W")
-    pt.add_argument("--vocab", required=True)
+    pt.add_argument("--w", required=True, type=_path, help="Matrix Market basis W")
+    pt.add_argument("--vocab", required=True, type=_path)
     pt.add_argument("--top-terms", type=int, default=5)
     pt.add_argument("--out-dir")
-    pt.set_defaults(func=_cmd_topics)
+    pt.set_defaults(func=_cmd_topics, parser=pt)
 
     return p
 
@@ -142,6 +125,20 @@ def _factor_flags(p):
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
+
+
+def _options(args) -> factorize.FactorizeOptions:
+    return factorize.FactorizeOptions(
+        k=args.k, alpha=args.alpha, beta=args.beta, max_sweeps=args.max_sweeps,
+        rel_tol=args.tol, seed=args.seed, trials=args.trials,
+    )
+
+
+def _path(value):
+    # the type of every input path option: resolved once, at parse time,
+    # so the command and its manifest name the same absolute file; an
+    # empty value stays empty, which the commands read as not given
+    return str(Path(value).resolve()) if value else value
 
 
 def main(argv=None) -> int:
@@ -231,42 +228,9 @@ def _cmd_preprocess(args) -> int:
             fh.write(f"duplicate\t{d}\n")
         for d in outside_lcc:
             fh.write(f"outside\t{d}\n")
-    _write_manifest(out / "manifest.tsv", {
-        "command": "preprocess",
-        "vocab": _abs(args.vocab),
-        "doc_ids": _abs(args.doc_ids),
-        "counts": _abs(args.counts),
-        "edges": _abs(args.edges),
-        "hyperedges": _abs(args.hyperedges),
-        "dual": _flag(args.dual),
-        "raw_adjacency": _flag(args.raw_adjacency),
-        "min_term_df": str(args.min_term_df),
-        "min_doc_len": str(args.min_doc_len),
-        "dedupe": _flag(not args.keep_duplicates),
-    })
+    _write_manifest(out / "manifest.tsv", args)
     print(f"kept {X.shape[0]} terms x {X.shape[1]} documents -> {out}")
     return 0
-
-
-# manifest key (also the args attribute) -> its type; "-" means unset
-_CLUSTER_MANIFEST_FIELDS = {
-    "method": str,
-    "x": str,
-    "similarity": str,
-    "edges": str,
-    "hyperedges": str,
-    "dual": "flag",
-    "raw_adjacency": "flag",
-    "doc_ids": str,
-    "truth": str,
-    "k": int,
-    "alpha": float,
-    "beta": float,
-    "max_sweeps": int,
-    "tol": float,
-    "seed": int,
-    "trials": int,
-}
 
 
 def _cmd_cluster(args) -> int:
@@ -274,15 +238,17 @@ def _cmd_cluster(args) -> int:
         stored = _read_manifest(args.manifest)
         if stored.get("command") != "cluster":
             raise DataError(f"{args.manifest} is not a cluster manifest")
-        for key, typ in _CLUSTER_MANIFEST_FIELDS.items():
-            raw = stored.get(key, "-")
+        # every option reads back through its own parser action; "-" and
+        # a missing key mean the option was not given
+        for action in _manifest_actions(args):
+            raw = stored.get(action.dest, "-")
             if raw == "-":
-                value = False if typ == "flag" else None
-            elif typ == "flag":
+                value = action.default
+            elif action.nargs == 0:  # a flag
                 value = raw == "1"
             else:
-                value = typ(raw)
-            setattr(args, key, value)
+                value = action.type(raw) if action.type else raw
+            setattr(args, action.dest, value)
     if args.k is None:
         raise ValueError("--k is required")
 
@@ -304,10 +270,7 @@ def _cmd_cluster(args) -> int:
     if args.truth:
         truth_sets = _aligned_truth(metrics.read_labels(args.truth), doc_ids)
 
-    opts = factorize.FactorizeOptions(
-        k=args.k, alpha=args.alpha, beta=args.beta, max_sweeps=args.max_sweeps,
-        rel_tol=args.tol, seed=args.seed, trials=args.trials,
-    )
+    opts = _options(args)
     if method == "joint":
         res = factorize.joint_nmf(X, S, opts)
     elif method == "nmf":
@@ -331,27 +294,10 @@ def _cmd_cluster(args) -> int:
     metrics.write_labels(out / "labels.tsv", doc_ids, factorize.hard_assign(res.H))
     if truth_sets is not None:
         _write_metrics_table(out / "metrics.tsv", rows)
-    seeds = ",".join(str(run.seed_used) for run in res.trials)
-    _write_manifest(out / "manifest.tsv", {
-        "command": "cluster",
-        "method": method,
-        "x": _abs(args.x),
-        "similarity": _abs(args.similarity),
-        "edges": _abs(args.edges),
-        "hyperedges": _abs(args.hyperedges),
-        "dual": _flag(args.dual),
-        "raw_adjacency": _flag(args.raw_adjacency),
-        "doc_ids": _abs(args.doc_ids),
-        "truth": _abs(args.truth),
-        "k": str(args.k),
-        "alpha": "-" if res.alpha is None else repr(res.alpha),
-        "beta": "-" if res.beta is None else repr(res.beta),
-        "max_sweeps": str(args.max_sweeps),
-        "tol": repr(args.tol),
-        "seed": str(args.seed),
-        "trials": str(args.trials),
-        "seeds": seeds,
-    })
+    _write_manifest(
+        out / "manifest.tsv", args, alpha=res.alpha, beta=res.beta,
+        seeds=",".join(str(run.seed_used) for run in res.trials),
+    )
     print(f"method={method} k={args.k} best_seed={res.seed_used} "
           f"objective={res.objective_history[-1]!r} sweeps={res.sweeps_run}")
     if truth_sets is not None:
@@ -395,11 +341,7 @@ def _cmd_eval(args) -> int:
         with open(out / "metrics.tsv", "w") as fh:
             for key, val in rows.items():
                 fh.write(f"{key}\t{val}\n")
-        _write_manifest(out / "manifest.tsv", {
-            "command": "eval",
-            "pred": _abs(args.pred),
-            "truth": _abs(args.truth),
-        })
+        _write_manifest(out / "manifest.tsv", args)
     return 0
 
 
@@ -433,10 +375,7 @@ def _cmd_recommend(args) -> int:
 
     flags = _read_citations(args.citations, test_ids, train_ids).ravel()
 
-    opts = factorize.FactorizeOptions(
-        k=args.k, alpha=args.alpha, beta=args.beta, max_sweeps=args.max_sweeps,
-        rel_tol=args.tol, seed=args.seed, trials=args.trials,
-    )
+    opts = _options(args)
     X_test = as_dense(X_test)
     require_nonnegative(X_test, what="test_x")
     test_cols = list(X_test.T)
@@ -473,24 +412,7 @@ def _cmd_recommend(args) -> int:
                 picks = recommend_above(scores, args.threshold)
                 for j in sorted(picks, key=lambda j: (-scores[j], j)):
                     fh.write(f"{ti}\t{train_ids[j]}\t{float(scores[j])!r}\n")
-    _write_manifest(out / "manifest.tsv", {
-        "command": "recommend",
-        "train_x": _abs(args.train_x),
-        "train_ids": _abs(args.train_ids),
-        "similarity": _abs(args.similarity),
-        "edges": _abs(args.edges),
-        "test_x": _abs(args.test_x),
-        "test_ids": _abs(args.test_ids),
-        "citations": _abs(args.citations),
-        "threshold": repr(args.threshold),
-        "k": str(args.k),
-        "alpha": "-" if args.alpha is None else repr(args.alpha),
-        "beta": "-" if args.beta is None else repr(args.beta),
-        "max_sweeps": str(args.max_sweeps),
-        "tol": repr(args.tol),
-        "seed": str(args.seed),
-        "trials": str(args.trials),
-    })
+    _write_manifest(out / "manifest.tsv", args)
     print(f"artifacts -> {out}")
     return 0
 
@@ -505,12 +427,7 @@ def _cmd_hypergraph_sim(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_market(out / "S.mtx", S)
-    _write_manifest(out / "manifest.tsv", {
-        "command": "hypergraph-sim",
-        "hyperedges": _abs(args.hyperedges),
-        "dual": _flag(args.dual),
-        "n_vertices": "-" if args.n_vertices is None else str(args.n_vertices),
-    })
+    _write_manifest(out / "manifest.tsv", args)
     print(f"S is {S.shape[0]}x{S.shape[1]} -> {out / 'S.mtx'}")
     return 0
 
@@ -529,12 +446,7 @@ def _cmd_topics(args) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_lines(out / "topics.tsv", lines)
-        _write_manifest(out / "manifest.tsv", {
-            "command": "topics",
-            "w": _abs(args.w),
-            "vocab": _abs(args.vocab),
-            "top_terms": str(args.top_terms),
-        })
+        _write_manifest(out / "manifest.tsv", args)
     else:
         for line in lines:
             print(line)
@@ -651,10 +563,34 @@ def _write_lines(path, lines):
             fh.write(f"{line}\n")
 
 
-def _write_manifest(path, entries: dict) -> None:
+def _manifest_actions(args):
+    # the command's options in parser order, less the two that say where
+    # a run writes and what it replays rather than what it computes
+    return [a for a in args.parser._actions if a.dest not in ("help", "out_dir", "manifest")]
+
+
+def _write_manifest(path, args, **resolved) -> None:
+    """command, then each option of args.command under its dest.
+
+    A resolved value (a weight the run worked out) replaces the given
+    one in place; a resolved key that is no option follows the options.
+    """
+    entries = {"command": args.command}
+    entries.update((a.dest, getattr(args, a.dest)) for a in _manifest_actions(args))
+    entries.update(resolved)
     with open(path, "w") as fh:
         for key, val in entries.items():
-            fh.write(f"{key}\t{val}\n")
+            fh.write(f"{key}\t{_manifest_value(val)}\n")
+
+
+def _manifest_value(v):
+    if v is None:
+        return "-"
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
 
 
 def _read_manifest(path) -> dict:
@@ -667,14 +603,6 @@ def _read_manifest(path) -> dict:
             key, _, val = line.partition("\t")
             out[key] = val
     return out
-
-
-def _abs(p):
-    return "-" if not p else str(Path(p).resolve())
-
-
-def _flag(b):
-    return "1" if b else "0"
 
 
 if __name__ == "__main__":

@@ -275,7 +275,7 @@ def _sweeps(X, S, alpha, beta, opts, seed):
         # similarity and tether terms of the block opposite G (H or Ht)
         terms = []
         if alpha > 0.0:
-            terms.append((SIM, G @ G.T, _mul_right(G, S), s_nsq))
+            terms.append((SIM, G @ G.T, G @ S, s_nsq))
         if beta > 0.0:
             terms.append((TETHER, eye, G, float(np.vdot(G, G))))
         return terms
@@ -292,13 +292,13 @@ def _sweeps(X, S, alpha, beta, opts, seed):
     for _ in range(opts.max_sweeps):
         if X is not None:
             # W^T solves min ||H^T W^T - X^T||_F^2
-            W = solve([(TEXT, H @ H.T, _mul_left(H, X), x_nsq)], W.T).T
+            W = solve([(TEXT, H @ H.T, H @ X.T, x_nsq)], W.T).T
         terms = tie_terms(H)
         if terms:
             Ht = solve(terms, Ht)
         terms = tie_terms(Ht)
         if X is not None:
-            terms.insert(0, (TEXT, W.T @ W, _wtx(W, X), x_nsq))
+            terms.insert(0, (TEXT, W.T @ W, W.T @ X, x_nsq))
         H = solve(terms, H)
         f = blocks[-1]
         history.append(f)
@@ -334,27 +334,6 @@ def _solve_block(terms, prev):
     ]
 
 
-def _wtx(W, X):
-    # W^T X with X possibly sparse
-    if sparse.issparse(X):
-        return (X.T @ W).T
-    return W.T @ X
-
-
-def _mul_left(H, X):
-    # H X^T with X possibly sparse
-    if sparse.issparse(X):
-        return (X @ H.T).T
-    return H @ X.T
-
-
-def _mul_right(H, S):
-    # H S with S possibly sparse
-    if sparse.issparse(S):
-        return (S.T @ H.T).T
-    return H @ S
-
-
 def _text_obj(x_nsq, X, W, H):
     # ||X - W H||_F^2 via the gram identity; clamped against cancellation
     cross = float(np.sum(W * (X @ H.T)))
@@ -364,7 +343,7 @@ def _text_obj(x_nsq, X, W, H):
 
 def _sim_obj(s_nsq, S, Ht, H):
     # ||S - Ht^T H||_F^2 via the gram identity
-    cross = float(np.sum(H * _mul_right(Ht, S)))
+    cross = float(np.sum(H * (Ht @ S)))
     gram = float(np.sum((Ht @ Ht.T) * (H @ H.T)))
     return max(s_nsq - 2.0 * cross + gram, 0.0)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .errors import NonConvergence, ShapeMismatch, SingularSystem
+from .errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
 
 __all__ = ["nls_bpp", "nls_bpp_gram", "kkt_residual", "kkt_residual_gram"]
 
@@ -82,7 +82,7 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     if atb.ndim != 2 or atb.shape[0] != ata.shape[0]:
         raise ShapeMismatch(f"A^T A is {ata.shape}, A^T B is {atb.shape}")
     if not (np.isfinite(ata).all() and np.isfinite(atb).all()):
-        raise ValueError("nonfinite values in the normal equations")
+        raise NonFinite("nonfinite values in the normal equations")
 
     k, n = atb.shape
     if n == 0:

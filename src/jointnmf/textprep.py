@@ -2,7 +2,8 @@
 
 Pipeline order is fixed: drop rare terms, drop short documents, drop
 duplicate documents, then tf-idf, then unit 2-norm columns.  The tf-idf
-variant is raw count times ln(n / df) with no smoothing.
+variant is raw count times ln(n / df) with no smoothing.  top_terms
+reads a basis matrix back in terms of the same vocabulary.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import EmptyCorpus, ShapeMismatch, ZeroColumn
+from .errors import EmptyCorpus, ShapeMismatch, VocabMismatch, ZeroColumn
 from .matrix import as_csc, read_matrix_market, require_nonnegative
 
 __all__ = [
@@ -23,6 +24,8 @@ __all__ = [
     "tfidf",
     "normalize_columns",
     "read_corpus",
+    "TopicReport",
+    "top_terms",
 ]
 
 logger = logging.getLogger(__name__)
@@ -158,6 +161,29 @@ def read_corpus(vocab_path, doc_ids_path, counts_path) -> Corpus:
     if not sparse.issparse(counts):
         counts = as_csc(counts)
     return Corpus(vocab, doc_ids, counts)
+
+
+@dataclass
+class TopicReport:
+    """Per cluster, the strongest terms with their basis weights."""
+
+    clusters: list[list[tuple[str, float]]]
+
+
+def top_terms(W, vocab, t: int) -> TopicReport:
+    """The t heaviest terms of each basis column, ties by term index."""
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2:
+        raise VocabMismatch(f"W must be 2-d, got shape {W.shape}")
+    if len(vocab) != W.shape[0]:
+        raise VocabMismatch(f"{len(vocab)} terms for {W.shape[0]} rows of W")
+    if t < 1:
+        raise ValueError("top-terms count must be at least 1")
+    clusters = []
+    for c in range(W.shape[1]):
+        order = np.argsort(-W[:, c], kind="stable")[:t]
+        clusters.append([(vocab[i], float(W[i, c])) for i in order])
+    return TopicReport(clusters)
 
 
 def _read_lines(path) -> list[str]:

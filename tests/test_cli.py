@@ -1,10 +1,17 @@
 """Command line interface: argument handling, artifacts, exit codes."""
 
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from jointnmf.cli import main, top_terms
+import jointnmf
+from jointnmf.cli import build_parser, main, top_terms
 from jointnmf.errors import VocabMismatch
 from jointnmf.matrix import read_matrix_market, write_matrix_market
 from jointnmf.graph import hypergraph_from_edges, hypergraph_similarity
@@ -173,6 +180,20 @@ def test_cluster_nonfinite_input_exits_2(tmp_path, capsys):
         assert "NaN or infinite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cluster_overflowing_input_exits_2(tmp_path, capsys):
+    # finite entries whose products overflow are a data problem, not usage
+    make_planted_dir(tmp_path)
+    X = read_matrix_market(tmp_path / "X.mtx")
+    X[2, 5] = 1e305
+    write_matrix_market(tmp_path / "X_huge.mtx", X)
+    assert main([
+        "cluster", "--method", "nmf", "--x", str(tmp_path / "X_huge.mtx"),
+        "--k", "3", "--out-dir", str(tmp_path / "o"),
+    ]) == 2
+    assert "data error: nonfinite values" in capsys.readouterr().err
+
+
 def test_cluster_negative_input_exits_2(tmp_path, capsys):
     make_planted_dir(tmp_path)
     X = read_matrix_market(tmp_path / "X.mtx")
@@ -213,6 +234,86 @@ def test_cluster_manifest_replay_is_bit_identical(tmp_path):
                   "nmf": ["similarity", "edges", "hyperedges", "alpha", "beta"],
                   "symnmf": ["x", "similarity", "hyperedges", "alpha"]}[method]
         assert [manifest[key] for key in unused] == ["-"] * len(unused)
+
+
+def write_hyperedges(root, k=3, per_cluster=8):
+    """Triples of consecutive documents inside each cluster, plus one bridge."""
+    lines = []
+    for c in range(k):
+        idx = [c * per_cluster + i for i in range(per_cluster)]
+        lines.extend(" ".join(str(idx[(i + j) % per_cluster]) for j in range(3))
+                     for i in range(per_cluster))
+    lines.append(" ".join(str(c * per_cluster) for c in range(k)))
+    (root / "hyper.txt").write_text("".join(f"{line}\n" for line in lines))
+
+
+@pytest.mark.parametrize("given, flag", [
+    (["--x", "X.mtx", "--edges", "edges.tsv", "--raw-adjacency"], "raw_adjacency"),
+    (["--x", "X.mtx", "--hyperedges", "hyper.txt"], None),
+    (["--method", "symnmf", "--hyperedges", "hyper.txt", "--dual"], "dual"),
+], ids=["raw-adjacency", "hyperedges", "dual"])
+def test_cluster_replay_keeps_similarity_options(tmp_path, given, flag):
+    make_planted_dir(tmp_path)
+    write_hyperedges(tmp_path)
+    given = [str(tmp_path / a) if "." in a else a for a in given]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([
+        "cluster", *given, "--k", "3", "--seed", "1", "--max-sweeps", "20",
+        "--out-dir", str(first),
+    ]) == 0
+    assert main([
+        "cluster", "--manifest", str(first / "manifest.tsv"), "--out-dir", str(again),
+    ]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+    manifest = dict(
+        line.split("\t") for line in (again / "manifest.tsv").read_text().splitlines()
+    )
+    if flag is not None:
+        assert manifest[flag] == "1"
+
+
+def option_dests(command):
+    """The dests of a subcommand's options, in parser order."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a.dest for a in sub.choices[command]._actions if a.dest != "help"]
+
+
+def test_manifest_lists_every_option_of_its_command(tmp_path, monkeypatch):
+    # relative paths on the command line, absolute ones in the manifest
+    monkeypatch.chdir(tmp_path)
+    make_planted_dir(tmp_path)
+    write_hyperedges(tmp_path)
+    (tmp_path / "pre").mkdir()
+    preprocess_setup(tmp_path / "pre")
+    (tmp_path / "rec").mkdir()
+    recommend_setup(tmp_path / "rec")
+    runs = {
+        "preprocess": ["--vocab", "pre/vocab.txt", "--doc-ids", "pre/docs.txt",
+                       "--counts", "pre/counts.mtx", "--edges", "pre/edges.tsv"],
+        "cluster": ["--x", "X.mtx", "--edges", "edges.tsv", "--k", "3", "--trials", "2"],
+        "eval": ["--pred", "truth.tsv", "--truth", "truth.tsv"],
+        "recommend": recommend_args(Path("rec"))[1:-2],
+        "hypergraph-sim": ["--hyperedges", "hyper.txt"],
+        "topics": ["--w", "preprocess/X.mtx", "--vocab", "preprocess/vocab.txt"],
+    }
+    for command, given in runs.items():
+        assert main([command, *given, "--out-dir", command]) == 0
+        text = (tmp_path / command / "manifest.tsv").read_text()
+        manifest = [line.split("\t") for line in text.splitlines()]
+        expected = [d for d in option_dests(command) if d not in ("out_dir", "manifest")]
+        if command == "cluster":
+            expected.append("seeds")
+        assert [key for key, _ in manifest] == ["command", *expected]
+        values = dict(manifest)
+        assert values["command"] == command
+        for option, value in zip(given[::2], given[1::2]):
+            if (tmp_path / value).exists():
+                value = str((tmp_path / value).resolve())
+            assert values[option[2:].replace("-", "_")] == value
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +603,20 @@ def test_preprocess_empty_corpus_exits_2(tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # `python -m jointnmf.cli` must not find jointnmf.cli already imported
+    # by the package, which Python reports as a RuntimeWarning
+    src = str(Path(jointnmf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "jointnmf.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_unknown_command_exits_one(capsys):

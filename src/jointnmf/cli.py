@@ -233,6 +233,14 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
+# the inputs each cluster method does not read
+_IGNORED_INPUTS = {
+    "joint": (),
+    "nmf": ("similarity", "edges", "hyperedges"),
+    "symnmf": ("x",),
+}
+
+
 def _cmd_cluster(args) -> int:
     if args.manifest:
         stored = _read_manifest(args.manifest)
@@ -247,12 +255,24 @@ def _cmd_cluster(args) -> int:
             elif action.nargs == 0:  # a flag
                 value = raw == "1"
             else:
-                value = action.type(raw) if action.type else raw
+                try:
+                    value = action.type(raw) if action.type else raw
+                except ValueError as exc:
+                    raise DataError(f"{args.manifest}: bad {action.dest} entry {raw!r}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise DataError(
+                    f"{args.manifest}: {action.dest} entry {raw!r} is not one of "
+                    + ", ".join(action.choices)
+                )
             setattr(args, action.dest, value)
     if args.k is None:
         raise ValueError("--k is required")
 
     method = args.method
+    # an input the method ignores would silently set n or go unused
+    for dest in _IGNORED_INPUTS[method]:
+        if getattr(args, dest):
+            raise ValueError(f"method {method} does not use --{dest}")
     X = read_matrix_market(args.x) if args.x else None
     if method in ("joint", "nmf") and X is None:
         raise ValueError(f"method {method} needs --x")

@@ -10,22 +10,27 @@ exchanges every infeasible variable at once.  When full exchanges stop
 shrinking the infeasible set, a backup rule swaps only the
 lowest-index infeasible variable, which restores finite termination.
 
-The passive-set systems of all pending columns are solved as one
-stacked batch: column c gets A^T A masked to its passive rows and
-columns, identity on its active diagonal and a zero right-hand side
-there, and np.linalg.solve factors the whole (c, k, k) stack in
-compiled code.  The stack is built in chunks of at most STACK_ENTRIES
+The solver keeps its state one row per column (the solution, the
+right-hand sides, the passive and the infeasible sets), so every gather
+and scatter of a column copies a contiguous row; the data is transposed
+only on entry and exit.  A column with s passive variables solves only
+its s x s principal submatrix of A^T A against the s matching entries
+of its right-hand side.  The pending columns are sorted by s, and the
+columns of one size are solved as one (c, s, s) stack by
+np.linalg.solve in compiled code, in stacks of at most STACK_ENTRIES
 entries so memory stays flat however many columns are pending.  A
-chunk whose batched solve hits a singular matrix, or returns a
-nonfinite column, is solved column by column with a Cholesky
-factorization and one ridge-regularized retry.
+stack that hits a singular matrix, or returns a nonfinite column, is
+solved column by column with a Cholesky factorization and one
+ridge-regularized retry.
 
 A caller that knows a good support, such as the previous iterate of an
-alternating scheme, passes it as the initial passive set; columns whose
-initial system is singular start over from the empty passive set.  With
-A^T A positive definite the optimum is unique, so the starting set
-changes only the number of rounds.  Columns are independent; identical
-inputs give identical outputs.
+alternating scheme, passes it as the initial passive set.  Variables
+whose A^T A diagonal is 0 (a zero column of A) have optimum 0 and are
+dropped from it; columns whose initial system is still singular start
+over from the empty passive set.  With A^T A positive definite the
+optimum is unique, so the starting set changes only the number of
+rounds.  Columns are independent; identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
@@ -37,10 +42,9 @@ from .errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
 
 __all__ = ["nls_bpp", "nls_bpp_gram", "kkt_residual", "kkt_residual_gram"]
 
-KKT_TOL = 1e-10
 RIDGE_SCALE = 1e-12
-# entries (columns x k x k) of one stacked passive-set solve: 256 columns
-# at k = 10, which keeps peak memory flat on wide solves
+# entries (columns x s x s) of one stacked passive-set solve: 256 columns
+# at s = 10, which keeps peak memory flat on wide solves
 STACK_ENTRIES = 25_600
 # exchange rounds allowed per variable, and non-improving full exchanges
 # a column may make before the backup rule swaps one variable at a time
@@ -73,7 +77,8 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     This is the entry point the factorization sweeps use, since their
     stacked subproblems assemble the products directly.  passive, a
     k x n boolean array, is the initial passive set (default: empty);
-    columns whose system on it is singular start from the empty set.
+    variables whose A^T A diagonal is 0 are dropped from it, and columns
+    whose system on the rest is singular start from the empty set.
     """
     ata = np.asarray(ata, dtype=np.float64)
     atb = np.asarray(atb, dtype=np.float64)
@@ -90,24 +95,30 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     max_rounds = ROUNDS_PER_VARIABLE * k
     ridge = RIDGE_SCALE * np.trace(ata) / k
 
-    X = np.zeros((k, n))
-    Y = -atb.copy()
+    # the state is kept one row per column, so every gather and scatter
+    # of a column copies a contiguous row; at X = 0 every variable is
+    # active with gradient -B, so it is infeasible where B > 0
+    B = np.ascontiguousarray(atb.T)
+    X = np.zeros((n, k))
+    infeasible = B > 0.0
     if passive is None:
-        passive = np.zeros((k, n), dtype=bool)
+        P = np.zeros((n, k), dtype=bool)
     else:
-        passive = np.array(passive, dtype=bool)
+        passive = np.asarray(passive, dtype=bool)
         if passive.shape != (k, n):
             raise ShapeMismatch(f"A^T B is {atb.shape}, the passive set is {passive.shape}")
-        cold = _solve_passive(ata, atb, passive, np.flatnonzero(passive.any(axis=0)), X, Y, ridge)
-        passive[:, cold] = False
-        X[:, cold] = 0.0
-        Y[:, cold] = -atb[:, cold]
+        # a variable with a zero A^T A diagonal has optimum 0
+        P = passive.T.copy()
+        P[:, np.diag(ata) == 0.0] = False
+        cold = _solve_passive(ata, B, P, np.flatnonzero(P.any(axis=1)), X, infeasible, ridge)
+        P[cold] = False
+        X[cold] = 0.0
+        infeasible[cold] = B[cold] > 0.0
     # per-column backup budget and best infeasibility count seen so far
     budget = np.full(n, BACKUP_THRESHOLD, dtype=np.int64)
     best_ninf = np.full(n, k + 1, dtype=np.int64)
 
-    infeasible = _infeasibility(X, Y, passive)
-    cols = np.flatnonzero(infeasible.any(axis=0))
+    cols = np.flatnonzero(infeasible.any(axis=1))
     rounds = 0
     while cols.size:
         rounds += 1
@@ -115,7 +126,7 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
             raise NonConvergence(
                 f"block pivoting exceeded {max_rounds} rounds on {cols.size} column(s)"
             )
-        ninf = infeasible[:, cols].sum(axis=0)
+        ninf = np.count_nonzero(infeasible[cols], axis=1)
         improved = ninf < best_ninf[cols]
         best_ninf[cols[improved]] = ninf[improved]
         budget[cols[improved]] = BACKUP_THRESHOLD
@@ -124,66 +135,97 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
         budget[cols[stalled & has_budget]] -= 1
 
         full_cols = cols[improved | has_budget]
-        passive[:, full_cols] ^= infeasible[:, full_cols]
-        for c in cols[stalled & ~has_budget]:
-            i = int(np.argmax(infeasible[:, c]))  # lowest infeasible index
-            passive[i, c] = not passive[i, c]
+        P[full_cols] ^= infeasible[full_cols]
+        backup = cols[stalled & ~has_budget]
+        # argmax finds the lowest infeasible index
+        P[backup, infeasible[backup].argmax(axis=1)] ^= True
 
-        singular = _solve_passive(ata, atb, passive, cols, X, Y, ridge)
+        singular = _solve_passive(ata, B, P, cols, X, infeasible, ridge)
         if singular.size:
             raise SingularSystem(
                 f"passive-set system is singular even with ridge {ridge:g} "
                 f"in {singular.size} column(s)"
             )
-        infeasible[:, cols] = _infeasibility(X[:, cols], Y[:, cols], passive[:, cols])
-        cols = cols[infeasible[:, cols].any(axis=0)]
-    return X
+        cols = cols[infeasible[cols].any(axis=1)]
+    return np.ascontiguousarray(X.T)
 
 
-def _infeasibility(X, Y, passive):
-    return (passive & (X < 0.0)) | (~passive & (Y < 0.0))
+def _solve_passive(ata, B, P, cols, X, infeasible, ridge):
+    """Refresh rows cols of X and of the infeasible set from their passive sets.
 
-
-def _solve_passive(ata, atb, passive, cols, X, Y, ridge):
-    """Refresh X and Y on the given columns from their passive sets.
-
-    The columns are solved in chunks of at most STACK_ENTRIES stack
-    entries.  In a chunk, column c's system is A^T A masked to
-    passive[:, c] on both sides, with 1 on the diagonal and 0 on the
-    right-hand side of each active variable, so one np.linalg.solve call
-    on the (c, k, k) stack returns every column's passive solution with
-    zeros on its active set.  When the stack has a singular matrix, or
-    a column comes back nonfinite, the affected columns fall back to
-    _solve_spd one at a time.  Returns the columns that stayed singular
-    even with the ridge; their X and Y are not meaningful.
+    B (the right-hand sides), P, X and infeasible hold one row per
+    column of the problem.  The columns are sorted by support size and
+    walked in blocks of at most STACK_ENTRIES // k, each solved by
+    _solve_compacted.  A passive variable is infeasible when negative,
+    an active one when its gradient A^T A x - b is.  Returns the columns
+    whose system stayed singular even with the ridge; their rows are
+    not meaningful.
     """
-    k = ata.shape[0]
-    step = max(1, STACK_ENTRIES // (k * k))
-    diag = np.arange(k)
+    sizes = np.count_nonzero(P[cols], axis=1)
+    order = np.argsort(sizes, kind="stable")
+    cols, sizes = cols[order], sizes[order]
+    step = max(1, STACK_ENTRIES // ata.shape[0])
     singular = []
     for start in range(0, cols.size, step):
         cs = cols[start:start + step]
-        P = passive[:, cs].T
-        rhs = np.where(P, atb[:, cs].T, 0.0)
-        M = ata * (P[:, :, None] & P[:, None, :])
-        M[:, diag, diag] += ~P
-        try:
-            sol = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-            bad = np.flatnonzero(~np.isfinite(sol).all(axis=1))
-        except np.linalg.LinAlgError:
-            sol = np.zeros_like(rhs)
-            bad = np.arange(cs.size)
-        for j in bad:
-            free = np.flatnonzero(P[j])
-            sol[j] = 0.0
-            s = _solve_spd(ata[np.ix_(free, free)], rhs[j, free], ridge)
-            if s is None:
-                singular.append(cs[j])
-            else:
-                sol[j, free] = s
-        X[:, cs] = sol.T
-        Y[:, cs] = np.where(P.T, 0.0, ata @ X[:, cs] - atb[:, cs])
+        Pb = P[cs]
+        Xb, stuck = _solve_compacted(ata, B, Pb, cs, sizes[start:start + step], ridge)
+        singular += stuck
+        X[cs] = Xb
+        # A^T A x < b is a negative gradient
+        infeasible[cs] = np.where(Pb, Xb < 0.0, Xb @ ata.T < B[cs])
     return np.asarray(singular, dtype=np.intp)
+
+
+def _solve_compacted(ata, B, Pb, cs, sizes, ridge):
+    """Solutions of columns cs on their passive sets Pb, sorted by size.
+
+    A column with s passive variables solves the s x s principal
+    submatrix of A^T A on them, against the s matching entries of its
+    right-hand side; its other variables are 0, and an empty support
+    needs no solve.  The columns of one size are solved as (c, s, s)
+    np.linalg.solve stacks of at most STACK_ENTRIES entries.  When a
+    stack has a singular matrix, or a column comes back nonfinite, the
+    affected columns fall back to _solve_spd on their own s x s systems
+    one at a time; those still singular get 0.  Returns the len(cs) x k
+    solutions and the list of the columns still singular.
+    """
+    k = ata.shape[0]
+    flat_ata = ata.ravel()
+    # every passive entry of the block, row by row, as row * k + variable
+    entries = np.flatnonzero(Pb)
+    sol = B[cs].ravel().take(entries)
+    stuck = []
+    hi = 0
+    for s, count in enumerate(np.bincount(sizes).tolist()):
+        # the entries of the count columns of size s follow those of size s - 1
+        lo, hi = hi, hi + s * count
+        if lo == hi:  # no column of this size, or empty supports
+            continue
+        chunk = max(1, STACK_ENTRIES // (s * s)) * s
+        for e0 in range(lo, hi, chunk):
+            e1 = min(e0 + chunk, hi)
+            ix = entries[e0:e1].reshape(-1, s) % k
+            M = flat_ata.take(ix[:, :, None] * k + ix[:, None, :])
+            rhs = sol[e0:e1].reshape(-1, s, 1)
+            try:
+                rhs[...] = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:
+                rhs[...] = np.nan
+    bad = np.flatnonzero(~np.isfinite(sol))
+    if bad.size:
+        first = np.concatenate(([0], np.cumsum(sizes)))
+        for j in np.unique(np.searchsorted(first, bad, side="right") - 1).tolist():
+            own = slice(first[j], first[j + 1])
+            free = entries[own] % k
+            x = _solve_spd(ata[np.ix_(free, free)], B[cs[j], free], ridge)
+            if x is None:
+                stuck.append(cs[j])
+                x = 0.0
+            sol[own] = x
+    Xb = np.zeros(Pb.shape)
+    Xb.ravel()[entries] = sol
+    return Xb, stuck
 
 
 def _solve_spd(sub, rhs, ridge):

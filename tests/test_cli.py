@@ -236,6 +236,47 @@ def test_cluster_manifest_replay_is_bit_identical(tmp_path):
         assert [manifest[key] for key in unused] == ["-"] * len(unused)
 
 
+@pytest.mark.parametrize("method, ignored", [
+    ("symnmf", ["--x", "X.mtx"]),
+    ("nmf", ["--similarity", "S.mtx"]),
+    ("nmf", ["--edges", "edges.tsv"]),
+    ("nmf", ["--hyperedges", "hyper.txt"]),
+], ids=["symnmf-x", "nmf-similarity", "nmf-edges", "nmf-hyperedges"])
+def test_cluster_rejects_an_input_the_method_ignores(tmp_path, capsys, method, ignored):
+    # symnmf used to take n from the X it ignores and write a truncated
+    # labels.tsv; an ignored input is now a usage error
+    make_planted_dir(tmp_path)
+    write_hyperedges(tmp_path)
+    write_matrix_market(tmp_path / "S.mtx", np.eye(24))
+    used = {"symnmf": ["--hyperedges", "hyper.txt", "--dual"], "nmf": ["--x", "X.mtx"]}[method]
+    given = [str(tmp_path / a) if "." in a else a for a in used + ignored]
+    out = tmp_path / "o"
+    assert main(["cluster", "--method", method, *given, "--k", "3", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"usage error: method {method} does not use {ignored[0]}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, value", [("method", "bogus"), ("k", "three")])
+def test_cluster_replay_rejects_a_bad_manifest_entry(tmp_path, capsys, entry, value):
+    make_planted_dir(tmp_path)
+    first = tmp_path / "first"
+    assert main([
+        "cluster", "--x", str(tmp_path / "X.mtx"), "--edges", str(tmp_path / "edges.tsv"),
+        "--k", "3", "--max-sweeps", "5", "--out-dir", str(first),
+    ]) == 0
+    manifest = first / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("".join(
+        f"{entry}\t{value}\n" if line.startswith(f"{entry}\t") else f"{line}\n" for line in lines
+    ))
+    capsys.readouterr()
+    assert main(["cluster", "--manifest", str(manifest), "--out-dir", str(tmp_path / "again")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert f"{entry} entry {value!r}" in err[0]
+
+
 def write_hyperedges(root, k=3, per_cluster=8):
     """Triples of consecutive documents inside each cluster, plus one bridge."""
     lines = []

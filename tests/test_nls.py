@@ -7,6 +7,7 @@ enumeration finds the global minimum.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,76 @@ def test_warm_start_on_zero_gram_restarts_cold():
 def test_warm_start_rejects_misshapen_passive_set():
     with pytest.raises(ShapeMismatch):
         nls_bpp_gram(np.eye(2), np.ones((2, 3)), passive=np.ones((3, 2), dtype=bool))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 5),
+    per_size=st.integers(3, 6),
+    stack_entries=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixed_support_sizes_match_single_column_solves(k, per_size, stack_entries, seed):
+    # per_size columns of every support size 0..k in one shuffled call,
+    # each warm-started from its planted support; with so few entries
+    # per stack most sizes span several stacks and blocks
+    rng = np.random.default_rng(seed)
+    A = rng.random((k + 3, k))
+    sizes = rng.permutation(np.repeat(np.arange(k + 1), per_size))
+    passive = np.zeros((k, sizes.size), dtype=bool)
+    for c, s in enumerate(sizes):
+        passive[rng.permutation(k)[:s], c] = True
+    B = A @ (passive * rng.random(passive.shape)) + 0.1 * rng.standard_normal((k + 3, sizes.size))
+    ata, atb = A.T @ A, A.T @ B
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nls, "STACK_ENTRIES", stack_entries)
+        X = nls_bpp_gram(ata, atb, passive=passive)
+        for c in range(sizes.size):
+            single = nls_bpp_gram(ata, atb[:, [c]], passive=passive[:, [c]])
+            assert np.allclose(X[:, [c]], single, atol=1e-12, rtol=0.0)
+    assert kkt_residual_gram(ata, atb, X) <= 1e-10
+    for c in range(sizes.size):
+        star, _ = oracle_nnls(A, B[:, c])
+        assert objective(A, B[:, [c]], X[:, [c]]) <= star + 1e-8
+
+
+def test_dead_variable_leaves_the_warm_passive_set(monkeypatch):
+    # a zero column of A gives a zero row and column of A^T A: its
+    # variable has optimum 0 and must not make the warm systems singular
+    rng = np.random.default_rng(21)
+    A = rng.random((8, 4))
+    A[:, 2] = 0.0
+    B = rng.standard_normal((8, 6)) + A @ rng.random((4, 6))
+    passive = np.ones((4, 6), dtype=bool)
+    calls = []
+    solve_spd = nls._solve_spd
+    monkeypatch.setattr(nls, "_solve_spd", lambda *a: calls.append(a) or solve_spd(*a))
+    X = nls_bpp_gram(A.T @ A, A.T @ B, passive=passive)
+    assert calls == []
+    assert passive.all()  # the caller's passive set is left as it was
+    assert np.all(X[2] == 0.0)
+    for c in range(B.shape[1]):
+        star, x = oracle_nnls(A, B[:, c])
+        assert np.allclose(X[:, c], x, atol=1e-12, rtol=0.0)
+        assert abs(objective(A, B[:, [c]], X[:, [c]]) - star) <= 1e-12 * max(star, 1.0)
+
+
+def test_warm_wide_solve_memory_stays_flat():
+    # 5000 columns at k = 10 from a random warm start: the state is a few
+    # n x k arrays and every stacked solve is bounded by STACK_ENTRIES
+    rng = np.random.default_rng(4)
+    k, n = 10, 5000
+    A = rng.random((3 * k, k))
+    ata, atb = A.T @ A, A.T @ rng.standard_normal((3 * k, n))
+    passive = rng.random((k, n)) < 0.5
+    tracemalloc.start()
+    try:
+        X = nls_bpp_gram(ata, atb, passive=passive)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (k, n)
+    assert peak <= 2.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_kkt_residual_flags_violations():

@@ -19,16 +19,8 @@ from scipy import sparse
 
 from . import factorize, graph, metrics, textprep
 from .errors import DataError, NumericalError, UniverseMismatch
-from .matrix import as_dense, read_matrix_market, require_nonnegative, write_matrix_market
-from .nls import nls_bpp
-from .recommend import (
-    baseline_shared_words,
-    _nmf2_coordinates,
-    fit_recommender,
-    recommend as recommend_above,
-    score_cosine,
-    score_inner,
-)
+from .matrix import read_matrix_market, write_matrix_market
+from .recommend import evaluate, recommend as recommend_above
 from .textprep import top_terms
 
 __all__ = ["main"]
@@ -169,7 +161,6 @@ def main(argv=None) -> int:
 
 def _cmd_preprocess(args) -> int:
     corpus = textprep.read_corpus(args.vocab, args.doc_ids, args.counts)
-    n_orig = len(corpus.doc_ids)
     filtered, report = textprep.filter_corpus(
         corpus, args.min_term_df, args.min_doc_len, dedupe=not args.keep_duplicates
     )
@@ -177,36 +168,13 @@ def _cmd_preprocess(args) -> int:
 
     pos_of = {doc: i for i, doc in enumerate(corpus.doc_ids)}
     positions = np.array([pos_of[d] for d in filtered.doc_ids], dtype=np.int64)
-
-    S = None
-    outside_lcc: list[str] = []
+    S, kept = _graph_similarity(args, len(corpus.doc_ids), within=positions)
     doc_ids = filtered.doc_ids
-    if args.edges and args.hyperedges:
-        raise ValueError("give either --edges or --hyperedges, not both")
-    if args.edges:
-        g = graph.symmetrize(graph.read_edge_list(args.edges), n_vertices=n_orig)
-        g = graph.induce_subgraph(g, positions)
-        lcc = graph.largest_connected_component(g)
-        outside_lcc = _outside(doc_ids, lcc)
-        g = graph.induce_subgraph(g, lcc)
-        S = g.adjacency if args.raw_adjacency else graph.normalized_adjacency(g)
-        doc_ids = [doc_ids[i] for i in lcc]
-        X = X[:, lcc]
-    elif args.hyperedges:
-        hg = graph.hypergraph_from_edges(graph.read_hyperedges(args.hyperedges))
-        if args.dual:
-            hg = graph.dual_hypergraph(hg)
-        if hg.n_vertices != n_orig:
-            raise DataError(
-                f"hypergraph has {hg.n_vertices} document vertices but corpus has {n_orig}"
-            )
-        sub, _ = graph.induce_subhypergraph(hg, positions)
-        lcc_v, lcc_e = graph.largest_connected_component(sub)
-        outside_lcc = _outside(doc_ids, lcc_v)
-        final, _ = graph.induce_subhypergraph(sub, lcc_v, lcc_e)
-        S = graph.hypergraph_similarity(final)
-        doc_ids = [doc_ids[i] for i in lcc_v]
-        X = X[:, lcc_v]
+    outside_lcc: list[str] = []
+    if S is not None:
+        outside_lcc = [doc_ids[i] for i in np.setdiff1d(np.arange(len(doc_ids)), kept)]
+        doc_ids = [doc_ids[i] for i in kept]
+        X = X[:, kept]
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,7 +204,7 @@ def _cmd_preprocess(args) -> int:
 # the inputs each cluster method does not read
 _IGNORED_INPUTS = {
     "joint": (),
-    "nmf": ("similarity", "edges", "hyperedges"),
+    "nmf": ("similarity", "edges", "hyperedges", "dual", "raw_adjacency"),
     "symnmf": ("x",),
 }
 
@@ -272,13 +240,16 @@ def _cmd_cluster(args) -> int:
     # an input the method ignores would silently set n or go unused
     for dest in _IGNORED_INPUTS[method]:
         if getattr(args, dest):
-            raise ValueError(f"method {method} does not use --{dest}")
+            raise ValueError(f"method {method} does not use --{dest.replace('_', '-')}")
+    if sum(bool(getattr(args, dest)) for dest in ("similarity", "edges", "hyperedges")) > 1:
+        raise ValueError("give only one of --similarity, --edges, --hyperedges")
     X = read_matrix_market(args.x) if args.x else None
     if method in ("joint", "nmf") and X is None:
         raise ValueError(f"method {method} needs --x")
-    need_s = method in ("joint", "symnmf")
-    S = _load_similarity(args, X.shape[1] if X is not None else None) if need_s else None
-    if need_s and S is None:
+    S, _ = _graph_similarity(args, X.shape[1] if X is not None else None)
+    if args.similarity:
+        S = read_matrix_market(args.similarity)
+    if method != "nmf" and S is None:
         raise ValueError(f"method {method} needs --similarity, --edges, or --hyperedges")
 
     n = X.shape[1] if X is not None else S.shape[0]
@@ -368,54 +339,25 @@ def _cmd_eval(args) -> int:
 def _cmd_recommend(args) -> int:
     if args.k is None:
         raise ValueError("--k is required")
+    if bool(args.similarity) == bool(args.edges):
+        raise ValueError("recommend needs exactly one of --similarity or --edges")
     X_train = read_matrix_market(args.train_x)
     train_ids = _read_lines(args.train_ids)
     if len(train_ids) != X_train.shape[1]:
         raise DataError(f"{len(train_ids)} train ids for {X_train.shape[1]} columns")
     X_test = read_matrix_market(args.test_x)
     test_ids = _read_lines(args.test_ids)
-    if X_test.ndim == 1:
-        X_test = X_test[:, None]
     if len(test_ids) != X_test.shape[1]:
         raise DataError(f"{len(test_ids)} test ids for {X_test.shape[1]} columns")
-    if len(test_ids) == 0:
-        raise DataError("test set is empty")
-    if X_test.shape[0] != X_train.shape[0]:
-        raise DataError("train and test matrices disagree on vocabulary size")
-
     if args.similarity:
         S = read_matrix_market(args.similarity)
-    elif args.edges:
-        # recommendation uses the raw adjacency as similarity
-        S = graph.symmetrize(
-            graph.read_edge_list(args.edges), n_vertices=len(train_ids)
-        ).adjacency
     else:
-        raise ValueError("recommend needs --similarity or --edges")
-
+        # recommendation uses the raw adjacency as similarity
+        S, _ = graph.similarity(
+            graph.read_edge_list(args.edges), n=len(train_ids), raw_adjacency=True
+        )
     flags = _read_citations(args.citations, test_ids, train_ids).ravel()
-
-    opts = _options(args)
-    X_test = as_dense(X_test)
-    require_nonnegative(X_test, what="test_x")
-    test_cols = list(X_test.T)
-
-    model = fit_recommender(X_train, S, opts, train_ids)
-    nmf_res = factorize.nmf(X_train, opts)
-    # both scorings read one projection of all test documents per basis
-    joint_h = nls_bpp(model.W, X_test)
-    nmf1_h = nls_bpp(nmf_res.W, X_test)
-    nmf2 = [_nmf2_coordinates(X_train, args.k, opts, x) for x in test_cols]
-
-    score_sets: dict[str, list[np.ndarray]] = {}
-    for scoring in ("inner", "cosine"):
-        score_one = score_inner if scoring == "inner" else score_cosine
-        score_sets[f"joint_{scoring}"] = [score_one(model.H, h) for h in joint_h.T]
-        score_sets[f"nmf1_{scoring}"] = [score_one(nmf_res.H, h) for h in nmf1_h.T]
-        score_sets[f"nmf2_{scoring}"] = [score_one(H, h) for H, h in nmf2]
-    score_sets["sharedwords"] = [
-        baseline_shared_words(X_train, x).astype(np.float64) for x in test_cols
-    ]
+    score_sets = evaluate(X_train, S, X_test, _options(args), train_ids)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -438,12 +380,9 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_hypergraph_sim(args) -> int:
-    hg = graph.hypergraph_from_edges(
-        graph.read_hyperedges(args.hyperedges), n_vertices=args.n_vertices
+    S, _ = graph.similarity(
+        hyperedges=graph.read_hyperedges(args.hyperedges), n=args.n_vertices, dual=args.dual
     )
-    if args.dual:
-        hg = graph.dual_hypergraph(hg)
-    S = graph.hypergraph_similarity(hg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_market(out / "S.mtx", S)
@@ -477,30 +416,16 @@ def _cmd_topics(args) -> int:
 # shared plumbing
 
 
-def _load_similarity(args, n_expected):
-    given = [bool(args.similarity), bool(args.edges), bool(args.hyperedges)]
-    if sum(given) > 1:
-        raise ValueError("give only one of --similarity, --edges, --hyperedges")
-    if args.similarity:
-        return read_matrix_market(args.similarity)
-    if args.edges:
-        g = graph.symmetrize(graph.read_edge_list(args.edges), n_vertices=n_expected)
-        return g.adjacency if args.raw_adjacency else graph.normalized_adjacency(g)
-    if args.hyperedges:
-        hg = graph.hypergraph_from_edges(
-            graph.read_hyperedges(args.hyperedges), n_vertices=n_expected
-        )
-        if args.dual:
-            hg = graph.dual_hypergraph(hg)
-        return graph.hypergraph_similarity(hg)
-    return None
-
-
-def _outside(doc_ids, kept):
-    # ids at the positions not in kept, in their original order
-    mask = np.ones(len(doc_ids), dtype=bool)
-    mask[kept] = False
-    return [doc_ids[i] for i in np.flatnonzero(mask)]
+def _graph_similarity(args, n, within=None):
+    # (None, None) when no graph option is given; a flag without its
+    # source still reaches graph.similarity, which rejects it
+    if not (args.edges or args.hyperedges or args.dual or args.raw_adjacency):
+        return None, None
+    return graph.similarity(
+        graph.read_edge_list(args.edges) if args.edges else None,
+        graph.read_hyperedges(args.hyperedges) if args.hyperedges else None,
+        n=n, dual=args.dual, raw_adjacency=args.raw_adjacency, within=within,
+    )
 
 
 def _aligned_truth(truth_map, doc_ids):

@@ -36,6 +36,7 @@ __all__ = [
     "symmetrize",
     "normalized_adjacency",
     "hypergraph_similarity",
+    "similarity",
     "dual_hypergraph",
     "largest_connected_component",
     "membership_counts",
@@ -148,6 +149,46 @@ def hypergraph_similarity(Hg: Hypergraph) -> sparse.csc_array:
     dvi = sparse.diags_array(1.0 / np.sqrt(dv))
     dei = sparse.diags_array(1.0 / de)
     return as_csc(dvi @ M @ dei @ M.T @ dvi)
+
+
+def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=False, within=None):
+    """S over n documents from exactly one of edges or hyperedge lists.
+
+    n is the size of S, or None to infer it; with dual=True the documents
+    are the hyperedges.  Edges give D^-1/2 A D^-1/2 (A itself with
+    raw_adjacency), hyperedges hypergraph_similarity less any edge that
+    joins no vertex.  With within (ascending positions), S is restricted
+    to those documents and then to their largest connected component.
+    Returns S and the kept indices into within (or range(n)).  A flag
+    the chosen source does not read is a ValueError.
+    """
+    if dual and hyperedges is None:
+        raise ValueError("dual needs hyperedges")
+    if raw_adjacency and edges is None:
+        raise ValueError("raw adjacency needs edges")
+    if (edges is None) == (hyperedges is None):
+        raise ValueError("give exactly one of edges or hyperedges")
+    if edges is not None:
+        g = symmetrize(edges, n_vertices=n)
+        kept = np.arange(g.n)
+        if within is not None:
+            g = induce_subgraph(g, within)
+            kept = largest_connected_component(g)
+            g = induce_subgraph(g, kept)
+        return (g.adjacency if raw_adjacency else normalized_adjacency(g)), kept
+    if dual:
+        hg = dual_hypergraph(hypergraph_from_edges(hyperedges))
+        if n is not None and hg.n_vertices != n:
+            raise ShapeMismatch(f"{hg.n_vertices} hyperedges for {n} documents")
+    else:
+        hg = hypergraph_from_edges(hyperedges, n_vertices=n)
+    kept = np.arange(hg.n_vertices)
+    # restricting to every vertex drops the edges that join none
+    hg, _ = induce_subhypergraph(hg, kept if within is None else within)
+    if within is not None:
+        kept, lcc_edges = largest_connected_component(hg)
+        hg, _ = induce_subhypergraph(hg, kept, lcc_edges)
+    return hypergraph_similarity(hg), kept
 
 
 def dual_hypergraph(Hg: Hypergraph) -> Hypergraph:

@@ -22,7 +22,7 @@ from scipy import sparse
 
 from .errors import EmptyCorpus, ShapeMismatch, ZeroQuery
 from .factorize import FactorizeOptions, joint_nmf, nmf
-from .matrix import require_nonnegative
+from .matrix import as_dense, require_nonnegative
 from .nls import nls_bpp
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "baseline_nmf2",
     "fit_recommender",
     "score_model",
+    "evaluate",
 ]
 
 
@@ -144,6 +145,37 @@ def fit_recommender(X_train, S_train, opts: FactorizeOptions, train_doc_ids=None
 def score_model(model: RecommendationModel, x, scoring: str = "cosine") -> np.ndarray:
     h = project_document(model.W, x)
     return _score(model.H, h, scoring)
+
+
+def evaluate(X_train, S_train, X_test, opts: FactorizeOptions, train_doc_ids=None) -> dict:
+    """Per-test score arrays of every model against the training documents.
+
+    Keys in order: joint, nmf1 and nmf2 (fit_recommender, baseline_nmf1,
+    baseline_nmf2) with _inner then _cosine, and sharedwords.  The joint
+    and NMF-1 models are fitted once and each projects all test
+    documents in one NLS solve; NMF-2 fits once per test document.
+    """
+    X_test = as_dense(X_test)
+    require_nonnegative(X_test, what="test_x")
+    if X_test.ndim != 2 or X_test.shape[0] != X_train.shape[0]:
+        raise ShapeMismatch("train and test matrices disagree on vocabulary size")
+    if X_test.shape[1] == 0:
+        raise EmptyCorpus("test set is empty")
+    docs = list(X_test.T)
+    model = fit_recommender(X_train, S_train, opts, train_doc_ids)
+    text = nmf(X_train, opts)
+    coordinates = {
+        "joint": [(model.H, h) for h in nls_bpp(model.W, X_test).T],
+        "nmf1": [(text.H, h) for h in nls_bpp(text.W, X_test).T],
+        "nmf2": [_nmf2_coordinates(X_train, opts.k, opts, x) for x in docs],
+    }
+    scores = {
+        f"{name}_{scoring}": [_score(H, h, scoring) for H, h in pairs]
+        for scoring in ("inner", "cosine")
+        for name, pairs in coordinates.items()
+    }
+    scores["sharedwords"] = [baseline_shared_words(X_train, x).astype(np.float64) for x in docs]
+    return scores
 
 
 def _nmf2_coordinates(X_train, k, opts, x):

@@ -14,7 +14,7 @@ import jointnmf
 from jointnmf.cli import build_parser, main, top_terms
 from jointnmf.errors import VocabMismatch
 from jointnmf.matrix import read_matrix_market, write_matrix_market
-from jointnmf.graph import hypergraph_from_edges, hypergraph_similarity
+from jointnmf.graph import dual_hypergraph, hypergraph_from_edges, hypergraph_similarity
 
 
 def make_planted_dir(root, k=3, per_cluster=8, n_terms=30, seed=7):
@@ -241,7 +241,10 @@ def test_cluster_manifest_replay_is_bit_identical(tmp_path):
     ("nmf", ["--similarity", "S.mtx"]),
     ("nmf", ["--edges", "edges.tsv"]),
     ("nmf", ["--hyperedges", "hyper.txt"]),
-], ids=["symnmf-x", "nmf-similarity", "nmf-edges", "nmf-hyperedges"])
+    ("nmf", ["--dual"]),
+    ("nmf", ["--raw-adjacency"]),
+], ids=["symnmf-x", "nmf-similarity", "nmf-edges", "nmf-hyperedges", "nmf-dual",
+        "nmf-raw-adjacency"])
 def test_cluster_rejects_an_input_the_method_ignores(tmp_path, capsys, method, ignored):
     # symnmf used to take n from the X it ignores and write a truncated
     # labels.tsv; an ignored input is now a usage error
@@ -275,6 +278,60 @@ def test_cluster_replay_rejects_a_bad_manifest_entry(tmp_path, capsys, entry, va
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert f"{entry} entry {value!r}" in err[0]
+
+
+@pytest.mark.parametrize("command, given, message", [
+    ("cluster", ["--x", "X.mtx", "--similarity", "S.mtx", "--dual"], "dual needs hyperedges"),
+    ("cluster", ["--x", "X.mtx", "--similarity", "S.mtx", "--raw-adjacency"],
+     "raw adjacency needs edges"),
+    ("cluster", ["--x", "X.mtx", "--edges", "edges.tsv", "--dual"], "dual needs hyperedges"),
+    ("cluster", ["--x", "X.mtx", "--hyperedges", "hyper.txt", "--raw-adjacency"],
+     "raw adjacency needs edges"),
+    ("preprocess", ["--edges", "pre/edges.tsv", "--dual"], "dual needs hyperedges"),
+    ("preprocess", ["--hyperedges", "hyper.txt", "--raw-adjacency"],
+     "raw adjacency needs edges"),
+    ("preprocess", ["--dual"], "dual needs hyperedges"),
+    ("preprocess", ["--raw-adjacency"], "raw adjacency needs edges"),
+], ids=["cluster-similarity-dual", "cluster-similarity-raw", "cluster-edges-dual",
+        "cluster-hyperedges-raw", "preprocess-edges-dual", "preprocess-hyperedges-raw",
+        "preprocess-dual", "preprocess-raw"])
+def test_a_flag_its_similarity_source_does_not_read_is_a_usage_error(
+    tmp_path, capsys, command, given, message
+):
+    # these flags used to go unread, with exit 0 and a manifest recording them
+    make_planted_dir(tmp_path)
+    write_matrix_market(tmp_path / "S.mtx", np.eye(24))
+    (tmp_path / "pre").mkdir()
+    preprocess_setup(tmp_path / "pre")
+    (tmp_path / "hyper.txt").write_text("0 1 2\n2 3 6\n")
+    if command == "preprocess":
+        given = ["--vocab", "pre/vocab.txt", "--doc-ids", "pre/docs.txt",
+                 "--counts", "pre/counts.mtx", *given]
+    else:
+        given = [*given, "--k", "3"]
+    given = [str(tmp_path / a) if "." in a else a for a in given]
+    out = tmp_path / "o"
+    assert main([command, *given, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+    assert not out.exists()
+
+
+def test_cluster_dual_takes_n_from_the_hyperedges(tmp_path):
+    # 24 documents as hyperedges over 40 participant ids, each used: n is
+    # the 24 lines, not the largest participant id
+    make_planted_dir(tmp_path)
+    labels = np.repeat(np.arange(3), 8)
+    lines = [" ".join(str(c * 13 + (j + i) % 13) for i in range(6))
+             for j, c in enumerate(labels)]
+    lines[0] += " 39"
+    (tmp_path / "events.txt").write_text("".join(f"{line}\n" for line in lines))
+    out = tmp_path / "o"
+    assert main([
+        "cluster", "--x", str(tmp_path / "X.mtx"), "--hyperedges", str(tmp_path / "events.txt"),
+        "--dual", "--doc-ids", str(tmp_path / "ids.txt"), "--k", "3", "--out-dir", str(out),
+    ]) == 0
+    assert read_matrix_market(out / "H.mtx").shape == (3, 24)
+    assert len((out / "labels.tsv").read_text().splitlines()) == 24
 
 
 def write_hyperedges(root, k=3, per_cluster=8):
@@ -434,6 +491,19 @@ def test_hypergraph_sim_matches_library(tmp_path):
     assert np.max(np.abs(S.toarray() - expect.toarray())) == 0.0
 
 
+def test_hypergraph_sim_dual_skips_an_unused_participant_id(tmp_path):
+    # participant 1 is in no document: its empty edge adds nothing to S
+    (tmp_path / "h.txt").write_text("0 2\n2 3\n0 3 4\n")
+    assert main([
+        "hypergraph-sim", "--hyperedges", str(tmp_path / "h.txt"), "--dual",
+        "--out-dir", str(tmp_path / "o"),
+    ]) == 0
+    S = read_matrix_market(tmp_path / "o" / "S.mtx")
+    compact = hypergraph_from_edges([[0, 1], [1, 2], [0, 2, 3]])
+    expect = hypergraph_similarity(dual_hypergraph(compact))
+    assert np.array_equal(S.toarray(), expect.toarray())
+
+
 def test_hypergraph_sim_dual(tmp_path):
     (tmp_path / "h.txt").write_text("0 1\n1 2\n")
     assert main([
@@ -536,6 +606,19 @@ def test_recommend_nonfinite_test_document_exits_2(tmp_path):
     assert main(args) == 2
 
 
+def test_recommend_rejects_two_similarity_sources(tmp_path, capsys):
+    # --similarity used to win silently over --edges
+    recommend_setup(tmp_path)
+    write_matrix_market(tmp_path / "S.mtx", np.eye(21))
+    args = recommend_args(tmp_path, "rec7")
+    args[-2:-2] = ["--similarity", str(tmp_path / "S.mtx")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: recommend needs exactly one of --similarity or --edges"
+    ]
+    assert not (tmp_path / "rec7").exists()
+
+
 def test_recommend_unknown_citation_id_exits_2(tmp_path):
     recommend_setup(tmp_path)
     (tmp_path / "bad_cites.tsv").write_text("docX\tdoc0\n")
@@ -614,6 +697,21 @@ def test_preprocess_hyperedges_reports_outside_in_order(tmp_path):
     assert [line for line in report if line.startswith("outside\t")] == [
         "outside\td0", "outside\td3",
     ]
+
+
+def test_preprocess_hyperedges_take_n_from_the_corpus(tmp_path):
+    # d4, d5 and d6 are in no hyperedge, so the largest id is 3 of 7
+    preprocess_setup(tmp_path)
+    (tmp_path / "hyper.txt").write_text("0 1 2\n1 2 3\n")
+    out = tmp_path / "pph"
+    assert main([
+        "preprocess", "--vocab", str(tmp_path / "vocab.txt"),
+        "--doc-ids", str(tmp_path / "docs.txt"), "--counts", str(tmp_path / "counts.mtx"),
+        "--hyperedges", str(tmp_path / "hyper.txt"), "--out-dir", str(out),
+    ]) == 0
+    assert (out / "doc_ids.txt").read_text().splitlines() == ["d0", "d1", "d2", "d3"]
+    assert "outside\td6" in (out / "report.txt").read_text().splitlines()
+    assert read_matrix_market(out / "S.mtx").shape == (4, 4)
 
 
 def test_preprocess_without_graph(tmp_path):

@@ -10,6 +10,7 @@ from jointnmf.errors import (
     IndexOutOfRange,
     LabelMissing,
     NotSymmetric,
+    ShapeMismatch,
     ZeroDegree,
 )
 from jointnmf.graph import (
@@ -25,6 +26,7 @@ from jointnmf.graph import (
     normalized_adjacency,
     read_edge_list,
     read_hyperedges,
+    similarity,
     symmetrize,
 )
 
@@ -182,6 +184,93 @@ def test_dual_hypergraph_swaps_roles_and_involutes():
     assert dual.n_vertices == 2 and dual.n_edges == 4
     back = dual_hypergraph(dual)
     assert (back.incidence != hg.incidence).nnz == 0
+
+
+# ---------------------------------------------------------------------------
+# the similarity builder against the call chains it replaced
+
+
+def random_sources(rng, n):
+    """Edges with a ring (no zero degree) and hyperedges covering 0..n-1."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    edges = ring + [tuple(int(v) for v in rng.choice(n, 2)) for _ in range(n)]
+    hyperedges = [[i, int(rng.integers(n))] for i in range(n)]
+    hyperedges += [list(rng.choice(n, int(rng.integers(1, 5)), replace=False))
+                   for _ in range(n // 2)]
+    return edges, hyperedges
+
+
+def assert_identical(S, ref):
+    assert S.shape == ref.shape
+    assert np.array_equal(S.toarray(), ref.toarray())
+
+
+def test_similarity_matches_the_chains_it_replaces():
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        n = int(rng.integers(5, 30))
+        edges, hyperedges = random_sources(rng, n)
+        g = symmetrize(edges, n_vertices=n)
+        S, kept = similarity(edges, n=n)
+        assert_identical(S, normalized_adjacency(g))
+        assert kept.tolist() == list(range(n))
+        S, _ = similarity(edges, n=n, raw_adjacency=True)
+        assert_identical(S, g.adjacency)
+        S, _ = similarity(hyperedges=hyperedges, n=n)
+        assert_identical(S, hypergraph_similarity(hypergraph_from_edges(hyperedges, n_vertices=n)))
+        S, kept = similarity(hyperedges=hyperedges, n=len(hyperedges), dual=True)
+        dual = dual_hypergraph(hypergraph_from_edges(hyperedges))
+        assert_identical(S, hypergraph_similarity(dual))
+        assert kept.tolist() == list(range(len(hyperedges)))
+
+
+def test_similarity_within_matches_restrict_component_restrict():
+    rng = np.random.default_rng(43)
+    for _ in range(8):
+        n = int(rng.integers(6, 30))
+        edges, hyperedges = random_sources(rng, n)
+        within = np.sort(rng.choice(n, int(rng.integers(n // 2, n)), replace=False))
+        g = induce_subgraph(symmetrize(edges, n_vertices=n), within)
+        lcc = largest_connected_component(g)
+        g = induce_subgraph(g, lcc)
+        for raw in (False, True):
+            S, kept = similarity(edges, n=n, raw_adjacency=raw, within=within)
+            assert_identical(S, g.adjacency if raw else normalized_adjacency(g))
+            assert kept.tolist() == lcc.tolist()
+        sub, _ = induce_subhypergraph(hypergraph_from_edges(hyperedges), within)
+        lcc_v, lcc_e = largest_connected_component(sub)
+        final, _ = induce_subhypergraph(sub, lcc_v, lcc_e)
+        S, kept = similarity(hyperedges=hyperedges, n=n, within=within)
+        assert_identical(S, hypergraph_similarity(final))
+        assert kept.tolist() == lcc_v.tolist()
+
+
+def test_similarity_n_is_the_size_of_s():
+    # documents 3 and 4 are in no hyperedge; with dual the 2 lines are
+    # the documents, whatever the participant ids
+    with pytest.raises(ZeroDegree):
+        similarity(hyperedges=[[0, 1], [1, 2]], n=5)
+    S, _ = similarity(hyperedges=[[0, 1], [1, 2]], n=5, within=np.arange(5))
+    assert S.shape == (3, 3)
+    S, _ = similarity(hyperedges=[[0, 7], [7, 9]], n=2, dual=True)
+    assert S.shape == (2, 2)
+    with pytest.raises(ShapeMismatch):
+        similarity(hyperedges=[[0, 7], [7, 9]], n=3, dual=True)
+    with pytest.raises(IndexOutOfRange):
+        similarity([(0, 5)], n=3)
+
+
+def test_similarity_rejects_a_flag_its_source_does_not_read():
+    with pytest.raises(ValueError, match="dual needs hyperedges"):
+        similarity([(0, 1)], n=2, dual=True)
+    with pytest.raises(ValueError, match="dual needs hyperedges"):
+        similarity(n=2, dual=True)
+    with pytest.raises(ValueError, match="raw adjacency needs edges"):
+        similarity(hyperedges=[[0, 1]], n=2, raw_adjacency=True)
+    with pytest.raises(ValueError, match="exactly one"):
+        similarity(n=2)
+    with pytest.raises(ValueError, match="exactly one"):
+        similarity([(0, 1)], [[0, 1]], n=2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from jointnmf.recommend import (
     baseline_nmf1,
     baseline_nmf2,
     baseline_shared_words,
+    evaluate,
     fit_recommender,
     project_document,
     recommend,
@@ -219,3 +220,38 @@ def test_score_model_rejects_unknown_scoring():
     model = fit_recommender(X, S, FactorizeOptions(k=3, seed=0))
     with pytest.raises(ValueError):
         score_model(model, X[:, 0], scoring="manhattan")
+
+
+def test_evaluate_matches_the_one_query_functions():
+    X, S, _, _ = planted(per_cluster=8)
+    rng = np.random.default_rng(71)
+    X_test = X[:, [2, 11, 20]] + rng.uniform(0.0, 0.05, (X.shape[0], 3))
+    opts = FactorizeOptions(k=3, seed=0, max_sweeps=30)
+    ids = [f"tr{j}" for j in range(X.shape[1])]
+    got = evaluate(sparse.csc_array(X), S, sparse.csc_array(X_test), opts, ids)
+    assert list(got) == [
+        "joint_inner", "nmf1_inner", "nmf2_inner",
+        "joint_cosine", "nmf1_cosine", "nmf2_cosine", "sharedwords",
+    ]
+    model = fit_recommender(sparse.csc_array(X), S, opts, ids)
+    for t, x in enumerate(X_test.T):
+        for scoring in ("inner", "cosine"):
+            joint = score_model(model, x, scoring=scoring)
+            assert np.max(np.abs(got[f"joint_{scoring}"][t] - joint)) <= 1e-12
+            nmf1 = baseline_nmf1(sparse.csc_array(X), 3, opts, x, scoring=scoring)
+            assert np.max(np.abs(got[f"nmf1_{scoring}"][t] - nmf1)) <= 1e-12
+            nmf2 = baseline_nmf2(sparse.csc_array(X), 3, opts, x, scoring=scoring)
+            assert np.array_equal(got[f"nmf2_{scoring}"][t], nmf2)
+        shared = baseline_shared_words(sparse.csc_array(X), x)
+        assert np.array_equal(got["sharedwords"][t], shared.astype(np.float64))
+
+
+def test_evaluate_rejects_bad_test_documents():
+    X, S, _, _ = planted(per_cluster=4)
+    opts = FactorizeOptions(k=3, seed=0, max_sweeps=5)
+    with pytest.raises(ShapeMismatch):
+        evaluate(X, S, np.ones((X.shape[0] + 1, 2)), opts)
+    with pytest.raises(EmptyCorpus):
+        evaluate(X, S, np.ones((X.shape[0], 0)), opts)
+    with pytest.raises(NonFinite):
+        evaluate(X, S, np.full((X.shape[0], 1), np.nan), opts)

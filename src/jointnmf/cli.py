@@ -19,7 +19,7 @@ from scipy import sparse
 
 from . import factorize, graph, metrics, textprep
 from .errors import DataError, NumericalError, UniverseMismatch
-from .matrix import read_matrix_market, write_matrix_market
+from .matrix import read_matrix_market, read_records, write_matrix_market, write_records
 from .recommend import evaluate, recommend as recommend_above
 from .textprep import top_terms
 
@@ -179,23 +179,20 @@ def _cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_market(out / "X.mtx", X)
-    _write_lines(out / "vocab.txt", filtered.vocab)
-    _write_lines(out / "doc_ids.txt", doc_ids)
+    write_records(out / "vocab.txt", zip(filtered.vocab))
+    write_records(out / "doc_ids.txt", zip(doc_ids))
     if S is not None:
         write_matrix_market(out / "S.mtx", S)
-    with open(out / "report.txt", "w") as fh:
-        fh.write(f"terms_removed\t{len(report.removed_terms)}\n")
-        fh.write(f"short_docs_removed\t{len(report.short_docs)}\n")
-        fh.write(f"duplicate_docs_removed\t{len(report.duplicate_docs)}\n")
-        fh.write(f"docs_outside_component\t{len(outside_lcc)}\n")
-        for term in report.removed_terms:
-            fh.write(f"term\t{term}\n")
-        for d in report.short_docs:
-            fh.write(f"short\t{d}\n")
-        for d in report.duplicate_docs:
-            fh.write(f"duplicate\t{d}\n")
-        for d in outside_lcc:
-            fh.write(f"outside\t{d}\n")
+    write_records(out / "report.txt", [
+        ("terms_removed", len(report.removed_terms)),
+        ("short_docs_removed", len(report.short_docs)),
+        ("duplicate_docs_removed", len(report.duplicate_docs)),
+        ("docs_outside_component", len(outside_lcc)),
+        *(("term", t) for t in report.removed_terms),
+        *(("short", d) for d in report.short_docs),
+        *(("duplicate", d) for d in report.duplicate_docs),
+        *(("outside", d) for d in outside_lcc),
+    ])
     _write_manifest(out / "manifest.tsv", args)
     print(f"kept {X.shape[0]} terms x {X.shape[1]} documents -> {out}")
     return 0
@@ -211,7 +208,7 @@ _IGNORED_INPUTS = {
 
 def _cmd_cluster(args) -> int:
     if args.manifest:
-        stored = _read_manifest(args.manifest)
+        stored = dict(read_records(args.manifest, fields=2, expect="`option<TAB>value`"))
         if stored.get("command") != "cluster":
             raise DataError(f"{args.manifest} is not a cluster manifest")
         # every option reads back through its own parser action; "-" and
@@ -246,14 +243,18 @@ def _cmd_cluster(args) -> int:
     X = read_matrix_market(args.x) if args.x else None
     if method in ("joint", "nmf") and X is None:
         raise ValueError(f"method {method} needs --x")
-    S, _ = _graph_similarity(args, X.shape[1] if X is not None else None)
+    doc_ids = list(read_records(args.doc_ids, sep="")) if args.doc_ids else None
+    # a graph spans the documents: the columns of X, else the doc ids
+    n = X.shape[1] if X is not None else (None if doc_ids is None else len(doc_ids))
+    S, _ = _graph_similarity(args, n)
     if args.similarity:
         S = read_matrix_market(args.similarity)
     if method != "nmf" and S is None:
         raise ValueError(f"method {method} needs --similarity, --edges, or --hyperedges")
 
     n = X.shape[1] if X is not None else S.shape[0]
-    doc_ids = _read_lines(args.doc_ids) if args.doc_ids else [str(i) for i in range(n)]
+    if doc_ids is None:
+        doc_ids = [str(i) for i in range(n)]
     if len(doc_ids) != n:
         raise DataError(f"{len(doc_ids)} doc ids for {n} documents")
 
@@ -316,22 +317,16 @@ def _cmd_eval(args) -> int:
     f1 = metrics.average_f1(cm)
     pc = metrics.pairwise_counts(pred, truth)
     scores = metrics.pairwise_scores(pc)
-    rows = {
-        "items": len(ids),
-        "average_f1": repr(f1),
-        "pwf1": _score_str(scores.pwf1),
-        "pwfpr": _score_str(scores.pwfpr),
-        "pwfnr": _score_str(scores.pwfnr),
-        "tp": pc.tp, "tn": pc.tn, "fp": pc.fp, "fn": pc.fn,
-    }
-    for key, val in rows.items():
-        print(f"{key}\t{val}")
+    rows = [
+        ("items", len(ids)), ("average_f1", f1),
+        ("pwf1", scores.pwf1), ("pwfpr", scores.pwfpr), ("pwfnr", scores.pwfnr),
+        ("tp", pc.tp), ("tn", pc.tn), ("fp", pc.fp), ("fn", pc.fn),
+    ]
+    write_records("-", rows)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "metrics.tsv", "w") as fh:
-            for key, val in rows.items():
-                fh.write(f"{key}\t{val}\n")
+        write_records(out / "metrics.tsv", rows)
         _write_manifest(out / "manifest.tsv", args)
     return 0
 
@@ -342,11 +337,11 @@ def _cmd_recommend(args) -> int:
     if bool(args.similarity) == bool(args.edges):
         raise ValueError("recommend needs exactly one of --similarity or --edges")
     X_train = read_matrix_market(args.train_x)
-    train_ids = _read_lines(args.train_ids)
+    train_ids = list(read_records(args.train_ids, sep=""))
     if len(train_ids) != X_train.shape[1]:
         raise DataError(f"{len(train_ids)} train ids for {X_train.shape[1]} columns")
     X_test = read_matrix_market(args.test_x)
-    test_ids = _read_lines(args.test_ids)
+    test_ids = list(read_records(args.test_ids, sep=""))
     if len(test_ids) != X_test.shape[1]:
         raise DataError(f"{len(test_ids)} test ids for {X_test.shape[1]} columns")
     if args.similarity:
@@ -364,16 +359,14 @@ def _cmd_recommend(args) -> int:
     for name, per_test in score_sets.items():
         flat = np.concatenate(per_test)
         fpr, tpr = metrics.roc_curve(flat, flags)
-        with open(out / f"roc_{name}.tsv", "w") as fh:
-            for a, b in zip(fpr, tpr):
-                fh.write(f"{float(a)!r}\t{float(b)!r}\n")
-        print(f"auc_{name}\t{metrics.auc(fpr, tpr)!r}")
-        with open(out / f"rec_{name}.tsv", "w") as fh:
-            for i, ti in enumerate(test_ids):
-                scores = per_test[i]
-                picks = recommend_above(scores, args.threshold)
-                for j in sorted(picks, key=lambda j: (-scores[j], j)):
-                    fh.write(f"{ti}\t{train_ids[j]}\t{float(scores[j])!r}\n")
+        write_records(out / f"roc_{name}.tsv", zip(fpr.tolist(), tpr.tolist()))
+        write_records("-", [(f"auc_{name}", metrics.auc(fpr, tpr))])
+        picks = (
+            (ti, train_ids[j], float(scores[j]))
+            for ti, scores in zip(test_ids, per_test)
+            for j in sorted(recommend_above(scores, args.threshold), key=lambda j: (-scores[j], j))
+        )
+        write_records(out / f"rec_{name}.tsv", picks)
     _write_manifest(out / "manifest.tsv", args)
     print(f"artifacts -> {out}")
     return 0
@@ -395,20 +388,19 @@ def _cmd_topics(args) -> int:
     W = read_matrix_market(args.w)
     if sparse.issparse(W):
         W = W.toarray()
-    vocab = _read_lines(args.vocab)
-    report = top_terms(W, vocab, args.top_terms)
-    lines = []
-    for c, terms in enumerate(report.clusters):
-        for rank, (term, weight) in enumerate(terms, start=1):
-            lines.append(f"{c}\t{rank}\t{term}\t{weight!r}")
+    report = top_terms(W, list(read_records(args.vocab, sep="")), args.top_terms)
+    rows = [
+        (c, rank, term, weight)
+        for c, terms in enumerate(report.clusters)
+        for rank, (term, weight) in enumerate(terms, start=1)
+    ]
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_lines(out / "topics.tsv", lines)
+        write_records(out / "topics.tsv", rows)
         _write_manifest(out / "manifest.tsv", args)
     else:
-        for line in lines:
-            print(line)
+        write_records("-", rows)
     return 0
 
 
@@ -445,27 +437,11 @@ def _pairwise_row(labels, truth_sets):
 
 def _write_metrics_table(path, rows):
     keys = ["trial", "seed", "objective", "average_f1", "pwf1", "pwfpr", "pwfnr"]
-    with open(path, "w") as fh:
-        fh.write("\t".join(keys) + "\n")
-        for row in rows:
-            fh.write("\t".join(_cell(row.get(k)) for k in keys) + "\n")
-        means = ["mean", "-"]
-        for k in keys[2:]:
-            vals = [row[k] for row in rows if row.get(k) is not None]
-            means.append(repr(float(np.mean(vals))) if vals else "NA")
-        fh.write("\t".join(means) + "\n")
-
-
-def _cell(v):
-    if v is None:
-        return "NA"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _score_str(v):
-    return "NA" if v is None else repr(v)
+    means = ["mean", "-"]
+    for k in keys[2:]:
+        vals = [row[k] for row in rows if row.get(k) is not None]
+        means.append(float(np.mean(vals)) if vals else None)
+    write_records(path, [keys, *([row.get(k) for k in keys] for row in rows), means])
 
 
 def _read_citations(path, test_ids, train_ids):
@@ -473,20 +449,9 @@ def _read_citations(path, test_ids, train_ids):
     row = _positions(test_ids, "test")
     col = _positions(train_ids, "train")
     cited = np.zeros((len(row), len(col)), dtype=bool)
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{ln}: expected `test_id<TAB>train_id`")
-            a, b = parts
-            if a not in row:
-                raise DataError(f"{path}:{ln}: unknown test id {a!r}")
-            if b not in col:
-                raise DataError(f"{path}:{ln}: unknown train id {b!r}")
-            cited[row[a], col[b]] = True
+    for i, j in read_records(path, fields=2, convert=lambda r: (row[r[0]], col[r[1]]),
+                             expect="`test_id<TAB>train_id` with a listed test and train id"):
+        cited[i, j] = True
     return cited
 
 
@@ -495,17 +460,6 @@ def _positions(ids, what):
     if len(pos) != len(ids):
         raise DataError(f"{what} ids are not unique")
     return pos
-
-
-def _read_lines(path):
-    with open(path) as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
-
-
-def _write_lines(path, lines):
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(f"{line}\n")
 
 
 def _manifest_actions(args):
@@ -523,31 +477,16 @@ def _write_manifest(path, args, **resolved) -> None:
     entries = {"command": args.command}
     entries.update((a.dest, getattr(args, a.dest)) for a in _manifest_actions(args))
     entries.update(resolved)
-    with open(path, "w") as fh:
-        for key, val in entries.items():
-            fh.write(f"{key}\t{_manifest_value(val)}\n")
+    write_records(path, ((key, _manifest_value(val)) for key, val in entries.items()))
 
 
 def _manifest_value(v):
+    # "-" marks an option not given, and a flag is 1 or 0
     if v is None:
         return "-"
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _read_manifest(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, val = line.partition("\t")
-            out[key] = val
-    return out
+    return v
 
 
 if __name__ == "__main__":

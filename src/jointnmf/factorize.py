@@ -39,6 +39,7 @@ from .matrix import (
     require_nonnegative,
     require_symmetric,
     write_matrix_market,
+    write_records,
 )
 from .nls import nls_bpp_gram
 
@@ -218,9 +219,7 @@ def write_result(result: FactorizationResult, out_dir) -> None:
     write_matrix_market(out / "H.mtx", result.H)
     if result.H_tilde is not None:
         write_matrix_market(out / "Htilde.mtx", result.H_tilde)
-    with open(out / "objective.log", "w") as fh:
-        for i, v in enumerate(result.objective_history, start=1):
-            fh.write(f"{i}\t{v!r}\n")
+    write_records(out / "objective.log", enumerate(result.objective_history, start=1))
 
 
 # ---------------------------------------------------------------------------

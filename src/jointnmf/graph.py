@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     ZeroDegree,
 )
-from .matrix import as_csc, require_nonnegative, require_symmetric
+from .matrix import as_csc, read_records, require_nonnegative, require_symmetric
 
 __all__ = [
     "Graph",
@@ -301,40 +301,15 @@ def hypergraph_from_edges(edge_vertex_lists, n_vertices: int | None = None) -> H
 
 
 def read_edge_list(path) -> list[tuple[int, int]]:
-    """Parse `src<TAB>dst` lines, 0-based, skipping blanks."""
-    from .errors import DataError
-
-    out = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t") if "\t" in line else line.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}:{ln}: expected `src<TAB>dst`, got {line!r}")
-            try:
-                out.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: non-integer vertex id") from exc
-    return out
+    """Parse `src<TAB>dst` lines (or any whitespace), 0-based, skipping blanks."""
+    return list(read_records(path, sep=None, fields=2, convert=lambda r: (int(r[0]), int(r[1])),
+                             expect="`src<TAB>dst` with integer ids"))
 
 
 def read_hyperedges(path) -> list[list[int]]:
     """Parse one edge per line, whitespace-separated 0-based vertex ids."""
-    from .errors import DataError
-
-    out = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append([int(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: non-integer vertex id") from exc
-    return out
+    return list(read_records(path, sep=None, convert=lambda r: [int(v) for v in r],
+                             expect="whitespace-separated integer vertex ids"))
 
 
 def _index_subset(indices, limit, what):

@@ -6,10 +6,12 @@ which case truth[i] is a set of labels; two items count as
 truth-connected when their label sets intersect.
 
 Both the confusion matrix and the pairwise counts are read off one
-contingency table of predicted cluster x distinct truth label set
-(Hubert & Arabie, Comparing partitions, 1985): with k clusters and G
-distinct label sets, a labeling of n items costs O(n + k G^2) time and
-memory, never O(n^2), and the counts stay exact for overlapping truth.
+sparse contingency table of predicted cluster x distinct truth label
+set (Hubert & Arabie, Comparing partitions, 1985) and a sparse
+label-set x label incidence: with k clusters and P pairs of
+intersecting label sets, a labeling of n items costs O(n + k P) time
+and memory, never O(n^2), and the counts stay exact for overlapping
+truth.  Only the confusion counts are dense, k x (number of labels).
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError, DegenerateLabels, LabelMissing, UniverseMismatch
+from .matrix import read_records, write_records
 
 __all__ = [
     "ConfusionMatrix",
@@ -72,7 +76,7 @@ def confusion(pred, truth, n_pred_clusters: int | None = None) -> ConfusionMatri
     visible to average_f1.
     """
     pred_labels, truth_labels, table, member = _contingency(pred, truth, n_pred_clusters)
-    counts = table @ member
+    counts = (table @ member).toarray()
     return ConfusionMatrix(
         counts=counts,
         pred_sizes=table.sum(axis=1),
@@ -105,19 +109,19 @@ def pairwise_counts(pred, truth) -> PairwiseCounts:
     truth-connected ones and sum_p t_p^T L t_p that are both, where t_p
     is row p of the contingency table, N its column sums and L[g, h]
     whether label sets g and h intersect; removing the n self-pairs and
-    halving leaves the unordered counts.  Each float64 sum is an integer
-    of at most n^2, exact while n^2 < 2^53.
+    halving leaves the unordered counts.  L is sparse, one entry per
+    intersecting pair, and every sum is exact int64.
     """
     _, _, table, member = _contingency(pred, truth)
     n = int(table.sum())
     if n < 2:
         raise DataError("pairwise counts need at least 2 items")
-    linked = (member @ member.T > 0).astype(np.float64)
-    t = table.astype(np.float64)
-    N = t.sum(axis=0)
-    tp = (int(np.sum((t @ linked) * t)) - n) // 2
+    linked = member @ member.T  # shared labels per pair of sets, stored only where > 0
+    linked.data[:] = 1
+    N = table.sum(axis=0)
+    tp = (int((table @ linked).multiply(table).sum()) - n) // 2
     same_pred = (int(np.sum(table.sum(axis=1) ** 2)) - n) // 2
-    connected = (int(N @ linked @ N) - n) // 2
+    connected = (int(N @ (linked @ N)) - n) // 2
     return PairwiseCounts(tp=tp, tn=n * (n - 1) // 2 - same_pred - connected + tp,
                           fp=same_pred - tp, fn=connected - tp)
 
@@ -171,40 +175,19 @@ def auc(fpr, tpr) -> float:
 def read_labels(path) -> dict[str, set[str]]:
     """`item_id<TAB>label` lines; repeated items accumulate label sets."""
     out: dict[str, set[str]] = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{ln}: expected `item_id<TAB>label`")
-            out.setdefault(parts[0], set()).add(parts[1])
+    for item, label in read_records(path, fields=2, expect="`item_id<TAB>label`"):
+        out.setdefault(item, set()).add(label)
     return out
 
 
 def write_labels(path, ids, labels) -> None:
-    with open(path, "w") as fh:
-        for i, lab in zip(ids, labels):
-            fh.write(f"{i}\t{lab}\n")
+    write_records(path, zip(ids, labels))
 
 
 def read_pair_scores(path) -> list[tuple[str, str, float]]:
     """`item_i<TAB>item_j<TAB>score` lines."""
-    out = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{ln}: expected `item_i<TAB>item_j<TAB>score`")
-            try:
-                out.append((parts[0], parts[1], float(parts[2])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: bad score {parts[2]!r}") from exc
-    return out
+    return list(read_records(path, fields=3, convert=lambda r: (r[0], r[1], float(r[2])),
+                             expect="`item_i<TAB>item_j<TAB>score`"))
 
 
 def _contingency(pred, truth, n_pred_clusters=None):
@@ -213,7 +196,7 @@ def _contingency(pred, truth, n_pred_clusters=None):
     Returns (pred_labels, truth_labels, table, member): table[p, g]
     counts the items of predicted cluster p whose truth label set is
     the g-th distinct one, and member[g, l] is 1 when label l is in set
-    g.  Both are int64.
+    g.  Both are int64 CSR arrays.
     """
     pred = list(pred)
     truth_sets = _as_sets(truth)
@@ -237,13 +220,17 @@ def _contingency(pred, truth, n_pred_clusters=None):
     gcodes = np.array([set_code.setdefault(s, len(set_code)) for s in truth_sets], dtype=np.int64)
     truth_labels = sorted({lab for s in set_code for lab in s}, key=_label_key)
     tcode = {lab: j for j, lab in enumerate(truth_labels)}
-    member = np.zeros((len(set_code), len(truth_labels)), dtype=np.int64)
-    for g, s in enumerate(set_code):
-        member[g, [tcode[lab] for lab in s]] = 1
-
-    k, G = len(pred_labels), len(set_code)
-    table = np.bincount(codes * G + gcodes, minlength=k * G).reshape(k, G)
+    set_of = [g for g, s in enumerate(set_code) for _ in s]
+    label_of = [tcode[lab] for s in set_code for lab in s]
+    member = _counts(set_of, label_of, (len(set_code), len(truth_labels)))
+    table = _counts(codes, gcodes, (len(pred_labels), len(set_code)))
     return pred_labels, truth_labels, table, member
+
+
+def _counts(rows, cols, shape):
+    # CSR array whose (i, j) entry counts the occurrences of the pair
+    ones = np.ones(len(rows), dtype=np.int64)
+    return sparse.csr_array((ones, (rows, cols)), shape=shape)
 
 
 def _as_sets(truth) -> list[frozenset]:

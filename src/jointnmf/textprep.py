@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyCorpus, ShapeMismatch, VocabMismatch, ZeroColumn
-from .matrix import as_csc, read_matrix_market, require_nonnegative
+from .matrix import as_csc, read_matrix_market, read_records, require_nonnegative
 
 __all__ = [
     "Corpus",
@@ -155,8 +155,8 @@ def normalize_columns(X):
 
 def read_corpus(vocab_path, doc_ids_path, counts_path) -> Corpus:
     """Load vocabulary, document id, and Matrix Market count files."""
-    vocab = _read_lines(vocab_path)
-    doc_ids = _read_lines(doc_ids_path)
+    vocab = list(read_records(vocab_path, sep=""))
+    doc_ids = list(read_records(doc_ids_path, sep=""))
     counts = read_matrix_market(counts_path)
     if not sparse.issparse(counts):
         counts = as_csc(counts)
@@ -184,8 +184,3 @@ def top_terms(W, vocab, t: int) -> TopicReport:
         order = np.argsort(-W[:, c], kind="stable")[:t]
         clusters.append([(vocab[i], float(W[i, c])) for i in order])
     return TopicReport(clusters)
-
-
-def _read_lines(path) -> list[str]:
-    with open(path) as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]

@@ -1,7 +1,6 @@
 """Command line interface: argument handling, artifacts, exit codes."""
 
 import argparse
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-import jointnmf
 from jointnmf.cli import build_parser, main, top_terms
 from jointnmf.errors import VocabMismatch
 from jointnmf.matrix import read_matrix_market, write_matrix_market
@@ -332,6 +330,48 @@ def test_cluster_dual_takes_n_from_the_hyperedges(tmp_path):
     ]) == 0
     assert read_matrix_market(out / "H.mtx").shape == (3, 24)
     assert len((out / "labels.tsv").read_text().splitlines()) == 24
+
+
+@pytest.mark.parametrize("source, expect", [
+    (["--edges", "tri.tsv", "--raw-adjacency"], None),
+    (["--hyperedges", "hyper.txt"], "data error: vertex 3 belongs to no edge"),
+], ids=["raw-adjacency", "hyperedges"])
+def test_cluster_without_x_takes_n_from_the_doc_ids(tmp_path, capsys, source, expect):
+    # document 3 is in no edge; n used to come from the largest id, so both
+    # runs failed with `4 doc ids for 3 documents`
+    (tmp_path / "tri.tsv").write_text("0\t1\n1\t2\n2\t0\n")
+    (tmp_path / "hyper.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "ids4.txt").write_text("a\nb\nc\nd\n")
+    out = tmp_path / "o"
+    code = main([
+        "cluster", "--method", "symnmf", *(str(tmp_path / a) if "." in a else a for a in source),
+        "--doc-ids", str(tmp_path / "ids4.txt"), "--k", "2", "--out-dir", str(out),
+    ])
+    if expect is None:
+        assert code == 0
+        labelled = [line.split("\t")[0] for line in (out / "labels.tsv").read_text().splitlines()]
+        assert labelled == ["a", "b", "c", "d"]
+    else:
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [expect]
+
+
+@pytest.mark.parametrize("name", ["edges.tsv", "ids.txt", "truth.tsv", "X.mtx"])
+def test_an_unreadable_input_exits_2_naming_its_file(tmp_path, capsys, name):
+    # a non-UTF-8 byte (text) or a truncated Matrix Market file used to
+    # exit 1 with the decoder's or parser's message and no file name
+    make_planted_dir(tmp_path)
+    path = tmp_path / name
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2] if name.endswith(".mtx") else data[:30] + b"\xff" + data[30:])
+    code = main([
+        "cluster", "--x", str(tmp_path / "X.mtx"), "--edges", str(tmp_path / "edges.tsv"),
+        "--doc-ids", str(tmp_path / "ids.txt"), "--truth", str(tmp_path / "truth.tsv"),
+        "--k", "3", "--out-dir", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {path}:")
 
 
 def write_hyperedges(root, k=3, per_cluster=8):
@@ -744,16 +784,12 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point_runs_without_runtime_warning():
+def test_module_entry_point_runs_without_runtime_warning(child_env):
     # `python -m jointnmf.cli` must not find jointnmf.cli already imported
     # by the package, which Python reports as a RuntimeWarning
-    src = str(Path(jointnmf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "jointnmf.cli", "--help"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=child_env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
 

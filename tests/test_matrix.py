@@ -1,10 +1,14 @@
-"""Matrix helpers and Matrix Market round trips."""
+"""Matrix helpers, Matrix Market round trips and text records."""
+
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from jointnmf.errors import NotSymmetric, ShapeMismatch
+from jointnmf.errors import DataError, NotSymmetric, ShapeMismatch
 from jointnmf.matrix import (
     as_csc,
     as_dense,
@@ -12,8 +16,10 @@ from jointnmf.matrix import (
     is_symmetric,
     max_abs,
     read_matrix_market,
+    read_records,
     require_symmetric,
     write_matrix_market,
+    write_records,
 )
 
 
@@ -118,3 +124,122 @@ def test_empty_sparse_round_trip(tmp_path):
     write_matrix_market(path, M)
     back = read_matrix_market(path)
     assert back.shape == (3, 4) and back.nnz == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed Matrix Market input
+
+
+def test_every_truncation_reads_or_is_a_data_error(tmp_path, child_env):
+    # every prefix of a coordinate and an array file, in one child process,
+    # since a number with a dangling exponent at the end of a file can crash
+    # the parser (1.5e, 1.5e+, 1.5E-)
+    write_matrix_market(tmp_path / "c.mtx", sparse.csc_array(np.array([[1.5e-3, 0.0], [0.0, 2.25e10]])))
+    write_matrix_market(tmp_path / "a.mtx", np.array([[1.5e-3, 0.0], [7.0, 2.25e10]]))
+    (tmp_path / "upper.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 2 1.0\n1 1 1.5E-7\n"
+    )
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from jointnmf.errors import DataError\n"
+        "from jointnmf.matrix import read_matrix_market\n"
+        "reads = 0\n"
+        "for name in sys.argv[1:]:\n"
+        "    data, cut = Path(name).read_bytes(), Path(name + '.cut')\n"
+        "    for end in range(len(data)):\n"
+        "        cut.write_bytes(data[:end])\n"
+        "        try:\n"
+        "            read_matrix_market(cut)\n"
+        "            reads += 1\n"
+        "        except DataError:\n"
+        "            pass\n"
+        "print(reads)\n"
+    )
+    names = [str(tmp_path / n) for n in ("c.mtx", "a.mtx", "upper.mtx")]
+    done = subprocess.run([sys.executable, "-c", script, *names], env=child_env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, f"child exited {done.returncode}: {done.stderr[-2000:]}"
+    assert int(done.stdout) > 0  # a cut inside the last number still parses
+
+
+def test_a_file_without_a_final_newline_parses_as_with_one(tmp_path):
+    text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 2 1.0\n1 1 1.5e3"
+    (tmp_path / "open.mtx").write_text(text)
+    (tmp_path / "closed.mtx").write_text(text + "\n")
+    a = read_matrix_market(tmp_path / "open.mtx")
+    b = read_matrix_market(tmp_path / "closed.mtx")
+    assert (a.toarray() == b.toarray()).all() and a[0, 0] == 1500.0
+
+
+def test_a_parse_error_is_a_data_error_naming_the_file(tmp_path):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+        read_matrix_market(path)
+    with pytest.raises(FileNotFoundError):
+        read_matrix_market(tmp_path / "missing.mtx")
+
+
+def test_an_index_past_int64_or_a_huge_array_header_is_a_data_error(tmp_path):
+    path = tmp_path / "big.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n99999999999999999999 1 1.0\n")
+    with pytest.raises(DataError, match="big.mtx: "):
+        read_matrix_market(path)
+    # a 75 GiB dense array: the allocation fails, or else the data is short
+    path.write_text("%%MatrixMarket matrix array real general\n100000 100000\n1.0\n")
+    with pytest.raises(DataError, match="big.mtx: "):
+        read_matrix_market(path)
+
+
+# ---------------------------------------------------------------------------
+# text records
+
+
+def test_read_records_splits_skips_blanks_and_checks_fields(tmp_path):
+    path = tmp_path / "r.tsv"
+    path.write_bytes(b"a b\tc \n\n  \r\nd\te\r\n")
+    assert list(read_records(path)) == [["a b", "c "], ["d", "e"]]
+    assert list(read_records(path, sep=None)) == [["a", "b", "c"], ["d", "e"]]
+    assert list(read_records(path, sep="")) == ["a b\tc ", "d\te"]
+    assert list(read_records(path, fields=2, convert=tuple)) == [("a b", "c "), ("d", "e")]
+    with pytest.raises(DataError, match=r"r\.tsv:1: expected two words, got 'a b\\tc '$"):
+        list(read_records(path, sep=None, fields=2, expect="two words"))
+
+
+def test_read_records_reports_a_bad_conversion_at_its_line(tmp_path):
+    path = tmp_path / "n.txt"
+    path.write_text("1 2\n\n3 x\n")
+    with pytest.raises(DataError, match=r"n\.txt:3: expected integers, got '3 x'$"):
+        list(read_records(path, sep=None, convert=lambda r: [int(v) for v in r], expect="integers"))
+    known = {"1": 0}
+    with pytest.raises(DataError, match=r"n\.txt:1: expected a known id"):
+        list(read_records(path, sep=None, convert=lambda r: known[r[1]], expect="a known id"))
+
+
+def test_read_records_names_the_path_of_a_non_utf8_file(tmp_path):
+    path = tmp_path / "ids.txt"
+    path.write_bytes(b"d0\nd\xc3\xa9\n\nd\xff2\n")  # line 2 is valid UTF-8
+    with pytest.raises(DataError, match=r"ids\.txt: expected UTF-8 text$"):
+        list(read_records(path, sep=""))
+    path.write_bytes("d0\ndé\n".encode("utf-8"))
+    assert list(read_records(path, sep="")) == ["d0", "dé"]
+
+
+def test_write_records_has_one_cell_rule(tmp_path, capsys):
+    rows = [("a", 1, 0.1, np.float64(1 / 3), None, np.int64(7), 1e300)]
+    write_records(tmp_path / "w.tsv", rows)
+    expected = "a\t1\t0.1\t0.3333333333333333\tNA\t7\t1e+300\n"
+    assert (tmp_path / "w.tsv").read_text() == expected
+    write_records("-", rows)
+    assert capsys.readouterr().out == expected
+    write_records(tmp_path / "empty.tsv", [])
+    assert (tmp_path / "empty.tsv").read_text() == ""
+
+
+def test_records_round_trip_floats_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)
+    write_records(tmp_path / "f.tsv", zip(range(50), values))
+    back = list(read_records(tmp_path / "f.tsv", fields=2, convert=lambda r: float(r[1])))
+    assert back == values.tolist()

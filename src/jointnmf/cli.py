@@ -19,7 +19,7 @@ from scipy import sparse
 
 from . import factorize, graph, metrics, textprep
 from .errors import DataError, NumericalError, UniverseMismatch
-from .matrix import read_matrix_market, read_records, write_matrix_market, write_records
+from .matrix import read_matrix_market, read_names, read_records, write_matrix_market, write_records
 from .recommend import evaluate, recommend as recommend_above
 from .textprep import top_terms
 
@@ -201,8 +201,8 @@ def _cmd_preprocess(args) -> int:
 # the inputs each cluster method does not read
 _IGNORED_INPUTS = {
     "joint": (),
-    "nmf": ("similarity", "edges", "hyperedges", "dual", "raw_adjacency"),
-    "symnmf": ("x",),
+    "nmf": ("similarity", "edges", "hyperedges", "dual", "raw_adjacency", "alpha", "beta"),
+    "symnmf": ("x", "alpha"),
 }
 
 
@@ -234,16 +234,17 @@ def _cmd_cluster(args) -> int:
         raise ValueError("--k is required")
 
     method = args.method
-    # an input the method ignores would silently set n or go unused
+    # an input the method ignores would silently set n or go unused; an
+    # option is given when it differs from its default (--alpha 0 too)
     for dest in _IGNORED_INPUTS[method]:
-        if getattr(args, dest):
+        if getattr(args, dest) != args.parser.get_default(dest):
             raise ValueError(f"method {method} does not use --{dest.replace('_', '-')}")
     if sum(bool(getattr(args, dest)) for dest in ("similarity", "edges", "hyperedges")) > 1:
         raise ValueError("give only one of --similarity, --edges, --hyperedges")
     X = read_matrix_market(args.x) if args.x else None
     if method in ("joint", "nmf") and X is None:
         raise ValueError(f"method {method} needs --x")
-    doc_ids = list(read_records(args.doc_ids, sep="")) if args.doc_ids else None
+    doc_ids = read_names(args.doc_ids) if args.doc_ids else None
     # a graph spans the documents: the columns of X, else the doc ids
     n = X.shape[1] if X is not None else (None if doc_ids is None else len(doc_ids))
     S, _ = _graph_similarity(args, n)
@@ -337,11 +338,11 @@ def _cmd_recommend(args) -> int:
     if bool(args.similarity) == bool(args.edges):
         raise ValueError("recommend needs exactly one of --similarity or --edges")
     X_train = read_matrix_market(args.train_x)
-    train_ids = list(read_records(args.train_ids, sep=""))
+    train_ids = read_names(args.train_ids)
     if len(train_ids) != X_train.shape[1]:
         raise DataError(f"{len(train_ids)} train ids for {X_train.shape[1]} columns")
     X_test = read_matrix_market(args.test_x)
-    test_ids = list(read_records(args.test_ids, sep=""))
+    test_ids = read_names(args.test_ids)
     if len(test_ids) != X_test.shape[1]:
         raise DataError(f"{len(test_ids)} test ids for {X_test.shape[1]} columns")
     if args.similarity:
@@ -388,7 +389,7 @@ def _cmd_topics(args) -> int:
     W = read_matrix_market(args.w)
     if sparse.issparse(W):
         W = W.toarray()
-    report = top_terms(W, list(read_records(args.vocab, sep="")), args.top_terms)
+    report = top_terms(W, read_names(args.vocab), args.top_terms)
     rows = [
         (c, rank, term, weight)
         for c, terms in enumerate(report.clusters)

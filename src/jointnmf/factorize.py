@@ -1,23 +1,26 @@
 """Nonnegative factorization of text, similarity, and both jointly.
 
-Three solvers share one sweep engine:
+One penalized objective over whichever views are present:
 
-  nmf(X):        min ||X - W H||_F^2                        over W, H >= 0
-  symnmf(S):     min ||S - Ht^T H||_F^2 + beta ||Ht - H||^2 over H, Ht >= 0
-  joint_nmf(X,S) min ||X - W H||_F^2 + alpha ||S - Ht^T H||_F^2
-                     + beta ||Ht - H||_F^2                  over W, H, Ht >= 0
+  ||X - W H||_F^2 + alpha ||S - Ht^T H||_F^2 + beta ||Ht - H||_F^2
+
+minimized over W, H, Ht >= 0.  joint_nmf(X, S) has both views.  nmf(X)
+has no S, so no Ht and no alpha or beta term.  symnmf(S) has no X, so
+no W, and its similarity term has weight 1.  All three go through one
+entry, which accepts the views, checks shapes and k, resolves the
+weights and runs the trials.
 
 The similarity factor is split into H and a tether copy Ht so every
 block update is an exact nonnegative least squares solve; the beta term
 pulls the copies together.  A sweep updates W, then Ht, then H.  Each
-block is a weighted sum of terms (text, similarity, tether), each term
-a Gram matrix and right-hand side; the block solves the stacked normal
-equations by block principal pivoting, starting from the support of
-the block's previous value.  The three solvers differ only
-in which terms exist, and a block without terms is skipped.  Each
-term's residual follows in closed form from the same products, so the
-penalized objective is recorded after every block and every sweep
-without re-multiplying the inputs, and it never increases.
+block is a list of weighted terms (text, similarity, tether), each term
+a Gram matrix, right-hand side and target norm; the block solves the
+summed normal equations by block principal pivoting, starting from the
+support of the block's previous value, and a block without terms is
+skipped.  One residual formula gives each term's value from the same
+products, so the objective is recorded after every block and every
+sweep without re-multiplying the inputs, and it never increases.  The
+public objectives evaluate the H block's terms with the same formula.
 
 alpha defaults to ||X||_F^2 / ||S||_F^2 so both data terms start on the
 same scale, and beta defaults to alpha times the largest entry of S.
@@ -25,6 +28,7 @@ same scale, and beta defaults to alpha times the largest entry of S.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,6 +38,7 @@ from scipy import sparse
 from .errors import ShapeMismatch, ZeroSimilarity
 from .matrix import (
     as_csc,
+    as_dense,
     frobenius_norm_sq,
     max_abs,
     require_nonnegative,
@@ -136,66 +141,48 @@ def default_beta(alpha: float, S) -> float:
 
 
 def joint_objective(X, S, W, H, alpha: float) -> float:
-    """||X - W H||_F^2 + alpha ||S - H^T H||_F^2 without the split copy."""
-    X, W, H = _conform_text(X, W, H)
-    S = _conform_sim(S, H)
-    val = _text_obj(frobenius_norm_sq(X), X, W, H)
-    if alpha != 0.0:
-        val += alpha * _sim_obj(frobenius_norm_sq(S), S, H, H)
-    return val
+    """||X - W H||_F^2 + alpha ||S - H^T H||_F^2 without the split copy.
+
+    X=None (with W=None) or S=None leaves that view out.
+    """
+    return penalized_objective(X, S, W, H, H, alpha, 0.0)
 
 
 def penalized_objective(X, S, W, H, H_tilde, alpha: float, beta: float) -> float:
-    """The split objective the sweeps actually minimize."""
-    X, W, H = _conform_text(X, W, H)
-    S = _conform_sim(S, H)
-    Ht = np.asarray(H_tilde, dtype=np.float64)
-    if Ht.shape != H.shape:
-        raise ShapeMismatch(f"H is {H.shape} but the split copy is {Ht.shape}")
-    val = _text_obj(frobenius_norm_sq(X), X, W, H)
-    if alpha != 0.0:
-        val += alpha * _sim_obj(frobenius_norm_sq(S), S, Ht, H)
-    if beta != 0.0:
-        d = Ht - H
-        val += beta * float(np.vdot(d, d))
-    return val
+    """The split objective the sweeps actually minimize.
+
+    X=None (with W=None) or S=None leaves that view out, so nmf's
+    objective is (X, None, W, H, None, 0, 0) and symnmf's is
+    (None, S, None, H, H_tilde, 1, beta).
+    """
+    X, S = _matrix(X, "X"), _matrix(S, "S")
+    W, H, Ht = (_matrix(F, name, dense=True) for F, name in ((W, "W"), (H, "H"), (H_tilde, "H_tilde")))
+    if (X is None) != (W is None):
+        raise ValueError("X and W must be given together")
+    if alpha != 0.0 and S is None or (alpha != 0.0 or beta != 0.0) and Ht is None:
+        raise ValueError("alpha needs S and H_tilde, and beta needs H_tilde")
+    k, n = H.shape
+    m = W.shape[0] if W is not None else None
+    for M, name, shape in ((X, "X", (m, n)), (W, "W", (m, k)), (S, "S", (n, n)), (Ht, "H_tilde", (k, n))):
+        if M is not None and M.shape != shape:
+            raise ShapeMismatch(f"{name} is {M.shape}, expected {shape} from W and H {H.shape}")
+    weights = (1.0, alpha, beta)
+    return _objective([0.0] * 3, weights, _h_terms(_problem(X, S, weights), W, Ht), H)
 
 
 def nmf(X, opts: FactorizeOptions) -> FactorizationResult:
     """Two-block alternating nonnegative least squares on X alone."""
-    X = _accept(X, "X")
-    m, n = X.shape
-    if m < 1 or n < 1:
-        raise ValueError("X must have at least one row and one column")
-    if opts.k > min(m, n):
-        raise ValueError(f"k={opts.k} exceeds min(m, n)={min(m, n)}")
-    return _best_trial(opts, None, None, lambda seed: _sweeps(X, None, 0.0, 0.0, opts, seed))
+    return _fit(X, None, opts)
 
 
 def symnmf(S, opts: FactorizeOptions) -> FactorizationResult:
     """Symmetric factorization of S via the split-copy subproblems."""
-    S = _accept(S, "S")
-    require_symmetric(S, what="S")
-    n = S.shape[0]
-    if opts.k > n:
-        raise ValueError(f"k={opts.k} exceeds n={n}")
-    beta = opts.beta if opts.beta is not None else max_abs(S)
-    return _best_trial(opts, None, beta, lambda seed: _sweeps(None, S, 1.0, beta, opts, seed))
+    return _fit(None, S, opts)
 
 
 def joint_nmf(X, S, opts: FactorizeOptions) -> FactorizationResult:
     """Joint factorization sharing H between the text and similarity views."""
-    X = _accept(X, "X")
-    S = _accept(S, "S")
-    m, n = X.shape
-    if S.shape != (n, n):
-        raise ShapeMismatch(f"X has {n} columns but S is {S.shape[0]}x{S.shape[1]}")
-    require_symmetric(S, what="S")
-    if opts.k > min(m, n):
-        raise ValueError(f"k={opts.k} exceeds min(m, n)={min(m, n)}")
-    alpha = opts.alpha if opts.alpha is not None else default_alpha(X, S)
-    beta = opts.beta if opts.beta is not None else default_beta(alpha, S)
-    return _best_trial(opts, alpha, beta, lambda seed: _sweeps(X, S, alpha, beta, opts, seed))
+    return _fit(X, S, opts)
 
 
 def hard_assign(H) -> np.ndarray:
@@ -225,65 +212,106 @@ def write_result(result: FactorizationResult, out_dir) -> None:
 # ---------------------------------------------------------------------------
 # sweep engine
 
-def _accept(M, name):
-    if sparse.issparse(M):
-        M = as_csc(M)
-    else:
-        M = np.asarray(M, dtype=np.float64)
-        if M.ndim != 2:
-            raise ShapeMismatch(f"{name} must be 2-d, got shape {M.shape}")
-    require_nonnegative(M, what=name)
-    return M
-
-
-def _best_trial(opts, alpha, beta, run_one):
-    runs = [run_one(opts.seed + t) for t in range(opts.trials)]
-    best = min(runs, key=lambda r: r.objective_history[-1])
-    return replace(best, alpha=alpha, beta=beta, trials=runs)
-
-
 # term slots: ||X - W H||^2, ||S - Ht^T H||^2, ||Ht - H||^2
 TEXT, SIM, TETHER = range(3)
 
 
-def _sweeps(X, S, alpha, beta, opts, seed):
-    # X is None for symnmf, S is None for nmf (which passes alpha = beta = 0)
+def _fit(X, S, opts):
+    # the one entry of the three solvers: X is None for symnmf, S is None
+    # for nmf; reports each weight as None where its method has no term
+    X, S = _matrix(X, "X"), _matrix(S, "S")
+    for M, name in ((X, "X"), (S, "S")):
+        if M is not None:
+            require_nonnegative(M, what=name)
+    if X is not None and S is not None and S.shape != (X.shape[1],) * 2:
+        raise ShapeMismatch(f"X has {X.shape[1]} columns but S is {S.shape[0]}x{S.shape[1]}")
+    if S is not None:
+        require_symmetric(S, what="S")
+    limit = min(X.shape) if X is not None else S.shape[0]
+    if opts.k > limit:
+        raise ValueError(f"k={opts.k} exceeds {'min(m, n)' if X is not None else 'n'}={limit}")
+    alpha = beta = None
+    weights = (1.0, 0.0, 0.0)
+    if S is not None:
+        # symnmf's one data term has weight 1 and no alpha to report
+        a = 1.0 if X is None else opts.alpha if opts.alpha is not None else default_alpha(X, S)
+        beta = opts.beta if opts.beta is not None else default_beta(a, S)
+        alpha = None if X is None else a
+        weights = (1.0, a, beta)
+    p = _problem(X, S, weights)
+    runs = [_sweeps(p, opts, opts.seed + t) for t in range(opts.trials)]
+    best = min(runs, key=lambda r: r.objective_history[-1])
+    return replace(best, alpha=alpha, beta=beta, trials=runs)
+
+
+def _matrix(M, name, dense=False):
+    # M as a 2-d float64 matrix, CSC if sparse unless dense; None stays None
+    if M is None:
+        return None
+    if sparse.issparse(M) and not dense:
+        return as_csc(M)
+    M = as_dense(M)
+    if M.ndim != 2:
+        raise ShapeMismatch(f"{name} must be 2-d, got shape {M.shape}")
+    return M
+
+
+# the data of one fit: each view (None if absent) with its squared norm,
+# and the weight of each term slot
+_Problem = namedtuple("_Problem", "X x_nsq S s_nsq weights")
+
+
+def _problem(X, S, weights):
+    return _Problem(X, frobenius_norm_sq(X) if X is not None else 0.0,
+                    S, frobenius_norm_sq(S) if S is not None else 0.0, weights)
+
+
+def _h_terms(p, W, G):
+    # the H block's terms (slot, gram, rhs, ||T||^2) given W and the copy
+    # G = Ht, each standing for ||A H - T||_F^2 with gram = A^T A and
+    # rhs = A^T T; with W None they are the Ht block's terms given G = H,
+    # since S is symmetric
+    terms = []
+    if W is not None:
+        terms.append((TEXT, W.T @ W, W.T @ p.X, p.x_nsq))
+    if p.weights[SIM] != 0.0:
+        terms.append((SIM, G @ G.T, G @ p.S, p.s_nsq))
+    if p.weights[TETHER] != 0.0:
+        terms.append((TETHER, np.eye(G.shape[0]), G, float(np.vdot(G, G))))
+    return terms
+
+
+def _objective(resid, weights, terms, F):
+    # refreshes resid, the unweighted residual of each term slot, with the
+    # given terms at F, and returns the weighted total
+    fft = F @ F.T
+    for i, gram, rhs, t in terms:
+        # ||A F - T||^2 = ||T||^2 - 2 <F, A^T T> + <A^T A, F F^T>, clamped
+        # at 0 against cancellation
+        resid[i] = max(t - 2.0 * float(np.sum(F * rhs)) + float(np.sum(gram * fft)), 0.0)
+    return sum(w * v for w, v in zip(weights, resid))
+
+
+def _sweeps(p, opts, seed):
+    X, S, weights = p.X, p.S, p.weights
     rng = np.random.default_rng(seed)
     k = opts.k
     W = rng.random((X.shape[0], k)) if X is not None else None
     H = rng.random((k, X.shape[1] if X is not None else S.shape[0]))
     Ht = rng.random(H.shape) if S is not None else None
-
-    x_nsq = frobenius_norm_sq(X) if X is not None else 0.0
-    s_nsq = frobenius_norm_sq(S) if S is not None else 0.0
-    eye = np.eye(k)
-    weights = (1.0, alpha, beta)
-    # unweighted residual of each term at the current factors (0 for an
-    # absent term); only the random start is evaluated directly, after
-    # that every block refreshes the residuals of its own terms
+    # unweighted residual of each term slot (0 for an absent term); only
+    # the random start is evaluated from scratch, after that every block
+    # refreshes the residuals of its own terms
     resid = [0.0, 0.0, 0.0]
-    if X is not None:
-        resid[TEXT] = _text_obj(x_nsq, X, W, H)
-    if alpha > 0.0:
-        resid[SIM] = _sim_obj(s_nsq, S, Ht, H)
-    if beta > 0.0:
-        d = Ht - H
-        resid[TETHER] = float(np.vdot(d, d))
-
-    def tie_terms(G):
-        # similarity and tether terms of the block opposite G (H or Ht)
-        terms = []
-        if alpha > 0.0:
-            terms.append((SIM, G @ G.T, G @ S, s_nsq))
-        if beta > 0.0:
-            terms.append((TETHER, eye, G, float(np.vdot(G, G))))
-        return terms
+    _objective(resid, weights, _h_terms(p, W, Ht), H)
 
     def solve(terms, prev):
-        F, r = _solve_block([(weights[i], g, b, t) for i, g, b, t in terms], prev)
-        for (i, *_), v in zip(terms, r):
-            resid[i] = v
-        blocks.append(sum(w * v for w, v in zip(weights, resid)))
+        # exact NLS solution of the block's summed normal equations,
+        # warm-started from the support of the block's previous value
+        ata = sum(weights[i] * gram for i, gram, _, _ in terms)
+        atb = sum(weights[i] * rhs for i, _, rhs, _ in terms)
+        F = nls_bpp_gram(ata, atb, passive=prev > 0.0)
+        blocks.append(_objective(resid, weights, terms, F))
         return F
 
     history: list[float] = []
@@ -291,14 +319,11 @@ def _sweeps(X, S, alpha, beta, opts, seed):
     for _ in range(opts.max_sweeps):
         if X is not None:
             # W^T solves min ||H^T W^T - X^T||_F^2
-            W = solve([(TEXT, H @ H.T, H @ X.T, x_nsq)], W.T).T
-        terms = tie_terms(H)
+            W = solve([(TEXT, H @ H.T, H @ X.T, p.x_nsq)], W.T).T
+        terms = _h_terms(p, None, H)
         if terms:
             Ht = solve(terms, Ht)
-        terms = tie_terms(Ht)
-        if X is not None:
-            terms.insert(0, (TEXT, W.T @ W, W.T @ X, x_nsq))
-        H = solve(terms, H)
+        H = solve(_h_terms(p, W, Ht), H)
         f = blocks[-1]
         history.append(f)
         if len(history) >= 2 and abs(f - history[-2]) / max(history[-2], STOP_FLOOR) < opts.rel_tol:
@@ -312,66 +337,3 @@ def _sweeps(X, S, alpha, beta, opts, seed):
         seed_used=seed,
         block_objective_history=blocks,
     )
-
-
-def _solve_block(terms, prev):
-    # a term (weight, gram, rhs, target_nsq) stands for weight *
-    # ||A F - T||_F^2 with gram = A^T A, rhs = A^T T, target_nsq =
-    # ||T||_F^2; returns the exact NLS solution F of the summed normal
-    # equations, warm-started from the support of the block's previous
-    # value prev, and each term's unweighted residual at F, clamped at 0
-    # against cancellation
-    ata = atb = None
-    for w, gram, rhs, _ in terms:
-        ata = w * gram if ata is None else ata + w * gram
-        atb = w * rhs if atb is None else atb + w * rhs
-    F = nls_bpp_gram(ata, atb, passive=prev > 0.0)
-    fft = F @ F.T
-    return F, [
-        max(t - 2.0 * float(np.sum(F * rhs)) + float(np.sum(gram * fft)), 0.0)
-        for _, gram, rhs, t in terms
-    ]
-
-
-def _text_obj(x_nsq, X, W, H):
-    # ||X - W H||_F^2 via the gram identity; clamped against cancellation
-    cross = float(np.sum(W * (X @ H.T)))
-    gram = float(np.sum((W.T @ W) * (H @ H.T)))
-    return max(x_nsq - 2.0 * cross + gram, 0.0)
-
-
-def _sim_obj(s_nsq, S, Ht, H):
-    # ||S - Ht^T H||_F^2 via the gram identity
-    cross = float(np.sum(H * (Ht @ S)))
-    gram = float(np.sum((Ht @ Ht.T) * (H @ H.T)))
-    return max(s_nsq - 2.0 * cross + gram, 0.0)
-
-
-def _conform_text(X, W, H):
-    X = _accept_any(X)
-    W = np.asarray(W, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    if W.ndim != 2 or H.ndim != 2 or W.shape[1] != H.shape[0]:
-        raise ShapeMismatch(f"W is {W.shape}, H is {H.shape}")
-    if X.shape != (W.shape[0], H.shape[1]):
-        raise ShapeMismatch(
-            f"X is {X.shape} but W H is {W.shape[0]}x{H.shape[1]}"
-        )
-    return X, W, H
-
-
-def _conform_sim(S, H):
-    S = _accept_any(S)
-    n = H.shape[1]
-    if S.shape != (n, n):
-        raise ShapeMismatch(f"S is {S.shape[0]}x{S.shape[1]} but H has {n} columns")
-    return S
-
-
-def _accept_any(M):
-    if sparse.issparse(M):
-        return as_csc(M)
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d matrix, got shape {M.shape}")
-    return M

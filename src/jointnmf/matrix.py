@@ -9,7 +9,9 @@ for dense data.  Indices are 1-based on disk and 0-based in memory.
 Every other file is UTF-8 text, one record per line, and passes through
 read_records and write_records: blank lines are skipped, fields are
 tab-separated (whitespace-separated for edges and hyperedges), and a
-malformed line is a DataError that names its path and line number.
+malformed line is a DataError that names its path and line number.  A
+file of ids or terms is read with read_names: a name is one line
+without a tab.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "read_matrix_market",
     "write_matrix_market",
     "read_records",
+    "read_names",
     "write_records",
 ]
 
@@ -185,6 +188,12 @@ def read_records(path, sep="\t", fields=None, convert=None, expect="a record"):
     except UnicodeDecodeError:
         # decoding runs ahead of the lines read, so no line number
         raise DataError(f"{path}: expected UTF-8 text") from None
+
+
+def read_names(path) -> list[str]:
+    """The ids or terms of a file, one per nonblank line; a tab inside a
+    name, which would split a tab-separated record, is a DataError."""
+    return list(read_records(path, fields=1, convert=lambda r: r[0], expect="one name without a tab"))
 
 
 def write_records(path, rows) -> None:

@@ -9,6 +9,10 @@ the passive variables and dual feasibility of the active ones, and
 exchanges every infeasible variable at once.  When full exchanges stop
 shrinking the infeasible set, a backup rule swaps only the
 lowest-index infeasible variable, which restores finite termination.
+Rounding can make the two feasibility tests of a variable at the
+boundary disagree in sign, and the column then cycles: at the round
+limit it drops its negative passive variables once more and is
+accepted, clamped at 0, if it then meets the KKT conditions.
 
 The solver keeps its state one row per column (the solution, the
 right-hand sides, the passive and the infeasible sets), so every gather
@@ -50,6 +54,9 @@ STACK_ENTRIES = 25_600
 # a column may make before the backup rule swaps one variable at a time
 ROUNDS_PER_VARIABLE = 5
 BACKUP_THRESHOLD = 3
+# KKT violation relative to |A^T A| |x| + |A^T b| that a column cycling
+# at the round limit may keep
+ROUNDING_SLACK = 1e-9
 
 
 def nls_bpp(A, B) -> np.ndarray:
@@ -123,9 +130,20 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     while cols.size:
         rounds += 1
         if rounds > max_rounds:
-            raise NonConvergence(
-                f"block pivoting exceeded {max_rounds} rounds on {cols.size} column(s)"
-            )
+            # only rounding makes a column cycle (module docstring): settle
+            # it once, and fail the columns still off the KKT conditions
+            P[cols] &= X[cols] >= 0.0
+            singular = _solve_passive(ata, B, P, cols, X, infeasible, ridge)
+            X[cols] = Xc = np.maximum(X[cols], 0.0)
+            grad = Xc @ ata.T - B[cols]
+            viol = np.where(Xc > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
+            scale = Xc @ np.abs(ata).T + np.abs(B[cols])
+            cols = np.union1d(singular, cols[(viol > ROUNDING_SLACK * scale).any(axis=1)])
+            if cols.size:
+                raise NonConvergence(
+                    f"block pivoting exceeded {max_rounds} rounds on {cols.size} column(s)"
+                )
+            break
         ninf = np.count_nonzero(infeasible[cols], axis=1)
         improved = ninf < best_ninf[cols]
         best_ninf[cols[improved]] = ninf[improved]

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyCorpus, ShapeMismatch, VocabMismatch, ZeroColumn
-from .matrix import as_csc, read_matrix_market, read_records, require_nonnegative
+from .matrix import as_csc, read_matrix_market, read_names, require_nonnegative
 
 __all__ = [
     "Corpus",
@@ -155,8 +155,8 @@ def normalize_columns(X):
 
 def read_corpus(vocab_path, doc_ids_path, counts_path) -> Corpus:
     """Load vocabulary, document id, and Matrix Market count files."""
-    vocab = list(read_records(vocab_path, sep=""))
-    doc_ids = list(read_records(doc_ids_path, sep=""))
+    vocab = read_names(vocab_path)
+    doc_ids = read_names(doc_ids_path)
     counts = read_matrix_market(counts_path)
     if not sparse.issparse(counts):
         counts = as_csc(counts)

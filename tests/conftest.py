@@ -4,8 +4,14 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import jointnmf
+
+# every property runs the same examples on every run and has no time
+# limit per example; a test sets only its max_examples
+settings.register_profile("jointnmf", deadline=None, derandomize=True)
+settings.load_profile("jointnmf")
 
 
 @pytest.fixture

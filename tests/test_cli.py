@@ -241,8 +241,12 @@ def test_cluster_manifest_replay_is_bit_identical(tmp_path):
     ("nmf", ["--hyperedges", "hyper.txt"]),
     ("nmf", ["--dual"]),
     ("nmf", ["--raw-adjacency"]),
+    ("nmf", ["--alpha", "2"]),
+    ("nmf", ["--alpha", "0"]),
+    ("nmf", ["--beta", "3"]),
+    ("symnmf", ["--alpha", "2"]),
 ], ids=["symnmf-x", "nmf-similarity", "nmf-edges", "nmf-hyperedges", "nmf-dual",
-        "nmf-raw-adjacency"])
+        "nmf-raw-adjacency", "nmf-alpha", "nmf-alpha-0", "nmf-beta", "symnmf-alpha"])
 def test_cluster_rejects_an_input_the_method_ignores(tmp_path, capsys, method, ignored):
     # symnmf used to take n from the X it ignores and write a truncated
     # labels.tsv; an ignored input is now a usage error
@@ -354,6 +358,21 @@ def test_cluster_without_x_takes_n_from_the_doc_ids(tmp_path, capsys, source, ex
     else:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [expect]
+
+
+def test_a_doc_id_with_a_tab_is_a_data_error_where_it_enters(tmp_path, capsys):
+    # the id used to pass whole into labels.tsv, which eval then rejected
+    (tmp_path / "tri.tsv").write_text("0\t1\n1\t2\n2\t0\n")
+    ids = tmp_path / "ids.txt"
+    ids.write_text("a\tx\nb\nc\n")
+    out = tmp_path / "o"
+    assert main([
+        "cluster", "--method", "symnmf", "--edges", str(tmp_path / "tri.tsv"), "--raw-adjacency",
+        "--doc-ids", str(ids), "--k", "2", "--out-dir", str(out),
+    ]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {ids}:1: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["edges.tsv", "ids.txt", "truth.tsv", "X.mtx"])

@@ -3,14 +3,17 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import jointnmf
-
+from jointnmf import factorize
 from jointnmf.errors import NonFinite, NotSymmetric, ShapeMismatch, ZeroSimilarity
 from jointnmf.factorize import (
     FactorizeOptions,
@@ -26,6 +29,7 @@ from jointnmf.factorize import (
 )
 from jointnmf.matrix import max_abs, read_matrix_market
 from jointnmf.metrics import average_f1, confusion
+from jointnmf.nls import kkt_residual_gram, nls_bpp_gram
 
 
 def planted_joint(seed=1234, k=3, per_cluster=20, n_terms=40, coord_noise=0.01):
@@ -125,6 +129,20 @@ def test_penalized_objective_with_tied_auxiliary():
     a = penalized_objective(X, S, W, H, H.copy(), 1.5, 7.0)
     b = joint_objective(X, S, W, H, 1.5)
     assert abs(a - b) <= 1e-9 * max(b, 1.0)
+
+
+def test_objectives_leave_out_an_absent_view():
+    one, zero = np.array([[1.0]]), np.array([[0.0]])
+    assert penalized_objective(2.0 * one, None, one, one, None, 0.0, 0.0) == 1.0
+    assert penalized_objective(None, one, None, one, zero, 1.0, 3.0) == 4.0
+    assert joint_objective(None, 2.0 * one, None, one, 1.0) == 1.0
+    for bad in ((one, None, None, one, None, 0.0, 0.0),  # X without W
+                (one, None, one, one, None, 1.0, 0.0),  # alpha without S
+                (one, one, one, one, None, 1.0, 0.0)):  # alpha without H_tilde
+        with pytest.raises(ValueError):
+            penalized_objective(*bad)
+    with pytest.raises(ShapeMismatch):
+        penalized_objective(np.ones((2, 1)), None, np.ones((3, 1)), one, None, 0.0, 0.0)
 
 
 def test_objectives_accept_sparse_inputs():
@@ -521,3 +539,122 @@ def test_write_result_round_trip(tmp_path):
         sweep, value = line.split("\t")
         assert int(sweep) == i + 1
         assert float(value) == res.objective_history[i]
+
+
+# ---------------------------------------------------------------------------
+# properties on small random instances, for every method and for joint
+# with alpha = beta = 0 ("joint0")
+
+METHODS = ["nmf", "symnmf", "joint", "joint0"]
+SWEEPS = 6
+
+
+@st.composite
+def instances(draw):
+    """A random nonnegative X (m x n), symmetric S with zeros, and k."""
+    m, n = draw(st.integers(2, 8)), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.random((m, n))
+    X[X < 0.3] = 0.0
+    S = rng.random((n, n))
+    S = (S + S.T) / 2
+    S[S < 0.5] = 0.0
+    np.fill_diagonal(S, rng.random(n) + 0.1)  # S is never zero
+    return X, S, draw(st.integers(1, min(m, n)))
+
+
+def fit(method, X, S, k, **opts):
+    opts = FactorizeOptions(k=k, max_sweeps=SWEEPS, rel_tol=0.0, seed=1, **opts)
+    if method == "joint0":
+        return joint_nmf(X, S, replace(opts, alpha=0.0, beta=0.0))
+    return run_method(method, X, S, opts)
+
+
+def weights(method, res):
+    """(alpha, beta) of the method's own objective; symnmf weighs S by 1."""
+    return {"nmf": (0.0, 0.0), "symnmf": (1.0, res.beta), "joint0": (0.0, 0.0)}.get(
+        method, (res.alpha, res.beta))
+
+
+def scale(method, X, S, res):
+    """The objective at zero factors: the size of the closed form's terms."""
+    x_nsq = 0.0 if method == "symnmf" else float(np.sum(X * X))
+    return x_nsq + weights(method, res)[0] * float(np.sum(S * S))
+
+
+@settings(max_examples=60)
+@given(inst=instances(), method=st.sampled_from(METHODS))
+def test_block_objective_never_rises(inst, method):
+    X, S, k = inst
+    res = fit(method, X, S, k)
+    blocks = res.block_objective_history
+    tol = 1e-12 * scale(method, X, S, res)
+    assert all(b <= a + max(1e-12 * a, tol) for a, b in zip(blocks, blocks[1:]))
+
+
+@settings(max_examples=60)
+@given(inst=instances(), method=st.sampled_from(METHODS))
+def test_sparse_and_dense_inputs_give_the_same_histories(inst, method):
+    # a block whose Gram matrix is singular has no unique optimum, and
+    # the two runs' rounding may pick different ones, so the property
+    # holds where every block of the dense run is well posed
+    X, S, k = inst
+    conds = []
+
+    def solve(ata, atb, passive):
+        conds.append(np.linalg.cond(ata))
+        return nls_bpp_gram(ata, atb, passive=passive)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorize, "nls_bpp_gram", solve)
+        dense = fit(method, X, S, k)
+    assume(max(conds) < 1e12)
+    sp = fit(method, sparse.csc_array(X), sparse.csc_array(S), k)
+    tol = 1e-12 * scale(method, X, S, dense)
+    for a, b in ((dense.objective_history, sp.objective_history),
+                 (dense.block_objective_history, sp.block_objective_history)):
+        assert len(a) == len(b)
+        assert all(abs(u - v) <= max(1e-12 * abs(u), tol) for u, v in zip(a, b))
+
+
+@settings(max_examples=60)
+@given(inst=instances(), as_sparse=st.booleans())
+def test_joint_with_zero_weights_is_nmf_bit_for_bit(inst, as_sparse):
+    X, S, k = inst
+    if as_sparse:
+        X, S = sparse.csc_array(X), sparse.csc_array(S)
+    plain, joint = fit("nmf", X, S, k), fit("joint0", X, S, k)
+    assert plain.W.tobytes() == joint.W.tobytes() and plain.H.tobytes() == joint.H.tobytes()
+    assert plain.objective_history == joint.objective_history
+    assert plain.block_objective_history == joint.block_objective_history
+
+
+@settings(max_examples=60)
+@given(inst=instances(), method=st.sampled_from(METHODS))
+def test_final_h_meets_the_kkt_conditions_of_its_block(inst, method):
+    X, S, k = inst
+    res = fit(method, X, S, k)
+    alpha, beta = weights(method, res)
+    H, Ht = res.H, res.H_tilde
+    ata, atb = np.zeros((k, k)), np.zeros(H.shape)
+    if method != "symnmf":
+        ata, atb = res.W.T @ res.W, res.W.T @ X
+    if alpha:
+        ata, atb = ata + alpha * (Ht @ Ht.T), atb + alpha * (Ht @ S)
+    if beta:
+        ata, atb = ata + beta * np.eye(k), atb + beta * Ht
+    size = np.abs(ata).max() * np.abs(H).max() + np.abs(atb).max()
+    assert kkt_residual_gram(ata, atb, H) <= 1e-9 * max(size, 1e-300)
+
+
+@settings(max_examples=60)
+@given(inst=instances(), method=st.sampled_from(METHODS))
+def test_last_objective_is_the_penalized_objective_of_the_method(inst, method):
+    X, S, k = inst
+    res = fit(method, X, S, k)
+    alpha, beta = weights(method, res)
+    ref = penalized_objective(
+        None if method == "symnmf" else X, None if method == "nmf" else S,
+        res.W, res.H, res.H_tilde, alpha, beta,
+    )
+    assert abs(res.objective_history[-1] - ref) <= 1e-12 * ref

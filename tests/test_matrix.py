@@ -16,6 +16,7 @@ from jointnmf.matrix import (
     is_symmetric,
     max_abs,
     read_matrix_market,
+    read_names,
     read_records,
     require_symmetric,
     write_matrix_market,
@@ -224,6 +225,15 @@ def test_read_records_names_the_path_of_a_non_utf8_file(tmp_path):
         list(read_records(path, sep=""))
     path.write_bytes("d0\ndé\n".encode("utf-8"))
     assert list(read_records(path, sep="")) == ["d0", "dé"]
+
+
+def test_read_names_keeps_a_line_whole_and_rejects_a_tab(tmp_path):
+    path = tmp_path / "ids.txt"
+    path.write_text("doc 0\n\n d1\n")
+    assert read_names(path) == ["doc 0", " d1"]
+    path.write_text("d0\nd1\tx\n")
+    with pytest.raises(DataError, match=r"ids\.txt:2: expected one name without a tab, got 'd1\\tx'$"):
+        read_names(path)
 
 
 def test_write_records_has_one_cell_rule(tmp_path, capsys):

@@ -148,7 +148,7 @@ def labelings(draw):
     return pred, truth
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(labelings())
 def test_counts_match_per_item_and_per_pair_references(labeling):
     pred, truth = labeling

@@ -155,6 +155,28 @@ def test_non_convergence_when_pivot_budget_exhausted(monkeypatch):
         nls_bpp(A, B)
 
 
+@pytest.mark.parametrize("ata, atb", [
+    ([[3.7862377251150114e-01, 3.1715663927442948e-04],
+      [3.1715663927442948e-04, 1.3939582118854628e+00]],
+     [[3.9564374234374045e-01], [3.3141352651829957e-04]]),
+    ([[1.9062733959210627e+00, 4.5088806132422433e-03],
+      [4.5088806132422433e-03, 1.0664789440996635e-05]],
+     [[0.598168013157832], [0.00141483806245212]]),
+], ids=["boundary", "near-singular"])
+def test_a_column_cycling_on_rounding_is_accepted_at_the_round_limit(ata, atb):
+    # H-block systems from nmf fits on small random matrices.  In the
+    # first the second variable is 0 at the optimum, but passive it
+    # solves to about -4e-21 and active its gradient is about -5e-20; in
+    # the second, a nearly singular one, the first variable solves to
+    # -0.2 and its active gradient is about -1e-16.  Pivoting cycled
+    # until NonConvergence from every start
+    ata, atb = np.array(ata), np.array(atb)
+    for passive in (None, [[True], [False]], [[False], [True]], [[True], [True]]):
+        X = nls_bpp_gram(ata, atb, passive=None if passive is None else np.array(passive))
+        assert X.min() >= 0.0
+        assert kkt_residual_gram(ata, atb, X) <= 1e-15
+
+
 def test_singular_system_reported():
     ata = np.zeros((2, 2))
     atb = np.array([[1.0], [1.0]])
@@ -200,7 +222,7 @@ def test_ridge_rescues_singular_columns_inside_a_chunk():
     assert np.allclose(X[:, 1], [0.0, 0.0, 1.0]) and np.all(X[:, 3] == 0.0)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(k=st.integers(1, 5), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_warm_start_matches_cold_start_and_oracle(k, n, seed, data):
     rng = np.random.default_rng(seed)
@@ -235,7 +257,7 @@ def test_warm_start_rejects_misshapen_passive_set():
         nls_bpp_gram(np.eye(2), np.ones((2, 3)), passive=np.ones((3, 2), dtype=bool))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     k=st.integers(1, 5),
     per_size=st.integers(3, 6),

@@ -79,8 +79,8 @@ class VocabMismatch(DataError):
 
 
 class NonConvergence(NumericalError):
-    """An iterative solver exhausted its iteration budget."""
+    """The NLS solver's Lawson-Hanson rescue hit its iteration limit."""
 
 
 class SingularSystem(NumericalError):
-    """A linear system was singular even after regularization."""
+    """An NLS input in Gram form whose A^T B lies outside the range of A^T A."""

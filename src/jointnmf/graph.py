@@ -155,9 +155,10 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     """S over n documents from exactly one of edges or hyperedge lists.
 
     n is the size of S, or None to infer it; with dual=True the documents
-    are the hyperedges.  Edges give D^-1/2 A D^-1/2 (A itself with
-    raw_adjacency), hyperedges hypergraph_similarity less any edge that
-    joins no vertex.  With within (ascending positions), S is restricted
+    are the hyperedges.  An n inferred from edges is one more than the
+    largest id, and a smaller id on no edge is a ZeroDegree.  Edges give
+    D^-1/2 A D^-1/2 (A itself with raw_adjacency), hyperedges
+    hypergraph_similarity less any edge that joins no vertex.  With within (ascending positions), S is restricted
     to those documents and then to their largest connected component.
     Returns S and the kept indices into within (or range(n)).  A flag
     the chosen source does not read is a ValueError.
@@ -170,6 +171,15 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
         raise ValueError("give exactly one of edges or hyperedges")
     if edges is not None:
         g = symmetrize(edges, n_vertices=n)
+        if n is None:
+            # a gap below the largest id more likely comes from a mistyped
+            # id than from an isolated document
+            isolated = np.flatnonzero(g.adjacency.sum(axis=1) == 0)
+            if isolated.size:
+                raise ZeroDegree(
+                    f"vertex {isolated[0]} is on no edge, but the largest id {g.n - 1} "
+                    f"sets {g.n} documents; give --doc-ids to declare them"
+                )
         kept = np.arange(g.n)
         if within is not None:
             g = induce_subgraph(g, within)

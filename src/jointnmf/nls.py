@@ -8,11 +8,8 @@ unconstrained system on the passive set, checks primal feasibility of
 the passive variables and dual feasibility of the active ones, and
 exchanges every infeasible variable at once.  When full exchanges stop
 shrinking the infeasible set, a backup rule swaps only the
-lowest-index infeasible variable, which restores finite termination.
-Rounding can make the two feasibility tests of a variable at the
-boundary disagree in sign, and the column then cycles: at the round
-limit it drops its negative passive variables once more and is
-accepted, clamped at 0, if it then meets the KKT conditions.
+lowest-index infeasible variable, which restores finite termination
+when A has full column rank.
 
 The solver keeps its state one row per column (the solution, the
 right-hand sides, the passive and the infeasible sets), so every gather
@@ -22,40 +19,43 @@ its s x s principal submatrix of A^T A against the s matching entries
 of its right-hand side.  The pending columns are sorted by s, and the
 columns of one size are solved as one (c, s, s) stack by
 np.linalg.solve in compiled code, in stacks of at most STACK_ENTRIES
-entries so memory stays flat however many columns are pending.  A
-stack that hits a singular matrix, or returns a nonfinite column, is
-solved column by column with a Cholesky factorization and one
-ridge-regularized retry.
+entries so memory stays flat however many columns are pending.
+
+Without full rank a passive system can be singular, or rounding can
+make a column cycle.  Such columns take one rescue: a column whose
+passive solve is singular or nonfinite, or that is still pending after
+ROUNDS_PER_VARIABLE * k rounds, leaves the pivoting and is solved at
+the end by Lawson-Hanson NNLS, which needs no full rank.
 
 A caller that knows a good support, such as the previous iterate of an
 alternating scheme, passes it as the initial passive set.  Variables
 whose A^T A diagonal is 0 (a zero column of A) have optimum 0 and are
-dropped from it; columns whose initial system is still singular start
-over from the empty passive set.  With A^T A positive definite the
-optimum is unique, so the starting set changes only the number of
-rounds.  Columns are independent; identical inputs give identical
-outputs.
+dropped from it.  With A^T A positive definite the optimum is unique,
+so the starting set changes only the number of rounds.  Columns are
+independent; identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
 
 __all__ = ["nls_bpp", "nls_bpp_gram", "kkt_residual", "kkt_residual_gram"]
 
-RIDGE_SCALE = 1e-12
 # entries (columns x s x s) of one stacked passive-set solve: 256 columns
 # at s = 10, which keeps peak memory flat on wide solves
 STACK_ENTRIES = 25_600
-# exchange rounds allowed per variable, and non-improving full exchanges
-# a column may make before the backup rule swaps one variable at a time
+# exchange rounds allowed per variable before a column is rescued, and
+# non-improving full exchanges a column may make before the backup rule
+# swaps one variable at a time
 ROUNDS_PER_VARIABLE = 5
 BACKUP_THRESHOLD = 3
-# KKT violation relative to |A^T A| |x| + |A^T b| that a column cycling
-# at the round limit may keep
+# eigenvalues of A^T A at or below EIGEN_CUT * the largest are taken as 0
+# by the rescue
+EIGEN_CUT = 1e-14
+# KKT violation relative to max|A^T A| max|x| + max|A^T b| that a rescued
+# column may keep
 ROUNDING_SLACK = 1e-9
 
 
@@ -84,8 +84,10 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     This is the entry point the factorization sweeps use, since their
     stacked subproblems assemble the products directly.  passive, a
     k x n boolean array, is the initial passive set (default: empty);
-    variables whose A^T A diagonal is 0 are dropped from it, and columns
-    whose system on the rest is singular start from the empty set.
+    variables whose A^T A diagonal is 0 are dropped from it.  Raises
+    SingularSystem for a column of A^T B outside the range of A^T A,
+    which no real A gives, and NonConvergence when the rescue hits its
+    iteration limit.
     """
     ata = np.asarray(ata, dtype=np.float64)
     atb = np.asarray(atb, dtype=np.float64)
@@ -99,8 +101,6 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     k, n = atb.shape
     if n == 0:
         return np.zeros((k, 0))
-    max_rounds = ROUNDS_PER_VARIABLE * k
-    ridge = RIDGE_SCALE * np.trace(ata) / k
 
     # the state is kept one row per column, so every gather and scatter
     # of a column copies a contiguous row; at X = 0 every variable is
@@ -108,6 +108,7 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     B = np.ascontiguousarray(atb.T)
     X = np.zeros((n, k))
     infeasible = B > 0.0
+    rescue = np.zeros(n, dtype=bool)
     if passive is None:
         P = np.zeros((n, k), dtype=bool)
     else:
@@ -117,32 +118,14 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
         # a variable with a zero A^T A diagonal has optimum 0
         P = passive.T.copy()
         P[:, np.diag(ata) == 0.0] = False
-        cold = _solve_passive(ata, B, P, np.flatnonzero(P.any(axis=1)), X, infeasible, ridge)
-        P[cold] = False
-        X[cold] = 0.0
-        infeasible[cold] = B[cold] > 0.0
+        _solve_passive(ata, B, P, np.flatnonzero(P.any(axis=1)), X, infeasible, rescue)
     # per-column backup budget and best infeasibility count seen so far
     budget = np.full(n, BACKUP_THRESHOLD, dtype=np.int64)
     best_ninf = np.full(n, k + 1, dtype=np.int64)
 
     cols = np.flatnonzero(infeasible.any(axis=1))
-    rounds = 0
-    while cols.size:
-        rounds += 1
-        if rounds > max_rounds:
-            # only rounding makes a column cycle (module docstring): settle
-            # it once, and fail the columns still off the KKT conditions
-            P[cols] &= X[cols] >= 0.0
-            singular = _solve_passive(ata, B, P, cols, X, infeasible, ridge)
-            X[cols] = Xc = np.maximum(X[cols], 0.0)
-            grad = Xc @ ata.T - B[cols]
-            viol = np.where(Xc > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
-            scale = Xc @ np.abs(ata).T + np.abs(B[cols])
-            cols = np.union1d(singular, cols[(viol > ROUNDING_SLACK * scale).any(axis=1)])
-            if cols.size:
-                raise NonConvergence(
-                    f"block pivoting exceeded {max_rounds} rounds on {cols.size} column(s)"
-                )
+    for _ in range(ROUNDS_PER_VARIABLE * k):
+        if not cols.size:
             break
         ninf = np.count_nonzero(infeasible[cols], axis=1)
         improved = ninf < best_ninf[cols]
@@ -158,62 +141,57 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
         # argmax finds the lowest infeasible index
         P[backup, infeasible[backup].argmax(axis=1)] ^= True
 
-        singular = _solve_passive(ata, B, P, cols, X, infeasible, ridge)
-        if singular.size:
-            raise SingularSystem(
-                f"passive-set system is singular even with ridge {ridge:g} "
-                f"in {singular.size} column(s)"
-            )
+        _solve_passive(ata, B, P, cols, X, infeasible, rescue)
         cols = cols[infeasible[cols].any(axis=1)]
+    # the columns still pending at the round limit
+    rescue[cols] = True
+    if rescue.any():
+        X[rescue] = _lawson_hanson(ata, B[rescue])
     return np.ascontiguousarray(X.T)
 
 
-def _solve_passive(ata, B, P, cols, X, infeasible, ridge):
+def _solve_passive(ata, B, P, cols, X, infeasible, rescue):
     """Refresh rows cols of X and of the infeasible set from their passive sets.
 
-    B (the right-hand sides), P, X and infeasible hold one row per
-    column of the problem.  The columns are sorted by support size and
-    walked in blocks of at most STACK_ENTRIES // k, each solved by
+    B (the right-hand sides), P, X, infeasible and rescue hold one row
+    per column of the problem.  The columns are sorted by support size
+    and walked in blocks of at most STACK_ENTRIES // k, each solved by
     _solve_compacted.  A passive variable is infeasible when negative,
-    an active one when its gradient A^T A x - b is.  Returns the columns
-    whose system stayed singular even with the ridge; their rows are
-    not meaningful.
+    an active one when its gradient A^T A x - b is.  A column whose
+    solution is nonfinite is marked for the rescue and made feasible,
+    so it leaves the pivoting.
     """
     sizes = np.count_nonzero(P[cols], axis=1)
     order = np.argsort(sizes, kind="stable")
     cols, sizes = cols[order], sizes[order]
     step = max(1, STACK_ENTRIES // ata.shape[0])
-    singular = []
     for start in range(0, cols.size, step):
         cs = cols[start:start + step]
-        Pb = P[cs]
-        Xb, stuck = _solve_compacted(ata, B, Pb, cs, sizes[start:start + step], ridge)
-        singular += stuck
-        X[cs] = Xb
+        Pb, Bb = P[cs], B[cs]
+        X[cs] = Xb = _solve_compacted(ata, Bb, Pb, sizes[start:start + step])
         # A^T A x < b is a negative gradient
-        infeasible[cs] = np.where(Pb, Xb < 0.0, Xb @ ata.T < B[cs])
-    return np.asarray(singular, dtype=np.intp)
+        infeasible[cs] = np.where(Pb, Xb < 0.0, Xb @ ata.T < Bb)
+        bad = cs[~np.isfinite(Xb).all(axis=1)]
+        rescue[bad] = True
+        infeasible[bad] = False
 
 
-def _solve_compacted(ata, B, Pb, cs, sizes, ridge):
-    """Solutions of columns cs on their passive sets Pb, sorted by size.
+def _solve_compacted(ata, Bb, Pb, sizes):
+    """Solutions of the rows of Bb on their passive sets Pb, sorted by size.
 
     A column with s passive variables solves the s x s principal
     submatrix of A^T A on them, against the s matching entries of its
     right-hand side; its other variables are 0, and an empty support
     needs no solve.  The columns of one size are solved as (c, s, s)
-    np.linalg.solve stacks of at most STACK_ENTRIES entries.  When a
-    stack has a singular matrix, or a column comes back nonfinite, the
-    affected columns fall back to _solve_spd on their own s x s systems
-    one at a time; those still singular get 0.  Returns the len(cs) x k
-    solutions and the list of the columns still singular.
+    np.linalg.solve stacks of at most STACK_ENTRIES entries; a stack
+    with a singular matrix is solved one matrix at a time, and the
+    singular ones get NaN.  Returns the len(Bb) x k solutions.
     """
     k = ata.shape[0]
     flat_ata = ata.ravel()
     # every passive entry of the block, row by row, as row * k + variable
     entries = np.flatnonzero(Pb)
-    sol = B[cs].ravel().take(entries)
-    stuck = []
+    sol = Bb.ravel().take(entries)
     hi = 0
     for s, count in enumerate(np.bincount(sizes).tolist()):
         # the entries of the count columns of size s follow those of size s - 1
@@ -229,40 +207,48 @@ def _solve_compacted(ata, B, Pb, cs, sizes, ridge):
             try:
                 rhs[...] = np.linalg.solve(M, rhs)
             except np.linalg.LinAlgError:
-                rhs[...] = np.nan
-    bad = np.flatnonzero(~np.isfinite(sol))
-    if bad.size:
-        first = np.concatenate(([0], np.cumsum(sizes)))
-        for j in np.unique(np.searchsorted(first, bad, side="right") - 1).tolist():
-            own = slice(first[j], first[j + 1])
-            free = entries[own] % k
-            x = _solve_spd(ata[np.ix_(free, free)], B[cs[j], free], ridge)
-            if x is None:
-                stuck.append(cs[j])
-                x = 0.0
-            sol[own] = x
+                for Mj, rj in zip(M, rhs):
+                    try:
+                        rj[...] = np.linalg.solve(Mj, rj)
+                    except np.linalg.LinAlgError:
+                        rj[...] = np.nan
     Xb = np.zeros(Pb.shape)
     Xb.ravel()[entries] = sol
-    return Xb, stuck
+    return Xb
 
 
-def _solve_spd(sub, rhs, ridge):
-    """Cholesky solve with one ridge-regularized retry on singular systems.
+def _lawson_hanson(ata, B):
+    """Lawson-Hanson solutions of the rows b of B against A^T A.
 
-    Returns None when the system stays singular or the solution
-    nonfinite even with the ridge.
+    Over the eigenvalues lam of A^T A = V diag(lam) V^T above EIGEN_CUT
+    * max(lam), ||F x - g||^2 with F = diag(sqrt(lam)) V^T and g =
+    diag(1 / sqrt(lam)) V^T b is x^T A^T A x - 2 x^T b plus a constant.
+    A solution off the KKT conditions by more than ROUNDING_SLACK *
+    (max|A^T A| max|x| + max|b|) has b outside the range of A^T A.
     """
-    for shift in (0.0, ridge):
-        try:
-            f = linalg.cho_factor(
-                sub + shift * np.eye(sub.shape[0]), lower=True, check_finite=False
-            )
-        except linalg.LinAlgError:
-            continue
-        sol = linalg.cho_solve(f, rhs, check_finite=False)
-        if np.isfinite(sol).all():
-            return sol
-    return None
+    # scipy.optimize adds about 0.27 s to the package import, and only
+    # rescued columns need it
+    from scipy.optimize import nnls
+
+    lam, V = np.linalg.eigh(ata)
+    keep = lam > EIGEN_CUT * lam[-1]
+    root = np.sqrt(lam[keep])
+    F = root[:, None] * V[:, keep].T
+    G = (B @ V[:, keep]) / root
+    X = np.zeros(B.shape)
+    if keep.any():  # without a positive eigenvalue the minimizer is 0
+        for j, g in enumerate(G):
+            try:
+                X[j], _ = nnls(F, g)
+            except RuntimeError as exc:
+                raise NonConvergence(f"Lawson-Hanson rescue: {exc}") from None
+    grad = X @ ata.T - B
+    viol = np.where(X > 0.0, np.abs(grad), np.maximum(-grad, 0.0)).max(axis=1)
+    scale = np.abs(ata).max() * np.abs(X).max(axis=1) + np.abs(B).max(axis=1)
+    bad = np.count_nonzero(viol > ROUNDING_SLACK * scale)
+    if bad:
+        raise SingularSystem(f"{bad} column(s) of A^T B outside the range of A^T A: unbounded")
+    return X
 
 
 def kkt_residual(A, B, X) -> float:

@@ -360,6 +360,22 @@ def test_cluster_without_x_takes_n_from_the_doc_ids(tmp_path, capsys, source, ex
         assert capsys.readouterr().err.splitlines() == [expect]
 
 
+def test_an_inferred_n_with_a_gap_is_a_data_error(tmp_path, capsys):
+    # two triangles whose last edge reads 5-300 for 5-3: n used to come
+    # from the largest id, and 301 documents were labelled
+    (tmp_path / "typo.tsv").write_text("0\t1\n1\t2\n2\t0\n3\t4\n4\t5\n5\t300\n")
+    out = tmp_path / "o"
+    assert main([
+        "cluster", "--method", "symnmf", "--edges", str(tmp_path / "typo.tsv"), "--raw-adjacency",
+        "--k", "2", "--out-dir", str(out),
+    ]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: vertex 6 is on no edge, but the largest id 300 sets 301 documents; "
+        "give --doc-ids to declare them"
+    ]
+    assert not out.exists()
+
+
 def test_a_doc_id_with_a_tab_is_a_data_error_where_it_enters(tmp_path, capsys):
     # the id used to pass whole into labels.tsv, which eval then rejected
     (tmp_path / "tri.tsv").write_text("0\t1\n1\t2\n2\t0\n")

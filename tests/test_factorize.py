@@ -647,6 +647,19 @@ def test_final_h_meets_the_kkt_conditions_of_its_block(inst, method):
     assert kkt_residual_gram(ata, atb, H) <= 1e-9 * max(size, 1e-300)
 
 
+def test_rank_deficient_w_block_finishes_and_h_meets_its_kkt_conditions():
+    # at k = 7 on this 8 x 9 X, W loses rank: the H block's Gram has
+    # eigenvalues from about -5e-19 to 1.1, and two of its columns cycled
+    # in block pivoting until NonConvergence
+    X = np.random.default_rng(1751).random((8, 9))
+    X[X < 0.3] = 0.0
+    res = fit("nmf", sparse.csc_array(X), None, 7)
+    assert res.sweeps_run == SWEEPS
+    ata, atb = res.W.T @ res.W, res.W.T @ X
+    size = np.abs(ata).max() * np.abs(res.H).max() + np.abs(atb).max()
+    assert kkt_residual_gram(ata, atb, res.H) <= 1e-9 * size
+
+
 @settings(max_examples=60)
 @given(inst=instances(), method=st.sampled_from(METHODS))
 def test_last_objective_is_the_penalized_objective_of_the_method(inst, method):

@@ -7,10 +7,13 @@ enumeration finds the global minimum.
 """
 
 import itertools
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,13 +149,38 @@ def test_zero_rhs_gives_zero_solution():
     assert np.all(X == 0.0)
 
 
-def test_non_convergence_when_pivot_budget_exhausted(monkeypatch):
+def test_every_pending_column_is_rescued_when_the_pivot_budget_is_exhausted(monkeypatch):
+    # with no pivoting round allowed, every column with a positive entry
+    # of A^T b (here the second; the first is optimal at 0) leaves for
+    # the Lawson-Hanson rescue, which must still reach the optimum
     rng = np.random.default_rng(8)
     A = rng.random((6, 4))
     B = rng.standard_normal((6, 2))
+    assert ((A.T @ B) > 0.0).any(axis=0).tolist() == [False, True]
     monkeypatch.setattr(nls, "ROUNDS_PER_VARIABLE", 0)
+    rescued = []
+    rescue = nls._lawson_hanson
+    monkeypatch.setattr(nls, "_lawson_hanson", lambda ata, b: rescued.append(len(b)) or rescue(ata, b))
+    X = nls_bpp(A, B)
+    assert rescued == [1]
+    assert np.all(X >= 0.0)
+    assert kkt_residual(A, B, X) <= 1e-10
+    for c in range(B.shape[1]):
+        star, _ = oracle_nnls(A, B[:, c])
+        assert objective(A, B[:, [c]], X[:, [c]]) <= star + 1e-8
+
+
+def test_non_convergence_when_the_rescue_hits_its_iteration_limit(monkeypatch):
+    # one Lawson-Hanson iteration adds one variable, and this optimum
+    # has more than one positive
+    rng = np.random.default_rng(8)
+    A = rng.random((6, 4))
+    b = A @ np.array([1.0, 2.0, 0.5, 0.0])
+    monkeypatch.setattr(nls, "ROUNDS_PER_VARIABLE", 0)
+    real = scipy.optimize.nnls
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda F, g: real(F, g, maxiter=1))
     with pytest.raises(NonConvergence):
-        nls_bpp(A, B)
+        nls_bpp(A, b)
 
 
 @pytest.mark.parametrize("ata, atb", [
@@ -178,6 +206,8 @@ def test_a_column_cycling_on_rounding_is_accepted_at_the_round_limit(ata, atb):
 
 
 def test_singular_system_reported():
+    # A^T b outside the range of A^T A: no real A gives it, and the
+    # problem is unbounded below
     ata = np.zeros((2, 2))
     atb = np.array([[1.0], [1.0]])
     with pytest.raises(SingularSystem):
@@ -186,16 +216,17 @@ def test_singular_system_reported():
 
 def test_singular_system_reported_among_regular_columns():
     # columns 1 and 3 are optimal at zero and never reach a solve; the
-    # other two share a stacked solve and are singular even with the ridge
+    # other two share a stacked solve, are singular, and their A^T b
+    # lies outside the range of A^T A
     ata = np.zeros((2, 2))
     atb = np.array([[1.0, -1.0, 2.0, 0.0], [1.0, -1.0, 0.5, -3.0]])
     with pytest.raises(SingularSystem):
         nls_bpp_gram(ata, atb)
 
 
-def test_ridge_rescues_mildly_singular_gram():
-    # duplicated column: unconstrained solve is ambiguous but a ridge
-    # retry keeps one representative
+def test_rescue_solves_a_duplicated_column():
+    # duplicated column: the unconstrained solve is singular, and the
+    # rescue finds one of the optima
     a = np.array([[1.0], [2.0], [3.0]])
     A = np.hstack([a, a])
     b = (2.0 * a).ravel()
@@ -204,7 +235,7 @@ def test_ridge_rescues_mildly_singular_gram():
     assert np.allclose(A @ x, b, atol=1e-6, rtol=0.0)
 
 
-def test_ridge_rescues_singular_columns_inside_a_chunk():
+def test_rescue_solves_singular_columns_inside_a_chunk():
     # columns 0 and 1 of A are equal; b = 2a and b = a + e put both
     # copies in the passive set, whose system is singular, while
     # b = e - a and b = -a never do.  The singular columns share one
@@ -241,15 +272,47 @@ def test_warm_start_matches_cold_start_and_oracle(k, n, seed, data):
 
 
 def test_warm_start_on_zero_gram_restarts_cold():
-    # every warm system is singular even with the ridge (which is 0 for
-    # a zero Gram); the columns start over from the empty passive set
-    # rather than raise
+    # every variable has a zero A^T A diagonal, so the warm passive sets
+    # are emptied: the columns start from the empty passive set, where
+    # the zero right-hand sides are optimal
     passive = np.array([[True, False, True], [True, True, False]])
     X = nls_bpp_gram(np.zeros((2, 2)), np.zeros((2, 3)), passive=passive)
     assert X.shape == (2, 3) and np.all(X == 0.0)
-    # a column the cold start cannot solve either still fails
+    # a positive right-hand side lies outside the range of a zero Gram
     with pytest.raises(SingularSystem):
         nls_bpp_gram(np.zeros((2, 2)), np.ones((2, 3)), passive=passive)
+
+
+@settings(max_examples=100)
+@given(k=st.integers(2, 6), data=st.data(), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_rank_deficient_grams_meet_kkt_and_match_the_oracle(k, data, n, seed):
+    # A = U V has rank r < k, where block pivoting may cycle or hit
+    # singular passive systems; cold and random warm starts both end at
+    # an optimum
+    r = data.draw(st.integers(1, k - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.random((k + 3, r)) @ rng.random((r, k))
+    B = rng.standard_normal((k + 3, n))
+    ata, atb = A.T @ A, A.T @ B
+    for passive in (None, rng.random((k, n)) < 0.5):
+        X = nls_bpp_gram(ata, atb, passive=passive)
+        assert np.all(X >= 0.0)
+        for c in range(n):
+            size = np.abs(ata).max() * np.abs(X[:, c]).max() + np.abs(atb[:, c]).max()
+            assert kkt_residual_gram(ata, atb[:, [c]], X[:, [c]]) <= 1e-9 * size
+            star, _ = oracle_nnls(A, B[:, c])
+            assert objective(A, B[:, [c]], X[:, [c]]) <= star + 1e-8
+
+
+def test_importing_the_package_leaves_out_scipy_optimize(child_env):
+    # only the rescue needs scipy.optimize, and importing it would add
+    # about a third to the package's import time
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, jointnmf; print('scipy.optimize' in sys.modules)"],
+        env=child_env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_warm_start_rejects_misshapen_passive_set():
@@ -297,8 +360,8 @@ def test_dead_variable_leaves_the_warm_passive_set(monkeypatch):
     B = rng.standard_normal((8, 6)) + A @ rng.random((4, 6))
     passive = np.ones((4, 6), dtype=bool)
     calls = []
-    solve_spd = nls._solve_spd
-    monkeypatch.setattr(nls, "_solve_spd", lambda *a: calls.append(a) or solve_spd(*a))
+    rescue = nls._lawson_hanson
+    monkeypatch.setattr(nls, "_lawson_hanson", lambda *a: calls.append(a) or rescue(*a))
     X = nls_bpp_gram(A.T @ A, A.T @ B, passive=passive)
     assert calls == []
     assert passive.all()  # the caller's passive set is left as it was

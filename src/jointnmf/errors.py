@@ -83,4 +83,5 @@ class NonConvergence(NumericalError):
 
 
 class SingularSystem(NumericalError):
-    """An NLS input in Gram form whose A^T B lies outside the range of A^T A."""
+    """A Gram-form NLS input with no optimum: A^T B positive where the A^T A
+    diagonal is 0 (unbounded), or an A^T A that is not positive semidefinite."""

@@ -156,9 +156,10 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
 
     n is the size of S, or None to infer it; with dual=True the documents
     are the hyperedges.  An n inferred from edges is one more than the
-    largest id, and a smaller id on no edge is a ZeroDegree.  Edges give
-    D^-1/2 A D^-1/2 (A itself with raw_adjacency), hyperedges
-    hypergraph_similarity less any edge that joins no vertex.  With within (ascending positions), S is restricted
+    largest id, and a smaller id no edge names (a self-loop names its
+    id) is a ZeroDegree.  Edges give D^-1/2 A D^-1/2 (A itself with
+    raw_adjacency), hyperedges hypergraph_similarity less any edge that
+    joins no vertex.  With within (ascending positions), S is restricted
     to those documents and then to their largest connected component.
     Returns S and the kept indices into within (or range(n)).  A flag
     the chosen source does not read is a ValueError.
@@ -170,16 +171,15 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     if (edges is None) == (hyperedges is None):
         raise ValueError("give exactly one of edges or hyperedges")
     if edges is not None:
+        edges = list(edges)
         g = symmetrize(edges, n_vertices=n)
         if n is None:
-            # a gap below the largest id more likely comes from a mistyped
-            # id than from an isolated document
-            isolated = np.flatnonzero(g.adjacency.sum(axis=1) == 0)
-            if isolated.size:
-                raise ZeroDegree(
-                    f"vertex {isolated[0]} is on no edge, but the largest id {g.n - 1} "
-                    f"sets {g.n} documents; give --doc-ids to declare them"
-                )
+            # a gap below the largest id more likely comes from a mistyped id than
+            # from an isolated document; a self-loop, dropped from g, names its id
+            gap = np.setdiff1d(np.arange(g.n), np.asarray(edges, dtype=np.int64))
+            if gap.size:
+                raise ZeroDegree(f"vertex {gap[0]} is on no edge, but the largest id {g.n - 1} "
+                                 f"sets {g.n} documents; give --doc-ids to declare them")
         kept = np.arange(g.n)
         if within is not None:
             g = induce_subgraph(g, within)

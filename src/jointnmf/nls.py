@@ -51,8 +51,7 @@ STACK_ENTRIES = 25_600
 # swaps one variable at a time
 ROUNDS_PER_VARIABLE = 5
 BACKUP_THRESHOLD = 3
-# eigenvalues of A^T A at or below EIGEN_CUT * the largest are taken as 0
-# by the rescue
+# the rescue raises the eigenvalues of A^T A to at least EIGEN_CUT * the largest
 EIGEN_CUT = 1e-14
 # KKT violation relative to max|A^T A| max|x| + max|A^T b| that a rescued
 # column may keep
@@ -84,10 +83,10 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     This is the entry point the factorization sweeps use, since their
     stacked subproblems assemble the products directly.  passive, a
     k x n boolean array, is the initial passive set (default: empty);
-    variables whose A^T A diagonal is 0 are dropped from it.  Raises
-    SingularSystem for a column of A^T B outside the range of A^T A,
-    which no real A gives, and NonConvergence when the rescue hits its
-    iteration limit.
+    variables whose A^T A diagonal is 0 are dropped from it.  The rescue
+    raises SingularSystem for an A^T B positive where the A^T A diagonal
+    is 0 (unbounded) or an A^T A that is not positive semidefinite, and
+    NonConvergence at its iteration limit.
     """
     ata = np.asarray(ata, dtype=np.float64)
     atb = np.asarray(atb, dtype=np.float64)
@@ -220,34 +219,40 @@ def _solve_compacted(ata, Bb, Pb, sizes):
 def _lawson_hanson(ata, B):
     """Lawson-Hanson solutions of the rows b of B against A^T A.
 
-    Over the eigenvalues lam of A^T A = V diag(lam) V^T above EIGEN_CUT
-    * max(lam), ||F x - g||^2 with F = diag(sqrt(lam)) V^T and g =
-    diag(1 / sqrt(lam)) V^T b is x^T A^T A x - 2 x^T b plus a constant.
-    A solution off the KKT conditions by more than ROUNDING_SLACK *
-    (max|A^T A| max|x| + max|b|) has b outside the range of A^T A.
+    A variable whose A^T A diagonal is 0 has optimum 0, and where its b
+    is positive the problem is unbounded.  On the others, A^T A = V
+    diag(lam) V^T with each lam raised to at least EIGEN_CUT * max(lam),
+    a change of the order of the rounding in a computed A^T A that keeps
+    the part of b in its null directions; then ||F x - g||^2 with F =
+    diag(sqrt(lam)) V^T and g = diag(1 / sqrt(lam)) V^T b is x^T A^T A x
+    - 2 x^T b plus a constant.  A solution off the KKT conditions of
+    A^T A by more than ROUNDING_SLACK * (max|A^T A| max|x| + max|b|)
+    means A^T A is not positive semidefinite.  (A b that grows along a
+    nonnegative null direction of several variables, which only an A of
+    mixed signs has, gets the large finite optimum of the raised A^T A.)
     """
     # scipy.optimize adds about 0.27 s to the package import, and only
     # rescued columns need it
     from scipy.optimize import nnls
 
-    lam, V = np.linalg.eigh(ata)
-    keep = lam > EIGEN_CUT * lam[-1]
-    root = np.sqrt(lam[keep])
-    F = root[:, None] * V[:, keep].T
-    G = (B @ V[:, keep]) / root
+    live = np.diag(ata) > 0.0
+    if (B[:, ~live] > 0.0).any():
+        raise SingularSystem("unbounded: A^T B is positive where the A^T A diagonal is 0")
     X = np.zeros(B.shape)
-    if keep.any():  # without a positive eigenvalue the minimizer is 0
-        for j, g in enumerate(G):
+    if live.any():  # without a live variable the minimizer is 0
+        lam, V = np.linalg.eigh(ata[np.ix_(live, live)])
+        root = np.sqrt(np.maximum(lam, EIGEN_CUT * lam[-1]))
+        F = root[:, None] * V.T
+        for x, g in zip(X, (B[:, live] @ V) / root):
             try:
-                X[j], _ = nnls(F, g)
+                x[live], _ = nnls(F, g)
             except RuntimeError as exc:
                 raise NonConvergence(f"Lawson-Hanson rescue: {exc}") from None
-    grad = X @ ata.T - B
-    viol = np.where(X > 0.0, np.abs(grad), np.maximum(-grad, 0.0)).max(axis=1)
-    scale = np.abs(ata).max() * np.abs(X).max(axis=1) + np.abs(B).max(axis=1)
-    bad = np.count_nonzero(viol > ROUNDING_SLACK * scale)
-    if bad:
-        raise SingularSystem(f"{bad} column(s) of A^T B outside the range of A^T A: unbounded")
+    top = np.abs(ata).max()
+    for x, b in zip(X, B):
+        if kkt_residual_gram(ata, b[:, None], x) > ROUNDING_SLACK * (top * x.max() + np.abs(b).max()):
+            raise SingularSystem(
+                "a rescued column misses the KKT conditions: A^T A is not positive semidefinite")
     return X
 
 
@@ -271,8 +276,4 @@ def kkt_residual_gram(ata, atb, X) -> float:
         X = X[:, None]
     grad = ata @ X - atb
     viol = np.where(X > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
-    neg = np.maximum(-X, 0.0)
-    worst = 0.0
-    if viol.size:
-        worst = float(np.maximum(viol, neg).max())
-    return worst
+    return float(np.maximum(viol, np.maximum(-X, 0.0)).max(initial=0.0))

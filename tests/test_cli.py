@@ -376,6 +376,18 @@ def test_an_inferred_n_with_a_gap_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_id_named_only_by_a_self_loop_is_no_gap(tmp_path, capsys):
+    # the self-loop is dropped from S, but its line names document 3
+    (tmp_path / "loop.tsv").write_text("0\t1\n1\t2\n2\t0\n3\t3\n")
+    out = tmp_path / "o"
+    assert main([
+        "cluster", "--method", "symnmf", "--edges", str(tmp_path / "loop.tsv"), "--raw-adjacency",
+        "--k", "2", "--out-dir", str(out),
+    ]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((out / "labels.tsv").read_text().splitlines()) == 4
+
+
 def test_a_doc_id_with_a_tab_is_a_data_error_where_it_enters(tmp_path, capsys):
     # the id used to pass whole into labels.tsv, which eval then rejected
     (tmp_path / "tri.tsv").write_text("0\t1\n1\t2\n2\t0\n")

@@ -206,8 +206,8 @@ def test_a_column_cycling_on_rounding_is_accepted_at_the_round_limit(ata, atb):
 
 
 def test_singular_system_reported():
-    # A^T b outside the range of A^T A: no real A gives it, and the
-    # problem is unbounded below
+    # A^T b is positive where the A^T A diagonal is 0: no real A gives
+    # it, and the problem is unbounded below
     ata = np.zeros((2, 2))
     atb = np.array([[1.0], [1.0]])
     with pytest.raises(SingularSystem):
@@ -217,11 +217,35 @@ def test_singular_system_reported():
 def test_singular_system_reported_among_regular_columns():
     # columns 1 and 3 are optimal at zero and never reach a solve; the
     # other two share a stacked solve, are singular, and their A^T b
-    # lies outside the range of A^T A
+    # is positive where the A^T A diagonal is 0
     ata = np.zeros((2, 2))
     atb = np.array([[1.0, -1.0, 2.0, 0.0], [1.0, -1.0, 0.5, -3.0]])
     with pytest.raises(SingularSystem):
         nls_bpp_gram(ata, atb)
+
+
+def test_singular_system_reported_for_a_dead_variable_beside_a_live_one():
+    # e_2 is a nonnegative null direction of A^T A along which the
+    # objective falls without bound
+    with pytest.raises(SingularSystem):
+        nls_bpp_gram(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+
+
+@pytest.mark.parametrize("passive", [None, [[True], [True]], [[True], [False]]])
+def test_rescue_keeps_the_part_of_b_in_the_null_directions_of_the_gram(passive):
+    # A has full column rank, but A^T A rounds to [[1, 1], [1, 1]], whose
+    # range misses b = A^T y = (1, 1 + 1e-8); with x >= 0 the problem is
+    # still bounded, and its optimum puts all the weight on x_2
+    A = np.array([[1.0, 1.0], [0.0, 1e-8]])
+    y = np.array([1.0, 1.0])
+    ata, atb = A.T @ A, (A.T @ y)[:, None]
+    assert np.all(ata == 1.0)
+    X = nls_bpp_gram(ata, atb, passive=None if passive is None else np.array(passive))
+    assert X[0, 0] == 0.0
+    assert X[1, 0] == pytest.approx(1.0 + 1e-8, rel=1e-13, abs=0.0)
+    assert kkt_residual_gram(ata, atb, X) <= 1e-13
+    if passive is None:
+        assert np.array_equal(nls_bpp(A, y), X[:, 0])
 
 
 def test_rescue_solves_a_duplicated_column():
@@ -302,6 +326,29 @@ def test_rank_deficient_grams_meet_kkt_and_match_the_oracle(k, data, n, seed):
             assert kkt_residual_gram(ata, atb[:, [c]], X[:, [c]]) <= 1e-9 * size
             star, _ = oracle_nnls(A, B[:, c])
             assert objective(A, B[:, [c]], X[:, [c]]) <= star + 1e-8
+
+
+@settings(max_examples=100)
+@given(k=st.integers(2, 6), data=st.data(), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       tilt=st.floats(-12.0, 0.0))
+def test_a_gram_form_b_off_the_range_of_a_singular_gram_is_still_solved(k, data, n, seed, tilt):
+    # a nonnegative A with no zero column has no nonnegative null
+    # direction, so the problem stays bounded when A^T B gains a part
+    # in the null space of A^T A, as rounding gives it
+    r = data.draw(st.integers(1, k - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.random((k + 3, r)) @ rng.random((r, k))
+    ata = A.T @ A
+    lam, V = np.linalg.eigh(ata)
+    null = V[:, lam < 1e-10 * lam[-1]]
+    atb = A.T @ rng.standard_normal((k + 3, n))
+    atb += 10.0**tilt * np.abs(atb).max() * null @ rng.standard_normal((null.shape[1], n))
+    for passive in (None, rng.random((k, n)) < 0.5):
+        X = nls_bpp_gram(ata, atb, passive=passive)
+        assert np.all(X >= 0.0)
+        for c in range(n):
+            size = np.abs(ata).max() * np.abs(X[:, c]).max() + np.abs(atb[:, c]).max()
+            assert kkt_residual_gram(ata, atb[:, [c]], X[:, [c]]) <= 1e-9 * size
 
 
 def test_importing_the_package_leaves_out_scipy_optimize(child_env):

@@ -16,11 +16,14 @@ pulls the copies together.  A sweep updates W, then Ht, then H.  Each
 block is a list of weighted terms (text, similarity, tether), each term
 a Gram matrix, right-hand side and target norm; the block solves the
 summed normal equations by block principal pivoting, starting from the
-support of the block's previous value, and a block without terms is
-skipped.  One residual formula gives each term's value from the same
-products, so the objective is recorded after every block and every
-sweep without re-multiplying the inputs, and it never increases.  The
-public objectives evaluate the H block's terms with the same formula.
+support that a few coordinate-descent sweeps from the block's previous
+value predict (nls.predict_passive), and a block without terms is
+skipped.  With a positive definite Gram the start changes only the
+number of pivoting rounds, not the solution.  One residual formula
+gives each term's value from the same products, so the objective is
+recorded after every block and every sweep without re-multiplying the
+inputs, and it never increases.  The public objectives evaluate the H
+block's terms with the same formula.
 
 alpha defaults to ||X||_F^2 / ||S||_F^2 so both data terms start on the
 same scale, and beta defaults to alpha times the largest entry of S.
@@ -46,7 +49,7 @@ from .matrix import (
     write_matrix_market,
     write_records,
 )
-from .nls import nls_bpp_gram
+from .nls import nls_bpp_gram, predict_passive
 
 __all__ = [
     "FactorizeOptions",
@@ -307,10 +310,11 @@ def _sweeps(p, opts, seed):
 
     def solve(terms, prev):
         # exact NLS solution of the block's summed normal equations,
-        # warm-started from the support of the block's previous value
+        # warm-started from the support predicted from the block's
+        # previous value
         ata = sum(weights[i] * gram for i, gram, _, _ in terms)
         atb = sum(weights[i] * rhs for i, _, rhs, _ in terms)
-        F = nls_bpp_gram(ata, atb, passive=prev > 0.0)
+        F = nls_bpp_gram(ata, atb, passive=predict_passive(ata, atb, prev))
         blocks.append(_objective(resid, weights, terms, F))
         return F
 

@@ -18,8 +18,9 @@ only on entry and exit.  A column with s passive variables solves only
 its s x s principal submatrix of A^T A against the s matching entries
 of its right-hand side.  The pending columns are sorted by s, and the
 columns of one size are solved as one (c, s, s) stack by
-np.linalg.solve in compiled code, in stacks of at most STACK_ENTRIES
-entries so memory stays flat however many columns are pending.
+np.linalg.solve in compiled code, in blocks of BLOCK_COLUMNS columns
+and stacks of at most STACK_ENTRIES entries, so memory stays flat
+however many columns are pending.
 
 Without full rank a passive system can be singular, or rounding can
 make a column cycle.  Such columns take one rescue: a column whose
@@ -27,12 +28,16 @@ passive solve is singular or nonfinite, or that is still pending after
 ROUNDS_PER_VARIABLE * k rounds, leaves the pivoting and is solved at
 the end by Lawson-Hanson NNLS, which needs no full rank.
 
-A caller that knows a good support, such as the previous iterate of an
-alternating scheme, passes it as the initial passive set.  Variables
-whose A^T A diagonal is 0 (a zero column of A) have optimum 0 and are
-dropped from it.  With A^T A positive definite the optimum is unique,
-so the starting set changes only the number of rounds.  Columns are
-independent; identical inputs give identical outputs.
+A caller that knows a good support passes it as the initial passive
+set.  Variables whose A^T A diagonal is 0 (a zero column of A) have
+optimum 0 and are dropped from it.  With A^T A positive definite the
+optimum is unique, so the starting set changes only the number of
+rounds.  An alternating scheme has the previous iterate of each block,
+whose support is a fair guess; predict_passive makes a better one by
+running PREDICT_SWEEPS coordinate-descent (HALS) sweeps from that
+iterate on the new problem, at about the cost of PREDICT_SWEEPS
+gradients, and returns their support.  Columns are independent;
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -41,11 +46,16 @@ import numpy as np
 
 from .errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
 
-__all__ = ["nls_bpp", "nls_bpp_gram", "kkt_residual", "kkt_residual_gram"]
+__all__ = ["nls_bpp", "nls_bpp_gram", "predict_passive", "kkt_residual", "kkt_residual_gram"]
 
 # entries (columns x s x s) of one stacked passive-set solve: 256 columns
 # at s = 10, which keeps peak memory flat on wide solves
 STACK_ENTRIES = 25_600
+# columns per block of _solve_passive; one count for every k, measured
+# at k = 10, 20 and 50
+BLOCK_COLUMNS = 1024
+# coordinate-descent sweeps of predict_passive
+PREDICT_SWEEPS = 3
 # exchange rounds allowed per variable before a column is rescued, and
 # non-improving full exchanges a column may make before the backup rule
 # swaps one variable at a time
@@ -88,15 +98,7 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     is 0 (unbounded) or an A^T A that is not positive semidefinite, and
     NonConvergence at its iteration limit.
     """
-    ata = np.asarray(ata, dtype=np.float64)
-    atb = np.asarray(atb, dtype=np.float64)
-    if ata.ndim != 2 or ata.shape[0] != ata.shape[1]:
-        raise ShapeMismatch(f"A^T A must be square, got shape {ata.shape}")
-    if atb.ndim != 2 or atb.shape[0] != ata.shape[0]:
-        raise ShapeMismatch(f"A^T A is {ata.shape}, A^T B is {atb.shape}")
-    if not (np.isfinite(ata).all() and np.isfinite(atb).all()):
-        raise NonFinite("nonfinite values in the normal equations")
-
+    ata, atb, passive = _normal_equations(ata, atb, passive, bool, "the passive set")
     k, n = atb.shape
     if n == 0:
         return np.zeros((k, 0))
@@ -111,9 +113,6 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     if passive is None:
         P = np.zeros((n, k), dtype=bool)
     else:
-        passive = np.asarray(passive, dtype=bool)
-        if passive.shape != (k, n):
-            raise ShapeMismatch(f"A^T B is {atb.shape}, the passive set is {passive.shape}")
         # a variable with a zero A^T A diagonal has optimum 0
         P = passive.T.copy()
         P[:, np.diag(ata) == 0.0] = False
@@ -149,12 +148,57 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
     return np.ascontiguousarray(X.T)
 
 
+def predict_passive(ata, atb, start) -> np.ndarray:
+    """Support predicted for nls_bpp_gram from a nearby iterate start (k x n).
+
+    Runs PREDICT_SWEEPS coordinate-descent sweeps (HALS) from start on
+    the same problem: each variable in turn is set to the minimizer of
+    its quadratic with the others fixed, clamped at 0, in one step over
+    all n columns.  A variable whose A^T A diagonal is 0 keeps its start
+    value, which nls_bpp_gram drops.  Returns the k x n boolean support
+    of the result, to pass as passive=; a column whose sweeps overflow
+    keeps the support of start.
+    """
+    ata, atb, start = _normal_equations(ata, atb, start, np.float64, "start")
+    X = np.array(start, order="C")
+    diag = np.diag(ata)
+    with np.errstate(all="ignore"):
+        for _ in range(PREDICT_SWEEPS):
+            for j in np.flatnonzero(diag > 0.0):
+                X[j] = np.maximum(X[j] + (atb[j] - ata[j] @ X) / diag[j], 0.0)
+    support = X > 0.0
+    lost = ~np.isfinite(X).all(axis=0)
+    support[:, lost] = start[:, lost] > 0.0
+    return support
+
+
+def _normal_equations(ata, atb, M, dtype, what):
+    """ata, atb (float64) and M (dtype, or None) after the entry checks.
+
+    ata must be square and atb k x n, with finite entries in both; M,
+    named what in the error, must be k x n like atb.
+    """
+    ata = np.asarray(ata, dtype=np.float64)
+    atb = np.asarray(atb, dtype=np.float64)
+    if ata.ndim != 2 or ata.shape[0] != ata.shape[1]:
+        raise ShapeMismatch(f"A^T A must be square, got shape {ata.shape}")
+    if atb.ndim != 2 or atb.shape[0] != ata.shape[0]:
+        raise ShapeMismatch(f"A^T A is {ata.shape}, A^T B is {atb.shape}")
+    if not (np.isfinite(ata).all() and np.isfinite(atb).all()):
+        raise NonFinite("nonfinite values in the normal equations")
+    if M is not None:
+        M = np.asarray(M, dtype=dtype)
+        if M.shape != atb.shape:
+            raise ShapeMismatch(f"A^T B is {atb.shape}, {what} is {M.shape}")
+    return ata, atb, M
+
+
 def _solve_passive(ata, B, P, cols, X, infeasible, rescue):
     """Refresh rows cols of X and of the infeasible set from their passive sets.
 
     B (the right-hand sides), P, X, infeasible and rescue hold one row
     per column of the problem.  The columns are sorted by support size
-    and walked in blocks of at most STACK_ENTRIES // k, each solved by
+    and walked in blocks of at most BLOCK_COLUMNS, each solved by
     _solve_compacted.  A passive variable is infeasible when negative,
     an active one when its gradient A^T A x - b is.  A column whose
     solution is nonfinite is marked for the rescue and made feasible,
@@ -163,11 +207,10 @@ def _solve_passive(ata, B, P, cols, X, infeasible, rescue):
     sizes = np.count_nonzero(P[cols], axis=1)
     order = np.argsort(sizes, kind="stable")
     cols, sizes = cols[order], sizes[order]
-    step = max(1, STACK_ENTRIES // ata.shape[0])
-    for start in range(0, cols.size, step):
-        cs = cols[start:start + step]
+    for start in range(0, cols.size, BLOCK_COLUMNS):
+        cs = cols[start:start + BLOCK_COLUMNS]
         Pb, Bb = P[cs], B[cs]
-        X[cs] = Xb = _solve_compacted(ata, Bb, Pb, sizes[start:start + step])
+        X[cs] = Xb = _solve_compacted(ata, Bb, Pb, sizes[start:start + BLOCK_COLUMNS])
         # A^T A x < b is a negative gradient
         infeasible[cs] = np.where(Pb, Xb < 0.0, Xb @ ata.T < Bb)
         bad = cs[~np.isfinite(Xb).all(axis=1)]
@@ -250,7 +293,7 @@ def _lawson_hanson(ata, B):
                 raise NonConvergence(f"Lawson-Hanson rescue: {exc}") from None
     top = np.abs(ata).max()
     for x, b in zip(X, B):
-        if kkt_residual_gram(ata, b[:, None], x) > ROUNDING_SLACK * (top * x.max() + np.abs(b).max()):
+        if kkt_residual_gram(ata, b, x) > ROUNDING_SLACK * (top * x.max() + np.abs(b).max()):
             raise SingularSystem(
                 "a rescued column misses the KKT conditions: A^T A is not positive semidefinite")
     return X
@@ -259,10 +302,7 @@ def _lawson_hanson(ata, B):
 def kkt_residual(A, B, X) -> float:
     """Largest optimality violation of X for min ||A X - B||_F^2, X >= 0."""
     A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if B.ndim == 1:
-        B = B[:, None]
-    return kkt_residual_gram(A.T @ A, A.T @ B, X)
+    return kkt_residual_gram(A.T @ A, A.T @ np.asarray(B, dtype=np.float64), X)
 
 
 def kkt_residual_gram(ata, atb, X) -> float:
@@ -270,10 +310,10 @@ def kkt_residual_gram(ata, atb, X) -> float:
 
     For each entry: negativity of X counts directly; where X > 0 the
     gradient must vanish; where X == 0 the gradient must be nonnegative.
+    A 1-d atb and X are one column.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    atb, X = (M[:, None] if M.ndim == 1 else M for M in map(np.asarray, (atb, X)))
+    ata, atb, X = _normal_equations(ata, atb, X, np.float64, "X")
     grad = ata @ X - atb
     viol = np.where(X > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
     return float(np.maximum(viol, np.maximum(-X, 0.0)).max(initial=0.0))

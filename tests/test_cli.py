@@ -179,8 +179,10 @@ def test_cluster_nonfinite_input_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cluster_overflowing_input_exits_2(tmp_path, capsys):
-    # finite entries whose products overflow are a data problem, not usage
+    # finite entries whose products overflow are a data problem, not usage;
+    # apart from that overflow, nothing on the way there warns
     make_planted_dir(tmp_path)
     X = read_matrix_market(tmp_path / "X.mtx")
     X[2, 5] = 1e305

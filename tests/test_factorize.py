@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import jointnmf
-from jointnmf import factorize
+from jointnmf import factorize, nls
 from jointnmf.errors import NonFinite, NotSymmetric, ShapeMismatch, ZeroSimilarity
 from jointnmf.factorize import (
     FactorizeOptions,
@@ -385,6 +385,28 @@ def test_joint_bit_identical_across_processes():
     ]
     assert len(runs[0]) == 8 * 5 * (40 + 2 * 1200)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("method", ["nmf", "symnmf", "joint"])
+def test_predicted_start_keeps_the_factors_and_solves_fewer_columns(method, monkeypatch):
+    # the predicted passive sets may change only the pivoting rounds, and
+    # they must save some: a predictor that stops helping fails here
+    X, S, _, _, _ = planted_joint()
+    opts = FactorizeOptions(k=3, seed=0, max_sweeps=3, rel_tol=0.0)
+    solved = []
+    solve = nls._solve_passive
+    monkeypatch.setattr(nls, "_solve_passive",
+                        lambda ata, B, P, cols, *rest: solved.append(cols.size) or solve(ata, B, P, cols, *rest))
+    runs = []
+    for predict in (factorize.predict_passive, lambda ata, atb, start: start > 0.0):
+        monkeypatch.setattr(factorize, "predict_passive", predict)
+        solved.clear()
+        runs.append((run_method(method, X, S, opts), sum(solved)))
+    (new, new_columns), (old, old_columns) = runs
+    for name in ("W", "H", "H_tilde", "objective_history", "block_objective_history"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert (a is None and b is None) or np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    assert new_columns < old_columns
 
 
 def test_joint_factors_nonnegative_and_shapes():

@@ -10,6 +10,7 @@ import itertools
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointnmf import nls
-from jointnmf.errors import NonConvergence, ShapeMismatch, SingularSystem
+from jointnmf.errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
 from jointnmf.nls import (
     STACK_ENTRIES,
     kkt_residual,
     kkt_residual_gram,
     nls_bpp,
     nls_bpp_gram,
+    predict_passive,
 )
 
 
@@ -367,6 +369,45 @@ def test_warm_start_rejects_misshapen_passive_set():
         nls_bpp_gram(np.eye(2), np.ones((2, 3)), passive=np.ones((3, 2), dtype=bool))
 
 
+@settings(max_examples=100)
+@given(k=st.integers(1, 6), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_predicted_start_gives_the_result_of_the_start_support_bit_for_bit(k, n, seed, data):
+    # the Gram of the live variables is positive definite, so the optimum
+    # is unique and a start set changes only the rounds; the dead
+    # variables (zero columns of A) have optimum 0 from any start
+    rng = np.random.default_rng(seed)
+    A = rng.random((k + 3, k))
+    A[:, data.draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0.0
+    B = rng.standard_normal((k + 3, n))
+    start = rng.random((k, n)) * (rng.random((k, n)) < 0.5)
+    ata, atb = A.T @ A, A.T @ B
+    predicted = predict_passive(ata, atb, start)
+    assert predicted.dtype == bool and predicted.shape == (k, n)
+    X = nls_bpp_gram(ata, atb, passive=predicted)
+    assert X.tobytes() == nls_bpp_gram(ata, atb, passive=start > 0.0).tobytes()
+
+
+def test_predict_passive_overflow_warns_nothing_and_keeps_the_start_support():
+    # finite entries whose quotients overflow inside the sweeps: that
+    # column keeps its start support, the other gets the optimum's
+    ata = np.diag([1e-300, 1.0])
+    atb = np.array([[1e300, 0.0], [1.0, -1.0]])
+    start = np.array([[0.0, 1.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        predicted = predict_passive(ata, atb, start)
+    assert predicted.tolist() == [[False, False], [True, False]]
+
+
+def test_predict_passive_has_the_entry_checks_of_the_solver():
+    with pytest.raises(ShapeMismatch):
+        predict_passive(np.eye(2), np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ShapeMismatch):
+        predict_passive(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(NonFinite):
+        predict_passive(np.eye(2), np.full((2, 3), np.inf), np.ones((2, 3)))
+
+
 @settings(max_examples=60)
 @given(
     k=st.integers(1, 5),
@@ -377,7 +418,8 @@ def test_warm_start_rejects_misshapen_passive_set():
 def test_mixed_support_sizes_match_single_column_solves(k, per_size, stack_entries, seed):
     # per_size columns of every support size 0..k in one shuffled call,
     # each warm-started from its planted support; with so few entries
-    # per stack most sizes span several stacks and blocks
+    # per stack and columns per block most sizes span several stacks and
+    # blocks
     rng = np.random.default_rng(seed)
     A = rng.random((k + 3, k))
     sizes = rng.permutation(np.repeat(np.arange(k + 1), per_size))
@@ -388,6 +430,7 @@ def test_mixed_support_sizes_match_single_column_solves(k, per_size, stack_entri
     ata, atb = A.T @ A, A.T @ B
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nls, "STACK_ENTRIES", stack_entries)
+        mp.setattr(nls, "BLOCK_COLUMNS", max(1, stack_entries // k))
         X = nls_bpp_gram(ata, atb, passive=passive)
         for c in range(sizes.size):
             single = nls_bpp_gram(ata, atb[:, [c]], passive=passive[:, [c]])
@@ -444,6 +487,14 @@ def test_kkt_residual_flags_violations():
     assert kkt_residual(A, B, X_bad) >= 1.0 - 1e-12
     X_good = np.array([[1.0], [1.0]])
     assert kkt_residual(A, B, X_good) <= 1e-12
+
+
+def test_kkt_residual_gram_reads_a_1d_rhs_as_one_column():
+    assert kkt_residual_gram(np.eye(2), [1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert kkt_residual_gram(np.eye(2), [1.0, 2.0], [[0.0], [2.0]]) == 1.0
+    for atb, X in ((np.ones((2, 3)), np.ones((2, 1))), (np.ones(3), np.ones(3)), (np.ones((2, 3)), np.ones(2))):
+        with pytest.raises(ShapeMismatch):
+            kkt_residual_gram(np.eye(2), atb, X)
 
 
 def test_1d_rhs_round_trip_shape():

@@ -80,16 +80,12 @@ from .metrics import (
 )
 from .nls import kkt_residual, kkt_residual_gram, nls_bpp, nls_bpp_gram
 from .recommend import (
-    RecommendationModel,
-    baseline_nmf1,
     baseline_nmf2,
     baseline_shared_words,
-    fit_recommender,
-    project_document,
+    evaluate,
+    project,
     recommend,
-    score_cosine,
-    score_inner,
-    score_model,
+    score,
 )
 from .textprep import (
     Corpus,

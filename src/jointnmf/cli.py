@@ -337,6 +337,8 @@ def _cmd_recommend(args) -> int:
         raise ValueError("--k is required")
     if bool(args.similarity) == bool(args.edges):
         raise ValueError("recommend needs exactly one of --similarity or --edges")
+    if np.isnan(args.threshold):
+        raise ValueError("--threshold must not be NaN")
     X_train = read_matrix_market(args.train_x)
     train_ids = read_names(args.train_ids)
     if len(train_ids) != X_train.shape[1]:
@@ -353,19 +355,18 @@ def _cmd_recommend(args) -> int:
             graph.read_edge_list(args.edges), n=len(train_ids), raw_adjacency=True
         )
     flags = _read_citations(args.citations, test_ids, train_ids).ravel()
-    score_sets = evaluate(X_train, S, X_test, _options(args), train_ids)
+    score_sets = evaluate(X_train, S, X_test, _options(args))
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, per_test in score_sets.items():
-        flat = np.concatenate(per_test)
-        fpr, tpr = metrics.roc_curve(flat, flags)
+    for name, scores in score_sets.items():
+        fpr, tpr = metrics.roc_curve(scores.ravel(), flags)
         write_records(out / f"roc_{name}.tsv", zip(fpr.tolist(), tpr.tolist()))
         write_records("-", [(f"auc_{name}", metrics.auc(fpr, tpr))])
         picks = (
-            (ti, train_ids[j], float(scores[j]))
-            for ti, scores in zip(test_ids, per_test)
-            for j in sorted(recommend_above(scores, args.threshold), key=lambda j: (-scores[j], j))
+            (ti, train_ids[j], float(row[j]))
+            for ti, row in zip(test_ids, scores)
+            for j in sorted(recommend_above(row, args.threshold), key=lambda j: (-row[j], j))
         )
         write_records(out / f"rec_{name}.tsv", picks)
     _write_manifest(out / "manifest.tsv", args)

@@ -90,14 +90,15 @@ class FactorizeOptions:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.alpha is not None and self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.beta is not None and self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        # NaN fails both comparisons, inf the upper one
+        if self.alpha is not None and not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if self.beta is not None and not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and nonnegative")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be nonnegative")
+        if not 0 <= self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.trials < 1:

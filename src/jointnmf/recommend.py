@@ -1,21 +1,24 @@
-"""Citation recommendation: project a new document, score against training.
+"""Citation recommendation: project test documents, score against training.
 
 A trained model is the basis W (text space) and coordinates H of the
 training documents; W can come from the joint factorization so the
-coordinates carry linkage structure.  A new document x is placed by
+coordinates carry linkage structure.  The test documents, the columns
+of X, are placed by
 
-    h = argmin_{h >= 0} ||x - W h||_2
+    Q = argmin_{Q >= 0} ||X - W Q||_F
 
-and recommendation scores against training document j are either the
-inner product (H^T h)_j or the cosine between h and column j of H.
-Three reference baselines: shared word count, NMF on text alone with
-the same projection (NMF-1), and NMF on the column-augmented matrix
-[X, x] reading off the last coordinate column (NMF-2).
+and the scores of test document t against training document j are
+either the inner product (H^T q_t)_j or the cosine between q_t and
+column j of H.  Three reference baselines: shared word count, NMF on
+text alone with the same projection (NMF-1), and NMF on the
+column-augmented matrix [X_train, x] reading off the last coordinate
+column (NMF-2), one fit per test document.  Every score set is a
+test × train array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy import sparse
@@ -26,75 +29,52 @@ from .matrix import as_dense, require_nonnegative
 from .nls import nls_bpp
 
 __all__ = [
-    "RecommendationModel",
-    "project_document",
-    "score_inner",
-    "score_cosine",
+    "project",
+    "score",
     "recommend",
     "baseline_shared_words",
-    "baseline_nmf1",
     "baseline_nmf2",
-    "fit_recommender",
-    "score_model",
     "evaluate",
 ]
 
-
-@dataclass
-class RecommendationModel:
-    W: np.ndarray
-    H: np.ndarray
-    train_doc_ids: list[str]
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.H = np.asarray(self.H, dtype=np.float64)
-        if self.W.ndim != 2 or self.H.ndim != 2 or self.W.shape[1] != self.H.shape[0]:
-            raise ShapeMismatch(f"W is {self.W.shape}, H is {self.H.shape}")
-        if len(self.train_doc_ids) != self.H.shape[1]:
-            raise ShapeMismatch(
-                f"{len(self.train_doc_ids)} ids for {self.H.shape[1]} training columns"
-            )
-        require_nonnegative(self.W, what="W")
-        require_nonnegative(self.H, what="H")
+SCORINGS = ("inner", "cosine")
 
 
-def project_document(W, x) -> np.ndarray:
-    """Nonnegative coordinates of x in the basis W (single-column NLS)."""
+def project(W, X) -> np.ndarray:
+    """Nonnegative coordinates (k × t) of the columns of X in the basis W."""
     W = np.asarray(W, dtype=np.float64)
-    x = _dense_vector(x)
-    if W.ndim != 2 or x.shape[0] != W.shape[0]:
-        raise ShapeMismatch(f"W is {W.shape}, x has length {x.shape[0]}")
-    require_nonnegative(x, what="x")
-    return nls_bpp(W, x)
+    X = as_dense(X)
+    if W.ndim != 2 or X.ndim != 2 or X.shape[0] != W.shape[0]:
+        raise ShapeMismatch(f"W is {W.shape}, X is {X.shape}")
+    require_nonnegative(X, what="X")
+    return nls_bpp(W, X)
 
 
-def score_inner(H, h) -> np.ndarray:
-    """Inner-product scores H^T h against every training document."""
-    H = np.asarray(H, dtype=np.float64)
-    h = _dense_vector(h)
-    if H.ndim != 2 or h.shape[0] != H.shape[0]:
-        raise ShapeMismatch(f"H is {H.shape}, h has length {h.shape[0]}")
-    return H.T @ h
+def score(H, Q, scoring: str) -> np.ndarray:
+    """Scores (t × n) of the query coordinates Q (k × t) against H.
 
-
-def score_cosine(H, h) -> np.ndarray:
-    """Cosine scores between h and the columns of H.
-
-    Zero-norm training columns score 0; a zero query is an error.
+    H holds the training coordinates, k × n for all queries or a
+    (t, k, n) stack with one set per query.  Cosine scores of zero-norm
+    training columns are 0; a zero query is an error.
     """
+    if scoring not in SCORINGS:
+        raise ValueError(f"unknown scoring {scoring!r}; use 'inner' or 'cosine'")
     H = np.asarray(H, dtype=np.float64)
-    h = _dense_vector(h)
-    if H.ndim != 2 or h.shape[0] != H.shape[0]:
-        raise ShapeMismatch(f"H is {H.shape}, h has length {h.shape[0]}")
-    hn = np.linalg.norm(h)
-    if hn == 0:
-        raise ZeroQuery("query coordinates are identically zero")
-    norms = np.linalg.norm(H, axis=0)
-    out = np.zeros(H.shape[1])
-    ok = norms > 0
-    out[ok] = (H.T @ h)[ok] / (norms[ok] * hn)
-    return out
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.ndim != 2 or H.ndim not in (2, 3) or H.shape[-2] != Q.shape[0] or (
+        H.ndim == 3 and H.shape[0] != Q.shape[1]
+    ):
+        raise ShapeMismatch(f"H is {H.shape}, Q is {Q.shape}")
+    _require_nonzero(Q, "query")
+    # one matrix-vector product per query and one norm call per query
+    # keep every score equal, bit for bit, to scoring the queries one at
+    # a time; a single matrix product or a batched norm rounds differently
+    inner = np.matvec(np.swapaxes(H, -1, -2), Q.T)
+    if scoring == "inner":
+        return inner
+    q_norms = np.array([np.linalg.norm(q) for q in Q.T])
+    norms = np.linalg.norm(H, axis=-2)
+    return np.divide(inner, norms * q_norms[:, None], out=np.zeros_like(inner), where=norms > 0)
 
 
 def recommend(scores, threshold: float) -> np.ndarray:
@@ -103,57 +83,42 @@ def recommend(scores, threshold: float) -> np.ndarray:
     return np.flatnonzero(scores > threshold)
 
 
-def baseline_shared_words(X_train, x) -> np.ndarray:
-    """Per training document, how many terms it shares with x."""
-    x = _dense_vector(x)
-    if sparse.issparse(X_train):
-        X = X_train.tocsc()
-        if X.shape[0] != x.shape[0]:
-            raise ShapeMismatch(f"X_train is {X.shape}, x has length {x.shape[0]}")
-        support = sparse.csc_array(
-            ((X.data > 0).astype(np.float64), X.indices, X.indptr), shape=X.shape
-        )
-        return (support.T @ (x > 0).astype(np.float64)).astype(np.int64)
-    X = np.asarray(X_train, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != x.shape[0]:
+def baseline_shared_words(X_train, X_test) -> np.ndarray:
+    """Per test and training document (t × n), how many terms they share."""
+    X = sparse.csc_array(X_train, dtype=np.float64)
+    Q = as_dense(X_test)
+    if Q.ndim != 2 or Q.shape[0] != X.shape[0]:
+        raise ShapeMismatch(f"X_train is {X.shape}, X_test is {Q.shape}")
+    support = sparse.csc_array(
+        ((X.data > 0).astype(np.float64), X.indices, X.indptr), shape=X.shape
+    )
+    return (support.T @ (Q > 0).astype(np.float64)).T
+
+
+def baseline_nmf2(X_train, k: int, opts: FactorizeOptions | None, x) -> np.ndarray:
+    """NMF-2: the k × (n+1) coordinates of one NMF of [X_train, x].
+
+    The last column is the query's, the first n the training documents'.
+    """
+    dense = not sparse.issparse(X_train)
+    X = as_dense(X_train) if dense else X_train.tocsc()
+    x = as_dense(x).reshape(-1, 1)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise EmptyCorpus("X_train has no documents")
+    if X.shape[0] != x.shape[0]:
         raise ShapeMismatch(f"X_train is {X.shape}, x has length {x.shape[0]}")
-    return (X > 0).T.astype(np.int64) @ (x > 0).astype(np.int64)
+    aug = np.hstack([X, x]) if dense else sparse.hstack([X, sparse.csc_array(x)], format="csc")
+    return nmf(aug, FactorizeOptions(k=k) if opts is None else replace(opts, k=k)).H
 
 
-def baseline_nmf1(X_train, k: int, opts: FactorizeOptions | None, x, scoring: str = "cosine") -> np.ndarray:
-    """NMF on the training text alone, then project x and score."""
-    opts = _with_k(opts, k)
-    result = nmf(X_train, opts)
-    h = project_document(result.W, x)
-    return _score(result.H, h, scoring)
+def evaluate(X_train, S_train, X_test, opts: FactorizeOptions) -> dict:
+    """Test × train score arrays of every model, float64.
 
-
-def baseline_nmf2(X_train, k: int, opts: FactorizeOptions | None, x, scoring: str = "cosine") -> np.ndarray:
-    """NMF on [X_train, x]; the last coordinate column is the query."""
-    H, h = _nmf2_coordinates(X_train, k, opts, x)
-    return _score(H, h, scoring)
-
-
-def fit_recommender(X_train, S_train, opts: FactorizeOptions, train_doc_ids=None) -> RecommendationModel:
-    """Joint factorization of training text and raw citation adjacency."""
-    result = joint_nmf(X_train, S_train, opts)
-    n = result.H.shape[1]
-    ids = list(train_doc_ids) if train_doc_ids is not None else [str(j) for j in range(n)]
-    return RecommendationModel(W=result.W, H=result.H, train_doc_ids=ids)
-
-
-def score_model(model: RecommendationModel, x, scoring: str = "cosine") -> np.ndarray:
-    h = project_document(model.W, x)
-    return _score(model.H, h, scoring)
-
-
-def evaluate(X_train, S_train, X_test, opts: FactorizeOptions, train_doc_ids=None) -> dict:
-    """Per-test score arrays of every model against the training documents.
-
-    Keys in order: joint, nmf1 and nmf2 (fit_recommender, baseline_nmf1,
-    baseline_nmf2) with _inner then _cosine, and sharedwords.  The joint
-    and NMF-1 models are fitted once and each projects all test
-    documents in one NLS solve; NMF-2 fits once per test document.
+    Keys in order: joint, nmf1 and nmf2 with _inner then _cosine, and
+    sharedwords.  The joint and NMF-1 models are fitted once and each
+    projects all test documents in one NLS solve; NMF-2 fits once per
+    test document.  A zero test document, or one that a model projects
+    to zero, is a ZeroQuery naming its column.
     """
     X_test = as_dense(X_test)
     require_nonnegative(X_test, what="test_x")
@@ -161,62 +126,29 @@ def evaluate(X_train, S_train, X_test, opts: FactorizeOptions, train_doc_ids=Non
         raise ShapeMismatch("train and test matrices disagree on vocabulary size")
     if X_test.shape[1] == 0:
         raise EmptyCorpus("test set is empty")
-    docs = list(X_test.T)
-    model = fit_recommender(X_train, S_train, opts, train_doc_ids)
+    _require_nonzero(X_test, "test_x")
+    n = X_train.shape[1]
+    joint = joint_nmf(X_train, S_train, opts)
     text = nmf(X_train, opts)
-    coordinates = {
-        "joint": [(model.H, h) for h in nls_bpp(model.W, X_test).T],
-        "nmf1": [(text.H, h) for h in nls_bpp(text.W, X_test).T],
-        "nmf2": [_nmf2_coordinates(X_train, opts.k, opts, x) for x in docs],
+    # NMF-2 scores each query against its own fit: a (t, k, n+1) stack
+    fits = np.stack([baseline_nmf2(X_train, opts.k, opts, x) for x in X_test.T])
+    models = {
+        "joint": (joint.H, project(joint.W, X_test)),
+        "nmf1": (text.H, project(text.W, X_test)),
+        "nmf2": (fits[..., :n], fits[..., -1].T),
     }
+    for name, (_, Q) in models.items():
+        _require_nonzero(Q, f"{name} projection of test_x")
     scores = {
-        f"{name}_{scoring}": [_score(H, h, scoring) for H, h in pairs]
-        for scoring in ("inner", "cosine")
-        for name, pairs in coordinates.items()
+        f"{name}_{scoring}": score(H, Q, scoring)
+        for scoring in SCORINGS
+        for name, (H, Q) in models.items()
     }
-    scores["sharedwords"] = [baseline_shared_words(X_train, x).astype(np.float64) for x in docs]
+    scores["sharedwords"] = baseline_shared_words(X_train, X_test)
     return scores
 
 
-def _nmf2_coordinates(X_train, k, opts, x):
-    # one NMF fit of [X_train, x]: training coordinates and the query's,
-    # so both scorings of the NMF-2 baseline can share a fit
-    x = _dense_vector(x)
-    if sparse.issparse(X_train):
-        n = X_train.shape[1]
-        if n == 0:
-            raise EmptyCorpus("X_train has no documents")
-        aug = sparse.hstack([X_train.tocsc(), sparse.csc_array(x[:, None])], format="csc")
-    else:
-        X = np.asarray(X_train, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] == 0:
-            raise EmptyCorpus("X_train has no documents")
-        n = X.shape[1]
-        aug = np.hstack([X, x[:, None]])
-    result = nmf(aug, _with_k(opts, k))
-    return result.H[:, :n], result.H[:, -1]
-
-
-def _score(H, h, scoring):
-    if scoring == "inner":
-        return score_inner(H, h)
-    if scoring == "cosine":
-        return score_cosine(H, h)
-    raise ValueError(f"unknown scoring {scoring!r}; use 'inner' or 'cosine'")
-
-
-def _with_k(opts, k):
-    if opts is None:
-        return FactorizeOptions(k=k)
-    return replace(opts, k=k)
-
-
-def _dense_vector(x):
-    if sparse.issparse(x):
-        x = x.toarray()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2 and 1 in x.shape:
-        x = x.ravel()
-    if x.ndim != 1:
-        raise ShapeMismatch(f"expected a vector, got shape {x.shape}")
-    return x
+def _require_nonzero(Q, what):
+    zero = np.flatnonzero(~Q.any(axis=0))
+    if zero.size:
+        raise ZeroQuery(f"{what} column {zero[0]} is identically zero")

@@ -1,6 +1,7 @@
 """Command line interface: argument handling, artifacts, exit codes."""
 
 import argparse
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -693,6 +694,37 @@ def test_recommend_nonfinite_test_document_exits_2(tmp_path):
     args = recommend_args(tmp_path, "rec5")
     args[args.index("--test-x") + 1] = str(tmp_path / "Xte_nan.mtx")
     assert main(args) == 2
+
+
+def test_recommend_zero_test_document_exits_2_before_fitting(tmp_path, capsys, monkeypatch):
+    recommend_setup(tmp_path)
+    X = read_matrix_market(tmp_path / "Xte.mtx")
+    X[:, 1] = 0.0
+    write_matrix_market(tmp_path / "Xte_zero.mtx", X)
+    args = recommend_args(tmp_path, "rec8")
+    args[args.index("--test-x") + 1] = str(tmp_path / "Xte_zero.mtx")
+
+    def no_fit(*_):
+        raise AssertionError("fitted before checking the test documents")
+
+    module = importlib.import_module("jointnmf.recommend")
+    monkeypatch.setattr(module, "joint_nmf", no_fit)
+    monkeypatch.setattr(module, "nmf", no_fit)
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: test_x column 1 is identically zero"
+    ]
+
+
+def test_recommend_nan_threshold_is_a_usage_error(tmp_path, capsys):
+    recommend_setup(tmp_path)
+    assert main(recommend_args(tmp_path, "rec9") + ["--threshold", "nan"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["usage error: --threshold must not be NaN"]
+    assert not (tmp_path / "rec9").exists()
+    # -inf keeps its meaning: every training document of every test document
+    assert main(recommend_args(tmp_path, "rec10") + ["--threshold=-inf"]) == 0
+    for f in (tmp_path / "rec10").glob("rec_*.tsv"):
+        assert len(f.read_text().splitlines()) == 3 * 21
 
 
 def test_recommend_rejects_two_similarity_sources(tmp_path, capsys):

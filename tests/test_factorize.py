@@ -60,6 +60,12 @@ def test_options_validation():
         dict(k=2, beta=-0.5),
         dict(k=2, max_sweeps=0),
         dict(k=2, rel_tol=-1e-9),
+        dict(k=2, alpha=np.nan),
+        dict(k=2, alpha=np.inf),
+        dict(k=2, beta=np.nan),
+        dict(k=2, beta=np.inf),
+        dict(k=2, rel_tol=np.nan),
+        dict(k=2, rel_tol=np.inf),
         dict(k=2, trials=0),
         dict(k=2, seed=-1),
     ):

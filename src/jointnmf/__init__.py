@@ -38,6 +38,7 @@ from .factorize import (
     joint_nmf,
     joint_objective,
     nmf,
+    nmf_each,
     penalized_objective,
     symnmf,
     write_result,

@@ -11,6 +11,7 @@ the same option types and reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -30,8 +31,21 @@ __all__ = ["main"]
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse reads a value that starts with "-" and is not a plain
+    # negative number as an option, so "--threshold -inf" would lack its
+    # value; negative infinity is a value wherever it appears
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_INFINITY.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
+_NEGATIVE_INFINITY = re.compile(r"-inf(inity)?", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="jointnmf",
         description="Hybrid clustering and citation recommendation by joint NMF",
     )
@@ -363,15 +377,20 @@ def _cmd_recommend(args) -> int:
         fpr, tpr = metrics.roc_curve(scores.ravel(), flags)
         write_records(out / f"roc_{name}.tsv", zip(fpr.tolist(), tpr.tolist()))
         write_records("-", [(f"auc_{name}", metrics.auc(fpr, tpr))])
-        picks = (
-            (ti, train_ids[j], float(row[j]))
-            for ti, row in zip(test_ids, scores)
-            for j in sorted(recommend_above(row, args.threshold), key=lambda j: (-row[j], j))
-        )
+        picks = (pick for ti, row in zip(test_ids, scores)
+                 for pick in _ranked(ti, row, train_ids, args.threshold))
         write_records(out / f"rec_{name}.tsv", picks)
     _write_manifest(out / "manifest.tsv", args)
     print(f"artifacts -> {out}")
     return 0
+
+
+def _ranked(test_id, row, train_ids, threshold):
+    # (test id, train id, score) of the training documents scoring above
+    # the threshold, best first, ties in ascending train index
+    picks = recommend_above(row, threshold)
+    picks = picks[np.lexsort((picks, -row[picks]))]
+    return [(test_id, train_ids[j], s) for j, s in zip(picks.tolist(), row[picks].tolist())]
 
 
 def _cmd_hypergraph_sim(args) -> int:

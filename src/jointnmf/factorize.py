@@ -6,9 +6,13 @@ One penalized objective over whichever views are present:
 
 minimized over W, H, Ht >= 0.  joint_nmf(X, S) has both views.  nmf(X)
 has no S, so no Ht and no alpha or beta term.  symnmf(S) has no X, so
-no W, and its similarity term has weight 1.  All three go through one
-entry, which accepts the views, checks shapes and k, resolves the
-weights and runs the trials.
+no W, and its similarity term has weight 1.  nmf_each(Xs) is one nmf
+per matrix.  All of them go through one entry, which accepts the views,
+checks shapes and k, resolves the weights and runs every trial of every
+fit in lockstep: the sweeps advance all runs together, and each block
+update is one NLS call over a stack of the live runs' normal equations
+(nls takes a Gram per run), which gives each run the factors it gets
+alone, bit for bit.  A run leaves the stack when it stops.
 
 The similarity factor is split into H and a tether copy Ht so every
 block update is an exact nonnegative least squares solve; the beta term
@@ -59,6 +63,7 @@ __all__ = [
     "joint_objective",
     "penalized_objective",
     "nmf",
+    "nmf_each",
     "symnmf",
     "joint_nmf",
     "hard_assign",
@@ -176,17 +181,26 @@ def penalized_objective(X, S, W, H, H_tilde, alpha: float, beta: float) -> float
 
 def nmf(X, opts: FactorizeOptions) -> FactorizationResult:
     """Two-block alternating nonnegative least squares on X alone."""
-    return _fit(X, None, opts)
+    return _fit([(X, None)], opts)[0]
+
+
+def nmf_each(Xs, opts: FactorizeOptions) -> list[FactorizationResult]:
+    """nmf of each matrix of Xs, equal to nmf(X, opts) bit for bit.
+
+    The fits run in lockstep, one NLS call per block for all of them,
+    which saves the per-call cost of many small fits.
+    """
+    return _fit([(X, None) for X in Xs], opts)
 
 
 def symnmf(S, opts: FactorizeOptions) -> FactorizationResult:
     """Symmetric factorization of S via the split-copy subproblems."""
-    return _fit(None, S, opts)
+    return _fit([(None, S)], opts)[0]
 
 
 def joint_nmf(X, S, opts: FactorizeOptions) -> FactorizationResult:
     """Joint factorization sharing H between the text and similarity views."""
-    return _fit(X, S, opts)
+    return _fit([(X, S)], opts)[0]
 
 
 def hard_assign(H) -> np.ndarray:
@@ -220,9 +234,24 @@ def write_result(result: FactorizationResult, out_dir) -> None:
 TEXT, SIM, TETHER = range(3)
 
 
-def _fit(X, S, opts):
-    # the one entry of the three solvers: X is None for symnmf, S is None
-    # for nmf; reports each weight as None where its method has no term
+def _fit(views, opts):
+    # the one entry of the solvers: one result per (X, S) pair of views,
+    # all of one method (X is None for symnmf, S is None for nmf); every
+    # trial of every fit runs in one lockstep stack
+    fits = [_setup(X, S, opts) for X, S in views]
+    seeds = [opts.seed + t for t in range(opts.trials)]
+    runs = _sweeps([p for p, _, _ in fits for _ in seeds], seeds * len(fits), opts)
+    results = []
+    for i, (_, alpha, beta) in enumerate(fits):
+        trials = runs[i * opts.trials:(i + 1) * opts.trials]
+        best = min(trials, key=lambda r: r.objective_history[-1])
+        results.append(replace(best, alpha=alpha, beta=beta, trials=trials))
+    return results
+
+
+def _setup(X, S, opts):
+    # the checked problem of one fit, with each weight to report as None
+    # where its method has no term
     X, S = _matrix(X, "X"), _matrix(S, "S")
     for M, name in ((X, "X"), (S, "S")):
         if M is not None:
@@ -242,10 +271,7 @@ def _fit(X, S, opts):
         beta = opts.beta if opts.beta is not None else default_beta(a, S)
         alpha = None if X is None else a
         weights = (1.0, a, beta)
-    p = _problem(X, S, weights)
-    runs = [_sweeps(p, opts, opts.seed + t) for t in range(opts.trials)]
-    best = min(runs, key=lambda r: r.objective_history[-1])
-    return replace(best, alpha=alpha, beta=beta, trials=runs)
+    return _problem(X, S, weights), alpha, beta
 
 
 def _matrix(M, name, dense=False):
@@ -296,49 +322,84 @@ def _objective(resid, weights, terms, F):
     return sum(w * v for w, v in zip(weights, resid))
 
 
-def _sweeps(p, opts, seed):
-    X, S, weights = p.X, p.S, p.weights
-    rng = np.random.default_rng(seed)
-    k = opts.k
-    W = rng.random((X.shape[0], k)) if X is not None else None
-    H = rng.random((k, X.shape[1] if X is not None else S.shape[0]))
-    Ht = rng.random(H.shape) if S is not None else None
-    # unweighted residual of each term slot (0 for an absent term); only
-    # the random start is evaluated from scratch, after that every block
-    # refreshes the residuals of its own terms
-    resid = [0.0, 0.0, 0.0]
-    _objective(resid, weights, _h_terms(p, W, Ht), H)
+class _Run:
+    """One member of a lockstep stack: its problem, factors and logs."""
 
-    def solve(terms, prev):
-        # exact NLS solution of the block's summed normal equations,
-        # warm-started from the support predicted from the block's
-        # previous value
-        ata = sum(weights[i] * gram for i, gram, _, _ in terms)
-        atb = sum(weights[i] * rhs for i, _, rhs, _ in terms)
-        F = nls_bpp_gram(ata, atb, passive=predict_passive(ata, atb, prev))
-        blocks.append(_objective(resid, weights, terms, F))
-        return F
+    def __init__(self, p, k, seed):
+        rng = np.random.default_rng(seed)
+        self.p, self.seed = p, seed
+        self.W = rng.random((p.X.shape[0], k)) if p.X is not None else None
+        self.H = rng.random((k, p.X.shape[1] if p.X is not None else p.S.shape[0]))
+        self.Ht = rng.random(self.H.shape) if p.S is not None else None
+        # unweighted residual of each term slot (0 for an absent term); only
+        # the random start is evaluated from scratch, after that every block
+        # refreshes the residuals of its own terms
+        self.resid = [0.0, 0.0, 0.0]
+        _objective(self.resid, p.weights, _h_terms(p, self.W, self.Ht), self.H)
+        self.history: list[float] = []
+        self.blocks: list[float] = []
 
-    history: list[float] = []
-    blocks: list[float] = []
+    def stopped(self, rel_tol):
+        h = self.history
+        return len(h) >= 2 and abs(h[-1] - h[-2]) / max(h[-2], STOP_FLOOR) < rel_tol
+
+
+def _sweeps(problems, seeds, opts):
+    # one run per problem and seed, all with the same views present, so
+    # every live run has the same blocks in every sweep
+    runs = [_Run(p, opts.k, seed) for p, seed in zip(problems, seeds)]
+    live = runs
     for _ in range(opts.max_sweeps):
-        if X is not None:
-            # W^T solves min ||H^T W^T - X^T||_F^2
-            W = solve([(TEXT, H @ H.T, H @ X.T, p.x_nsq)], W.T).T
-        terms = _h_terms(p, None, H)
-        if terms:
-            Ht = solve(terms, Ht)
-        H = solve(_h_terms(p, W, Ht), H)
-        f = blocks[-1]
-        history.append(f)
-        if len(history) >= 2 and abs(f - history[-2]) / max(history[-2], STOP_FLOOR) < opts.rel_tol:
+        if not live:
             break
-    return FactorizationResult(
-        W=W,
-        H=H,
-        H_tilde=Ht,
-        objective_history=history,
-        sweeps_run=len(history),
-        seed_used=seed,
-        block_objective_history=blocks,
-    )
+        if live[0].W is not None:
+            # W^T solves min ||H^T W^T - X^T||_F^2
+            terms = [[(TEXT, r.H @ r.H.T, r.H @ r.p.X.T, r.p.x_nsq)] for r in live]
+            for r, F in zip(live, _solve(live, terms, [r.W.T for r in live])):
+                r.W = F.T
+        terms = [_h_terms(r.p, None, r.H) for r in live]
+        if terms[0]:
+            for r, F in zip(live, _solve(live, terms, [r.Ht for r in live])):
+                r.Ht = F
+        terms = [_h_terms(r.p, r.W, r.Ht) for r in live]
+        for r, F in zip(live, _solve(live, terms, [r.H for r in live])):
+            r.H = F
+        for r in live:
+            r.history.append(r.blocks[-1])
+        live = [r for r in live if not r.stopped(opts.rel_tol)]
+    return [
+        FactorizationResult(
+            W=r.W,
+            H=r.H,
+            H_tilde=r.Ht,
+            objective_history=r.history,
+            sweeps_run=len(r.history),
+            seed_used=r.seed,
+            block_objective_history=r.blocks,
+        )
+        for r in runs
+    ]
+
+
+def _solve(live, terms, prev):
+    # the exact NLS solution of each live run's block, given its terms:
+    # the summed normal equations, warm-started from the support predicted
+    # from the block's previous value prev, in one kernel call (on a stack
+    # of Grams for several runs); records each run's objective
+    atas = [sum(r.p.weights[i] * gram for i, gram, _, _ in t) for r, t in zip(live, terms)]
+    atbs = [sum(r.p.weights[i] * rhs for i, _, rhs, _ in t) for r, t in zip(live, terms)]
+    if len(live) == 1:
+        ata, atb = atas[0], atbs[0]
+        Fs = [nls_bpp_gram(ata, atb, passive=predict_passive(ata, atb, prev[0]))]
+    else:
+        ata, atb = np.stack(atas), np.hstack(atbs)
+        widths = [b.shape[1] for b in atbs]
+        gram_of = np.repeat(np.arange(len(live)), widths)
+        passive = predict_passive(ata, atb, np.hstack(prev), gram_of=gram_of)
+        F = nls_bpp_gram(ata, atb, passive=passive, gram_of=gram_of)
+        # each run's columns as an array of their own, laid out as a solo
+        # call returns them
+        Fs = [np.ascontiguousarray(Fi) for Fi in np.hsplit(F, np.cumsum(widths)[:-1])]
+    for r, t, F in zip(live, terms, Fs):
+        r.blocks.append(_objective(r.resid, r.p.weights, t, F))
+    return Fs

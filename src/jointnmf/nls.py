@@ -28,6 +28,15 @@ passive solve is singular or nonfinite, or that is still pending after
 ROUNDS_PER_VARIABLE * k rounds, leaves the pivoting and is solved at
 the end by Lawson-Hanson NNLS, which needs no full rank.
 
+Both entries also take a stack of g Grams, (g, k, k), with gram_of
+naming the Gram of each column, so that many small problems share one
+call and its per-round costs: each column is solved exactly as in a
+call with its Gram alone.  The stacked solves gather each column's
+submatrix from its own Gram, the gradient check of a block is one
+product per Gram, and the rescue runs once per Gram.  Bit identity
+with the lone calls holds as long as a BLAS product computes each row
+the same way whatever the other rows are; the tests check it.
+
 A caller that knows a good support passes it as the initial passive
 set.  Variables whose A^T A diagonal is 0 (a zero column of A) have
 optimum 0 and are dropped from it.  With A^T A positive definite the
@@ -87,18 +96,22 @@ def nls_bpp(A, B) -> np.ndarray:
     return X[:, 0] if single else X
 
 
-def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
+def nls_bpp_gram(ata, atb, *, passive=None, gram_of=None) -> np.ndarray:
     """Same solver fed the precomputed products A^T A (k x k) and A^T B (k x n).
 
     This is the entry point the factorization sweeps use, since their
     stacked subproblems assemble the products directly.  passive, a
     k x n boolean array, is the initial passive set (default: empty);
-    variables whose A^T A diagonal is 0 are dropped from it.  The rescue
-    raises SingularSystem for an A^T B positive where the A^T A diagonal
-    is 0 (unbounded) or an A^T A that is not positive semidefinite, and
+    variables whose A^T A diagonal is 0 are dropped from it.  ata may be
+    a (g, k, k) stack of Grams with gram_of, an integer n-vector, naming
+    each column's Gram; every column's solution is then the one a call
+    with its Gram alone gives, bit for bit.  The rescue raises
+    SingularSystem for an A^T B positive where the A^T A diagonal is 0
+    (unbounded) or an A^T A that is not positive semidefinite, and
     NonConvergence at its iteration limit.
     """
-    ata, atb, passive = _normal_equations(ata, atb, passive, bool, "the passive set")
+    ata, atb, passive, gram_of = _normal_equations(
+        ata, atb, passive, bool, "the passive set", gram_of)
     k, n = atb.shape
     if n == 0:
         return np.zeros((k, 0))
@@ -114,9 +127,10 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
         P = np.zeros((n, k), dtype=bool)
     else:
         # a variable with a zero A^T A diagonal has optimum 0
+        dead = np.diagonal(ata, axis1=-2, axis2=-1) == 0.0
         P = passive.T.copy()
-        P[:, np.diag(ata) == 0.0] = False
-        _solve_passive(ata, B, P, np.flatnonzero(P.any(axis=1)), X, infeasible, rescue)
+        P &= ~(dead if gram_of is None else dead[gram_of])
+        _solve_passive(ata, B, P, np.flatnonzero(P.any(axis=1)), X, infeasible, rescue, gram_of)
     # per-column backup budget and best infeasibility count seen so far
     budget = np.full(n, BACKUP_THRESHOLD, dtype=np.int64)
     best_ninf = np.full(n, k + 1, dtype=np.int64)
@@ -139,16 +153,16 @@ def nls_bpp_gram(ata, atb, *, passive=None) -> np.ndarray:
         # argmax finds the lowest infeasible index
         P[backup, infeasible[backup].argmax(axis=1)] ^= True
 
-        _solve_passive(ata, B, P, cols, X, infeasible, rescue)
+        _solve_passive(ata, B, P, cols, X, infeasible, rescue, gram_of)
         cols = cols[infeasible[cols].any(axis=1)]
     # the columns still pending at the round limit
     rescue[cols] = True
-    if rescue.any():
-        X[rescue] = _lawson_hanson(ata, B[rescue])
+    for gram, rows in _by_gram(ata, gram_of, np.flatnonzero(rescue)):
+        X[rows] = _lawson_hanson(gram, B[rows])
     return np.ascontiguousarray(X.T)
 
 
-def predict_passive(ata, atb, start) -> np.ndarray:
+def predict_passive(ata, atb, start, *, gram_of=None) -> np.ndarray:
     """Support predicted for nls_bpp_gram from a nearby iterate start (k x n).
 
     Runs PREDICT_SWEEPS coordinate-descent sweeps (HALS) from start on
@@ -157,32 +171,87 @@ def predict_passive(ata, atb, start) -> np.ndarray:
     all n columns.  A variable whose A^T A diagonal is 0 keeps its start
     value, which nls_bpp_gram drops.  Returns the k x n boolean support
     of the result, to pass as passive=; a column whose sweeps overflow
-    keeps the support of start.
+    keeps the support of start.  A Gram stack with gram_of, as for
+    nls_bpp_gram, sweeps the columns of each Gram as a call with that
+    Gram alone would.
     """
-    ata, atb, start = _normal_equations(ata, atb, start, np.float64, "start")
+    ata, atb, start, gram_of = _normal_equations(ata, atb, start, np.float64, "start", gram_of)
     X = np.array(start, order="C")
-    diag = np.diag(ata)
     with np.errstate(all="ignore"):
-        for _ in range(PREDICT_SWEEPS):
-            for j in np.flatnonzero(diag > 0.0):
-                X[j] = np.maximum(X[j] + (atb[j] - ata[j] @ X) / diag[j], 0.0)
+        if gram_of is None:
+            diag = np.diag(ata)
+            for _ in range(PREDICT_SWEEPS):
+                for j in np.flatnonzero(diag > 0.0):
+                    X[j] = np.maximum(X[j] + (atb[j] - ata[j] @ X) / diag[j], 0.0)
+        else:
+            _hals_stack(ata, atb, X, gram_of)
     support = X > 0.0
     lost = ~np.isfinite(X).all(axis=0)
     support[:, lost] = start[:, lost] > 0.0
     return support
 
 
-def _normal_equations(ata, atb, M, dtype, what):
-    """ata, atb (float64) and M (dtype, or None) after the entry checks.
+def _hals_stack(ata, atb, X, gram_of):
+    """predict_passive's sweeps over X in place, on a Gram stack.
 
-    ata must be square and atb k x n, with finite entries in both; M,
-    named what in the error, must be k x n like atb.
+    A variable's step takes one gemv per run of columns sharing a Gram,
+    as that Gram alone takes it (runs of one width are one batched
+    matmul, which calls the same gemv per run), and one elementwise
+    update of all columns; the columns whose Gram has a zero diagonal
+    there keep their value.
+    """
+    runs = _runs(gram_of)
+    grams = ata[[g for _, _, g in runs]]
+    batched = len({hi - lo for lo, hi, _ in runs}) == 1
+    # X seen as (runs, k, width) when the widths agree
+    blocks = X.reshape(X.shape[0], len(runs), -1).transpose(1, 0, 2) if batched else None
+    diag = np.diagonal(ata, axis1=1, axis2=2)[gram_of].T
+    live = diag > 0.0
+    product = np.empty(X.shape[1])
+    for _ in range(PREDICT_SWEEPS):
+        for j in np.flatnonzero(live.any(axis=1)):
+            if batched:
+                product = np.matmul(grams[:, j, None, :], blocks).ravel()
+            else:
+                for (lo, hi, _), gram in zip(runs, grams):
+                    product[lo:hi] = gram[j] @ X[:, lo:hi]
+            step = np.maximum(X[j] + (atb[j] - product) / diag[j], 0.0)
+            if live[j].all():
+                X[j] = step
+            else:
+                X[j, live[j]] = step[live[j]]
+
+
+def _runs(gram_of):
+    """(start, stop, Gram) of each run of equal entries of gram_of."""
+    starts = np.flatnonzero(np.diff(gram_of, prepend=-1)).tolist()
+    return [(lo, hi, int(gram_of[lo])) for lo, hi in zip(starts, [*starts[1:], gram_of.size])]
+
+
+def _by_gram(ata, gram_of, cols):
+    """(Gram, the columns of cols that use it) for each Gram cols use."""
+    if gram_of is None:
+        if cols.size:
+            yield ata, cols
+        return
+    for g in np.unique(gram_of[cols]).tolist():
+        yield ata[g], cols[gram_of[cols] == g]
+
+
+def _normal_equations(ata, atb, M, dtype, what, gram_of=None):
+    """ata, atb (float64), M (dtype, or None) and gram_of after the entry checks.
+
+    ata must be square, or a (g, k, k) stack when gram_of is given, and
+    atb k x n, with finite entries in both; M, named what in the error,
+    must be k x n like atb, and gram_of n integers below g.
     """
     ata = np.asarray(ata, dtype=np.float64)
     atb = np.asarray(atb, dtype=np.float64)
-    if ata.ndim != 2 or ata.shape[0] != ata.shape[1]:
-        raise ShapeMismatch(f"A^T A must be square, got shape {ata.shape}")
-    if atb.ndim != 2 or atb.shape[0] != ata.shape[0]:
+    stacked = gram_of is not None
+    if ata.ndim != 2 + stacked or ata.shape[-1] != ata.shape[-2]:
+        want = "a (g, k, k) stack with gram_of" if stacked else "square"
+        raise ShapeMismatch(f"A^T A must be {want}, got shape {ata.shape}")
+    if atb.ndim != 2 or atb.shape[0] != ata.shape[-1]:
         raise ShapeMismatch(f"A^T A is {ata.shape}, A^T B is {atb.shape}")
     if not (np.isfinite(ata).all() and np.isfinite(atb).all()):
         raise NonFinite("nonfinite values in the normal equations")
@@ -190,15 +259,23 @@ def _normal_equations(ata, atb, M, dtype, what):
         M = np.asarray(M, dtype=dtype)
         if M.shape != atb.shape:
             raise ShapeMismatch(f"A^T B is {atb.shape}, {what} is {M.shape}")
-    return ata, atb, M
+    if stacked:
+        gram_of = np.asarray(gram_of)
+        if gram_of.shape != atb.shape[1:] or gram_of.dtype.kind not in "iu":
+            raise ShapeMismatch(f"gram_of must be {atb.shape[1]} integers, got {gram_of.dtype} {gram_of.shape}")
+        if gram_of.size and not 0 <= gram_of.min() <= gram_of.max() < ata.shape[0]:
+            raise ShapeMismatch(f"gram_of names Grams outside the stack of {ata.shape[0]}")
+        gram_of = gram_of.astype(np.intp, copy=False)
+    return ata, atb, M, gram_of
 
 
-def _solve_passive(ata, B, P, cols, X, infeasible, rescue):
+def _solve_passive(ata, B, P, cols, X, infeasible, rescue, gram_of=None):
     """Refresh rows cols of X and of the infeasible set from their passive sets.
 
     B (the right-hand sides), P, X, infeasible and rescue hold one row
-    per column of the problem.  The columns are sorted by support size
-    and walked in blocks of at most BLOCK_COLUMNS, each solved by
+    per column of the problem, and gram_of, if given, names each
+    column's Gram in the stack ata.  The columns are sorted by support
+    size and walked in blocks of at most BLOCK_COLUMNS, each solved by
     _solve_compacted.  A passive variable is infeasible when negative,
     an active one when its gradient A^T A x - b is.  A column whose
     solution is nonfinite is marked for the rescue and made feasible,
@@ -210,26 +287,44 @@ def _solve_passive(ata, B, P, cols, X, infeasible, rescue):
     for start in range(0, cols.size, BLOCK_COLUMNS):
         cs = cols[start:start + BLOCK_COLUMNS]
         Pb, Bb = P[cs], B[cs]
-        X[cs] = Xb = _solve_compacted(ata, Bb, Pb, sizes[start:start + BLOCK_COLUMNS])
+        gb = None if gram_of is None else gram_of[cs]
+        X[cs] = Xb = _solve_compacted(ata, Bb, Pb, sizes[start:start + BLOCK_COLUMNS], gb)
         # A^T A x < b is a negative gradient
-        infeasible[cs] = np.where(Pb, Xb < 0.0, Xb @ ata.T < Bb)
+        infeasible[cs] = np.where(Pb, Xb < 0.0, _times_gram(ata, Xb, gb) < Bb)
         bad = cs[~np.isfinite(Xb).all(axis=1)]
         rescue[bad] = True
         infeasible[bad] = False
 
 
-def _solve_compacted(ata, Bb, Pb, sizes):
+def _times_gram(ata, Xb, gb):
+    """The rows x of Xb times their Gram, A^T A x, as rows.
+
+    One product for one Gram; with a stack, the rows are grouped by
+    Gram, one product per group, so each row is computed as its Gram
+    alone computes it.
+    """
+    if gb is None:
+        return Xb @ ata.T
+    order = np.argsort(gb, kind="stable")
+    grouped, out = Xb[order], np.empty(Xb.shape)
+    for lo, hi, g in _runs(gb[order]):
+        out[order[lo:hi]] = grouped[lo:hi] @ ata[g].T
+    return out
+
+
+def _solve_compacted(ata, Bb, Pb, sizes, gb=None):
     """Solutions of the rows of Bb on their passive sets Pb, sorted by size.
 
     A column with s passive variables solves the s x s principal
-    submatrix of A^T A on them, against the s matching entries of its
-    right-hand side; its other variables are 0, and an empty support
-    needs no solve.  The columns of one size are solved as (c, s, s)
-    np.linalg.solve stacks of at most STACK_ENTRIES entries; a stack
-    with a singular matrix is solved one matrix at a time, and the
-    singular ones get NaN.  Returns the len(Bb) x k solutions.
+    submatrix of its Gram (ata, or ata[gb[row]] for a stack) on them,
+    against the s matching entries of its right-hand side; its other
+    variables are 0, and an empty support needs no solve.  The columns
+    of one size are solved as (c, s, s) np.linalg.solve stacks of at
+    most STACK_ENTRIES entries; a stack with a singular matrix is solved
+    one matrix at a time, and the singular ones get NaN.  Returns the
+    len(Bb) x k solutions.
     """
-    k = ata.shape[0]
+    k = ata.shape[-1]
     flat_ata = ata.ravel()
     # every passive entry of the block, row by row, as row * k + variable
     entries = np.flatnonzero(Pb)
@@ -244,7 +339,11 @@ def _solve_compacted(ata, Bb, Pb, sizes):
         for e0 in range(lo, hi, chunk):
             e1 = min(e0 + chunk, hi)
             ix = entries[e0:e1].reshape(-1, s) % k
-            M = flat_ata.take(ix[:, :, None] * k + ix[:, None, :])
+            index = ix[:, :, None] * k + ix[:, None, :]
+            if gb is not None:
+                # Gram g starts at entry g * k * k of the flat stack
+                index += (gb[entries[e0:e1:s] // k] * (k * k))[:, None, None]
+            M = flat_ata.take(index)
             rhs = sol[e0:e1].reshape(-1, s, 1)
             try:
                 rhs[...] = np.linalg.solve(M, rhs)
@@ -313,7 +412,7 @@ def kkt_residual_gram(ata, atb, X) -> float:
     A 1-d atb and X are one column.
     """
     atb, X = (M[:, None] if M.ndim == 1 else M for M in map(np.asarray, (atb, X)))
-    ata, atb, X = _normal_equations(ata, atb, X, np.float64, "X")
+    ata, atb, X, _ = _normal_equations(ata, atb, X, np.float64, "X")
     grad = ata @ X - atb
     viol = np.where(X > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
     return float(np.maximum(viol, np.maximum(-X, 0.0)).max(initial=0.0))

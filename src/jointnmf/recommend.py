@@ -12,7 +12,8 @@ either the inner product (H^T q_t)_j or the cosine between q_t and
 column j of H.  Three reference baselines: shared word count, NMF on
 text alone with the same projection (NMF-1), and NMF on the
 column-augmented matrix [X_train, x] reading off the last coordinate
-column (NMF-2), one fit per test document.  Every score set is a
+column (NMF-2), one fit per test document; evaluate runs those fits
+together, in lockstep (factorize.nmf_each).  Every score set is a
 test × train array.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyCorpus, ShapeMismatch, ZeroQuery
-from .factorize import FactorizeOptions, joint_nmf, nmf
+from .factorize import FactorizeOptions, joint_nmf, nmf, nmf_each
 from .matrix import as_dense, require_nonnegative
 from .nls import nls_bpp
 
@@ -100,14 +101,7 @@ def baseline_nmf2(X_train, k: int, opts: FactorizeOptions | None, x) -> np.ndarr
 
     The last column is the query's, the first n the training documents'.
     """
-    dense = not sparse.issparse(X_train)
-    X = as_dense(X_train) if dense else X_train.tocsc()
-    x = as_dense(x).reshape(-1, 1)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise EmptyCorpus("X_train has no documents")
-    if X.shape[0] != x.shape[0]:
-        raise ShapeMismatch(f"X_train is {X.shape}, x has length {x.shape[0]}")
-    aug = np.hstack([X, x]) if dense else sparse.hstack([X, sparse.csc_array(x)], format="csc")
+    aug, = _augmented(X_train, as_dense(x).reshape(-1, 1))
     return nmf(aug, FactorizeOptions(k=k) if opts is None else replace(opts, k=k)).H
 
 
@@ -117,8 +111,8 @@ def evaluate(X_train, S_train, X_test, opts: FactorizeOptions) -> dict:
     Keys in order: joint, nmf1 and nmf2 with _inner then _cosine, and
     sharedwords.  The joint and NMF-1 models are fitted once and each
     projects all test documents in one NLS solve; NMF-2 fits once per
-    test document.  A zero test document, or one that a model projects
-    to zero, is a ZeroQuery naming its column.
+    test document, all fits in lockstep.  A zero test document, or one
+    that a model projects to zero, is a ZeroQuery naming its column.
     """
     X_test = as_dense(X_test)
     require_nonnegative(X_test, what="test_x")
@@ -131,7 +125,7 @@ def evaluate(X_train, S_train, X_test, opts: FactorizeOptions) -> dict:
     joint = joint_nmf(X_train, S_train, opts)
     text = nmf(X_train, opts)
     # NMF-2 scores each query against its own fit: a (t, k, n+1) stack
-    fits = np.stack([baseline_nmf2(X_train, opts.k, opts, x) for x in X_test.T])
+    fits = np.stack([fit.H for fit in nmf_each(_augmented(X_train, X_test), opts)])
     models = {
         "joint": (joint.H, project(joint.W, X_test)),
         "nmf1": (text.H, project(text.W, X_test)),
@@ -146,6 +140,19 @@ def evaluate(X_train, S_train, X_test, opts: FactorizeOptions) -> dict:
     }
     scores["sharedwords"] = baseline_shared_words(X_train, X_test)
     return scores
+
+
+def _augmented(X_train, X):
+    """[X_train, x] for each column x of X (d × t), sparse if X_train is."""
+    dense = not sparse.issparse(X_train)
+    X_train = as_dense(X_train) if dense else X_train.tocsc()
+    if X_train.ndim != 2 or X_train.shape[1] == 0:
+        raise EmptyCorpus("X_train has no documents")
+    if X_train.shape[0] != X.shape[0]:
+        raise ShapeMismatch(f"X_train is {X_train.shape}, x has length {X.shape[0]}")
+    if dense:
+        return [np.hstack([X_train, x[:, None]]) for x in X.T]
+    return [sparse.hstack([X_train, sparse.csc_array(x[:, None])], format="csc") for x in X.T]
 
 
 def _require_nonzero(Q, what):

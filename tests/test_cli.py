@@ -710,6 +710,7 @@ def test_recommend_zero_test_document_exits_2_before_fitting(tmp_path, capsys, m
     module = importlib.import_module("jointnmf.recommend")
     monkeypatch.setattr(module, "joint_nmf", no_fit)
     monkeypatch.setattr(module, "nmf", no_fit)
+    monkeypatch.setattr(module, "nmf_each", no_fit)
     assert main(args) == 2
     assert capsys.readouterr().err.splitlines() == [
         "data error: test_x column 1 is identically zero"
@@ -725,6 +726,43 @@ def test_recommend_nan_threshold_is_a_usage_error(tmp_path, capsys):
     assert main(recommend_args(tmp_path, "rec10") + ["--threshold=-inf"]) == 0
     for f in (tmp_path / "rec10").glob("rec_*.tsv"):
         assert len(f.read_text().splitlines()) == 3 * 21
+
+
+def test_recommend_negative_infinity_is_a_value_in_either_form(tmp_path, capsys):
+    # argparse reads "-inf" after a flag as an option unless told otherwise
+    recommend_setup(tmp_path)
+    assert main(recommend_args(tmp_path, "eq") + ["--threshold=-inf"]) == 0
+    for out, value in (("space", "-inf"), ("word", "-Infinity")):
+        assert main(recommend_args(tmp_path, out) + ["--threshold", value]) == 0
+        for f in sorted((tmp_path / "eq").glob("rec_*.tsv")):
+            assert (tmp_path / out / f.name).read_bytes() == f.read_bytes(), (value, f.name)
+    capsys.readouterr()
+    # other float flags take it too, and their own checks reject it
+    assert main(recommend_args(tmp_path, "alpha") + ["--alpha", "-inf"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: alpha must be finite and nonnegative"]
+    for value in ("-nan", "nan"):
+        assert main(recommend_args(tmp_path, "nan") + ["--threshold", value]) == 1
+    assert not (tmp_path / "nan").exists()
+
+
+def test_recommend_ranks_picks_by_score_then_train_index(tmp_path, monkeypatch):
+    # crafted scores with ties (0.0 and -0.0 among them): each test
+    # document's picks run best first, ties in ascending train index
+    recommend_setup(tmp_path)
+    rng = np.random.default_rng(3)
+    scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(3, 21))
+    cli_module = importlib.import_module("jointnmf.cli")
+    monkeypatch.setattr(cli_module, "evaluate", lambda *_: {"joint_inner": scores})
+    assert main(recommend_args(tmp_path, "ties") + ["--threshold", "-0.5"]) == 0
+    test_ids = (tmp_path / "te.txt").read_text().split()
+    train_ids = (tmp_path / "tr.txt").read_text().split()
+    want = "".join(
+        f"{test_ids[t]}\t{train_ids[j]}\t{float(row[j])!r}\n"
+        for t, row in enumerate(scores)
+        for j in sorted(np.flatnonzero(row > -0.5).tolist(), key=lambda j: (-row[j], j))
+    )
+    assert (tmp_path / "ties" / "rec_joint_inner.tsv").read_text() == want
 
 
 def test_recommend_rejects_two_similarity_sources(tmp_path, capsys):

@@ -23,6 +23,7 @@ from jointnmf.factorize import (
     joint_nmf,
     joint_objective,
     nmf,
+    nmf_each,
     penalized_objective,
     symnmf,
     write_result,
@@ -518,6 +519,57 @@ def test_trials_recorded_in_seed_order(method):
         assert (r.alpha, r.beta) == expected
 
 
+def assert_same_run(a, b):
+    """a and b hold the same factors and logs, bit for bit."""
+    for name in ("W", "H", "H_tilde"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or (x.shape == y.shape and x.tobytes() == y.tobytes()), name
+    assert a.objective_history == b.objective_history
+    assert a.block_objective_history == b.block_objective_history
+    assert (a.sweeps_run, a.seed_used) == (b.sweeps_run, b.seed_used)
+
+
+@pytest.mark.parametrize("method", ["nmf", "symnmf", "joint"])
+def test_lockstep_trials_equal_solo_fits_bit_for_bit(method):
+    # rel_tol > 0 stops the trials at different sweeps, so the lockstep
+    # stack shrinks as they leave it
+    X, S = noisy_pair(23)
+    opts = FactorizeOptions(k=3, seed=5, trials=4, rel_tol=1e-3)
+    multi = run_method(method, X, S, opts)
+    singles = [run_method(method, X, S, replace(opts, seed=5 + t, trials=1)) for t in range(4)]
+    assert len({r.sweeps_run for r in singles}) > 1
+    for a, b in zip(multi.trials, singles):
+        assert_same_run(a, b)
+
+
+@pytest.mark.parametrize("shapes", [[(12, 9)] * 4, [(12, 9), (15, 11), (12, 9), (7, 20)]],
+                         ids=["one-shape", "mixed-shapes"])
+def test_nmf_each_members_equal_solo_fits_bit_for_bit(shapes):
+    # members stop at different sweeps (rel_tol > 0), one of them sparse,
+    # each with two trials
+    rng = np.random.default_rng(41)
+    Xs = [rng.random(shape) * (rng.random(shape) < 0.7) for shape in shapes]
+    Xs[1] = sparse.csc_array(Xs[1])
+    opts = FactorizeOptions(k=3, seed=2, rel_tol=1e-3, trials=2)
+    each = nmf_each(Xs, opts)
+    solo = [nmf(X, opts) for X in Xs]
+    assert len({r.sweeps_run for r in solo}) > 1
+    for a, b in zip(each, solo):
+        assert_same_run(a, b)
+        assert (a.alpha, a.beta) == (b.alpha, b.beta) == (None, None)
+        assert len(a.trials) == len(b.trials) == 2
+        for ta, tb in zip(a.trials, b.trials):
+            assert_same_run(ta, tb)
+
+
+def test_nmf_each_of_nothing_and_of_a_bad_member():
+    assert nmf_each([], FactorizeOptions(k=1)) == []
+    with pytest.raises(ValueError):
+        nmf_each([np.ones((3, 3)), -np.ones((3, 3))], FactorizeOptions(k=1))
+    with pytest.raises(ValueError, match="k=3 exceeds"):
+        nmf_each([np.ones((3, 3)), np.ones((2, 5))], FactorizeOptions(k=3))
+
+
 def test_explicit_weights_are_reported():
     X, S = noisy_pair(23)
     opts = FactorizeOptions(k=2, alpha=0.5, beta=2.0, max_sweeps=3)
@@ -699,3 +751,13 @@ def test_last_objective_is_the_penalized_objective_of_the_method(inst, method):
         res.W, res.H, res.H_tilde, alpha, beta,
     )
     assert abs(res.objective_history[-1] - ref) <= 1e-12 * ref
+
+
+@settings(max_examples=30)
+@given(insts=st.lists(instances(), min_size=1, max_size=4), rel_tol=st.sampled_from([0.0, 1e-2]))
+def test_nmf_each_of_random_stacks_equals_solo_fits(insts, rel_tol):
+    # random small stacks of mixed shapes, all fitted at the smallest k
+    k = min(k for _, _, k in insts)
+    opts = FactorizeOptions(k=k, max_sweeps=SWEEPS, rel_tol=rel_tol, seed=1)
+    for a, (X, _, _) in zip(nmf_each([X for X, _, _ in insts], opts), insts):
+        assert_same_run(a, nmf(X, opts))

@@ -503,3 +503,120 @@ def test_1d_rhs_round_trip_shape():
     b = rng.standard_normal(5)
     x = nls_bpp(A, b)
     assert x.ndim == 1 and x.shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# Gram stacks: many problems in one call, each column solved as its Gram alone solves it
+
+
+def gram_stack(rng, k, grams, m=None):
+    """(g, k, k) Grams A^T A of random nonnegative A, with the A themselves."""
+    As = [rng.random((m or k + 3, k)) for _ in range(grams)]
+    return np.stack([A.T @ A for A in As]), As
+
+
+def per_gram(fn, ata, atb, start, gram_of, **kw):
+    """fn called once per Gram on its columns, put back in column order."""
+    out = None
+    for g in range(len(ata)):
+        cols = np.flatnonzero(gram_of == g)
+        if cols.size:
+            part = fn(ata[g], atb[:, cols], start[:, cols], **kw)
+            out = np.zeros(atb.shape, dtype=part.dtype) if out is None else out
+            out[:, cols] = part
+    return out
+
+
+def test_gram_stack_equals_one_call_per_gram_bit_for_bit(monkeypatch):
+    # Gram 0 is regular, Gram 1 has a dead variable (a zero column of A)
+    # and Gram 2 a duplicated column of A, whose singular passive systems
+    # send some of its columns, and only its, to the Lawson-Hanson rescue;
+    # the columns of the three are interleaved
+    rng = np.random.default_rng(31)
+    k = 4
+    As = [rng.random((7, k)) for _ in range(3)]
+    As[1][:, 2] = 0.0
+    As[2][:, 1] = As[2][:, 0]
+    ata = np.stack([A.T @ A for A in As])
+    gram_of = np.array([2, 0, 1, 2, 1, 0, 0, 2, 1, 2, 0, 1])
+    Y = rng.standard_normal((7, gram_of.size)) + rng.random((7, gram_of.size))
+    atb = np.stack([As[g].T @ y for g, y in zip(gram_of, Y.T)], axis=1)
+    rescued = []
+    rescue = nls._lawson_hanson
+    monkeypatch.setattr(nls, "_lawson_hanson",
+                        lambda gram, b: rescued.append(gram) or rescue(gram, b))
+    for start in (None, rng.random((k, gram_of.size)) < 0.6):
+        rescued.clear()
+        X = nls_bpp_gram(ata, atb, passive=start, gram_of=gram_of)
+        stacked_rescues = [gram.tobytes() for gram in rescued]
+        rescued.clear()
+        want = per_gram(lambda a, b, p: nls_bpp_gram(a, b, passive=p), ata, atb,
+                        np.zeros(atb.shape, dtype=bool) if start is None else start, gram_of)
+        assert X.tobytes() == want.tobytes()
+        assert stacked_rescues == [ata[2].tobytes()]
+        assert [gram.tobytes() for gram in rescued] == stacked_rescues
+        assert np.all(X[2, gram_of == 1] == 0.0)
+        for g in range(3):
+            cols = gram_of == g
+            assert kkt_residual_gram(ata[g], atb[:, cols], X[:, cols]) <= 1e-9
+
+
+@pytest.mark.parametrize("widths", [(5, 5, 5), (3, 7, 1)], ids=["one-width", "mixed-widths"])
+def test_predict_passive_on_a_stack_equals_one_call_per_gram(widths):
+    # runs of one width take the batched product, mixed widths one product
+    # per run; Gram 1 has a dead variable that its columns must not move
+    rng = np.random.default_rng(32)
+    k = 5
+    As = [rng.random((8, k)) for _ in widths]
+    As[1][:, 3] = 0.0
+    ata = np.stack([A.T @ A for A in As])
+    gram_of = np.repeat(np.arange(len(widths)), widths)
+    atb = np.stack([As[g].T @ y for g, y in zip(gram_of, rng.standard_normal((8, gram_of.size)).T)], axis=1)
+    start = rng.random((k, gram_of.size)) * (rng.random((k, gram_of.size)) < 0.5)
+    got = predict_passive(ata, atb, start, gram_of=gram_of)
+    assert got.tobytes() == per_gram(predict_passive, ata, atb, start, gram_of).tobytes()
+
+
+@settings(max_examples=120)
+@given(
+    k=st.integers(1, 5),
+    counts=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_random_gram_stacks_equal_one_call_per_gram(k, counts, seed, data):
+    # random small problem stacks: some Grams without columns, dead
+    # variables, shuffled or sorted column order, cold or warm starts
+    rng = np.random.default_rng(seed)
+    As = [rng.random((k + 2, k)) * (rng.random(k) < 0.8) for _ in counts]
+    ata = np.stack([A.T @ A for A in As])
+    gram_of = np.repeat(np.arange(len(counts)), counts)
+    if data.draw(st.booleans()):
+        gram_of = rng.permutation(gram_of)
+    Y = rng.standard_normal((k + 2, gram_of.size))
+    atb = np.zeros((k, gram_of.size))
+    for c, g in enumerate(gram_of):
+        atb[:, c] = As[g].T @ Y[:, c]
+    start = rng.random((k, gram_of.size)) * (rng.random((k, gram_of.size)) < 0.5)
+    passive = predict_passive(ata, atb, start, gram_of=gram_of)
+    X = nls_bpp_gram(ata, atb, passive=passive, gram_of=gram_of)
+    assert X.shape == (k, gram_of.size)
+    if gram_of.size:
+        assert passive.tobytes() == per_gram(predict_passive, ata, atb, start, gram_of).tobytes()
+        want = per_gram(lambda a, b, p: nls_bpp_gram(a, b, passive=p), ata, atb, passive, gram_of)
+        assert X.tobytes() == want.tobytes()
+        cold = per_gram(lambda a, b, _: nls_bpp_gram(a, b), ata, atb, start, gram_of)
+        assert nls_bpp_gram(ata, atb, gram_of=gram_of).tobytes() == cold.tobytes()
+
+
+def test_gram_stack_entry_checks():
+    ata, atb = np.stack([np.eye(2), 2.0 * np.eye(2)]), np.ones((2, 3))
+    for fn in (nls_bpp_gram, lambda a, b, **kw: predict_passive(a, b, np.ones((2, 3)), **kw)):
+        with pytest.raises(ShapeMismatch):
+            fn(ata, atb)  # a stack needs gram_of
+        with pytest.raises(ShapeMismatch):
+            fn(np.eye(2), atb, gram_of=[0, 0, 0])  # gram_of needs a stack
+        for bad in ([0, 1], [0, 1, 2], [0, -1, 1], [0.0, 1.0, 1.0]):
+            with pytest.raises(ShapeMismatch):
+                fn(ata, atb, gram_of=bad)
+    assert nls_bpp_gram(ata, atb, gram_of=[1, 0, 1]).tolist() == [[0.5, 1.0, 0.5]] * 2

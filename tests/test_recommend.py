@@ -1,9 +1,12 @@
 """Citation recommendation: projection, scoring, baselines."""
 
+import importlib
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from jointnmf import factorize
 from jointnmf.errors import EmptyCorpus, NonFinite, ShapeMismatch, ZeroQuery
 from jointnmf.factorize import FactorizeOptions, joint_nmf, nmf
 from jointnmf.nls import nls_bpp
@@ -307,3 +310,27 @@ def test_evaluate_names_the_model_that_projects_a_query_to_zero():
     X_test[-1, 1] = 1.0
     with pytest.raises(ZeroQuery, match="joint projection of test_x column 1 is identically zero"):
         evaluate(X, S, X_test, FactorizeOptions(k=3, seed=0, max_sweeps=5))
+
+
+@pytest.mark.parametrize("t", [1, 4])
+def test_evaluate_makes_one_nmf2_kernel_call_per_block_per_sweep(t, monkeypatch):
+    # the NMF-2 fits run in lockstep: a sweep has two blocks (W, H), each
+    # one NLS call, however many test documents there are
+    X, S, _, _ = planted(per_cluster=4)
+    module = importlib.import_module("jointnmf.recommend")
+    calls, inside = [], []
+    kernel, each = factorize.nls_bpp_gram, module.nmf_each
+    monkeypatch.setattr(factorize, "nls_bpp_gram",
+                        lambda *a, **kw: calls.append(bool(inside)) or kernel(*a, **kw))
+
+    def tracked(*args):
+        inside.append(True)
+        try:
+            return each(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(module, "nmf_each", tracked)
+    evaluate(X, S, X[:, :t] + 0.01, FactorizeOptions(k=3, seed=0, max_sweeps=4, rel_tol=0.0))
+    assert calls.count(True) == 2 * 4
+    assert calls.count(False) == 3 * 4 + 2 * 4  # the joint and NMF-1 fits

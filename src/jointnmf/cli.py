@@ -11,7 +11,6 @@ the same option types and reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
@@ -33,15 +32,15 @@ __all__ = ["main"]
 
 class _Parser(argparse.ArgumentParser):
     # argparse reads a value that starts with "-" and is not a plain
-    # negative number as an option, so "--threshold -inf" would lack its
-    # value; negative infinity is a value wherever it appears
+    # negative number as an option, so "--threshold -inf" or "-1e-3"
+    # would lack its value; anything float() reads is a value wherever
+    # it appears (a NaN is left to each option's own check)
     def _parse_optional(self, arg_string):
-        if _NEGATIVE_INFINITY.fullmatch(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
-
-
-_NEGATIVE_INFINITY = re.compile(r"-inf(inity)?", re.IGNORECASE)
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

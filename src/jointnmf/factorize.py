@@ -9,10 +9,11 @@ has no S, so no Ht and no alpha or beta term.  symnmf(S) has no X, so
 no W, and its similarity term has weight 1.  nmf_each(Xs) is one nmf
 per matrix.  All of them go through one entry, which accepts the views,
 checks shapes and k, resolves the weights and runs every trial of every
-fit in lockstep: the sweeps advance all runs together, and each block
-update is one NLS call over a stack of the live runs' normal equations
-(nls takes a Gram per run), which gives each run the factors it gets
-alone, bit for bit.  A run leaves the stack when it stops.
+fit in lockstep stacks of up to LOCKSTEP_COLUMNS columns: the sweeps
+advance a stack's runs together, and each block update is one NLS call
+over the live runs' normal equations (nls takes a Gram per run), which
+gives each run the factors it gets alone, bit for bit.  A run leaves
+its stack when it stops; a run wider than the limit is a stack alone.
 
 The similarity factor is split into H and a tether copy Ht so every
 block update is an exact nonnegative least squares solve; the beta term
@@ -71,6 +72,11 @@ __all__ = [
 ]
 
 STOP_FLOOR = 1e-30
+# columns of one lockstep stack, summed over its runs' widest blocks (the
+# W block has a column per row of X, the H blocks one per document):
+# enough for a kernel call to spread its per-call cost, few enough that
+# many fits or wide trials do not hold all their data at once
+LOCKSTEP_COLUMNS = 4096
 
 
 @dataclass
@@ -187,10 +193,11 @@ def nmf(X, opts: FactorizeOptions) -> FactorizationResult:
 def nmf_each(Xs, opts: FactorizeOptions) -> list[FactorizationResult]:
     """nmf of each matrix of Xs, equal to nmf(X, opts) bit for bit.
 
-    The fits run in lockstep, one NLS call per block for all of them,
-    which saves the per-call cost of many small fits.
+    The fits run in lockstep, one NLS call per block for a stack of up
+    to LOCKSTEP_COLUMNS columns, which saves the per-call cost of many
+    small fits.  Xs may be any iterable; it is read one stack at a time.
     """
-    return _fit([(X, None) for X in Xs], opts)
+    return _fit(((X, None) for X in Xs), opts)
 
 
 def symnmf(S, opts: FactorizeOptions) -> FactorizationResult:
@@ -236,17 +243,41 @@ TEXT, SIM, TETHER = range(3)
 
 def _fit(views, opts):
     # the one entry of the solvers: one result per (X, S) pair of views,
-    # all of one method (X is None for symnmf, S is None for nmf); every
-    # trial of every fit runs in one lockstep stack
-    fits = [_setup(X, S, opts) for X, S in views]
+    # all of one method (X is None for symnmf, S is None for nmf); the
+    # runs, one per fit and seed, advance in lockstep stacks, and the
+    # views are read one at a time as the stacks need them
     seeds = [opts.seed + t for t in range(opts.trials)]
-    runs = _sweeps([p for p, _, _ in fits for _ in seeds], seeds * len(fits), opts)
+    weights = []
+
+    def runs():
+        for X, S in views:
+            p, alpha, beta = _setup(X, S, opts)
+            weights.append((alpha, beta))
+            yield from ((p, seed) for seed in seeds)
+
+    done = [r for stack in _stacks(runs()) for r in _sweeps(*zip(*stack), opts)]
     results = []
-    for i, (_, alpha, beta) in enumerate(fits):
-        trials = runs[i * opts.trials:(i + 1) * opts.trials]
+    for i, (alpha, beta) in enumerate(weights):
+        trials = done[i * opts.trials:(i + 1) * opts.trials]
         best = min(trials, key=lambda r: r.objective_history[-1])
         results.append(replace(best, alpha=alpha, beta=beta, trials=trials))
     return results
+
+
+def _stacks(runs):
+    # consecutive (problem, seed) runs in stacks whose widest blocks add up
+    # to at most LOCKSTEP_COLUMNS columns; a wider run is a stack alone
+    stack, columns = [], 0
+    for run in runs:
+        p = run[0]
+        width = max(p.X.shape) if p.X is not None else p.S.shape[0]
+        if stack and columns + width > LOCKSTEP_COLUMNS:
+            yield stack
+            stack, columns = [], 0
+        stack.append(run)
+        columns += width
+    if stack:
+        yield stack
 
 
 def _setup(X, S, opts):

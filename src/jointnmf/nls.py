@@ -194,27 +194,19 @@ def predict_passive(ata, atb, start, *, gram_of=None) -> np.ndarray:
 def _hals_stack(ata, atb, X, gram_of):
     """predict_passive's sweeps over X in place, on a Gram stack.
 
-    A variable's step takes one gemv per run of columns sharing a Gram,
-    as that Gram alone takes it (runs of one width are one batched
-    matmul, which calls the same gemv per run), and one elementwise
-    update of all columns; the columns whose Gram has a zero diagonal
-    there keep their value.
+    A variable's step takes one product per run of columns sharing a
+    Gram, as that Gram alone takes it, and one elementwise update of all
+    columns; the columns whose Gram has a zero diagonal there keep their
+    value.
     """
     runs = _runs(gram_of)
-    grams = ata[[g for _, _, g in runs]]
-    batched = len({hi - lo for lo, hi, _ in runs}) == 1
-    # X seen as (runs, k, width) when the widths agree
-    blocks = X.reshape(X.shape[0], len(runs), -1).transpose(1, 0, 2) if batched else None
     diag = np.diagonal(ata, axis1=1, axis2=2)[gram_of].T
     live = diag > 0.0
     product = np.empty(X.shape[1])
     for _ in range(PREDICT_SWEEPS):
         for j in np.flatnonzero(live.any(axis=1)):
-            if batched:
-                product = np.matmul(grams[:, j, None, :], blocks).ravel()
-            else:
-                for (lo, hi, _), gram in zip(runs, grams):
-                    product[lo:hi] = gram[j] @ X[:, lo:hi]
+            for lo, hi, g in runs:
+                product[lo:hi] = ata[g, j] @ X[:, lo:hi]
             step = np.maximum(X[j] + (atb[j] - product) / diag[j], 0.0)
             if live[j].all():
                 X[j] = step

@@ -143,7 +143,11 @@ def evaluate(X_train, S_train, X_test, opts: FactorizeOptions) -> dict:
 
 
 def _augmented(X_train, X):
-    """[X_train, x] for each column x of X (d × t), sparse if X_train is."""
+    """[X_train, x] for each column x of X (d × t), sparse if X_train is.
+
+    The inputs are checked at once; the matrices are built one at a time
+    as they are read, so a caller holds only those it still uses.
+    """
     dense = not sparse.issparse(X_train)
     X_train = as_dense(X_train) if dense else X_train.tocsc()
     if X_train.ndim != 2 or X_train.shape[1] == 0:
@@ -151,8 +155,8 @@ def _augmented(X_train, X):
     if X_train.shape[0] != X.shape[0]:
         raise ShapeMismatch(f"X_train is {X_train.shape}, x has length {X.shape[0]}")
     if dense:
-        return [np.hstack([X_train, x[:, None]]) for x in X.T]
-    return [sparse.hstack([X_train, sparse.csc_array(x[:, None])], format="csc") for x in X.T]
+        return (np.hstack([X_train, x[:, None]]) for x in X.T)
+    return (sparse.hstack([X_train, sparse.csc_array(x[:, None])], format="csc") for x in X.T)
 
 
 def _require_nonzero(Q, what):

@@ -729,13 +729,15 @@ def test_recommend_nan_threshold_is_a_usage_error(tmp_path, capsys):
 
 
 def test_recommend_negative_infinity_is_a_value_in_either_form(tmp_path, capsys):
-    # argparse reads "-inf" after a flag as an option unless told otherwise
+    # argparse reads "-inf" or "-1e-3" after a flag as an option unless
+    # told otherwise
     recommend_setup(tmp_path)
-    assert main(recommend_args(tmp_path, "eq") + ["--threshold=-inf"]) == 0
-    for out, value in (("space", "-inf"), ("word", "-Infinity")):
-        assert main(recommend_args(tmp_path, out) + ["--threshold", value]) == 0
-        for f in sorted((tmp_path / "eq").glob("rec_*.tsv")):
-            assert (tmp_path / out / f.name).read_bytes() == f.read_bytes(), (value, f.name)
+    for eq, values in (("-inf", ("-inf", "-Infinity")), ("-1e-3", ("-1e-3", "-0.001"))):
+        assert main(recommend_args(tmp_path, eq) + [f"--threshold={eq}"]) == 0
+        for value in values:
+            assert main(recommend_args(tmp_path, "space" + value) + ["--threshold", value]) == 0
+            for f in sorted((tmp_path / eq).glob("rec_*.tsv")):
+                assert (tmp_path / ("space" + value) / f.name).read_bytes() == f.read_bytes(), (value, f.name)
     capsys.readouterr()
     # other float flags take it too, and their own checks reject it
     assert main(recommend_args(tmp_path, "alpha") + ["--alpha", "-inf"]) == 1

@@ -570,6 +570,57 @@ def test_nmf_each_of_nothing_and_of_a_bad_member():
         nmf_each([np.ones((3, 3)), np.ones((2, 5))], FactorizeOptions(k=3))
 
 
+def spy_stacks(monkeypatch):
+    """The number of runs in each lockstep stack the solvers sweep."""
+    sizes, sweeps = [], factorize._sweeps
+    monkeypatch.setattr(factorize, "_sweeps",
+                        lambda problems, seeds, opts: sizes.append(len(problems)) or sweeps(problems, seeds, opts))
+    return sizes
+
+
+def test_nmf_each_splits_many_fits_into_stacks_under_the_column_limit(monkeypatch):
+    # eleven 12 x 9 fits are 12 columns wide each: a limit of 40 columns
+    # stacks them three at a time, and each matrix is read only once the
+    # stacks before its own have run
+    monkeypatch.setattr(factorize, "LOCKSTEP_COLUMNS", 40)
+    sizes = spy_stacks(monkeypatch)
+    rng = np.random.default_rng(43)
+    Xs = [rng.random((12, 9)) * (rng.random((12, 9)) < 0.8) for _ in range(11)]
+    read = []
+
+    def matrices():
+        for X in Xs:
+            read.append(len(sizes))
+            yield X
+
+    opts = FactorizeOptions(k=3, seed=4, rel_tol=1e-3)
+    each = nmf_each(matrices(), opts)
+    assert sizes == [3, 3, 3, 2]
+    # the stacks swept when each matrix was read
+    assert read == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
+    solo = [nmf(X, opts) for X in Xs]
+    assert len({r.sweeps_run for r in solo}) > 1
+    for a, b in zip(each, solo):
+        assert_same_run(a, b)
+
+
+@pytest.mark.parametrize("method", ["nmf", "symnmf", "joint"])
+def test_trials_wider_than_the_column_limit_run_one_at_a_time(method, monkeypatch):
+    # 12 x 15 views: every run is 15 columns wide, so a limit of 20
+    # leaves each trial a stack of its own, and two trials share one
+    # under a limit of 30
+    X, S = noisy_pair(23)
+    opts = FactorizeOptions(k=3, seed=5, trials=3, rel_tol=1e-3)
+    singles = [run_method(method, X, S, replace(opts, seed=5 + t, trials=1)) for t in range(3)]
+    for limit, stacks in ((20, [1, 1, 1]), (30, [2, 1])):
+        monkeypatch.setattr(factorize, "LOCKSTEP_COLUMNS", limit)
+        sizes = spy_stacks(monkeypatch)
+        multi = run_method(method, X, S, opts)
+        assert sizes == stacks
+        for a, b in zip(multi.trials, singles):
+            assert_same_run(a, b)
+
+
 def test_explicit_weights_are_reported():
     X, S = noisy_pair(23)
     opts = FactorizeOptions(k=2, alpha=0.5, beta=2.0, max_sweeps=3)

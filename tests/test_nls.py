@@ -563,8 +563,8 @@ def test_gram_stack_equals_one_call_per_gram_bit_for_bit(monkeypatch):
 
 @pytest.mark.parametrize("widths", [(5, 5, 5), (3, 7, 1)], ids=["one-width", "mixed-widths"])
 def test_predict_passive_on_a_stack_equals_one_call_per_gram(widths):
-    # runs of one width take the batched product, mixed widths one product
-    # per run; Gram 1 has a dead variable that its columns must not move
+    # one product per run of columns, whatever the widths; Gram 1 has a
+    # dead variable that its columns must not move
     rng = np.random.default_rng(32)
     k = 5
     As = [rng.random((8, k)) for _ in widths]

@@ -15,11 +15,11 @@ clustered by the participants it shares.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import (
     EmptyGraph,
@@ -93,28 +93,42 @@ class Hypergraph:
 def symmetrize(edges, n_vertices: int | None = None) -> Graph:
     """Undirected graph from a directed edge list.
 
-    Either direction produces A_ij = A_ji = 1; self-loops are dropped
-    and duplicates collapse.  Vertex count is inferred from the largest
-    id unless given.
+    edges is an (m, 2) integer array, as read_edge_list returns, or any
+    iterable of pairs.  Either direction produces A_ij = A_ji = 1;
+    self-loops are dropped and duplicates collapse.  Vertex count is
+    inferred from the largest id unless given.
     """
-    pairs = [(int(a), int(b)) for a, b in edges]
-    if n_vertices is None:
-        n_vertices = max((max(a, b) for a, b in pairs), default=-1) + 1
-    for a, b in pairs:
-        if not (0 <= a < n_vertices and 0 <= b < n_vertices):
-            raise IndexOutOfRange(
-                f"edge ({a}, {b}) outside vertex range [0, {n_vertices})"
-            )
-    keep = [(a, b) for a, b in pairs if a != b]
-    if not keep:
-        return Graph(sparse.csc_array((n_vertices, n_vertices)))
-    rows = np.array([a for a, b in keep] + [b for a, b in keep])
-    cols = np.array([b for a, b in keep] + [a for a, b in keep])
+    return Graph(_adjacency(*_checked_edges(edges, n_vertices)))
+
+
+def _checked_edges(edges, n):
+    """The edges as an (m, 2) int64 array and the vertex count, n or one
+    more than the largest id; the first edge with an id outside [0, n)
+    is an IndexOutOfRange."""
+    try:
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    except OverflowError:
+        raise IndexOutOfRange("an edge id does not fit 64 bits") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be pairs, got an array of shape {pairs.shape}")
+    if n is None:
+        n = int(pairs.max()) + 1 if pairs.size else 0
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        a, b = pairs[np.argmax(bad)]
+        raise IndexOutOfRange(f"edge ({a}, {b}) outside vertex range [0, {n})")
+    return pairs, n
+
+
+def _adjacency(pairs, n):
+    a, b = pairs[pairs[:, 0] != pairs[:, 1]].T  # self-loops dropped
     A = sparse.coo_array(
-        (np.ones(rows.size), (rows, cols)), shape=(n_vertices, n_vertices)
+        (np.ones(2 * a.size), (np.concatenate([a, b]), np.concatenate([b, a]))), shape=(n, n)
     ).tocsc()
     A.data[:] = 1.0  # collapse duplicate edges
-    return Graph(A)
+    return A
 
 
 def normalized_adjacency(G: Graph) -> sparse.csc_array:
@@ -171,15 +185,17 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     if (edges is None) == (hyperedges is None):
         raise ValueError("give exactly one of edges or hyperedges")
     if edges is not None:
-        edges = list(edges)
-        g = symmetrize(edges, n_vertices=n)
+        pairs, n_vertices = _checked_edges(edges, n)
         if n is None:
             # a gap below the largest id more likely comes from a mistyped id than
-            # from an isolated document; a self-loop, dropped from g, names its id
-            gap = np.setdiff1d(np.arange(g.n), np.asarray(edges, dtype=np.int64))
-            if gap.size:
-                raise ZeroDegree(f"vertex {gap[0]} is on no edge, but the largest id {g.n - 1} "
-                                 f"sets {g.n} documents; give --doc-ids to declare them")
+            # from an isolated document; a self-loop names its id.  Checked before
+            # the adjacency is built, whose size the largest id sets
+            ids = np.unique(pairs)
+            if ids.size < n_vertices:
+                gap = np.argmax(ids != np.arange(ids.size))
+                raise ZeroDegree(f"vertex {gap} is on no edge, but the largest id {n_vertices - 1} "
+                                 f"sets {n_vertices} documents; give --doc-ids to declare them")
+        g = Graph(_adjacency(pairs, n_vertices))
         kept = np.arange(g.n)
         if within is not None:
             g = induce_subgraph(g, within)
@@ -239,6 +255,10 @@ def largest_connected_component(obj):
 
 
 def _component_labels(A):
+    # csgraph loads scipy.sparse.linalg and scipy.linalg, about 90 ms of the
+    # package import, and only the largest-component restriction needs it
+    from scipy.sparse import csgraph
+
     _, labels = csgraph.connected_components(A, directed=False)
     return labels
 
@@ -310,16 +330,44 @@ def hypergraph_from_edges(edge_vertex_lists, n_vertices: int | None = None) -> H
     return Hypergraph(M.tocsc())
 
 
-def read_edge_list(path) -> list[tuple[int, int]]:
-    """Parse `src<TAB>dst` lines (or any whitespace), 0-based, skipping blanks."""
-    return list(read_records(path, sep=None, fields=2, convert=lambda r: (int(r[0]), int(r[1])),
-                             expect="`src<TAB>dst` with integer ids"))
+def read_edge_list(path) -> np.ndarray:
+    """Parse `src<TAB>dst` lines (or any whitespace), 0-based, skipping blanks.
+
+    Returns the pairs in file order as an (m, 2) int64 array.  numpy's
+    loadtxt reads a well-formed file at once; a file it rejects is read
+    again line by line, which also takes what int() takes (`1_0`,
+    non-ASCII digits) and names the first malformed line.
+    """
+    try:
+        # an open file, since loadtxt given a name would fetch URLs and
+        # decompress .gz files, which the line reader does not
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file; read again below
+            edges = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+        if edges.shape[1] == 2:
+            return edges
+    except ValueError:  # a UnicodeDecodeError too
+        pass
+    pairs = list(read_records(path, sep=None, fields=2, convert=lambda r: (_id(r[0]), _id(r[1])),
+                              expect="`src<TAB>dst` with integer ids"))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def read_hyperedges(path) -> list[list[int]]:
     """Parse one edge per line, whitespace-separated 0-based vertex ids."""
-    return list(read_records(path, sep=None, convert=lambda r: [int(v) for v in r],
+    return list(read_records(path, sep=None, convert=lambda r: [_id(v) for v in r],
                              expect="whitespace-separated integer vertex ids"))
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _id(field) -> int:
+    """int(field), which must fit int64 (a ValueError if not)."""
+    v = int(field)
+    if not _INT64.min <= v <= _INT64.max:
+        raise ValueError(f"id {v} does not fit 64 bits")
+    return v
 
 
 def _index_subset(indices, limit, what):

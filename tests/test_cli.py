@@ -391,6 +391,30 @@ def test_an_id_named_only_by_a_self_loop_is_no_gap(tmp_path, capsys):
     assert len((out / "labels.tsv").read_text().splitlines()) == 4
 
 
+def test_an_edge_id_beyond_int64_is_a_data_error_naming_its_line(tmp_path, capsys):
+    # used to exit 1 with an OverflowError from scipy's index-dtype choice
+    edges = tmp_path / "big.tsv"
+    edges.write_text("0\t1\n1\t2\n5\t99999999999999999999\n")
+    out = tmp_path / "o"
+    assert main([
+        "cluster", "--method", "symnmf", "--edges", str(edges), "--raw-adjacency",
+        "--k", "2", "--out-dir", str(out),
+    ]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {edges}:3: ")
+    assert not out.exists()
+
+
+def test_a_hyperedge_id_beyond_int64_is_a_data_error_naming_its_line(tmp_path, capsys):
+    hyper = tmp_path / "h.txt"
+    hyper.write_text("0 1 2\n3 4 99999999999999999999\n")
+    out = tmp_path / "o"
+    assert main(["hypergraph-sim", "--hyperedges", str(hyper), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {hyper}:2: ")
+    assert not out.exists()
+
+
 def test_a_doc_id_with_a_tab_is_a_data_error_where_it_enters(tmp_path, capsys):
     # the id used to pass whole into labels.tsv, which eval then rejected
     (tmp_path / "tri.tsv").write_text("0\t1\n1\t2\n2\t0\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from jointnmf.errors import (
@@ -29,6 +31,7 @@ from jointnmf.graph import (
     similarity,
     symmetrize,
 )
+from jointnmf.matrix import read_records
 
 
 def triangle():
@@ -52,6 +55,22 @@ def test_symmetrize_drops_self_loops_and_duplicates():
     assert (A == np.array([[0.0, 1.0], [1.0, 0.0]])).all()
 
 
+def test_symmetrize_takes_an_edge_array_as_it_takes_pairs():
+    pairs = [(0, 0), (0, 1), (1, 0), (2, 1), (3, 1), (0, 1)]
+    for n in (None, 6):
+        expect = symmetrize(pairs, n_vertices=n).adjacency
+        got = symmetrize(np.array(pairs, dtype=np.int64), n_vertices=n).adjacency
+        assert got.shape == expect.shape
+        assert (got != expect).nnz == 0
+
+
+def test_symmetrize_takes_an_empty_edge_list():
+    for edges in ([], np.empty((0, 2), dtype=np.int64)):
+        assert symmetrize(edges).adjacency.shape == (0, 0)
+        A = symmetrize(edges, n_vertices=3).adjacency
+        assert A.shape == (3, 3) and A.nnz == 0
+
+
 def test_symmetrize_infers_vertex_count():
     g = symmetrize([(0, 3)])
     assert g.n == 4
@@ -62,6 +81,9 @@ def test_symmetrize_rejects_out_of_range():
         symmetrize([(0, 5)], n_vertices=3)
     with pytest.raises(IndexOutOfRange):
         symmetrize([(-1, 0)], n_vertices=3)
+    for n in (3, None):
+        with pytest.raises(IndexOutOfRange):
+            symmetrize([(0, 1), (1, 2**64)], n_vertices=n)
 
 
 def test_graph_validates_adjacency():
@@ -370,7 +392,9 @@ def test_membership_counts_label_per_edge_required():
 def test_read_edge_list(tmp_path):
     path = tmp_path / "edges.tsv"
     path.write_text("0\t1\n\n2\t3\n")
-    assert read_edge_list(path) == [(0, 1), (2, 3)]
+    edges = read_edge_list(path)
+    assert edges.dtype == np.int64 and edges.shape == (2, 2)
+    assert edges.tolist() == [[0, 1], [2, 3]]
     bad = tmp_path / "bad.tsv"
     bad.write_text("0,1\n")
     with pytest.raises(DataError):
@@ -379,6 +403,95 @@ def test_read_edge_list(tmp_path):
     bad2.write_text("0\tx\n")
     with pytest.raises(DataError):
         read_edge_list(bad2)
+
+
+def reference_edge_list(path):
+    """The per-line reader: read_records and int() on each field, and
+    each id must fit int64."""
+    def pair(rec):
+        ids = tuple(int(v) for v in rec)
+        if not all(-2**63 <= v < 2**63 for v in ids):
+            raise ValueError("id outside int64")
+        return ids
+    return np.array(list(read_records(path, sep=None, fields=2, convert=pair,
+                                      expect="`src<TAB>dst` with integer ids")),
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+PLAIN_IDS = st.integers(-2, 40).map(str)
+INT_IDS = st.one_of(  # ids in forms int() reads, inside int64
+    PLAIN_IDS,
+    st.integers(0, 40).map(lambda v: f"+{v}"),
+    st.integers(10, 99).map(lambda v: f"{v // 10}_{v % 10}"),
+    st.integers(0, 99).map(lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))),
+    st.sampled_from([2**63 - 1, -2**63]).map(str),
+)
+BAD_IDS = st.one_of(
+    INT_IDS,
+    st.sampled_from([2**63, -2**63 - 1, 10**20]).map(str),
+    st.sampled_from(["x", "1.0", "1e3", "0x1", "#", "-", "+-1", "1__0", "\x00"]),
+)
+SPACES = " \t\v"
+
+
+@st.composite
+def edge_files(draw):
+    """Edge-list bytes over whitespace, line ends, blank lines and id
+    forms, with or without a final newline; files drawn with BAD_IDS
+    also get wrong field counts, a BOM and bytes that are not UTF-8."""
+    ids = draw(st.sampled_from([PLAIN_IDS, INT_IDS, BAD_IDS]))
+    bad = ids is BAD_IDS
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            line = draw(st.text(SPACES, max_size=3))  # blank or whitespace only
+        else:
+            fields = draw(st.sampled_from([2, 2, 2, 2, 1, 3] if bad else [2]))
+            line = draw(st.text(SPACES, min_size=1, max_size=3)).join(
+                draw(ids) for _ in range(fields))
+            line = draw(st.text(SPACES, max_size=2)) + line + draw(st.text(SPACES, max_size=2))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if bad and draw(st.integers(0, 3)) == 0:
+        text = "\ufeff" + text
+    raw = text.encode("utf-8")
+    if bad and draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[at:]
+    return raw
+
+
+@settings(max_examples=400)
+@given(raw=edge_files())
+@example(raw=b"0\t1\v\n\v\n2 \t3\r\n4\r5\t6")
+@example(raw=b"+7\t1_0\n")
+@example(raw="٣\t١٢\n".encode())
+@example(raw=b"\xef\xbb\xbf0\t1\n")
+@example(raw=b"0 1\n1 2 3\n")
+@example(raw=b"0 1 2\n")
+@example(raw=b"0\t1\n\xff\t2\n")
+@example(raw=b"5\t99999999999999999999\n")
+@example(raw=b"5\t9223372036854775807\n-9223372036854775808\t5\n")
+@example(raw=b"")
+@example(raw=b" \n\t\n")
+def test_read_edge_list_equals_the_line_reader(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "drawn_edges.tsv"
+    path.write_bytes(raw)
+    got, expect = outcome(read_edge_list, path), outcome(reference_edge_list, path)
+    if isinstance(expect, str):
+        assert got == expect
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.shape == expect.shape
+        assert np.array_equal(got, expect)
 
 
 def test_read_hyperedges(tmp_path):

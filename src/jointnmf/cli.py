@@ -192,20 +192,19 @@ def _cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_market(out / "X.mtx", X)
-    write_records(out / "vocab.txt", zip(filtered.vocab))
-    write_records(out / "doc_ids.txt", zip(doc_ids))
+    write_records(out / "vocab.txt", filtered.vocab)
+    write_records(out / "doc_ids.txt", doc_ids)
     if S is not None:
         write_matrix_market(out / "S.mtx", S)
-    write_records(out / "report.txt", [
-        ("terms_removed", len(report.removed_terms)),
-        ("short_docs_removed", len(report.short_docs)),
-        ("duplicate_docs_removed", len(report.duplicate_docs)),
-        ("docs_outside_component", len(outside_lcc)),
-        *(("term", t) for t in report.removed_terms),
-        *(("short", d) for d in report.short_docs),
-        *(("duplicate", d) for d in report.duplicate_docs),
-        *(("outside", d) for d in outside_lcc),
-    ])
+    # the four counts, then each removed name under its tag
+    listed = {"term": report.removed_terms, "short": report.short_docs,
+              "duplicate": report.duplicate_docs, "outside": outside_lcc}
+    write_records(
+        out / "report.txt",
+        ["terms_removed", "short_docs_removed", "duplicate_docs_removed", "docs_outside_component",
+         *(tag for tag, names in listed.items() for _ in names)],
+        [*map(len, listed.values()), *(name for names in listed.values() for name in names)],
+    )
     _write_manifest(out / "manifest.tsv", args)
     print(f"kept {X.shape[0]} terms x {X.shape[1]} documents -> {out}")
     return 0
@@ -331,16 +330,16 @@ def _cmd_eval(args) -> int:
     f1 = metrics.average_f1(cm)
     pc = metrics.pairwise_counts(pred, truth)
     scores = metrics.pairwise_scores(pc)
-    rows = [
-        ("items", len(ids)), ("average_f1", f1),
-        ("pwf1", scores.pwf1), ("pwfpr", scores.pwfpr), ("pwfnr", scores.pwfnr),
-        ("tp", pc.tp), ("tn", pc.tn), ("fp", pc.fp), ("fn", pc.fn),
-    ]
-    write_records("-", rows)
+    table = {
+        "items": len(ids), "average_f1": f1,
+        "pwf1": scores.pwf1, "pwfpr": scores.pwfpr, "pwfnr": scores.pwfnr,
+        "tp": pc.tp, "tn": pc.tn, "fp": pc.fp, "fn": pc.fn,
+    }
+    write_records("-", table.keys(), table.values())
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_records(out / "metrics.tsv", rows)
+        write_records(out / "metrics.tsv", table.keys(), table.values())
         _write_manifest(out / "manifest.tsv", args)
     return 0
 
@@ -374,22 +373,25 @@ def _cmd_recommend(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, scores in score_sets.items():
         fpr, tpr = metrics.roc_curve(scores.ravel(), flags)
-        write_records(out / f"roc_{name}.tsv", zip(fpr.tolist(), tpr.tolist()))
-        write_records("-", [(f"auc_{name}", metrics.auc(fpr, tpr))])
-        picks = (pick for ti, row in zip(test_ids, scores)
-                 for pick in _ranked(ti, row, train_ids, args.threshold))
-        write_records(out / f"rec_{name}.tsv", picks)
+        write_records(out / f"roc_{name}.tsv", fpr, tpr)
+        write_records("-", [f"auc_{name}"], [metrics.auc(fpr, tpr)])
+        write_records(out / f"rec_{name}.tsv", *_ranked(test_ids, scores, train_ids, args.threshold))
     _write_manifest(out / "manifest.tsv", args)
     print(f"artifacts -> {out}")
     return 0
 
 
-def _ranked(test_id, row, train_ids, threshold):
-    # (test id, train id, score) of the training documents scoring above
-    # the threshold, best first, ties in ascending train index
-    picks = recommend_above(row, threshold)
-    picks = picks[np.lexsort((picks, -row[picks]))]
-    return [(test_id, train_ids[j], s) for j, s in zip(picks.tolist(), row[picks].tolist())]
+def _ranked(test_ids, scores, train_ids, threshold):
+    # (test id, train id, score) columns of the training documents scoring
+    # above the threshold: test documents in order, each one's picks best
+    # first, ties in ascending train index
+    flat = scores.ravel()
+    picks = recommend_above(flat, threshold)
+    test, train = np.divmod(picks, scores.shape[1])
+    order = np.lexsort((train, -flat[picks], test))
+    picks = picks[order]
+    return (np.asarray(test_ids, dtype=object)[test[order]],
+            np.asarray(train_ids, dtype=object)[train[order]], flat[picks])
 
 
 def _cmd_hypergraph_sim(args) -> int:
@@ -408,19 +410,20 @@ def _cmd_topics(args) -> int:
     W = read_matrix_market(args.w)
     if sparse.issparse(W):
         W = W.toarray()
-    report = top_terms(W, read_names(args.vocab), args.top_terms)
-    rows = [
-        (c, rank, term, weight)
-        for c, terms in enumerate(report.clusters)
-        for rank, (term, weight) in enumerate(terms, start=1)
-    ]
+    clusters = top_terms(W, read_names(args.vocab), args.top_terms).clusters
+    columns = (
+        [c for c, terms in enumerate(clusters) for _ in terms],
+        [rank for terms in clusters for rank in range(1, len(terms) + 1)],
+        [term for terms in clusters for term, _ in terms],
+        [weight for terms in clusters for _, weight in terms],
+    )
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_records(out / "topics.tsv", rows)
+        write_records(out / "topics.tsv", *columns)
         _write_manifest(out / "manifest.tsv", args)
     else:
-        write_records("-", rows)
+        write_records("-", *columns)
     return 0
 
 
@@ -456,12 +459,15 @@ def _pairwise_row(labels, truth_sets):
 
 
 def _write_metrics_table(path, rows):
+    # a header line, one line per trial, then the means
     keys = ["trial", "seed", "objective", "average_f1", "pwf1", "pwfpr", "pwfnr"]
-    means = ["mean", "-"]
-    for k in keys[2:]:
-        vals = [row[k] for row in rows if row.get(k) is not None]
-        means.append(float(np.mean(vals)) if vals else None)
-    write_records(path, [keys, *([row.get(k) for k in keys] for row in rows), means])
+    columns = [[key, *(row.get(key) for row in rows)] for key in keys]
+    columns[0].append("mean")
+    columns[1].append("-")
+    for column in columns[2:]:
+        vals = [v for v in column[1:] if v is not None]
+        column.append(float(np.mean(vals)) if vals else None)
+    write_records(path, *columns)
 
 
 def _read_citations(path, test_ids, train_ids):
@@ -497,7 +503,7 @@ def _write_manifest(path, args, **resolved) -> None:
     entries = {"command": args.command}
     entries.update((a.dest, getattr(args, a.dest)) for a in _manifest_actions(args))
     entries.update(resolved)
-    write_records(path, ((key, _manifest_value(val)) for key, val in entries.items()))
+    write_records(path, entries.keys(), map(_manifest_value, entries.values()))
 
 
 def _manifest_value(v):

@@ -231,7 +231,8 @@ def write_result(result: FactorizationResult, out_dir) -> None:
     write_matrix_market(out / "H.mtx", result.H)
     if result.H_tilde is not None:
         write_matrix_market(out / "Htilde.mtx", result.H_tilde)
-    write_records(out / "objective.log", enumerate(result.objective_history, start=1))
+    history = np.asarray(result.objective_history, dtype=np.float64)
+    write_records(out / "objective.log", range(1, history.size + 1), history)
 
 
 # ---------------------------------------------------------------------------

@@ -169,9 +169,10 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     """S over n documents from exactly one of edges or hyperedge lists.
 
     n is the size of S, or None to infer it; with dual=True the documents
-    are the hyperedges.  An n inferred from edges is one more than the
-    largest id, and a smaller id no edge names (a self-loop names its
-    id) is a ZeroDegree.  Edges give D^-1/2 A D^-1/2 (A itself with
+    are the hyperedges.  An n inferred from edges or hyperedges is one
+    more than the largest id, and a smaller id no edge names (a self-loop
+    names its id) is a ZeroDegree; with dual, only the order of the
+    vertex ids counts.  Edges give D^-1/2 A D^-1/2 (A itself with
     raw_adjacency), hyperedges hypergraph_similarity less any edge that
     joins no vertex.  With within (ascending positions), S is restricted
     to those documents and then to their largest connected component.
@@ -202,11 +203,29 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
             kept = largest_connected_component(g)
             g = induce_subgraph(g, kept)
         return (g.adjacency if raw_adjacency else normalized_adjacency(g)), kept
+    hyperedges = [list(e) for e in hyperedges]
+    try:
+        ids = np.unique(np.array([int(v) for e in hyperedges for v in e], dtype=np.int64))
+    except OverflowError:
+        raise IndexOutOfRange("a hyperedge vertex id does not fit 64 bits") from None
+    # ids checked and ranked before anything as large as the largest id is
+    # built; a negative id is left to hypergraph_from_edges, which names it
+    in_range = not ids.size or ids[0] >= 0
     if dual:
+        if in_range:
+            # a vertex id in no hyperedge is an empty edge of the dual, which
+            # S drops, so ids keep only their order
+            rank = dict(zip(ids.tolist(), range(ids.size)))
+            hyperedges = [[rank[int(v)] for v in e] for e in hyperedges]
         hg = dual_hypergraph(hypergraph_from_edges(hyperedges))
         if n is not None and hg.n_vertices != n:
             raise ShapeMismatch(f"{hg.n_vertices} hyperedges for {n} documents")
     else:
+        if n is None and in_range and ids.size and ids.size <= ids[-1]:
+            gap = int(np.argmax(ids != np.arange(ids.size)))
+            top = int(ids[-1])
+            raise ZeroDegree(f"vertex {gap} belongs to no edge, but the largest id {top} "
+                             f"sets {top + 1} vertices")
         hg = hypergraph_from_edges(hyperedges, n_vertices=n)
     kept = np.arange(hg.n_vertices)
     # restricting to every vertex drops the edges that join none
@@ -233,34 +252,51 @@ def largest_connected_component(obj):
         A = obj.adjacency
         if obj.n == 0 or A.nnz == 0:
             raise EmptyGraph("graph has no edges")
-        labels = _component_labels(A)
+        coo = A.tocoo()
+        labels = _component_labels(obj.n, coo.row, coo.col)
         return np.flatnonzero(labels == _best_component(labels))
     if isinstance(obj, Hypergraph):
         M = obj.incidence
-        if M.shape[0] == 0 or M.shape[1] == 0 or M.nnz == 0:
+        nv = M.shape[0]
+        if nv == 0 or M.shape[1] == 0 or M.nnz == 0:
             raise EmptyGraph("hypergraph has no incidences")
-        labels = _component_labels(M @ M.T)
-        best = _best_component(labels)
-        vertices = np.flatnonzero(labels == best)
-        csc = M.tocsc()
-        edge_deg = np.diff(csc.indptr)
-        first_vertex = np.full(M.shape[1], -1, dtype=np.int64)
-        nonempty = edge_deg > 0
-        first_vertex[nonempty] = csc.indices[csc.indptr[:-1][nonempty]]
-        # an edge connects all its endpoints, so one endpoint inside
-        # the component puts the whole edge inside
-        edges = np.flatnonzero(nonempty & (labels[first_vertex] == best))
-        return vertices, edges
+        # edge j is node nv + j, joined to each of its vertices; an edge's
+        # component is its node's, and an empty edge is a component alone
+        coo = M.tocoo()
+        labels = _component_labels(nv + M.shape[1], coo.row, nv + coo.col.astype(np.int64))
+        best = _best_component(labels[:nv])
+        return np.flatnonzero(labels[:nv] == best), np.flatnonzero(labels[nv:] == best)
     raise TypeError(f"expected Graph or Hypergraph, got {type(obj).__name__}")
 
 
-def _component_labels(A):
-    # csgraph loads scipy.sparse.linalg and scipy.linalg, about 90 ms of the
-    # package import, and only the largest-component restriction needs it
-    from scipy.sparse import csgraph
+def _component_labels(n, a, b):
+    """Per node of 0..n-1 joined by the edges (a[i], b[i]), the smallest
+    node of its component.
 
-    _, labels = csgraph.connected_components(A, directed=False)
-    return labels
+    Hook and compress (Shiloach & Vishkin, J. Algorithms 1982) over a
+    forest whose roots are the smallest nodes of their trees.  Each round
+    drops the edges inside one tree, hooks every root to the smallest
+    root across its remaining edges, and points every node at its root.
+    A root that hooks nowhere is smaller than its neighbours, which hook
+    to roots smaller still, so it hooks in the next round: the trees that
+    have an edge at least halve every two rounds.  A 200k-node path in
+    random order takes 12 rounds.
+    """
+    parent = np.arange(n)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    while True:
+        ra, rb = parent[a], parent[b]
+        joins = ra != rb
+        if not joins.any():
+            return parent
+        a, b, ra, rb = a[joins], b[joins], ra[joins], rb[joins]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 def _best_component(labels):

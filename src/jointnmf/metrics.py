@@ -181,7 +181,7 @@ def read_labels(path) -> dict[str, set[str]]:
 
 
 def write_labels(path, ids, labels) -> None:
-    write_records(path, zip(ids, labels))
+    write_records(path, ids, labels)
 
 
 def read_pair_scores(path) -> list[tuple[str, str, float]]:

@@ -415,6 +415,33 @@ def test_a_hyperedge_id_beyond_int64_is_a_data_error_naming_its_line(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("top", [100_000_000_000, 2**63 - 1], ids=["1e11", "int64-max"])
+def test_a_hyperedge_id_that_sets_a_huge_n_is_a_data_error(tmp_path, capsys, top):
+    # n inferred from the largest id: the first used to exit 1 allocating
+    # 745 GiB for range(n), the second with an OverflowError for n = 2**63
+    hyper = tmp_path / "h.txt"
+    hyper.write_text(f"3 4 {top}\n")
+    out = tmp_path / "o"
+    assert main(["hypergraph-sim", "--hyperedges", str(hyper), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: vertex 0 belongs to no edge, but the largest id {top} sets {top + 1} vertices"
+    ]
+    assert not out.exists()
+
+
+def test_hypergraph_sim_dual_takes_huge_participant_ids_by_their_order(tmp_path, capsys):
+    # the participants are the dual's edges, so only their order counts;
+    # 2**63 - 1 used to exit 1 like the plain hypergraph above
+    (tmp_path / "h.txt").write_text(f"0 {2**63 - 1}\n{2**63 - 1} 100000000000\n0 7\n")
+    assert main([
+        "hypergraph-sim", "--hyperedges", str(tmp_path / "h.txt"), "--dual",
+        "--out-dir", str(tmp_path / "o"),
+    ]) == 0
+    S = read_matrix_market(tmp_path / "o" / "S.mtx")
+    expect = hypergraph_similarity(dual_hypergraph(hypergraph_from_edges([[0, 3], [3, 2], [0, 1]])))
+    assert np.array_equal(S.toarray(), expect.toarray())
+
+
 def test_a_doc_id_with_a_tab_is_a_data_error_where_it_enters(tmp_path, capsys):
     # the id used to pass whole into labels.tsv, which eval then rejected
     (tmp_path / "tri.tsv").write_text("0\t1\n1\t2\n2\t0\n")

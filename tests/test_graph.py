@@ -1,5 +1,7 @@
 """Graph and hypergraph similarity construction."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -325,6 +327,99 @@ def test_lcc_empty_inputs_rejected():
         largest_connected_component(Graph(sparse.csc_array((3, 3))))
     with pytest.raises(EmptyGraph):
         largest_connected_component(Hypergraph(sparse.csc_array((3, 2))))
+
+
+def reference_lcc(obj):
+    """largest_connected_component through csgraph, as it was computed
+    before the package had its own labeller."""
+    from scipy.sparse import csgraph
+
+    if isinstance(obj, Graph):
+        if obj.adjacency.nnz == 0:
+            raise EmptyGraph("graph has no edges")
+        _, labels = csgraph.connected_components(obj.adjacency, directed=False)
+    else:
+        M = obj.incidence
+        if M.nnz == 0:
+            raise EmptyGraph("hypergraph has no incidences")
+        _, labels = csgraph.connected_components(M @ M.T, directed=False)
+    sizes = np.bincount(labels)
+    # the largest component; on a tie, the one holding the smallest vertex
+    best = labels[np.flatnonzero(sizes[labels] == sizes.max())[0]]
+    vertices = np.flatnonzero(labels == best)
+    if isinstance(obj, Graph):
+        return vertices
+    return vertices, np.flatnonzero((labels == best).astype(float) @ M > 0)
+
+
+@st.composite
+def tied_components(draw, max_size=5):
+    """n and vertex-id groups: components of drawn sizes, sizes often tied,
+    under shuffled ids, plus ids in no group."""
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=1, max_size=8))
+    n = sum(sizes) + draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(n)))
+    starts = np.cumsum([0, *sizes])
+    return n, [ids[a:b] for a, b in zip(starts[:-1], starts[1:])]
+
+
+@settings(max_examples=300)
+@given(drawn=tied_components(), data=st.data())
+@example(drawn=(4, [[0, 1], [2, 3]]), data=None)
+@example(drawn=(5, [[4, 3], [1, 0], [2]]), data=None)
+def test_graph_lcc_equals_csgraph(drawn, data):
+    n, groups = drawn
+    pairs = []
+    for group in groups:
+        # a random tree over the group (its first edge is a self-loop),
+        # then random extra edges that may join groups
+        pairs += [(v, group[data.draw(st.integers(0, i))] if data else group[0])
+                  for i, v in enumerate(group)]
+    if data:
+        pairs += data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                    max_size=4))
+    g = symmetrize(pairs, n_vertices=n)
+    try:
+        expected = reference_lcc(g)
+    except EmptyGraph:
+        with pytest.raises(EmptyGraph):
+            largest_connected_component(g)
+        return
+    assert largest_connected_component(g).tolist() == expected.tolist()
+
+
+@settings(max_examples=300)
+@given(drawn=tied_components(max_size=4), data=st.data())
+@example(drawn=(4, [[2, 3], [0, 1]]), data=None)
+def test_hypergraph_lcc_equals_csgraph(drawn, data):
+    n, groups = drawn
+    # each group is cut into edges that overlap in one vertex, so the group
+    # is connected; empty edges and edges across groups are mixed in
+    edges = [group[max(i - 1, 0):i + 1] for group in groups for i in range(len(group))]
+    if data:
+        edges += data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3), max_size=4))
+        edges = data.draw(st.permutations(edges))
+    hg = hypergraph_from_edges(edges, n_vertices=n)
+    try:
+        expected = reference_lcc(hg)
+    except EmptyGraph:
+        with pytest.raises(EmptyGraph):
+            largest_connected_component(hg)
+        return
+    vertices, kept = largest_connected_component(hg)
+    assert (vertices.tolist(), kept.tolist()) == (expected[0].tolist(), expected[1].tolist())
+
+
+def test_lcc_of_a_long_path_in_random_order_is_fast():
+    # labels that only spread to neighbours need one round per hop, which
+    # here is about 200k rounds; hooking roots takes about a dozen
+    n = 200_000
+    order = np.random.default_rng(5).permutation(n)
+    g = symmetrize(np.column_stack([order[:-1], order[1:]]), n_vertices=n)
+    start = time.perf_counter()
+    vertices = largest_connected_component(g)
+    assert time.perf_counter() - start < 2.0
+    assert vertices.size == n
 
 
 def test_induce_subgraph():

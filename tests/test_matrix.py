@@ -1,13 +1,19 @@
 """Matrix helpers, Matrix Market round trips and text records."""
 
+import contextlib
+import io
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from jointnmf import matrix
 from jointnmf.errors import DataError, NotSymmetric, ShapeMismatch
 from jointnmf.matrix import (
     as_csc,
@@ -237,19 +243,86 @@ def test_read_names_keeps_a_line_whole_and_rejects_a_tab(tmp_path):
 
 
 def test_write_records_has_one_cell_rule(tmp_path, capsys):
-    rows = [("a", 1, 0.1, np.float64(1 / 3), None, np.int64(7), 1e300)]
-    write_records(tmp_path / "w.tsv", rows)
+    columns = (["a"], [1], [0.1], np.array([1 / 3]), [None], [np.int64(7)], [1e300])
+    write_records(tmp_path / "w.tsv", *columns)
     expected = "a\t1\t0.1\t0.3333333333333333\tNA\t7\t1e+300\n"
     assert (tmp_path / "w.tsv").read_text() == expected
-    write_records("-", rows)
+    write_records("-", *columns)
     assert capsys.readouterr().out == expected
-    write_records(tmp_path / "empty.tsv", [])
+    write_records(tmp_path / "empty.tsv", [], np.array([]))
     assert (tmp_path / "empty.tsv").read_text() == ""
+    write_records(tmp_path / "none.tsv")
+    assert (tmp_path / "none.tsv").read_text() == ""
+
+
+def test_write_records_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError, match=r"unequal length \[2, 1\]"):
+        write_records(tmp_path / "w.tsv", ["a", "b"], np.array([1.0]))
+    assert not (tmp_path / "w.tsv").exists()
 
 
 def test_records_round_trip_floats_bit_for_bit(tmp_path):
     rng = np.random.default_rng(4)
     values = rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)
-    write_records(tmp_path / "f.tsv", zip(range(50), values))
+    write_records(tmp_path / "f.tsv", range(50), values)
     back = list(read_records(tmp_path / "f.tsv", fields=2, convert=lambda r: float(r[1])))
     assert back == values.tolist()
+
+
+def _reference_cell(v):
+    # the cell rule, one value at a time
+    if isinstance(v, float):
+        return repr(float(v))
+    return "NA" if v is None else str(v)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 1e16, 1e-5, 5e-324, -2.2250738585072014e-308,
+                     float("nan"), float("inf"), float("-inf"), 0.1]),
+)
+_CELLS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.none(),
+    st.text(alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=["Cs"])),
+)
+
+
+@st.composite
+def _columns(draw):
+    rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            # a float64 array, its values drawn from a few so that they repeat
+            pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
+            columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=rows,
+                                                  max_size=rows)), dtype=np.float64))
+        else:
+            columns.append(draw(st.lists(_CELLS, min_size=rows, max_size=rows)))
+    return columns
+
+
+@settings(max_examples=300)
+@given(columns=_columns(), stdout=st.booleans(), block=st.integers(1, 13))
+@example(columns=[np.array([0.0, -0.0, 0.0, np.nan, -np.nan, 5e-324]),
+                  [np.float64(-0.0), np.int64(-3), None, "x", 1e16, 1e-5]], stdout=False, block=4)
+@example(columns=[[], np.array([])], stdout=True, block=1)
+def test_write_records_equals_the_cell_rule_per_cell(tmp_path_factory, columns, stdout, block):
+    expected = "".join("\t".join(map(_reference_cell, row)) + "\n"
+                       for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                        for c in columns)))
+    # small blocks, so that a file spans several
+    with mock.patch.object(matrix, "WRITE_BLOCK_ROWS", block):
+        if stdout:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                write_records("-", *columns)
+            written = out.getvalue()
+        else:
+            path = tmp_path_factory.mktemp("w") / "w.tsv"
+            write_records(path, *columns)
+            written = path.read_text(encoding="utf-8")
+    assert written == expected

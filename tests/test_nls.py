@@ -17,9 +17,11 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from jointnmf import nls
 from jointnmf.errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
+from jointnmf.matrix import write_matrix_market
 from jointnmf.nls import (
     STACK_ENTRIES,
     kkt_residual,
@@ -353,18 +355,28 @@ def test_a_gram_form_b_off_the_range_of_a_singular_gram_is_still_solved(k, data,
             assert kkt_residual_gram(ata, atb[:, [c]], X[:, [c]]) <= 1e-9 * size
 
 
-def test_importing_the_package_leaves_out_scipy_optimize(child_env):
-    # only the rescue needs scipy.optimize, and only the largest-component
-    # restriction csgraph, which loads scipy.linalg; each import would add
-    # 0.1-0.3 s to every command
-    heavy = ("scipy.optimize", "scipy.sparse.csgraph", "scipy.linalg")
+def test_importing_the_package_leaves_out_scipy_optimize(child_env, tmp_path):
+    # only the rescue needs scipy.optimize; csgraph loads scipy.sparse.linalg
+    # and scipy.linalg.  Each would add 0.1-0.3 s to every command, and
+    # preprocess finds its largest component without them
+    heavy = ("scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+    write_matrix_market(tmp_path / "counts.mtx", sparse.csc_array(np.array([
+        [2.0, 1.0, 0.0, 1.0], [0.0, 3.0, 1.0, 1.0], [1.0, 0.0, 2.0, 2.0],
+    ])))
+    (tmp_path / "vocab.txt").write_text("a\nb\nc\n")
+    (tmp_path / "ids.txt").write_text("d0\nd1\nd2\nd3\n")
+    (tmp_path / "edges.tsv").write_text("0\t1\n1\t2\n")
+    preprocess = ["preprocess", "--counts", "counts.mtx", "--vocab", "vocab.txt",
+                  "--doc-ids", "ids.txt", "--edges", "edges.tsv",
+                  "--min-term-df", "1", "--min-doc-len", "1", "--out-dir", "pre"]
+    loaded = f"print([m for m in {heavy!r} if m in sys.modules])"
     done = subprocess.run(
-        [sys.executable, "-c", f"import sys, jointnmf, jointnmf.cli; "
-                               f"print([m for m in {heavy!r} if m in sys.modules])"],
-        env=child_env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", f"import sys, jointnmf, jointnmf.cli; {loaded}; "
+                               f"code = jointnmf.cli.main({preprocess!r}); {loaded}; sys.exit(code)"],
+        env=child_env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", "kept 3 terms x 3 documents -> pre", "[]"]
 
 
 def test_warm_start_rejects_misshapen_passive_set():

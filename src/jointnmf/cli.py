@@ -196,15 +196,16 @@ def _cmd_preprocess(args) -> int:
     write_records(out / "doc_ids.txt", doc_ids)
     if S is not None:
         write_matrix_market(out / "S.mtx", S)
-    # the four counts, then each removed name under its tag
-    listed = {"term": report.removed_terms, "short": report.short_docs,
-              "duplicate": report.duplicate_docs, "outside": outside_lcc}
-    write_records(
-        out / "report.txt",
-        ["terms_removed", "short_docs_removed", "duplicate_docs_removed", "docs_outside_component",
-         *(tag for tag, names in listed.items() for _ in names)],
-        [*map(len, listed.values()), *(name for names in listed.values() for name in names)],
-    )
+    write_records(out / "report.txt", *zip(*[
+        ("terms_removed", len(report.removed_terms)),
+        ("short_docs_removed", len(report.short_docs)),
+        ("duplicate_docs_removed", len(report.duplicate_docs)),
+        ("docs_outside_component", len(outside_lcc)),
+        *(("term", t) for t in report.removed_terms),
+        *(("short", d) for d in report.short_docs),
+        *(("duplicate", d) for d in report.duplicate_docs),
+        *(("outside", d) for d in outside_lcc),
+    ]))
     _write_manifest(out / "manifest.tsv", args)
     print(f"kept {X.shape[0]} terms x {X.shape[1]} documents -> {out}")
     return 0
@@ -330,16 +331,16 @@ def _cmd_eval(args) -> int:
     f1 = metrics.average_f1(cm)
     pc = metrics.pairwise_counts(pred, truth)
     scores = metrics.pairwise_scores(pc)
-    table = {
-        "items": len(ids), "average_f1": f1,
-        "pwf1": scores.pwf1, "pwfpr": scores.pwfpr, "pwfnr": scores.pwfnr,
-        "tp": pc.tp, "tn": pc.tn, "fp": pc.fp, "fn": pc.fn,
-    }
-    write_records("-", table.keys(), table.values())
+    rows = [
+        ("items", len(ids)), ("average_f1", f1),
+        ("pwf1", scores.pwf1), ("pwfpr", scores.pwfpr), ("pwfnr", scores.pwfnr),
+        ("tp", pc.tp), ("tn", pc.tn), ("fp", pc.fp), ("fn", pc.fn),
+    ]
+    write_records("-", *zip(*rows))
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_records(out / "metrics.tsv", table.keys(), table.values())
+        write_records(out / "metrics.tsv", *zip(*rows))
         _write_manifest(out / "manifest.tsv", args)
     return 0
 
@@ -410,20 +411,19 @@ def _cmd_topics(args) -> int:
     W = read_matrix_market(args.w)
     if sparse.issparse(W):
         W = W.toarray()
-    clusters = top_terms(W, read_names(args.vocab), args.top_terms).clusters
-    columns = (
-        [c for c, terms in enumerate(clusters) for _ in terms],
-        [rank for terms in clusters for rank in range(1, len(terms) + 1)],
-        [term for terms in clusters for term, _ in terms],
-        [weight for terms in clusters for _, weight in terms],
-    )
+    report = top_terms(W, read_names(args.vocab), args.top_terms)
+    rows = [
+        (c, rank, term, weight)
+        for c, terms in enumerate(report.clusters)
+        for rank, (term, weight) in enumerate(terms, start=1)
+    ]
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_records(out / "topics.tsv", *columns)
+        write_records(out / "topics.tsv", *zip(*rows))
         _write_manifest(out / "manifest.tsv", args)
     else:
-        write_records("-", *columns)
+        write_records("-", *zip(*rows))
     return 0
 
 
@@ -459,15 +459,12 @@ def _pairwise_row(labels, truth_sets):
 
 
 def _write_metrics_table(path, rows):
-    # a header line, one line per trial, then the means
     keys = ["trial", "seed", "objective", "average_f1", "pwf1", "pwfpr", "pwfnr"]
-    columns = [[key, *(row.get(key) for row in rows)] for key in keys]
-    columns[0].append("mean")
-    columns[1].append("-")
-    for column in columns[2:]:
-        vals = [v for v in column[1:] if v is not None]
-        column.append(float(np.mean(vals)) if vals else None)
-    write_records(path, *columns)
+    means = ["mean", "-"]
+    for k in keys[2:]:
+        vals = [row[k] for row in rows if row.get(k) is not None]
+        means.append(float(np.mean(vals)) if vals else None)
+    write_records(path, *zip(*[keys, *([row.get(k) for k in keys] for row in rows), means]))
 
 
 def _read_citations(path, test_ids, train_ids):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -203,30 +204,24 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
             kept = largest_connected_component(g)
             g = induce_subgraph(g, kept)
         return (g.adjacency if raw_adjacency else normalized_adjacency(g)), kept
-    hyperedges = [list(e) for e in hyperedges]
-    try:
-        ids = np.unique(np.array([int(v) for e in hyperedges for v in e], dtype=np.int64))
-    except OverflowError:
-        raise IndexOutOfRange("a hyperedge vertex id does not fit 64 bits") from None
+    ids, sizes = _vertex_ids(hyperedges)
     # ids checked and ranked before anything as large as the largest id is
-    # built; a negative id is left to hypergraph_from_edges, which names it
-    in_range = not ids.size or ids[0] >= 0
+    # built; a negative id is left to _incidence, which names it
+    distinct, rank = np.unique(ids, return_inverse=True)
+    in_range = not ids.size or distinct[0] >= 0
     if dual:
-        if in_range:
-            # a vertex id in no hyperedge is an empty edge of the dual, which
-            # S drops, so ids keep only their order
-            rank = dict(zip(ids.tolist(), range(ids.size)))
-            hyperedges = [[rank[int(v)] for v in e] for e in hyperedges]
-        hg = dual_hypergraph(hypergraph_from_edges(hyperedges))
+        # a vertex id in no hyperedge is an empty edge of the dual, which S
+        # drops, so ids keep only their order
+        hg = dual_hypergraph(_incidence(rank if in_range else ids, sizes))
         if n is not None and hg.n_vertices != n:
             raise ShapeMismatch(f"{hg.n_vertices} hyperedges for {n} documents")
     else:
-        if n is None and in_range and ids.size and ids.size <= ids[-1]:
-            gap = int(np.argmax(ids != np.arange(ids.size)))
-            top = int(ids[-1])
+        if n is None and in_range and distinct.size and distinct.size <= distinct[-1]:
+            gap = int(np.argmax(distinct != np.arange(distinct.size)))
+            top = int(distinct[-1])
             raise ZeroDegree(f"vertex {gap} belongs to no edge, but the largest id {top} "
                              f"sets {top + 1} vertices")
-        hg = hypergraph_from_edges(hyperedges, n_vertices=n)
+        hg = _incidence(ids, sizes, n)
     kept = np.arange(hg.n_vertices)
     # restricting to every vertex drops the edges that join none
     hg, _ = induce_subhypergraph(hg, kept if within is None else within)
@@ -347,23 +342,36 @@ def membership_counts(edge_labels, Hg: Hypergraph) -> np.ndarray:
 
 def hypergraph_from_edges(edge_vertex_lists, n_vertices: int | None = None) -> Hypergraph:
     """Build the incidence matrix from per-edge vertex id lists."""
-    edges = [sorted({int(v) for v in e}) for e in edge_vertex_lists]
+    return _incidence(*_vertex_ids(edge_vertex_lists), n_vertices)
+
+
+def _vertex_ids(edge_vertex_lists):
+    # every edge's vertex ids end to end as one int64 array, and the
+    # number of ids in each edge
+    edges = list(edge_vertex_lists)
+    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+    try:
+        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+    except OverflowError:
+        raise IndexOutOfRange("a hyperedge vertex id does not fit 64 bits") from None
+    return ids, sizes
+
+
+def _incidence(ids, sizes, n_vertices=None) -> Hypergraph:
+    # edge j holds the next sizes[j] entries of ids; n_vertices defaults to
+    # one more than the largest id
     if n_vertices is None:
-        n_vertices = max((max(e) for e in edges if e), default=-1) + 1
-    rows, cols = [], []
-    for j, e in enumerate(edges):
-        for v in e:
-            if not 0 <= v < n_vertices:
-                raise IndexOutOfRange(
-                    f"edge {j} references vertex {v} outside [0, {n_vertices})"
-                )
-            rows.append(v)
-            cols.append(j)
-    M = sparse.coo_array(
-        (np.ones(len(rows)), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(n_vertices, len(edges)),
-    )
-    return Hypergraph(M.tocsc())
+        n_vertices = int(ids.max()) + 1 if ids.size else 0
+    edge = np.repeat(np.arange(sizes.size), sizes)
+    outside = (ids < 0) | (ids >= n_vertices)
+    if outside.any():
+        j = edge[outside][0]
+        v = ids[outside & (edge == j)].min()
+        raise IndexOutOfRange(f"edge {j} references vertex {v} outside [0, {n_vertices})")
+    M = sparse.csc_array((np.ones(ids.size), (ids, edge)), shape=(n_vertices, sizes.size))
+    M.sum_duplicates()
+    M.data[:] = 1.0  # a vertex listed twice in one edge is one incidence
+    return Hypergraph(M)
 
 
 def read_edge_list(path) -> np.ndarray:

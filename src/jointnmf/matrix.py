@@ -207,9 +207,9 @@ def write_records(path, *columns) -> None:
 
     The one cell rule: a float is written as its repr, which reads back
     bit for bit, None as NA, anything else with str.  A float64 array is
-    formatted once per distinct bit pattern in each block of rows, so
-    repeated values cost one repr and -0.0 stays apart from 0.0.  Columns
-    of unequal length are a ValueError.
+    converted to floats once per block of rows and each one reprd, without
+    the rule's per-cell dispatch.  Columns of unequal length are a
+    ValueError.
     """
     columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
     lengths = [len(c) for c in columns]
@@ -223,9 +223,7 @@ def write_records(path, *columns) -> None:
 
 def _column(values) -> list[str]:
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        return text[inverse].tolist()
+        return list(map(repr, values.tolist()))
     return list(map(_cell, values))
 
 

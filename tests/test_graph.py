@@ -111,6 +111,15 @@ def test_hypergraph_from_edges_dedupes_within_edge():
         hypergraph_from_edges([[0, 9]], n_vertices=3)
 
 
+def test_hypergraph_from_edges_names_the_first_edge_and_its_smallest_id_outside():
+    with pytest.raises(IndexOutOfRange, match=r"^edge 1 references vertex -2 outside \[0, 3\)$"):
+        hypergraph_from_edges([[0, 2], [5, -1, 1, -2], [-7]], n_vertices=3)
+    with pytest.raises(IndexOutOfRange, match="does not fit 64 bits"):
+        hypergraph_from_edges([[0], [2**63]])
+    hg = hypergraph_from_edges([[], [4, 1], []])
+    assert hg.incidence.shape == (5, 3) and hg.incidence.nnz == 2
+
+
 # ---------------------------------------------------------------------------
 # normalized adjacency
 

@@ -11,9 +11,10 @@ per matrix.  All of them go through one entry, which accepts the views,
 checks shapes and k, resolves the weights and runs every trial of every
 fit in lockstep stacks of up to LOCKSTEP_COLUMNS columns: the sweeps
 advance a stack's runs together, and each block update is one NLS call
-over the live runs' normal equations (nls takes a Gram per run), which
-gives each run the factors it gets alone, bit for bit.  A run leaves
-its stack when it stops; a run wider than the limit is a stack alone.
+over the live runs' normal equations (nls takes a stack of one Gram per
+run, each serving that run's columns), which gives each run the factors
+it gets alone, bit for bit.  A run leaves its stack when it stops; a
+run wider than the limit is a stack alone.
 
 The similarity factor is split into H and a tether copy Ht so every
 block update is an exact nonnegative least squares solve; the beta term
@@ -416,22 +417,17 @@ def _sweeps(problems, seeds, opts):
 def _solve(live, terms, prev):
     # the exact NLS solution of each live run's block, given its terms:
     # the summed normal equations, warm-started from the support predicted
-    # from the block's previous value prev, in one kernel call (on a stack
-    # of Grams for several runs); records each run's objective
-    atas = [sum(r.p.weights[i] * gram for i, gram, _, _ in t) for r, t in zip(live, terms)]
+    # from the block's previous value prev, in one kernel call on the
+    # stack of the runs' Grams, each run's columns after the last's;
+    # records each run's objective
+    ata = np.stack([sum(r.p.weights[i] * gram for i, gram, _, _ in t) for r, t in zip(live, terms)])
     atbs = [sum(r.p.weights[i] * rhs for i, _, rhs, _ in t) for r, t in zip(live, terms)]
-    if len(live) == 1:
-        ata, atb = atas[0], atbs[0]
-        Fs = [nls_bpp_gram(ata, atb, passive=predict_passive(ata, atb, prev[0]))]
-    else:
-        ata, atb = np.stack(atas), np.hstack(atbs)
-        widths = [b.shape[1] for b in atbs]
-        gram_of = np.repeat(np.arange(len(live)), widths)
-        passive = predict_passive(ata, atb, np.hstack(prev), gram_of=gram_of)
-        F = nls_bpp_gram(ata, atb, passive=passive, gram_of=gram_of)
-        # each run's columns as an array of their own, laid out as a solo
-        # call returns them
-        Fs = [np.ascontiguousarray(Fi) for Fi in np.hsplit(F, np.cumsum(widths)[:-1])]
+    atb, widths = np.hstack(atbs), [b.shape[1] for b in atbs]
+    passive = predict_passive(ata, atb, np.hstack(prev), widths=widths)
+    F = nls_bpp_gram(ata, atb, passive=passive, widths=widths)
+    # each run's columns as an array of their own, laid out as a solo call
+    # returns them
+    Fs = [np.ascontiguousarray(Fi) for Fi in np.hsplit(F, np.cumsum(widths)[:-1])]
     for r, t, F in zip(live, terms, Fs):
         r.blocks.append(_objective(r.resid, r.p.weights, t, F))
     return Fs

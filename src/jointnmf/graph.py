@@ -216,11 +216,15 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
         if n is not None and hg.n_vertices != n:
             raise ShapeMismatch(f"{hg.n_vertices} hyperedges for {n} documents")
     else:
+        # the first vertex of 0..n-1 in no edge, where the ids are all in range
+        gap = int(np.argmax(np.append(distinct, -1) != np.arange(distinct.size + 1)))
         if n is None and in_range and distinct.size and distinct.size <= distinct[-1]:
-            gap = int(np.argmax(distinct != np.arange(distinct.size)))
             top = int(distinct[-1])
             raise ZeroDegree(f"vertex {gap} belongs to no edge, but the largest id {top} "
                              f"sets {top + 1} vertices")
+        if n is not None and within is None and in_range and 0 < distinct.size < n and distinct[-1] < n:
+            # hypergraph_similarity's error, raised before anything n-sized is built
+            raise ZeroDegree(f"vertex {gap} belongs to no edge")
         hg = _incidence(ids, sizes, n)
     kept = np.arange(hg.n_vertices)
     # restricting to every vertex drops the edges that join none

@@ -28,14 +28,17 @@ passive solve is singular or nonfinite, or that is still pending after
 ROUNDS_PER_VARIABLE * k rounds, leaves the pivoting and is solved at
 the end by Lawson-Hanson NNLS, which needs no full rank.
 
-Both entries also take a stack of g Grams, (g, k, k), with gram_of
-naming the Gram of each column, so that many small problems share one
-call and its per-round costs: each column is solved exactly as in a
-call with its Gram alone.  The stacked solves gather each column's
-submatrix from its own Gram, the gradient check of a block is one
-product per Gram, and the rescue runs once per Gram.  Bit identity
-with the lone calls holds as long as a BLAS product computes each row
-the same way whatever the other rows are; the tests check it.
+Both entries work on a stack of g Grams, (g, k, k), with widths, the
+number of columns of each: Gram i serves the next widths[i] columns,
+so that many small problems share one call and its per-round costs.
+A single k x k A^T A is a stack of one Gram for all n columns.  Each
+column is solved exactly as in a call with its Gram alone: the stacked
+solves gather each column's submatrix from its own Gram, the gradient
+check of a block is one product per Gram the block uses, and the
+coordinate-descent sweeps and the rescue run once per Gram, on its
+columns.  Bit identity with the lone calls holds as long as a BLAS
+product computes each row the same way whatever the other rows are;
+the tests check it.
 
 A caller that knows a good support passes it as the initial passive
 set.  Variables whose A^T A diagonal is 0 (a zero column of A) have
@@ -96,25 +99,27 @@ def nls_bpp(A, B) -> np.ndarray:
     return X[:, 0] if single else X
 
 
-def nls_bpp_gram(ata, atb, *, passive=None, gram_of=None) -> np.ndarray:
-    """Same solver fed the precomputed products A^T A (k x k) and A^T B (k x n).
+def nls_bpp_gram(ata, atb, *, passive=None, widths=None) -> np.ndarray:
+    """Same solver fed the precomputed products A^T A and A^T B (k x n).
 
     This is the entry point the factorization sweeps use, since their
-    stacked subproblems assemble the products directly.  passive, a
-    k x n boolean array, is the initial passive set (default: empty);
-    variables whose A^T A diagonal is 0 are dropped from it.  ata may be
-    a (g, k, k) stack of Grams with gram_of, an integer n-vector, naming
-    each column's Gram; every column's solution is then the one a call
-    with its Gram alone gives, bit for bit.  The rescue raises
+    stacked subproblems assemble the products directly.  ata is one
+    k x k Gram for every column, or a (g, k, k) stack of Grams with
+    widths, g column counts summing to n: Gram i serves the next
+    widths[i] columns, and each column's solution is the one a call
+    with its Gram alone gives, bit for bit.  passive, a k x n boolean
+    array, is the initial passive set (default: empty); variables whose
+    A^T A diagonal is 0 are dropped from it.  The rescue raises
     SingularSystem for an A^T B positive where the A^T A diagonal is 0
     (unbounded) or an A^T A that is not positive semidefinite, and
     NonConvergence at its iteration limit.
     """
-    ata, atb, passive, gram_of = _normal_equations(
-        ata, atb, passive, bool, "the passive set", gram_of)
+    ata, atb, passive, widths = _normal_equations(
+        ata, atb, passive, bool, "the passive set", widths)
     k, n = atb.shape
     if n == 0:
         return np.zeros((k, 0))
+    gram_of = np.repeat(np.arange(len(ata)), widths)
 
     # the state is kept one row per column, so every gather and scatter
     # of a column copies a contiguous row; at X = 0 every variable is
@@ -127,9 +132,9 @@ def nls_bpp_gram(ata, atb, *, passive=None, gram_of=None) -> np.ndarray:
         P = np.zeros((n, k), dtype=bool)
     else:
         # a variable with a zero A^T A diagonal has optimum 0
-        dead = np.diagonal(ata, axis1=-2, axis2=-1) == 0.0
+        dead = np.diagonal(ata, axis1=1, axis2=2) == 0.0
         P = passive.T.copy()
-        P &= ~(dead if gram_of is None else dead[gram_of])
+        P &= ~dead[gram_of]
         _solve_passive(ata, B, P, np.flatnonzero(P.any(axis=1)), X, infeasible, rescue, gram_of)
     # per-column backup budget and best infeasibility count seen so far
     budget = np.full(n, BACKUP_THRESHOLD, dtype=np.int64)
@@ -157,92 +162,57 @@ def nls_bpp_gram(ata, atb, *, passive=None, gram_of=None) -> np.ndarray:
         cols = cols[infeasible[cols].any(axis=1)]
     # the columns still pending at the round limit
     rescue[cols] = True
-    for gram, rows in _by_gram(ata, gram_of, np.flatnonzero(rescue)):
-        X[rows] = _lawson_hanson(gram, B[rows])
+    rows = np.flatnonzero(rescue)
+    # each Gram rescues the rows of its own segment
+    for gram, part in zip(ata, np.split(rows, np.searchsorted(rows, np.cumsum(widths)[:-1]))):
+        if part.size:
+            X[part] = _lawson_hanson(gram, B[part])
     return np.ascontiguousarray(X.T)
 
 
-def predict_passive(ata, atb, start, *, gram_of=None) -> np.ndarray:
+def predict_passive(ata, atb, start, *, widths=None) -> np.ndarray:
     """Support predicted for nls_bpp_gram from a nearby iterate start (k x n).
 
     Runs PREDICT_SWEEPS coordinate-descent sweeps (HALS) from start on
     the same problem: each variable in turn is set to the minimizer of
     its quadratic with the others fixed, clamped at 0, in one step over
-    all n columns.  A variable whose A^T A diagonal is 0 keeps its start
-    value, which nls_bpp_gram drops.  Returns the k x n boolean support
-    of the result, to pass as passive=; a column whose sweeps overflow
-    keeps the support of start.  A Gram stack with gram_of, as for
-    nls_bpp_gram, sweeps the columns of each Gram as a call with that
-    Gram alone would.
+    the columns of a Gram.  A variable whose A^T A diagonal is 0 keeps
+    its start value, which nls_bpp_gram drops.  ata and widths are as
+    for nls_bpp_gram.  Returns the k x n boolean support of the result,
+    to pass as passive=; a column whose sweeps overflow keeps the
+    support of start.
     """
-    ata, atb, start, gram_of = _normal_equations(ata, atb, start, np.float64, "start", gram_of)
+    ata, atb, start, widths = _normal_equations(ata, atb, start, np.float64, "start", widths)
     X = np.array(start, order="C")
+    cuts = np.cumsum(widths)[:-1]
     with np.errstate(all="ignore"):
-        if gram_of is None:
-            diag = np.diag(ata)
+        # the columns of each Gram are views of X and atb
+        for gram, Xs, Bs in zip(ata, np.hsplit(X, cuts), np.hsplit(atb, cuts)):
+            diag = np.diag(gram).tolist()
+            live = [j for j, d in enumerate(diag) if d > 0.0]
             for _ in range(PREDICT_SWEEPS):
-                for j in np.flatnonzero(diag > 0.0):
-                    X[j] = np.maximum(X[j] + (atb[j] - ata[j] @ X) / diag[j], 0.0)
-        else:
-            _hals_stack(ata, atb, X, gram_of)
+                for j in live:
+                    Xs[j] = np.maximum(Xs[j] + (Bs[j] - gram[j] @ Xs) / diag[j], 0.0)
     support = X > 0.0
     lost = ~np.isfinite(X).all(axis=0)
     support[:, lost] = start[:, lost] > 0.0
     return support
 
 
-def _hals_stack(ata, atb, X, gram_of):
-    """predict_passive's sweeps over X in place, on a Gram stack.
+def _normal_equations(ata, atb, M, dtype, what, widths=None):
+    """ata as a Gram stack, atb, M (dtype, or None) and widths after the entry checks.
 
-    A variable's step takes one product per run of columns sharing a
-    Gram, as that Gram alone takes it, and one elementwise update of all
-    columns; the columns whose Gram has a zero diagonal there keep their
-    value.
-    """
-    runs = _runs(gram_of)
-    diag = np.diagonal(ata, axis1=1, axis2=2)[gram_of].T
-    live = diag > 0.0
-    product = np.empty(X.shape[1])
-    for _ in range(PREDICT_SWEEPS):
-        for j in np.flatnonzero(live.any(axis=1)):
-            for lo, hi, g in runs:
-                product[lo:hi] = ata[g, j] @ X[:, lo:hi]
-            step = np.maximum(X[j] + (atb[j] - product) / diag[j], 0.0)
-            if live[j].all():
-                X[j] = step
-            else:
-                X[j, live[j]] = step[live[j]]
-
-
-def _runs(gram_of):
-    """(start, stop, Gram) of each run of equal entries of gram_of."""
-    starts = np.flatnonzero(np.diff(gram_of, prepend=-1)).tolist()
-    return [(lo, hi, int(gram_of[lo])) for lo, hi in zip(starts, [*starts[1:], gram_of.size])]
-
-
-def _by_gram(ata, gram_of, cols):
-    """(Gram, the columns of cols that use it) for each Gram cols use."""
-    if gram_of is None:
-        if cols.size:
-            yield ata, cols
-        return
-    for g in np.unique(gram_of[cols]).tolist():
-        yield ata[g], cols[gram_of[cols] == g]
-
-
-def _normal_equations(ata, atb, M, dtype, what, gram_of=None):
-    """ata, atb (float64), M (dtype, or None) and gram_of after the entry checks.
-
-    ata must be square, or a (g, k, k) stack when gram_of is given, and
-    atb k x n, with finite entries in both; M, named what in the error,
-    must be k x n like atb, and gram_of n integers below g.
+    ata must be k x k, which is one Gram for every column, or a
+    (g, k, k) stack with widths, g nonnegative integers summing to n;
+    atb must be k x n, with finite entries in both, and M, named what in
+    the error, k x n like atb.
     """
     ata = np.asarray(ata, dtype=np.float64)
     atb = np.asarray(atb, dtype=np.float64)
-    stacked = gram_of is not None
-    if ata.ndim != 2 + stacked or ata.shape[-1] != ata.shape[-2]:
-        want = "a (g, k, k) stack with gram_of" if stacked else "square"
-        raise ShapeMismatch(f"A^T A must be {want}, got shape {ata.shape}")
+    if ata.ndim == 2 and widths is None:
+        ata, widths = ata[None], atb.shape[1:]
+    if ata.ndim != 3 or widths is None or ata.shape[1] != ata.shape[2]:
+        raise ShapeMismatch(f"A^T A must be k x k, or a (g, k, k) stack with widths, got shape {ata.shape}")
     if atb.ndim != 2 or atb.shape[0] != ata.shape[-1]:
         raise ShapeMismatch(f"A^T A is {ata.shape}, A^T B is {atb.shape}")
     if not (np.isfinite(ata).all() and np.isfinite(atb).all()):
@@ -251,35 +221,31 @@ def _normal_equations(ata, atb, M, dtype, what, gram_of=None):
         M = np.asarray(M, dtype=dtype)
         if M.shape != atb.shape:
             raise ShapeMismatch(f"A^T B is {atb.shape}, {what} is {M.shape}")
-    if stacked:
-        gram_of = np.asarray(gram_of)
-        if gram_of.shape != atb.shape[1:] or gram_of.dtype.kind not in "iu":
-            raise ShapeMismatch(f"gram_of must be {atb.shape[1]} integers, got {gram_of.dtype} {gram_of.shape}")
-        if gram_of.size and not 0 <= gram_of.min() <= gram_of.max() < ata.shape[0]:
-            raise ShapeMismatch(f"gram_of names Grams outside the stack of {ata.shape[0]}")
-        gram_of = gram_of.astype(np.intp, copy=False)
-    return ata, atb, M, gram_of
+    widths = np.asarray(widths)
+    if (widths.shape != ata.shape[:1] or widths.dtype.kind not in "iu"
+            or (widths < 0).any() or widths.sum() != atb.shape[1]):
+        raise ShapeMismatch(f"widths must be {len(ata)} nonnegative integers summing to "
+                            f"{atb.shape[1]}, got {widths.tolist()}")
+    return ata, atb, M, widths
 
 
-def _solve_passive(ata, B, P, cols, X, infeasible, rescue, gram_of=None):
+def _solve_passive(ata, B, P, cols, X, infeasible, rescue, gram_of):
     """Refresh rows cols of X and of the infeasible set from their passive sets.
 
     B (the right-hand sides), P, X, infeasible and rescue hold one row
-    per column of the problem, and gram_of, if given, names each
-    column's Gram in the stack ata.  The columns are sorted by support
-    size and walked in blocks of at most BLOCK_COLUMNS, each solved by
-    _solve_compacted.  A passive variable is infeasible when negative,
-    an active one when its gradient A^T A x - b is.  A column whose
-    solution is nonfinite is marked for the rescue and made feasible,
-    so it leaves the pivoting.
+    per column of the problem, and gram_of names each column's Gram in
+    the stack ata.  The columns are sorted by support size and walked in
+    blocks of at most BLOCK_COLUMNS, each solved by _solve_compacted.  A
+    passive variable is infeasible when negative, an active one when its
+    gradient A^T A x - b is.  A column whose solution is nonfinite is
+    marked for the rescue and made feasible, so it leaves the pivoting.
     """
     sizes = np.count_nonzero(P[cols], axis=1)
     order = np.argsort(sizes, kind="stable")
     cols, sizes = cols[order], sizes[order]
     for start in range(0, cols.size, BLOCK_COLUMNS):
         cs = cols[start:start + BLOCK_COLUMNS]
-        Pb, Bb = P[cs], B[cs]
-        gb = None if gram_of is None else gram_of[cs]
+        Pb, Bb, gb = P[cs], B[cs], gram_of[cs]
         X[cs] = Xb = _solve_compacted(ata, Bb, Pb, sizes[start:start + BLOCK_COLUMNS], gb)
         # A^T A x < b is a negative gradient
         infeasible[cs] = np.where(Pb, Xb < 0.0, _times_gram(ata, Xb, gb) < Bb)
@@ -291,36 +257,42 @@ def _solve_passive(ata, B, P, cols, X, infeasible, rescue, gram_of=None):
 def _times_gram(ata, Xb, gb):
     """The rows x of Xb times their Gram, A^T A x, as rows.
 
-    One product for one Gram; with a stack, the rows are grouped by
-    Gram, one product per group, so each row is computed as its Gram
-    alone computes it.
+    gb names the Gram of each row.  The rows are grouped by Gram, one
+    product per group, so each row is computed as its Gram alone
+    computes it.
     """
-    if gb is None:
-        return Xb @ ata.T
+    if gb.min() == gb.max():
+        return Xb @ ata[gb[0]].T
     order = np.argsort(gb, kind="stable")
     grouped, out = Xb[order], np.empty(Xb.shape)
-    for lo, hi, g in _runs(gb[order]):
-        out[order[lo:hi]] = grouped[lo:hi] @ ata[g].T
+    hi = 0
+    for g, count in enumerate(np.bincount(gb).tolist()):
+        lo, hi = hi, hi + count
+        if count:
+            out[order[lo:hi]] = grouped[lo:hi] @ ata[g].T
     return out
 
 
-def _solve_compacted(ata, Bb, Pb, sizes, gb=None):
+def _solve_compacted(ata, Bb, Pb, sizes, gb):
     """Solutions of the rows of Bb on their passive sets Pb, sorted by size.
 
     A column with s passive variables solves the s x s principal
-    submatrix of its Gram (ata, or ata[gb[row]] for a stack) on them,
-    against the s matching entries of its right-hand side; its other
-    variables are 0, and an empty support needs no solve.  The columns
-    of one size are solved as (c, s, s) np.linalg.solve stacks of at
-    most STACK_ENTRIES entries; a stack with a singular matrix is solved
-    one matrix at a time, and the singular ones get NaN.  Returns the
-    len(Bb) x k solutions.
+    submatrix of its Gram, ata[gb[row]], on them, against the s
+    matching entries of its right-hand side; its other variables are 0,
+    and an empty support needs no solve.  The columns of one size are
+    solved as (c, s, s) np.linalg.solve stacks of at most STACK_ENTRIES
+    entries; a stack with a singular matrix is solved one matrix at a
+    time, and the singular ones get NaN.  Returns the len(Bb) x k
+    solutions.
     """
     k = ata.shape[-1]
     flat_ata = ata.ravel()
     # every passive entry of the block, row by row, as row * k + variable
     entries = np.flatnonzero(Pb)
     sol = Bb.ravel().take(entries)
+    # each entry's variable, and its row in the stack seen as (g * k) x k
+    var = entries % k
+    row = var + np.repeat(gb * k, sizes)
     hi = 0
     for s, count in enumerate(np.bincount(sizes).tolist()):
         # the entries of the count columns of size s follow those of size s - 1
@@ -330,11 +302,7 @@ def _solve_compacted(ata, Bb, Pb, sizes, gb=None):
         chunk = max(1, STACK_ENTRIES // (s * s)) * s
         for e0 in range(lo, hi, chunk):
             e1 = min(e0 + chunk, hi)
-            ix = entries[e0:e1].reshape(-1, s) % k
-            index = ix[:, :, None] * k + ix[:, None, :]
-            if gb is not None:
-                # Gram g starts at entry g * k * k of the flat stack
-                index += (gb[entries[e0:e1:s] // k] * (k * k))[:, None, None]
+            index = row[e0:e1].reshape(-1, s, 1) * k + var[e0:e1].reshape(-1, 1, s)
             M = flat_ata.take(index)
             rhs = sol[e0:e1].reshape(-1, s, 1)
             try:
@@ -405,6 +373,6 @@ def kkt_residual_gram(ata, atb, X) -> float:
     """
     atb, X = (M[:, None] if M.ndim == 1 else M for M in map(np.asarray, (atb, X)))
     ata, atb, X, _ = _normal_equations(ata, atb, X, np.float64, "X")
-    grad = ata @ X - atb
+    grad = ata[0] @ X - atb
     viol = np.where(X > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
     return float(np.maximum(viol, np.maximum(-X, 0.0)).max(initial=0.0))

@@ -429,6 +429,20 @@ def test_a_hyperedge_id_that_sets_a_huge_n_is_a_data_error(tmp_path, capsys, top
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [4, 100_000_000_000], ids=["small", "1e11"])
+def test_a_given_n_above_the_used_ids_is_a_data_error(tmp_path, capsys, n):
+    # vertex 3 is in no edge; the second n used to exit 1 allocating
+    # 745 GiB for range(n)
+    hyper = tmp_path / "h.txt"
+    hyper.write_text("0 1\n1 2\n")
+    out = tmp_path / "o"
+    assert main([
+        "hypergraph-sim", "--hyperedges", str(hyper), "--n-vertices", str(n), "--out-dir", str(out),
+    ]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: vertex 3 belongs to no edge"]
+    assert not out.exists()
+
+
 def test_hypergraph_sim_dual_takes_huge_participant_ids_by_their_order(tmp_path, capsys):
     # the participants are the dual's edges, so only their order counts;
     # 2**63 - 1 used to exit 1 like the plain hypergraph above

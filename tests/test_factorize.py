@@ -405,7 +405,7 @@ def test_predicted_start_keeps_the_factors_and_solves_fewer_columns(method, monk
     monkeypatch.setattr(nls, "_solve_passive",
                         lambda ata, B, P, cols, *rest: solved.append(cols.size) or solve(ata, B, P, cols, *rest))
     runs = []
-    for predict in (factorize.predict_passive, lambda ata, atb, start: start > 0.0):
+    for predict in (factorize.predict_passive, lambda ata, atb, start, widths: start > 0.0):
         monkeypatch.setattr(factorize, "predict_passive", predict)
         solved.clear()
         runs.append((run_method(method, X, S, opts), sum(solved)))
@@ -732,9 +732,9 @@ def test_sparse_and_dense_inputs_give_the_same_histories(inst, method):
     X, S, k = inst
     conds = []
 
-    def solve(ata, atb, passive):
-        conds.append(np.linalg.cond(ata))
-        return nls_bpp_gram(ata, atb, passive=passive)
+    def solve(ata, atb, passive, widths):
+        conds.extend(np.linalg.cond(ata))
+        return nls_bpp_gram(ata, atb, passive=passive, widths=widths)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factorize, "nls_bpp_gram", solve)

@@ -478,21 +478,25 @@ def test_dead_variable_leaves_the_warm_passive_set(monkeypatch):
 
 
 def test_warm_wide_solve_memory_stays_flat():
-    # 5000 columns at k = 10 from a random warm start: the state is a few
-    # n x k arrays and every stacked solve is bounded by STACK_ENTRIES
+    # 5000 columns at k = 10 from a random warm start, on one Gram and on
+    # a stack of 5 Grams of 1000 columns each, whose blocks mix Grams: the
+    # state is a few n x k arrays, every stacked solve is bounded by
+    # STACK_ENTRIES and every gradient check by BLOCK_COLUMNS
     rng = np.random.default_rng(4)
     k, n = 10, 5000
     A = rng.random((3 * k, k))
     ata, atb = A.T @ A, A.T @ rng.standard_normal((3 * k, n))
     passive = rng.random((k, n)) < 0.5
-    tracemalloc.start()
-    try:
-        X = nls_bpp_gram(ata, atb, passive=passive)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert X.shape == (k, n)
-    assert peak <= 2.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    stack, _ = gram_stack(rng, k, 5, m=3 * k)
+    for kw in ({"ata": ata}, {"ata": stack, "widths": [1000] * 5}):
+        tracemalloc.start()
+        try:
+            X = nls_bpp_gram(atb=atb, passive=passive, **kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (k, n)
+        assert peak <= 2.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB with {kw.get('widths')}"
 
 
 def test_kkt_residual_flags_violations():
@@ -530,30 +534,26 @@ def gram_stack(rng, k, grams, m=None):
     return np.stack([A.T @ A for A in As]), As
 
 
-def per_gram(fn, ata, atb, start, gram_of, **kw):
-    """fn called once per Gram on its columns, put back in column order."""
-    out = None
-    for g in range(len(ata)):
-        cols = np.flatnonzero(gram_of == g)
-        if cols.size:
-            part = fn(ata[g], atb[:, cols], start[:, cols], **kw)
-            out = np.zeros(atb.shape, dtype=part.dtype) if out is None else out
-            out[:, cols] = part
-    return out
+def per_gram(fn, ata, atb, start, widths, **kw):
+    """fn called once per Gram on its own copy of its columns, side by side."""
+    cuts = np.cumsum(widths)[:-1]
+    parts = [fn(a, np.array(b), np.array(s), **kw)
+             for a, b, s in zip(ata, np.hsplit(atb, cuts), np.hsplit(start, cuts)) if b.size]
+    return np.hstack(parts)
 
 
 def test_gram_stack_equals_one_call_per_gram_bit_for_bit(monkeypatch):
     # Gram 0 is regular, Gram 1 has a dead variable (a zero column of A)
     # and Gram 2 a duplicated column of A, whose singular passive systems
-    # send some of its columns, and only its, to the Lawson-Hanson rescue;
-    # the columns of the three are interleaved
+    # send some of its columns, and only its, to the Lawson-Hanson rescue
     rng = np.random.default_rng(31)
     k = 4
     As = [rng.random((7, k)) for _ in range(3)]
     As[1][:, 2] = 0.0
     As[2][:, 1] = As[2][:, 0]
     ata = np.stack([A.T @ A for A in As])
-    gram_of = np.array([2, 0, 1, 2, 1, 0, 0, 2, 1, 2, 0, 1])
+    widths = [4, 4, 4]
+    gram_of = np.repeat(np.arange(3), widths)
     Y = rng.standard_normal((7, gram_of.size)) + rng.random((7, gram_of.size))
     atb = np.stack([As[g].T @ y for g, y in zip(gram_of, Y.T)], axis=1)
     rescued = []
@@ -562,11 +562,11 @@ def test_gram_stack_equals_one_call_per_gram_bit_for_bit(monkeypatch):
                         lambda gram, b: rescued.append(gram) or rescue(gram, b))
     for start in (None, rng.random((k, gram_of.size)) < 0.6):
         rescued.clear()
-        X = nls_bpp_gram(ata, atb, passive=start, gram_of=gram_of)
+        X = nls_bpp_gram(ata, atb, passive=start, widths=widths)
         stacked_rescues = [gram.tobytes() for gram in rescued]
         rescued.clear()
         want = per_gram(lambda a, b, p: nls_bpp_gram(a, b, passive=p), ata, atb,
-                        np.zeros(atb.shape, dtype=bool) if start is None else start, gram_of)
+                        np.zeros(atb.shape, dtype=bool) if start is None else start, widths)
         assert X.tobytes() == want.tobytes()
         assert stacked_rescues == [ata[2].tobytes()]
         assert [gram.tobytes() for gram in rescued] == stacked_rescues
@@ -578,8 +578,8 @@ def test_gram_stack_equals_one_call_per_gram_bit_for_bit(monkeypatch):
 
 @pytest.mark.parametrize("widths", [(5, 5, 5), (3, 7, 1)], ids=["one-width", "mixed-widths"])
 def test_predict_passive_on_a_stack_equals_one_call_per_gram(widths):
-    # one product per run of columns, whatever the widths; Gram 1 has a
-    # dead variable that its columns must not move
+    # one product per Gram, whatever the widths; Gram 1 has a dead
+    # variable that its columns must not move
     rng = np.random.default_rng(32)
     k = 5
     As = [rng.random((8, k)) for _ in widths]
@@ -588,8 +588,8 @@ def test_predict_passive_on_a_stack_equals_one_call_per_gram(widths):
     gram_of = np.repeat(np.arange(len(widths)), widths)
     atb = np.stack([As[g].T @ y for g, y in zip(gram_of, rng.standard_normal((8, gram_of.size)).T)], axis=1)
     start = rng.random((k, gram_of.size)) * (rng.random((k, gram_of.size)) < 0.5)
-    got = predict_passive(ata, atb, start, gram_of=gram_of)
-    assert got.tobytes() == per_gram(predict_passive, ata, atb, start, gram_of).tobytes()
+    got = predict_passive(ata, atb, start, widths=widths)
+    assert got.tobytes() == per_gram(predict_passive, ata, atb, start, widths).tobytes()
 
 
 @settings(max_examples=120)
@@ -597,41 +597,40 @@ def test_predict_passive_on_a_stack_equals_one_call_per_gram(widths):
     k=st.integers(1, 5),
     counts=st.lists(st.integers(0, 4), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
 )
-def test_random_gram_stacks_equal_one_call_per_gram(k, counts, seed, data):
+def test_random_gram_stacks_equal_one_call_per_gram(k, counts, seed):
     # random small problem stacks: some Grams without columns, dead
-    # variables, shuffled or sorted column order, cold or warm starts
+    # variables, cold or warm starts
     rng = np.random.default_rng(seed)
     As = [rng.random((k + 2, k)) * (rng.random(k) < 0.8) for _ in counts]
     ata = np.stack([A.T @ A for A in As])
     gram_of = np.repeat(np.arange(len(counts)), counts)
-    if data.draw(st.booleans()):
-        gram_of = rng.permutation(gram_of)
     Y = rng.standard_normal((k + 2, gram_of.size))
     atb = np.zeros((k, gram_of.size))
     for c, g in enumerate(gram_of):
         atb[:, c] = As[g].T @ Y[:, c]
     start = rng.random((k, gram_of.size)) * (rng.random((k, gram_of.size)) < 0.5)
-    passive = predict_passive(ata, atb, start, gram_of=gram_of)
-    X = nls_bpp_gram(ata, atb, passive=passive, gram_of=gram_of)
+    passive = predict_passive(ata, atb, start, widths=counts)
+    X = nls_bpp_gram(ata, atb, passive=passive, widths=counts)
     assert X.shape == (k, gram_of.size)
     if gram_of.size:
-        assert passive.tobytes() == per_gram(predict_passive, ata, atb, start, gram_of).tobytes()
-        want = per_gram(lambda a, b, p: nls_bpp_gram(a, b, passive=p), ata, atb, passive, gram_of)
+        assert passive.tobytes() == per_gram(predict_passive, ata, atb, start, counts).tobytes()
+        want = per_gram(lambda a, b, p: nls_bpp_gram(a, b, passive=p), ata, atb, passive, counts)
         assert X.tobytes() == want.tobytes()
-        cold = per_gram(lambda a, b, _: nls_bpp_gram(a, b), ata, atb, start, gram_of)
-        assert nls_bpp_gram(ata, atb, gram_of=gram_of).tobytes() == cold.tobytes()
+        cold = per_gram(lambda a, b, _: nls_bpp_gram(a, b), ata, atb, start, counts)
+        assert nls_bpp_gram(ata, atb, widths=counts).tobytes() == cold.tobytes()
 
 
 def test_gram_stack_entry_checks():
     ata, atb = np.stack([np.eye(2), 2.0 * np.eye(2)]), np.ones((2, 3))
     for fn in (nls_bpp_gram, lambda a, b, **kw: predict_passive(a, b, np.ones((2, 3)), **kw)):
         with pytest.raises(ShapeMismatch):
-            fn(ata, atb)  # a stack needs gram_of
+            fn(ata, atb)  # a stack needs widths
         with pytest.raises(ShapeMismatch):
-            fn(np.eye(2), atb, gram_of=[0, 0, 0])  # gram_of needs a stack
-        for bad in ([0, 1], [0, 1, 2], [0, -1, 1], [0.0, 1.0, 1.0]):
+            fn(np.eye(2), atb, widths=[3])  # widths need a stack
+        # the wrong count of widths, a negative or a float width, widths
+        # not summing to n
+        for bad in ([3], [1, 1, 1], [4, -1], [1.0, 2.0], [1, 1], [2, 2]):
             with pytest.raises(ShapeMismatch):
-                fn(ata, atb, gram_of=bad)
-    assert nls_bpp_gram(ata, atb, gram_of=[1, 0, 1]).tolist() == [[0.5, 1.0, 0.5]] * 2
+                fn(ata, atb, widths=bad)
+    assert nls_bpp_gram(ata, atb, widths=[1, 2]).tolist() == [[1.0, 0.5, 0.5]] * 2

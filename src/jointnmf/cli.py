@@ -55,12 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--doc-ids", required=True, type=_path, help="one document id per line")
     pp.add_argument("--counts", required=True, type=_path,
                     help="Matrix Market term-document counts")
-    pp.add_argument("--edges", type=_path,
-                    help="citation edge list, src<TAB>dst, 0-based doc positions")
-    pp.add_argument("--hyperedges", type=_path,
-                    help="one hyperedge per line, whitespace-separated vertex ids")
-    pp.add_argument("--dual", action="store_true", help="documents are the hyperedges (dual hypergraph)")
-    pp.add_argument("--raw-adjacency", action="store_true", help="skip degree normalization of S")
+    _graph_flags(pp)
     pp.add_argument("--min-term-df", type=int, default=textprep.DEFAULT_MIN_TERM_DF)
     pp.add_argument("--min-doc-len", type=int, default=textprep.DEFAULT_MIN_DOC_LEN)
     pp.add_argument("--keep-duplicates", action="store_true", help="skip duplicate-column removal")
@@ -71,11 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--method", choices=("joint", "nmf", "symnmf"), default="joint")
     pc.add_argument("--x", type=_path, help="Matrix Market term-document matrix")
     pc.add_argument("--similarity", type=_path, help="Matrix Market similarity matrix")
-    pc.add_argument("--edges", type=_path, help="edge list to build similarity from")
-    pc.add_argument("--hyperedges", type=_path, help="hyperedge file to build similarity from")
-    pc.add_argument("--dual", action="store_true")
-    pc.add_argument("--raw-adjacency", action="store_true",
-                    help="use the raw 0/1 adjacency instead of D^-1/2 A D^-1/2")
+    _graph_flags(pc)
     pc.add_argument("--doc-ids", type=_path)
     pc.add_argument("--truth", type=_path,
                     help="item_id<TAB>label ground truth for the metrics report")
@@ -108,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser("hypergraph-sim", help="similarity matrix from a hyperedge file")
     ph.add_argument("--hyperedges", required=True, type=_path)
     ph.add_argument("--dual", action="store_true")
-    ph.add_argument("--n-vertices", type=int)
     ph.add_argument("--out-dir", required=True)
     ph.set_defaults(func=_cmd_hypergraph_sim, parser=ph)
 
@@ -120,6 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_topics, parser=pt)
 
     return p
+
+
+def _graph_flags(p):
+    p.add_argument("--edges", type=_path,
+                   help="citation edge list, src<TAB>dst, 0-based doc positions")
+    p.add_argument("--hyperedges", type=_path,
+                   help="one hyperedge per line, whitespace-separated vertex ids")
+    p.add_argument("--dual", action="store_true", help="documents are the hyperedges (dual hypergraph)")
+    p.add_argument("--raw-adjacency", action="store_true", help="skip degree normalization of S")
 
 
 def _factor_flags(p):
@@ -397,7 +396,7 @@ def _ranked(test_ids, scores, train_ids, threshold):
 
 def _cmd_hypergraph_sim(args) -> int:
     S, _ = graph.similarity(
-        hyperedges=graph.read_hyperedges(args.hyperedges), n=args.n_vertices, dual=args.dual
+        hyperedges=graph.read_hyperedges(args.hyperedges), n=None, dual=args.dual
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -38,6 +38,7 @@ same scale, and beta defaults to alpha times the largest entry of S.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -188,27 +189,29 @@ def penalized_objective(X, S, W, H, H_tilde, alpha: float, beta: float) -> float
 
 def nmf(X, opts: FactorizeOptions) -> FactorizationResult:
     """Two-block alternating nonnegative least squares on X alone."""
-    return _fit([(X, None)], opts)[0]
+    return next(_fit([(X, None)], opts))
 
 
-def nmf_each(Xs, opts: FactorizeOptions) -> list[FactorizationResult]:
+def nmf_each(Xs, opts: FactorizeOptions) -> Iterator[FactorizationResult]:
     """nmf of each matrix of Xs, equal to nmf(X, opts) bit for bit.
 
     The fits run in lockstep, one NLS call per block for a stack of up
     to LOCKSTEP_COLUMNS columns, which saves the per-call cost of many
-    small fits.  Xs may be any iterable; it is read one stack at a time.
+    small fits.  Xs may be any iterable; it is read one stack at a time,
+    and each fit's result is yielded as soon as its stack is done, so a
+    caller holds only the results it keeps.
     """
     return _fit(((X, None) for X in Xs), opts)
 
 
 def symnmf(S, opts: FactorizeOptions) -> FactorizationResult:
     """Symmetric factorization of S via the split-copy subproblems."""
-    return _fit([(None, S)], opts)[0]
+    return next(_fit([(None, S)], opts))
 
 
 def joint_nmf(X, S, opts: FactorizeOptions) -> FactorizationResult:
     """Joint factorization sharing H between the text and similarity views."""
-    return _fit([(X, S)], opts)[0]
+    return next(_fit([(X, S)], opts))
 
 
 def hard_assign(H) -> np.ndarray:
@@ -244,26 +247,18 @@ TEXT, SIM, TETHER = range(3)
 
 
 def _fit(views, opts):
-    # the one entry of the solvers: one result per (X, S) pair of views,
-    # all of one method (X is None for symnmf, S is None for nmf); the
-    # runs, one per fit and seed, advance in lockstep stacks, and the
-    # views are read one at a time as the stacks need them
+    # the one entry of the solvers: yields one result per (X, S) pair of
+    # views, all of one method (X is None for symnmf, S is None for nmf),
+    # once that fit's trials are done; the runs, one per fit and seed,
+    # advance in lockstep stacks, and the views are read one at a time as
+    # the stacks need them
     seeds = [opts.seed + t for t in range(opts.trials)]
-    weights = []
-
-    def runs():
-        for X, S in views:
-            p, alpha, beta = _setup(X, S, opts)
-            weights.append((alpha, beta))
-            yield from ((p, seed) for seed in seeds)
-
-    done = [r for stack in _stacks(runs()) for r in _sweeps(*zip(*stack), opts)]
-    results = []
-    for i, (alpha, beta) in enumerate(weights):
-        trials = done[i * opts.trials:(i + 1) * opts.trials]
+    runs = ((p, seed) for p in (_setup(X, S, opts) for X, S in views) for seed in seeds)
+    done = (r for stack in _stacks(runs) for r in _sweeps(*zip(*stack), opts))
+    # each fit's trials are the next opts.trials runs done
+    for trials in zip(*[done] * opts.trials):
         best = min(trials, key=lambda r: r.objective_history[-1])
-        results.append(replace(best, alpha=alpha, beta=beta, trials=trials))
-    return results
+        yield replace(best, trials=list(trials))
 
 
 def _stacks(runs):
@@ -283,8 +278,7 @@ def _stacks(runs):
 
 
 def _setup(X, S, opts):
-    # the checked problem of one fit, with each weight to report as None
-    # where its method has no term
+    # the checked problem of one fit
     X, S = _matrix(X, "X"), _matrix(S, "S")
     for M, name in ((X, "X"), (S, "S")):
         if M is not None:
@@ -296,15 +290,12 @@ def _setup(X, S, opts):
     limit = min(X.shape) if X is not None else S.shape[0]
     if opts.k > limit:
         raise ValueError(f"k={opts.k} exceeds {'min(m, n)' if X is not None else 'n'}={limit}")
-    alpha = beta = None
     weights = (1.0, 0.0, 0.0)
     if S is not None:
-        # symnmf's one data term has weight 1 and no alpha to report
+        # symnmf's one data term has weight 1
         a = 1.0 if X is None else opts.alpha if opts.alpha is not None else default_alpha(X, S)
-        beta = opts.beta if opts.beta is not None else default_beta(a, S)
-        alpha = None if X is None else a
-        weights = (1.0, a, beta)
-    return _problem(X, S, weights), alpha, beta
+        weights = (1.0, a, opts.beta if opts.beta is not None else default_beta(a, S))
+    return _problem(X, S, weights)
 
 
 def _matrix(M, name, dense=False):
@@ -409,6 +400,9 @@ def _sweeps(problems, seeds, opts):
             sweeps_run=len(r.history),
             seed_used=r.seed,
             block_objective_history=r.blocks,
+            # None where the method has no such term: symnmf reports no alpha
+            alpha=r.p.weights[SIM] if r.W is not None and r.Ht is not None else None,
+            beta=r.p.weights[TETHER] if r.Ht is not None else None,
         )
         for r in runs
     ]

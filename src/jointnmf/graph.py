@@ -99,31 +99,53 @@ def symmetrize(edges, n_vertices: int | None = None) -> Graph:
     self-loops are dropped and duplicates collapse.  Vertex count is
     inferred from the largest id unless given.
     """
-    return Graph(_adjacency(*_checked_edges(edges, n_vertices)))
+    ids, sizes = _edge_ids(edges)
+    return Graph(_adjacency(ids, _checked(ids, sizes, n_vertices)))
 
 
-def _checked_edges(edges, n):
-    """The edges as an (m, 2) int64 array and the vertex count, n or one
-    more than the largest id; the first edge with an id outside [0, n)
-    is an IndexOutOfRange."""
+def _edge_ids(edges):
+    # the ids of the edges end to end as one int64 array, two per edge,
+    # and the number of ids in each edge
     try:
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
     except OverflowError:
-        raise IndexOutOfRange("an edge id does not fit 64 bits") from None
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise IndexOutOfRange("an id does not fit 64 bits") from None
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"edges must be pairs, got an array of shape {pairs.shape}")
-    if n is None:
-        n = int(pairs.max()) + 1 if pairs.size else 0
-    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
-    if bad.any():
-        a, b = pairs[np.argmax(bad)]
-        raise IndexOutOfRange(f"edge ({a}, {b}) outside vertex range [0, {n})")
-    return pairs, n
+    return pairs.ravel(), np.full(pairs.size // 2, 2)
 
 
-def _adjacency(pairs, n):
+def _checked(ids, sizes, n, gaps=False):
+    """The vertex count of edge lists, where edge j holds the next
+    sizes[j] entries of ids: n, or one more than the largest id.
+
+    The first edge with an id outside [0, n) is an IndexOutOfRange
+    naming its smallest such id.  With gaps, a vertex below the largest
+    id that no edge names is a ZeroDegree; a self-loop names its id.
+    A count past int64 is an IndexOutOfRange.  Nothing here is as large
+    as n.
+    """
+    top = int(ids.max()) if ids.size else -1
+    n = top + 1 if n is None else n
+    outside = (ids < 0) | (ids >= n)
+    if outside.any():
+        edge = np.repeat(np.arange(sizes.size), sizes)
+        j = edge[np.argmax(outside)]
+        v = ids[outside & (edge == j)].min()
+        raise IndexOutOfRange(f"edge {j} references vertex {v} outside [0, {n})")
+    if gaps:
+        distinct = np.unique(ids)
+        if distinct.size < n:
+            gap = int(np.argmax(np.append(distinct, -1) != np.arange(distinct.size + 1)))
+            raise ZeroDegree(f"vertex {gap} belongs to no edge, but the largest id {top} "
+                             f"sets {n} vertices")
+    if n > _INT64.max:
+        raise IndexOutOfRange(f"{n} vertices do not fit 64 bits")
+    return n
+
+
+def _adjacency(ids, n):
+    pairs = ids.reshape(-1, 2)
     a, b = pairs[pairs[:, 0] != pairs[:, 1]].T  # self-loops dropped
     A = sparse.coo_array(
         (np.ones(2 * a.size), (np.concatenate([a, b]), np.concatenate([b, a]))), shape=(n, n)
@@ -170,10 +192,13 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     """S over n documents from exactly one of edges or hyperedge lists.
 
     n is the size of S, or None to infer it; with dual=True the documents
-    are the hyperedges.  An n inferred from edges or hyperedges is one
-    more than the largest id, and a smaller id no edge names (a self-loop
-    names its id) is a ZeroDegree; with dual, only the order of the
-    vertex ids counts.  Edges give D^-1/2 A D^-1/2 (A itself with
+    are the hyperedges.  Both sources pass one id check: an id outside
+    [0, n) is an IndexOutOfRange, and an n inferred as one more than the
+    largest id is a ZeroDegree if a smaller id is on no edge (a self-loop
+    names its id), raised before anything that large is built.  With
+    dual, the vertex ids are ranked first, so only their order counts,
+    and a given n must be the number of hyperedges (a ShapeMismatch if
+    not).  Edges give D^-1/2 A D^-1/2 (A itself with
     raw_adjacency), hyperedges hypergraph_similarity less any edge that
     joins no vertex.  With within (ascending positions), S is restricted
     to those documents and then to their largest connected component.
@@ -186,45 +211,27 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
         raise ValueError("raw adjacency needs edges")
     if (edges is None) == (hyperedges is None):
         raise ValueError("give exactly one of edges or hyperedges")
-    if edges is not None:
-        pairs, n_vertices = _checked_edges(edges, n)
-        if n is None:
-            # a gap below the largest id more likely comes from a mistyped id than
-            # from an isolated document; a self-loop names its id.  Checked before
-            # the adjacency is built, whose size the largest id sets
-            ids = np.unique(pairs)
-            if ids.size < n_vertices:
-                gap = np.argmax(ids != np.arange(ids.size))
-                raise ZeroDegree(f"vertex {gap} is on no edge, but the largest id {n_vertices - 1} "
-                                 f"sets {n_vertices} documents; give --doc-ids to declare them")
-        g = Graph(_adjacency(pairs, n_vertices))
-        kept = np.arange(g.n)
-        if within is not None:
-            g = induce_subgraph(g, within)
-            kept = largest_connected_component(g)
-            g = induce_subgraph(g, kept)
-        return (g.adjacency if raw_adjacency else normalized_adjacency(g)), kept
-    ids, sizes = _vertex_ids(hyperedges)
-    # ids checked and ranked before anything as large as the largest id is
-    # built; a negative id is left to _incidence, which names it
-    distinct, rank = np.unique(ids, return_inverse=True)
-    in_range = not ids.size or distinct[0] >= 0
+    ids, sizes = _vertex_ids(hyperedges) if edges is None else _edge_ids(edges)
     if dual:
         # a vertex id in no hyperedge is an empty edge of the dual, which S
         # drops, so ids keep only their order
-        hg = dual_hypergraph(_incidence(rank if in_range else ids, sizes))
+        ids = np.unique(ids, return_inverse=True)[1]
+        hg = dual_hypergraph(_incidence(ids, sizes, _checked(ids, sizes, None)))
         if n is not None and hg.n_vertices != n:
             raise ShapeMismatch(f"{hg.n_vertices} hyperedges for {n} documents")
     else:
-        # the first vertex of 0..n-1 in no edge, where the ids are all in range
-        gap = int(np.argmax(np.append(distinct, -1) != np.arange(distinct.size + 1)))
-        if n is None and in_range and distinct.size and distinct.size <= distinct[-1]:
-            top = int(distinct[-1])
-            raise ZeroDegree(f"vertex {gap} belongs to no edge, but the largest id {top} "
-                             f"sets {top + 1} vertices")
-        if n is not None and within is None and in_range and 0 < distinct.size < n and distinct[-1] < n:
-            # hypergraph_similarity's error, raised before anything n-sized is built
-            raise ZeroDegree(f"vertex {gap} belongs to no edge")
+        # checked before anything as large as the largest id is built: an
+        # inferred n with a gap more likely comes from a mistyped id than
+        # from an isolated document
+        n = _checked(ids, sizes, n, gaps=n is None)
+        if edges is not None:
+            g = Graph(_adjacency(ids, n))
+            kept = np.arange(g.n)
+            if within is not None:
+                g = induce_subgraph(g, within)
+                kept = largest_connected_component(g)
+                g = induce_subgraph(g, kept)
+            return (g.adjacency if raw_adjacency else normalized_adjacency(g)), kept
         hg = _incidence(ids, sizes, n)
     kept = np.arange(hg.n_vertices)
     # restricting to every vertex drops the edges that join none
@@ -346,7 +353,8 @@ def membership_counts(edge_labels, Hg: Hypergraph) -> np.ndarray:
 
 def hypergraph_from_edges(edge_vertex_lists, n_vertices: int | None = None) -> Hypergraph:
     """Build the incidence matrix from per-edge vertex id lists."""
-    return _incidence(*_vertex_ids(edge_vertex_lists), n_vertices)
+    ids, sizes = _vertex_ids(edge_vertex_lists)
+    return _incidence(ids, sizes, _checked(ids, sizes, n_vertices))
 
 
 def _vertex_ids(edge_vertex_lists):
@@ -357,21 +365,13 @@ def _vertex_ids(edge_vertex_lists):
     try:
         ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
     except OverflowError:
-        raise IndexOutOfRange("a hyperedge vertex id does not fit 64 bits") from None
+        raise IndexOutOfRange("an id does not fit 64 bits") from None
     return ids, sizes
 
 
-def _incidence(ids, sizes, n_vertices=None) -> Hypergraph:
-    # edge j holds the next sizes[j] entries of ids; n_vertices defaults to
-    # one more than the largest id
-    if n_vertices is None:
-        n_vertices = int(ids.max()) + 1 if ids.size else 0
+def _incidence(ids, sizes, n_vertices) -> Hypergraph:
+    # edge j holds the next sizes[j] entries of ids, each in [0, n_vertices)
     edge = np.repeat(np.arange(sizes.size), sizes)
-    outside = (ids < 0) | (ids >= n_vertices)
-    if outside.any():
-        j = edge[outside][0]
-        v = ids[outside & (edge == j)].min()
-        raise IndexOutOfRange(f"edge {j} references vertex {v} outside [0, {n_vertices})")
     M = sparse.csc_array((np.ones(ids.size), (ids, edge)), shape=(n_vertices, sizes.size))
     M.sum_duplicates()
     M.data[:] = 1.0  # a vertex listed twice in one edge is one incidence

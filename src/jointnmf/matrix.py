@@ -3,8 +3,9 @@
 Dense matrices are numpy float64 arrays.  Sparse matrices are scipy CSC
 arrays (column-compressed, float64), since every algorithm in this
 package walks columns.  On disk both live in Matrix Market files:
-coordinate format for sparse data (general or symmetric), array format
-for dense data.  Indices are 1-based on disk and 0-based in memory.
+coordinate format for sparse data (read general or symmetric, written
+general), array format for dense data.  Indices are 1-based on disk
+and 0-based in memory.
 
 Every other file is UTF-8 text, one record per line, and passes through
 read_records and write_records: blank lines are skipped, fields are
@@ -83,14 +84,15 @@ def max_abs(m) -> float:
     return float(np.abs(a).max())
 
 
-def is_symmetric(m, tol: float = SYMMETRY_TOL) -> bool:
+def is_symmetric(m) -> bool:
+    """Square, and each entry within SYMMETRY_TOL of its transpose's."""
     if m.shape[0] != m.shape[1]:
         return False
     if sparse.issparse(m):
         d = (m - m.T).tocoo()
-        return bool(np.all(np.abs(d.data) <= tol)) if d.data.size else True
+        return bool(np.all(np.abs(d.data) <= SYMMETRY_TOL)) if d.data.size else True
     a = np.asarray(m, dtype=np.float64)
-    return bool(np.abs(a - a.T).max() <= tol) if a.size else True
+    return bool(np.abs(a - a.T).max() <= SYMMETRY_TOL) if a.size else True
 
 
 def require_nonnegative(m, what: str = "matrix"):
@@ -105,11 +107,11 @@ def require_nonnegative(m, what: str = "matrix"):
         raise NegativeEntries(f"{what} must be nonnegative")
 
 
-def require_symmetric(m, tol: float = SYMMETRY_TOL, what: str = "matrix"):
+def require_symmetric(m, what: str = "matrix"):
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"{what} is {m.shape[0]}x{m.shape[1]}, not square")
-    if not is_symmetric(m, tol):
-        raise NotSymmetric(f"{what} is not symmetric within {tol:g}")
+    if not is_symmetric(m):
+        raise NotSymmetric(f"{what} is not symmetric within {SYMMETRY_TOL:g}")
 
 
 def read_matrix_market(path):
@@ -129,39 +131,38 @@ def read_matrix_market(path):
             source = io.BytesIO(fh.read() + b"\n")
     try:
         m = mmread(source)
+        if sparse.issparse(m):
+            # a CSC array's column pointers are as many as the header's
+            # columns, so a huge header fails here, not in mmread
+            return sparse.csc_array(m, dtype=np.float64)
     except (ValueError, OverflowError, MemoryError) as exc:
         # OverflowError: an index past int64; MemoryError: a header whose
         # dimensions no memory holds
         raise DataError(f"{path}: {exc}") from None
-    if sparse.issparse(m):
-        return sparse.csc_array(m, dtype=np.float64)
     return np.asarray(m, dtype=np.float64)
 
 
-def write_matrix_market(path, m, symmetric: bool = False, comment: str = "") -> None:
-    """Write dense data in array format, sparse in coordinate format.
+def write_matrix_market(path, m) -> None:
+    """Write dense data in array format, sparse in general coordinate format.
 
     precision 17 makes float64 values round-trip exactly, which the
     reproducibility contract relies on.
     """
     if sparse.issparse(m):
-        mat = sparse.coo_matrix(m)
-        symmetry = "symmetric" if symmetric else "general"
-        mmwrite(str(path), mat, comment=comment, precision=17, symmetry=symmetry)
+        mmwrite(str(path), sparse.coo_matrix(m), precision=17, symmetry="general")
     else:
         a = np.asarray(m, dtype=np.float64)
         if a.ndim != 2:
             raise ShapeMismatch(f"expected a 2-d array, got shape {a.shape}")
-        mmwrite(str(path), a, comment=comment, precision=17)
+        mmwrite(str(path), a, precision=17)
 
 
 def read_records(path, sep="\t", fields=None, convert=None, expect="a record"):
     """Yield the records of a UTF-8 text file, one per nonblank line.
 
     sep "\t" splits a line into tab-separated fields, None into
-    whitespace-separated ones, and "" leaves it whole: the record is the
-    line itself, less its line break.  fields, if given, is the exact
-    field count.  convert maps each record to the value yielded for it;
+    whitespace-separated ones.  fields, if given, is the exact field
+    count.  convert maps each record to the value yielded for it;
     a ValueError or KeyError it raises marks the line as malformed.  A
     malformed line is a DataError `path:line: expected <expect>`, and a
     file that is not UTF-8 a DataError naming the path.
@@ -172,7 +173,7 @@ def read_records(path, sep="\t", fields=None, convert=None, expect="a record"):
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
-                rec = line if sep == "" else line.split(sep)
+                rec = line.split(sep)
                 if fields is not None and len(rec) != fields:
                     raise DataError(f"{path}:{ln}: expected {expect}, got {line!r}")
                 # rec stays bound until the next line: rebinding it to the

@@ -1,9 +1,12 @@
-"""Garbled input files: the CLI exits 0, 2 or 3 with a one-line message.
+"""Garbled input files and inputs at their limits: the CLI exits with a
+one-line message, never a traceback.
 
 Every input file the cluster and recommend commands read is truncated,
 flipped and spliced with seeded tokens.  The cases run through
 `cli.main` in one child process (this file run as a script), so a
-crash in a parser fails the test instead of killing pytest.
+crash in a parser fails the test instead of killing pytest.  The
+limit cases (ids at and past int64, huge Matrix Market headers, k at
+min(m, n), a vertex count set by one large id) run in-process.
 """
 
 import contextlib
@@ -11,6 +14,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +122,77 @@ def test_garbled_inputs_exit_0_2_or_3_with_one_line(tmp_path, child_env):
     assert done.returncode == 0, f"child exited {done.returncode}: {done.stderr[-2000:]}"
     bad = json.loads(done.stdout)
     assert bad == [], f"{len(bad)} case(s), first: {bad[0]}"
+
+
+TOP = 2**63 - 1  # the largest id that fits int64
+HUGE_HEADER = "%%MatrixMarket matrix coordinate real general\n3 100000000000 1\n1 1 1.0\n"
+
+
+def _limit_cases(root):
+    """(argv, exit code, a fragment of its stderr line) per input at its limit."""
+    r = lambda name: str(root / name)  # noqa: E731
+    for top in (TOP, 2**64):
+        (root / f"edges_{top}.tsv").write_text(f"0\t1\n1\t{top}\n")
+    (root / "hyper_top.txt").write_text(f"0 1\n1 {TOP}\n")
+    (root / "huge.mtx").write_text(HUGE_HEADER)
+    (root / "vocab.txt").write_text("".join(f"t{i}\n" for i in range(12)))
+    out = ["--out-dir", r("out")]
+    symnmf = ["cluster", "--method", "symnmf", "--k", "2", "--max-sweeps", "5", *out]
+    recommend = [
+        "recommend", "--train-x", r("Xtr.mtx"), "--train-ids", r("tr.txt"),
+        "--test-x", r("Xte.mtx"), "--test-ids", r("te.txt"), "--citations", r("cites.tsv"),
+        "--k", "2", "--max-sweeps", "5", *out,
+    ]
+    preprocess = ["preprocess", "--vocab", r("vocab.txt"), "--doc-ids", r("ids.txt"),
+                  "--counts", r("X.mtx"), "--min-term-df", "1", "--min-doc-len", "1", *out]
+    outside = "outside [0, "
+    at_line = ":2: expected"  # an id past int64 is a malformed line
+    for top in (TOP, 2**64):
+        edges = ["--edges", r(f"edges_{top}.tsv")]
+        given_n = outside if top == TOP else at_line
+        yield [*symnmf, *edges], 2, "belongs to no edge" if top == TOP else at_line
+        yield [*symnmf, *edges, "--doc-ids", r("ids.txt")], 2, given_n
+        yield [*recommend, *edges], 2, given_n
+        yield [*preprocess, *edges], 2, given_n
+    hyper = ["--hyperedges", r("hyper_top.txt")]
+    yield ["hypergraph-sim", *hyper, *out], 2, f"the largest id {TOP} sets"
+    yield ["hypergraph-sim", *hyper, "--dual", *out], 0, ""
+    yield [*symnmf, *hyper], 2, f"the largest id {TOP} sets"
+    yield ["cluster", "--x", r("X.mtx"), *hyper, "--k", "2", *out], 2, outside
+    yield ["cluster", "--method", "nmf", "--x", r("huge.mtx"), "--k", "1", *out], 2, "huge.mtx"
+    yield ["cluster", "--method", "symnmf", "--similarity", r("huge.mtx"), "--k", "1", *out], 2, "huge.mtx"
+    yield [*recommend[:2], r("huge.mtx"), *recommend[3:], "--similarity", r("S.mtx")], 2, "huge.mtx"
+    yield ["topics", "--w", r("huge.mtx"), "--vocab", r("vocab.txt")], 2, "huge.mtx"
+    gap = "vertex 2 belongs to no edge, but the largest id 10000000 sets 10000001 vertices"
+    (root / "gap_edges.tsv").write_text("0\t1\n1\t10000000\n")
+    (root / "gap_hyper.txt").write_text("0 1\n1 10000000\n")
+    yield [*symnmf, "--edges", r("gap_edges.tsv"), "--raw-adjacency"], 2, gap
+    yield [*symnmf, "--hyperedges", r("gap_hyper.txt")], 2, gap
+    # X is 12 x 8
+    nmf = ["cluster", "--method", "nmf", "--x", r("X.mtx"), "--max-sweeps", "5", *out]
+    yield [*nmf, "--k", "8"], 0, ""
+    yield [*nmf, "--k", "9"], 1, "k=9 exceeds min(m, n)=8"
+
+
+def test_inputs_at_their_limits_exit_with_one_line(tmp_path):
+    # every case stays under 16 MiB traced: the gap cases set 10,000,001
+    # vertices, whose int64 array alone is 76 MiB, so a gap check made
+    # after anything n-sized is built fails here; tracemalloc counts the
+    # huge header's refused 745 GiB request, so those cases are exempt
+    _fixture(tmp_path)
+    for argv, want, fragment in _limit_cases(tmp_path):
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = err.getvalue().splitlines()
+        assert (code, len(lines)) == (want, int(want != 0)), (argv, lines)
+        assert fragment in "".join(lines), (argv, lines)
+        assert peak < 16 * 2**20 or str(tmp_path / "huge.mtx") in argv, (argv, peak)
 
 
 if __name__ == "__main__":

@@ -563,11 +563,11 @@ def test_nmf_each_members_equal_solo_fits_bit_for_bit(shapes):
 
 
 def test_nmf_each_of_nothing_and_of_a_bad_member():
-    assert nmf_each([], FactorizeOptions(k=1)) == []
+    assert list(nmf_each([], FactorizeOptions(k=1))) == []
     with pytest.raises(ValueError):
-        nmf_each([np.ones((3, 3)), -np.ones((3, 3))], FactorizeOptions(k=1))
+        list(nmf_each([np.ones((3, 3)), -np.ones((3, 3))], FactorizeOptions(k=1)))
     with pytest.raises(ValueError, match="k=3 exceeds"):
-        nmf_each([np.ones((3, 3)), np.ones((2, 5))], FactorizeOptions(k=3))
+        list(nmf_each([np.ones((3, 3)), np.ones((2, 5))], FactorizeOptions(k=3)))
 
 
 def spy_stacks(monkeypatch):
@@ -594,7 +594,7 @@ def test_nmf_each_splits_many_fits_into_stacks_under_the_column_limit(monkeypatc
             yield X
 
     opts = FactorizeOptions(k=3, seed=4, rel_tol=1e-3)
-    each = nmf_each(matrices(), opts)
+    each = list(nmf_each(matrices(), opts))
     assert sizes == [3, 3, 3, 2]
     # the stacks swept when each matrix was read
     assert read == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3]

@@ -111,6 +111,39 @@ def test_hypergraph_from_edges_dedupes_within_edge():
         hypergraph_from_edges([[0, 9]], n_vertices=3)
 
 
+# ids around the range checks: negative, gaps, past n = 4 or 13, int64 max
+# (whose vertex count does not fit 64 bits) and past int64
+pair_ids = st.one_of(st.integers(-2, 12), st.sampled_from([2**63 - 1, 2**64]))
+
+
+def raised(f, *args, **kwargs):
+    """(error type, message) of the call, or None if it returns."""
+    try:
+        f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(st.tuples(pair_ids, pair_ids), max_size=5), n=st.sampled_from([None, 4, 13]))
+@example(pairs=[(0, 5)], n=4)
+def test_edges_and_two_vertex_hyperedges_pass_one_id_check(pairs, n):
+    got = raised(symmetrize, pairs, n)
+    assert got == raised(hypergraph_from_edges, [list(p) for p in pairs], n)
+    assert got is None or got[0] is IndexOutOfRange
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(st.tuples(pair_ids, pair_ids), min_size=1, max_size=5))
+@example(pairs=[(0, 1), (1, 300)])
+def test_edges_and_two_vertex_hyperedges_infer_one_n(pairs):
+    # no pairs at all is no vertex: raw adjacency is then the empty matrix
+    # and hypergraph similarity an EmptyGraph, which no id check decides
+    got = raised(similarity, pairs, n=None, raw_adjacency=True)
+    assert got == raised(similarity, hyperedges=[list(p) for p in pairs], n=None)
+
+
 def test_hypergraph_from_edges_names_the_first_edge_and_its_smallest_id_outside():
     with pytest.raises(IndexOutOfRange, match=r"^edge 1 references vertex -2 outside \[0, 3\)$"):
         hypergraph_from_edges([[0, 2], [5, -1, 1, -2], [-7]], n_vertices=3)

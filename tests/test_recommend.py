@@ -1,6 +1,7 @@
 """Citation recommendation: projection, scoring, baselines."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import sparse
 
 from jointnmf import factorize
 from jointnmf.errors import EmptyCorpus, NonFinite, ShapeMismatch, ZeroQuery
-from jointnmf.factorize import FactorizeOptions, joint_nmf, nmf
+from jointnmf.factorize import FactorizeOptions, joint_nmf, nmf, nmf_each
 from jointnmf.nls import nls_bpp
 from jointnmf.recommend import (
     baseline_nmf2,
@@ -326,7 +327,7 @@ def test_evaluate_makes_one_nmf2_kernel_call_per_block_per_sweep(t, monkeypatch)
     def tracked(*args):
         inside.append(True)
         try:
-            return each(*args)
+            yield from each(*args)
         finally:
             inside.pop()
 
@@ -355,3 +356,30 @@ def test_evaluate_splits_many_test_documents_into_stacks(monkeypatch):
         for scoring in ("inner", "cosine"):
             want = score(H2[:, :n], H2[:, -1:], scoring)[0]
             assert np.array_equal(got[f"nmf2_{scoring}"][t], want), (t, scoring)
+
+
+def nmf2_peak(X_train, X_test, opts):
+    """Traced peak of stacking the H of each NMF-2 fit, as evaluate
+    does, and the bytes of that stack."""
+    tracemalloc.start()
+    try:
+        augmented = (sparse.hstack([X_train, sparse.csc_array(x[:, None])], format="csc")
+                     for x in X_test.T)
+        H = np.stack([fit.H for fit in nmf_each(augmented, opts)])
+        return tracemalloc.get_traced_memory()[1], H.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_nmf2_memory_grows_with_the_kept_h_not_with_every_fit():
+    # the recommend benchmark's shape: 500 terms, 300 training documents,
+    # k = 10; each fit's W (500 x 10) outweighs its H (10 x 301), so a
+    # caller that keeps every result grows 2-3 times as fast as the H's
+    rng = np.random.default_rng(5)
+    X = sparse.csc_array(sparse.random(500, 316, density=0.1, random_state=rng))
+    X_train, X_test = X[:, :300], X[:, 300:].toarray()
+    opts = FactorizeOptions(k=10, max_sweeps=5, rel_tol=0.0, seed=1)
+    nmf2_peak(X_train, X_test[:, :2], opts)  # first-call allocations
+    peak16, h16 = nmf2_peak(X_train, X_test, opts)
+    peak64, h64 = nmf2_peak(X_train, np.tile(X_test, 4), opts)
+    assert peak64 - peak16 <= 1.5 * (h64 - h16) + 0.5 * 2**20

@@ -44,15 +44,8 @@ from .factorize import (
     write_result,
 )
 from .graph import (
-    Graph,
-    Hypergraph,
-    dual_hypergraph,
-    hypergraph_from_edges,
     hypergraph_similarity,
-    induce_subgraph,
-    induce_subhypergraph,
     largest_connected_component,
-    membership_counts,
     normalized_adjacency,
     read_edge_list,
     read_hyperedges,
@@ -75,9 +68,7 @@ from .metrics import (
     pairwise_counts,
     pairwise_scores,
     read_labels,
-    read_pair_scores,
     roc_curve,
-    write_labels,
 )
 from .nls import kkt_residual, kkt_residual_gram, nls_bpp, nls_bpp_gram
 from .recommend import (

@@ -296,7 +296,7 @@ def _cmd_cluster(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     factorize.write_result(res, out)
-    metrics.write_labels(out / "labels.tsv", doc_ids, factorize.hard_assign(res.H))
+    write_records(out / "labels.tsv", doc_ids, factorize.hard_assign(res.H))
     if truth_sets is not None:
         _write_metrics_table(out / "metrics.tsv", rows)
     _write_manifest(

@@ -1,98 +1,44 @@
 """Graphs, hypergraphs, and the similarity matrices built from them.
 
-A Graph holds a symmetric 0/1 adjacency with empty diagonal.  A
-Hypergraph holds a 0/1 incidence matrix with vertices as rows and
-edges as columns.  Similarity for clustering is the degree-normalized
-adjacency D^-1/2 A D^-1/2, or for hypergraphs
+Edges and hyperedges are one structure: a 0/1 incidence M with vertices
+as rows and edges as columns, an edge pair being a column with its two
+vertices.  Similarity for clustering is, for edge pairs, the adjacency A
+of the pairs or its degree-normalized form D^-1/2 A D^-1/2, and for
+hyperedges
 
     S = Dv^-1/2 M De^-1 M^T Dv^-1/2
 
-where Dv and De are the vertex and edge degree diagonals.  The dual
-hypergraph (transposed incidence) swaps the roles of vertices and
-edges, which is how a corpus of group events (each event one edge) is
-clustered by the participants it shares.
+where Dv and De are the vertex and edge degree diagonals (Zhou, Huang &
+Schölkopf, Learning with Hypergraphs, NeurIPS 2006).  The dual
+hypergraph M^T swaps the roles of vertices and edges, which is how a
+corpus of group events (each event one edge) is clustered by the
+participants it shares.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    EmptyGraph,
-    IndexOutOfRange,
-    LabelMissing,
-    ShapeMismatch,
-    ZeroDegree,
-)
-from .matrix import as_csc, read_records, require_nonnegative, require_symmetric
+from .errors import EmptyGraph, IndexOutOfRange, ShapeMismatch, ZeroDegree
+from .matrix import as_csc, read_records
 
 __all__ = [
-    "Graph",
-    "Hypergraph",
     "symmetrize",
     "normalized_adjacency",
     "hypergraph_similarity",
     "similarity",
-    "dual_hypergraph",
     "largest_connected_component",
-    "membership_counts",
-    "induce_subgraph",
-    "induce_subhypergraph",
-    "hypergraph_from_edges",
     "read_edge_list",
     "read_hyperedges",
 ]
 
 
-@dataclass
-class Graph:
-    """Undirected unweighted graph as a symmetric sparse adjacency."""
-
-    adjacency: sparse.csc_array
-
-    def __post_init__(self):
-        A = as_csc(self.adjacency)
-        A.eliminate_zeros()
-        require_nonnegative(A, what="adjacency")
-        require_symmetric(A, what="adjacency")
-        if A.diagonal().any():
-            raise ValueError("adjacency has nonzero diagonal entries")
-        self.adjacency = A
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
-
-
-@dataclass
-class Hypergraph:
-    """Hypergraph as a 0/1 incidence matrix, vertices x edges."""
-
-    incidence: sparse.csc_array
-
-    def __post_init__(self):
-        M = as_csc(self.incidence)
-        M.eliminate_zeros()
-        if M.data.size and not np.all(M.data == 1.0):
-            raise ValueError("incidence entries must be 0 or 1")
-        self.incidence = M
-
-    @property
-    def n_vertices(self) -> int:
-        return self.incidence.shape[0]
-
-    @property
-    def n_edges(self) -> int:
-        return self.incidence.shape[1]
-
-
-def symmetrize(edges, n_vertices: int | None = None) -> Graph:
-    """Undirected graph from a directed edge list.
+def symmetrize(edges, n_vertices: int | None = None) -> sparse.csc_array:
+    """Symmetric 0/1 CSC adjacency of an undirected graph from an edge list.
 
     edges is an (m, 2) integer array, as read_edge_list returns, or any
     iterable of pairs.  Either direction produces A_ij = A_ji = 1;
@@ -100,7 +46,8 @@ def symmetrize(edges, n_vertices: int | None = None) -> Graph:
     inferred from the largest id unless given.
     """
     ids, sizes = _edge_ids(edges)
-    return Graph(_adjacency(ids, _checked(ids, sizes, n_vertices)))
+    return _adjacency(_restrict(_incidence(ids, sizes, _checked(ids, sizes, n_vertices)),
+                                pairs=True))
 
 
 def _edge_ids(edges):
@@ -113,6 +60,18 @@ def _edge_ids(edges):
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"edges must be pairs, got an array of shape {pairs.shape}")
     return pairs.ravel(), np.full(pairs.size // 2, 2)
+
+
+def _vertex_ids(edge_vertex_lists):
+    # every edge's vertex ids end to end as one int64 array, and the
+    # number of ids in each edge
+    edges = list(edge_vertex_lists)
+    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+    try:
+        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+    except OverflowError:
+        raise IndexOutOfRange("an id does not fit 64 bits") from None
+    return ids, sizes
 
 
 def _checked(ids, sizes, n, gaps=False):
@@ -144,19 +103,40 @@ def _checked(ids, sizes, n, gaps=False):
     return n
 
 
-def _adjacency(ids, n):
-    pairs = ids.reshape(-1, 2)
-    a, b = pairs[pairs[:, 0] != pairs[:, 1]].T  # self-loops dropped
+def _incidence(ids, sizes, n_vertices) -> sparse.csc_array:
+    # edge j holds the next sizes[j] entries of ids, each in [0, n_vertices)
+    edge = np.repeat(np.arange(sizes.size), sizes)
+    M = sparse.csc_array((np.ones(ids.size), (ids, edge)), shape=(n_vertices, sizes.size))
+    M.sum_duplicates()
+    M.data[:] = 1.0  # a vertex listed twice in one edge is one incidence
+    return M
+
+
+def _restrict(M, rows=None, *, pairs):
+    """M on the given rows (all of them by default), less the edges that
+    leave them: a pair once it loses a vertex (a self-loop, which lists
+    one vertex twice, has lost one already), a hyperedge once it loses
+    all."""
+    if rows is not None:
+        M = M[rows]
+    counts = np.diff(M.indptr)
+    return M[:, np.flatnonzero(counts == 2 if pairs else counts > 0)]
+
+
+def _adjacency(M) -> sparse.csc_array:
+    # every column of M holds a pair, joined both ways
+    a, b = M.indices.reshape(-1, 2).T
     A = sparse.coo_array(
-        (np.ones(2 * a.size), (np.concatenate([a, b]), np.concatenate([b, a]))), shape=(n, n)
+        (np.ones(2 * a.size), (np.concatenate([a, b]), np.concatenate([b, a]))),
+        shape=(M.shape[0], M.shape[0]),
     ).tocsc()
     A.data[:] = 1.0  # collapse duplicate edges
     return A
 
 
-def normalized_adjacency(G: Graph) -> sparse.csc_array:
+def normalized_adjacency(A) -> sparse.csc_array:
     """S = D^-1/2 A D^-1/2.  Every vertex must have positive degree."""
-    A = G.adjacency
+    A = as_csc(A)
     deg = A.sum(axis=1)
     if A.shape[0] == 0:
         raise EmptyGraph("graph has no vertices")
@@ -167,12 +147,13 @@ def normalized_adjacency(G: Graph) -> sparse.csc_array:
     return as_csc(d @ A @ d)
 
 
-def hypergraph_similarity(Hg: Hypergraph) -> sparse.csc_array:
-    """Vertex similarity Dv^-1/2 M De^-1 M^T Dv^-1/2.
+def hypergraph_similarity(M) -> sparse.csc_array:
+    """Vertex similarity Dv^-1/2 M De^-1 M^T Dv^-1/2 of a 0/1 incidence M
+    (vertices x edges).
 
     The diagonal is naturally nonzero and is kept.
     """
-    M = Hg.incidence
+    M = as_csc(M)
     if M.shape[0] == 0 or M.shape[1] == 0:
         raise EmptyGraph("hypergraph has no vertices or no edges")
     dv = M.sum(axis=1)
@@ -198,12 +179,16 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     names its id), raised before anything that large is built.  With
     dual, the vertex ids are ranked first, so only their order counts,
     and a given n must be the number of hyperedges (a ShapeMismatch if
-    not).  Edges give D^-1/2 A D^-1/2 (A itself with
-    raw_adjacency), hyperedges hypergraph_similarity less any edge that
-    joins no vertex.  With within (ascending positions), S is restricted
-    to those documents and then to their largest connected component.
-    Returns S and the kept indices into within (or range(n)).  A flag
-    the chosen source does not read is a ValueError.
+    not).  Both sources then become one incidence, which is restricted to
+    within (ascending distinct positions; a ValueError if not) and to its
+    largest connected component, or without within kept whole.  An edge
+    pair that leaves the kept documents is dropped whole, as is a
+    self-loop; a hyperedge is trimmed, and dropped once it is empty.  No
+    document left is an EmptyGraph.  Edges give D^-1/2 A D^-1/2 of the
+    remaining pairs (A itself with raw_adjacency), hyperedges
+    hypergraph_similarity.  Returns S and the kept indices into within
+    (or range(n)).  A flag the chosen source does not read is a
+    ValueError.
     """
     if dual and hyperedges is None:
         raise ValueError("dual needs hyperedges")
@@ -211,68 +196,50 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
         raise ValueError("raw adjacency needs edges")
     if (edges is None) == (hyperedges is None):
         raise ValueError("give exactly one of edges or hyperedges")
-    ids, sizes = _vertex_ids(hyperedges) if edges is None else _edge_ids(edges)
+    pairs = edges is not None
+    ids, sizes = _edge_ids(edges) if pairs else _vertex_ids(hyperedges)
     if dual:
         # a vertex id in no hyperedge is an empty edge of the dual, which S
         # drops, so ids keep only their order
         ids = np.unique(ids, return_inverse=True)[1]
-        hg = dual_hypergraph(_incidence(ids, sizes, _checked(ids, sizes, None)))
-        if n is not None and hg.n_vertices != n:
-            raise ShapeMismatch(f"{hg.n_vertices} hyperedges for {n} documents")
+        M = _incidence(ids, sizes, _checked(ids, sizes, None)).T.tocsc()
+        if n is not None and M.shape[0] != n:
+            raise ShapeMismatch(f"{M.shape[0]} hyperedges for {n} documents")
     else:
         # checked before anything as large as the largest id is built: an
         # inferred n with a gap more likely comes from a mistyped id than
         # from an isolated document
-        n = _checked(ids, sizes, n, gaps=n is None)
-        if edges is not None:
-            g = Graph(_adjacency(ids, n))
-            kept = np.arange(g.n)
-            if within is not None:
-                g = induce_subgraph(g, within)
-                kept = largest_connected_component(g)
-                g = induce_subgraph(g, kept)
-            return (g.adjacency if raw_adjacency else normalized_adjacency(g)), kept
-        hg = _incidence(ids, sizes, n)
-    kept = np.arange(hg.n_vertices)
-    # restricting to every vertex drops the edges that join none
-    hg, _ = induce_subhypergraph(hg, kept if within is None else within)
+        M = _incidence(ids, sizes, _checked(ids, sizes, n, gaps=n is None))
+    M = _restrict(M, None if within is None else _positions(within, M.shape[0]), pairs=pairs)
+    kept = np.arange(M.shape[0])
     if within is not None:
-        kept, lcc_edges = largest_connected_component(hg)
-        hg, _ = induce_subhypergraph(hg, kept, lcc_edges)
-    return hypergraph_similarity(hg), kept
+        kept, lcc_edges = largest_connected_component(M)
+        M = M[kept][:, lcc_edges]
+    if not M.shape[0]:
+        raise EmptyGraph("graph has no vertices")
+    if not pairs:
+        return hypergraph_similarity(M), kept
+    A = _adjacency(M)
+    return (A if raw_adjacency else normalized_adjacency(A)), kept
 
 
-def dual_hypergraph(Hg: Hypergraph) -> Hypergraph:
-    """Transpose the incidence: vertices and edges swap roles."""
-    return Hypergraph(as_csc(Hg.incidence.T))
+def largest_connected_component(M):
+    """Vertices and edges of the largest component of a 0/1 incidence M
+    (vertices x edges), smallest vertex first on ties.
 
-
-def largest_connected_component(obj):
-    """Vertex indices of the largest component, smallest-first on ties.
-
-    Hypergraph vertices are connected when they share an edge; for
-    hypergraphs the surviving edge indices (all endpoints inside the
-    component) are returned as well.
+    Vertices are connected when they share an edge.  The edges returned
+    are those whose vertices all lie in the component; an empty edge
+    lies in none.
     """
-    if isinstance(obj, Graph):
-        A = obj.adjacency
-        if obj.n == 0 or A.nnz == 0:
-            raise EmptyGraph("graph has no edges")
-        coo = A.tocoo()
-        labels = _component_labels(obj.n, coo.row, coo.col)
-        return np.flatnonzero(labels == _best_component(labels))
-    if isinstance(obj, Hypergraph):
-        M = obj.incidence
-        nv = M.shape[0]
-        if nv == 0 or M.shape[1] == 0 or M.nnz == 0:
-            raise EmptyGraph("hypergraph has no incidences")
-        # edge j is node nv + j, joined to each of its vertices; an edge's
-        # component is its node's, and an empty edge is a component alone
-        coo = M.tocoo()
-        labels = _component_labels(nv + M.shape[1], coo.row, nv + coo.col.astype(np.int64))
-        best = _best_component(labels[:nv])
-        return np.flatnonzero(labels[:nv] == best), np.flatnonzero(labels[nv:] == best)
-    raise TypeError(f"expected Graph or Hypergraph, got {type(obj).__name__}")
+    coo = sparse.coo_array(M)
+    if not coo.nnz:
+        raise EmptyGraph("graph has no edges")
+    nv, ne = coo.shape
+    # edge j is node nv + j, joined to each of its vertices; an edge's
+    # component is its node's, and an empty edge is a component alone
+    labels = _component_labels(nv + ne, coo.row, nv + coo.col.astype(np.int64))
+    best = _best_component(labels[:nv])
+    return np.flatnonzero(labels[:nv] == best), np.flatnonzero(labels[nv:] == best)
 
 
 def _component_labels(n, a, b):
@@ -312,70 +279,6 @@ def _best_component(labels):
     first_seen = np.full(sizes.size, labels.size, dtype=np.int64)
     np.minimum.at(first_seen, labels, np.arange(labels.size))
     return int(biggest[np.argmin(first_seen[biggest])])
-
-
-def induce_subgraph(G: Graph, vertices) -> Graph:
-    """Restriction of the graph to the given vertex subset (ascending)."""
-    idx = _index_subset(vertices, G.n, "vertex")
-    return Graph(G.adjacency[idx][:, idx])
-
-
-def induce_subhypergraph(Hg: Hypergraph, vertices, edges=None):
-    """Restrict a hypergraph to a vertex subset.
-
-    With edges=None, edges that lose every endpoint are dropped.
-    Returns the restricted hypergraph and the kept edge indices.
-    """
-    vidx = _index_subset(vertices, Hg.n_vertices, "vertex")
-    M = Hg.incidence[vidx]
-    if edges is None:
-        eidx = np.flatnonzero(np.diff(M.tocsc().indptr) > 0)
-    else:
-        eidx = _index_subset(edges, Hg.n_edges, "edge")
-    return Hypergraph(M[:, eidx]), eidx
-
-
-def membership_counts(edge_labels, Hg: Hypergraph) -> np.ndarray:
-    """Per vertex, how many distinct labels its incident edges carry."""
-    labels = list(edge_labels)
-    if len(labels) != Hg.n_edges:
-        raise LabelMissing(
-            f"{len(labels)} labels for {Hg.n_edges} edges; labels must cover all edges"
-        )
-    if Hg.n_edges == 0:
-        return np.zeros(Hg.n_vertices, dtype=np.int64)
-    _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
-    coo = Hg.incidence.tocoo()
-    pair = coo.row.astype(np.int64) * (codes.max() + 1) + codes[coo.col]
-    vert = np.unique(pair) // (codes.max() + 1)
-    return np.bincount(vert, minlength=Hg.n_vertices)
-
-
-def hypergraph_from_edges(edge_vertex_lists, n_vertices: int | None = None) -> Hypergraph:
-    """Build the incidence matrix from per-edge vertex id lists."""
-    ids, sizes = _vertex_ids(edge_vertex_lists)
-    return _incidence(ids, sizes, _checked(ids, sizes, n_vertices))
-
-
-def _vertex_ids(edge_vertex_lists):
-    # every edge's vertex ids end to end as one int64 array, and the
-    # number of ids in each edge
-    edges = list(edge_vertex_lists)
-    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-    try:
-        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
-    except OverflowError:
-        raise IndexOutOfRange("an id does not fit 64 bits") from None
-    return ids, sizes
-
-
-def _incidence(ids, sizes, n_vertices) -> Hypergraph:
-    # edge j holds the next sizes[j] entries of ids, each in [0, n_vertices)
-    edge = np.repeat(np.arange(sizes.size), sizes)
-    M = sparse.csc_array((np.ones(ids.size), (ids, edge)), shape=(n_vertices, sizes.size))
-    M.sum_duplicates()
-    M.data[:] = 1.0  # a vertex listed twice in one edge is one incidence
-    return Hypergraph(M)
 
 
 def read_edge_list(path) -> np.ndarray:
@@ -418,8 +321,11 @@ def _id(field) -> int:
     return v
 
 
-def _index_subset(indices, limit, what):
-    idx = np.unique(np.asarray(indices, dtype=np.int64))
-    if idx.size and (idx[0] < 0 or idx[-1] >= limit):
-        raise IndexOutOfRange(f"{what} index outside [0, {limit})")
+def _positions(within, n):
+    """within as an int64 array of ascending distinct positions in [0, n)."""
+    idx = np.asarray(within, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexOutOfRange(f"vertex index outside [0, {n})")
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError("within must be ascending positions without repeats")
     return idx

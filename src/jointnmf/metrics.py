@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError, DegenerateLabels, LabelMissing, UniverseMismatch
-from .matrix import read_records, write_records
+from .matrix import read_records
 
 __all__ = [
     "ConfusionMatrix",
@@ -36,8 +36,6 @@ __all__ = [
     "roc_curve",
     "auc",
     "read_labels",
-    "write_labels",
-    "read_pair_scores",
 ]
 
 
@@ -178,16 +176,6 @@ def read_labels(path) -> dict[str, set[str]]:
     for item, label in read_records(path, fields=2, expect="`item_id<TAB>label`"):
         out.setdefault(item, set()).add(label)
     return out
-
-
-def write_labels(path, ids, labels) -> None:
-    write_records(path, ids, labels)
-
-
-def read_pair_scores(path) -> list[tuple[str, str, float]]:
-    """`item_i<TAB>item_j<TAB>score` lines."""
-    return list(read_records(path, fields=3, convert=lambda r: (r[0], r[1], float(r[2])),
-                             expect="`item_i<TAB>item_j<TAB>score`"))
 
 
 def _contingency(pred, truth, n_pred_clusters=None):

@@ -10,6 +10,7 @@ import itertools
 import time
 
 import numpy as np
+from graph_reference import dense_similarity
 
 from jointnmf.cli import main
 from jointnmf.errors import EmptyGraph, ZeroDegree
@@ -20,7 +21,7 @@ from jointnmf.factorize import (
     nmf,
     symnmf,
 )
-from jointnmf.graph import dual_hypergraph, hypergraph_from_edges, hypergraph_similarity
+from jointnmf.graph import similarity
 from jointnmf.matrix import write_matrix_market
 from jointnmf.metrics import (
     auc,
@@ -180,17 +181,20 @@ def test_criterion_4_zero_weight_joint_degenerates_to_nmf():
 
 
 def test_criterion_5_hypergraph_similarity_exact_and_symmetric():
-    hg = hypergraph_from_edges([[0, 1], [1, 2], [2, 0]], n_vertices=3)
-    S = hypergraph_similarity(hg).toarray()
+    S, _ = similarity(hyperedges=[[0, 1], [1, 2], [2, 0]], n=3)
     expect = 0.25 * np.ones((3, 3)) + 0.25 * np.eye(3)
-    fixture_err = float(np.max(np.abs(S - expect)))
+    fixture_err = float(np.max(np.abs(S.toarray() - expect)))
 
-    involution_exact = (
-        dual_hypergraph(dual_hypergraph(hg)).incidence != hg.incidence
+    # the dual's edges are the vertices' membership lists
+    hyperedges = [[0, 1], [1, 2, 3], [3]]
+    members = [[j for j, e in enumerate(hyperedges) if v in e] for v in range(4)]
+    dual_exact = (
+        similarity(hyperedges=hyperedges, n=3, dual=True)[0]
+        != similarity(hyperedges=members, n=3)[0]
     ).nnz == 0
 
     rng = np.random.default_rng(31415)
-    worst_asym = 0.0
+    worst_asym = worst_gap = 0.0
     built = 0
     while built < 50:
         n = int(rng.integers(2, 12))
@@ -199,17 +203,20 @@ def test_criterion_5_hypergraph_similarity_exact_and_symmetric():
             for _ in range(int(rng.integers(1, 8)))
         ]
         try:
-            R = hypergraph_similarity(hypergraph_from_edges(edges, n_vertices=n)).toarray()
+            R = similarity(hyperedges=edges, n=n)[0].toarray()
         except (EmptyGraph, ZeroDegree):
             # draws that leave a vertex uncovered don't count toward the 50
             continue
         worst_asym = max(worst_asym, float(np.max(np.abs(R - R.T))))
+        expect, _ = dense_similarity(hyperedges=edges, n=n)
+        worst_gap = max(worst_gap, float(np.max(np.abs(R - expect))))
         built += 1
-    ok = fixture_err <= 1e-14 and involution_exact and worst_asym <= 1e-14
+    ok = fixture_err <= 1e-14 and dual_exact and worst_asym <= 1e-14 and worst_gap <= 1e-14
     _verdict(
         5,
-        f"triangle fixture error {fixture_err:.1e}, dual involution exact, "
-        f"worst asymmetry over 50 random hypergraphs {worst_asym:.1e}",
+        f"triangle fixture error {fixture_err:.1e}, dual = membership lists exactly, "
+        f"over 50 random hypergraphs worst asymmetry {worst_asym:.1e} and worst gap to "
+        f"the dense formula {worst_gap:.1e}",
         ok,
     )
 

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from graph_reference import dense_similarity
 from scipy import sparse
 
 from jointnmf.cli import build_parser, main, top_terms
 from jointnmf.errors import VocabMismatch
 from jointnmf.matrix import read_matrix_market, write_matrix_market
-from jointnmf.graph import dual_hypergraph, hypergraph_from_edges, hypergraph_similarity
 
 
 def make_planted_dir(root, k=3, per_cluster=8, n_terms=30, seed=7):
@@ -378,6 +378,22 @@ def test_an_inferred_n_with_a_gap_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", [
+    ["--edges", "--raw-adjacency"], ["--edges"], ["--hyperedges"],
+], ids=["raw-adjacency", "edges", "hyperedges"])
+def test_an_empty_graph_file_is_a_data_error_from_every_source(tmp_path, capsys, source):
+    # the raw adjacency of no edges used to be a 0 x 0 S, which exited 1
+    # with `usage error: k=2 exceeds n=0`
+    (tmp_path / "empty").write_text("")
+    out = tmp_path / "o"
+    assert main([
+        "cluster", "--method", "symnmf", source[0], str(tmp_path / "empty"), *source[1:],
+        "--k", "2", "--out-dir", str(out),
+    ]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: graph has no vertices"]
+    assert not out.exists()
+
+
 def test_an_id_named_only_by_a_self_loop_is_no_gap(tmp_path, capsys):
     # the self-loop is dropped from S, but its line names document 3
     (tmp_path / "loop.tsv").write_text("0\t1\n1\t2\n2\t0\n3\t3\n")
@@ -437,8 +453,8 @@ def test_hypergraph_sim_dual_takes_huge_participant_ids_by_their_order(tmp_path,
         "--out-dir", str(tmp_path / "o"),
     ]) == 0
     S = read_matrix_market(tmp_path / "o" / "S.mtx")
-    expect = hypergraph_similarity(dual_hypergraph(hypergraph_from_edges([[0, 3], [3, 2], [0, 1]])))
-    assert np.array_equal(S.toarray(), expect.toarray())
+    expect, _ = dense_similarity(hyperedges=[[0, 3], [3, 2], [0, 1]], n=None, dual=True)
+    assert np.max(np.abs(S.toarray() - expect)) <= 1e-14
 
 
 def test_a_doc_id_with_a_tab_is_a_data_error_where_it_enters(tmp_path, capsys):
@@ -627,8 +643,8 @@ def test_hypergraph_sim_matches_library(tmp_path):
         "--out-dir", str(tmp_path / "o"),
     ]) == 0
     S = read_matrix_market(tmp_path / "o" / "S.mtx")
-    expect = hypergraph_similarity(hypergraph_from_edges([[0, 1, 2], [2, 3]]))
-    assert np.max(np.abs(S.toarray() - expect.toarray())) == 0.0
+    expect, _ = dense_similarity(hyperedges=[[0, 1, 2], [2, 3]], n=None)
+    assert np.max(np.abs(S.toarray() - expect)) <= 1e-14
 
 
 def test_hypergraph_sim_dual_skips_an_unused_participant_id(tmp_path):
@@ -639,9 +655,8 @@ def test_hypergraph_sim_dual_skips_an_unused_participant_id(tmp_path):
         "--out-dir", str(tmp_path / "o"),
     ]) == 0
     S = read_matrix_market(tmp_path / "o" / "S.mtx")
-    compact = hypergraph_from_edges([[0, 1], [1, 2], [0, 2, 3]])
-    expect = hypergraph_similarity(dual_hypergraph(compact))
-    assert np.array_equal(S.toarray(), expect.toarray())
+    expect, _ = dense_similarity(hyperedges=[[0, 1], [1, 2], [0, 2, 3]], n=None, dual=True)
+    assert np.max(np.abs(S.toarray() - expect)) <= 1e-14
 
 
 def test_hypergraph_sim_dual(tmp_path):

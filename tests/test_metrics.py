@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointnmf.errors import DataError, DegenerateLabels, UniverseMismatch
+from jointnmf.matrix import write_records
 from jointnmf.metrics import (
     auc,
     average_f1,
@@ -17,9 +18,7 @@ from jointnmf.metrics import (
     pairwise_counts,
     pairwise_scores,
     read_labels,
-    read_pair_scores,
     roc_curve,
-    write_labels,
 )
 
 
@@ -300,7 +299,7 @@ def test_auc_trapezoid_value():
 
 def test_label_file_round_trip(tmp_path):
     path = tmp_path / "labels.tsv"
-    write_labels(path, ["d0", "d1"], [0, 1])
+    write_records(path, ["d0", "d1"], [0, 1])
     m = read_labels(path)
     assert m == {"d0": {"0"}, "d1": {"1"}}
 
@@ -317,14 +316,3 @@ def test_read_labels_rejects_bad_line(tmp_path):
     path.write_text("only-one-field\n")
     with pytest.raises(DataError):
         read_labels(path)
-
-
-def test_read_pair_scores(tmp_path):
-    path = tmp_path / "scores.tsv"
-    path.write_text("q0\td3\t0.75\n\nq1\td0\t-1.5\n")
-    pairs = read_pair_scores(path)
-    assert pairs == [("q0", "d3", 0.75), ("q1", "d0", -1.5)]
-    bad = tmp_path / "bad.tsv"
-    bad.write_text("a\tb\n")
-    with pytest.raises(DataError):
-        read_pair_scores(bad)

@@ -4,13 +4,20 @@ perfbench/selftest.py pins what the benchmark relies on in the package:
 the names its span wrappers rebind (`cli.recommend_above`, the nls
 import in factorize) and where fits sit in the span tree.  A refactor
 that moves those breaks the benchmark, so it must break a test too.
+The set-up of solve-k10 calls graph, matrix and metrics functions
+directly, so it runs here too, on tiny hand-written inputs.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-SELFTEST = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+import numpy as np
+from graph_reference import dense_similarity
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SELFTEST = PERFBENCH / "selftest.py"
 
 
 def test_perfbench_selftest_passes():
@@ -18,3 +25,21 @@ def test_perfbench_selftest_passes():
         [sys.executable, str(SELFTEST)], capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_solve_k10_setup_reads_tiny_inputs(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    (tmp_path / "X.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "3 4 5\n1 1 1.0\n2 2 0.5\n3 3 2.0\n1 4 1.5\n2 4 0.25\n"
+    )
+    # a path 0-1-2-3 given in both directions, with a repeat
+    (tmp_path / "edges.tsv").write_text("0\t1\n2\t1\n2\t3\n1\t0\n")
+    (tmp_path / "truth.tsv").write_text("0\ta\n1\ta\n2\tb\n3\tb\n")
+    X, S, truth = workloads.SolveK10().setup(tmp_path)
+    assert X.shape == (3, 4) and X.toarray()[1, 3] == 0.25
+    expect, _ = dense_similarity([(0, 1), (2, 1), (2, 3), (1, 0)], n=4)
+    assert S.shape == (4, 4) and np.max(np.abs(S.toarray() - expect)) <= 1e-14
+    assert truth == [{"a"}, {"a"}, {"b"}, {"b"}]

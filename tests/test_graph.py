@@ -285,6 +285,65 @@ def test_similarity_equals_the_dense_formulas(kw):
     assert np.max(np.abs(S.toarray() - expect), initial=0.0) <= 1e-14
 
 
+def random_sources(rng, n):
+    """Edges with a ring (no zero degree) and hyperedges covering 0..n-1."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    edges = ring + [tuple(int(v) for v in rng.choice(n, 2)) for _ in range(n)]
+    hyperedges = [[i, int(rng.integers(n))] for i in range(n)]
+    hyperedges += [list(rng.choice(n, int(rng.integers(1, 5)), replace=False))
+                   for _ in range(n // 2)]
+    return edges, hyperedges
+
+
+def assert_identical(S, ref):
+    assert S.shape == ref.shape
+    assert np.array_equal(S.toarray(), ref.toarray())
+
+
+def test_similarity_matches_the_chains_it_replaces():
+    # the public steps called one after another give what similarity gives
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        n = int(rng.integers(5, 30))
+        edges, hyperedges = random_sources(rng, n)
+        A = symmetrize(edges, n_vertices=n)
+        S, kept = similarity(edges, n=n)
+        assert_identical(S, normalized_adjacency(A))
+        assert kept.tolist() == list(range(n))
+        S, _ = similarity(edges, n=n, raw_adjacency=True)
+        assert_identical(S, A)
+        M = incidence(hyperedges, n)
+        S, _ = similarity(hyperedges=hyperedges, n=n)
+        assert_identical(S, hypergraph_similarity(M))
+        S, kept = similarity(hyperedges=hyperedges, n=len(hyperedges), dual=True)
+        assert_identical(S, hypergraph_similarity(M.T))
+        assert kept.tolist() == list(range(len(hyperedges)))
+
+
+def test_similarity_within_matches_restrict_component_restrict():
+    rng = np.random.default_rng(43)
+    for _ in range(8):
+        n = int(rng.integers(6, 30))
+        edges, hyperedges = random_sources(rng, n)
+        within = np.sort(rng.choice(n, int(rng.integers(n // 2, n)), replace=False))
+        pos = {int(v): i for i, v in enumerate(within)}
+        # a pair that leaves within is dropped whole
+        pairs = [(pos[u], pos[v]) for u, v in edges if u in pos and v in pos and u != v]
+        lcc, _ = largest_connected_component(incidence(pairs, len(within)))
+        A = symmetrize(pairs, n_vertices=len(within))[lcc][:, lcc]
+        for raw in (False, True):
+            S, kept = similarity(edges, n=n, raw_adjacency=raw, within=within)
+            assert_identical(S, A if raw else normalized_adjacency(A))
+            assert kept.tolist() == lcc.tolist()
+        # a hyperedge is trimmed to within and dropped once empty
+        trimmed = [t for t in ([pos[v] for v in e if v in pos] for e in hyperedges) if t]
+        M = incidence(trimmed, len(within))
+        lcc_v, lcc_e = largest_connected_component(M)
+        S, kept = similarity(hyperedges=hyperedges, n=n, within=within)
+        assert_identical(S, hypergraph_similarity(M[lcc_v][:, lcc_e]))
+        assert kept.tolist() == lcc_v.tolist()
+
+
 def test_similarity_n_is_the_size_of_s():
     # documents 3 and 4 are in no hyperedge; with dual the 2 lines are
     # the documents, whatever the participant ids

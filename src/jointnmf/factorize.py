@@ -21,9 +21,8 @@ block update is an exact nonnegative least squares solve; the beta term
 pulls the copies together.  A sweep updates W, then Ht, then H.  Each
 block is a list of weighted terms (text, similarity, tether), each term
 a Gram matrix, right-hand side and target norm; the block solves the
-summed normal equations by block principal pivoting, starting from the
-support that a few coordinate-descent sweeps from the block's previous
-value predict (nls.predict_passive), and a block without terms is
+summed normal equations by block principal pivoting in one nls call,
+started from the block's previous value, and a block without terms is
 skipped.  With a positive definite Gram the start changes only the
 number of pivoting rounds, not the solution.  One residual formula
 gives each term's value from the same products, so the objective is
@@ -56,7 +55,7 @@ from .matrix import (
     write_matrix_market,
     write_records,
 )
-from .nls import nls_bpp_gram, predict_passive
+from .nls import nls_bpp_gram
 
 __all__ = [
     "FactorizeOptions",
@@ -410,15 +409,13 @@ def _sweeps(problems, seeds, opts):
 
 def _solve(live, terms, prev):
     # the exact NLS solution of each live run's block, given its terms:
-    # the summed normal equations, warm-started from the support predicted
-    # from the block's previous value prev, in one kernel call on the
-    # stack of the runs' Grams, each run's columns after the last's;
-    # records each run's objective
+    # the summed normal equations, started from the block's previous value
+    # prev, in one kernel call on the stack of the runs' Grams, each run's
+    # columns after the last's; records each run's objective
     ata = np.stack([sum(r.p.weights[i] * gram for i, gram, _, _ in t) for r, t in zip(live, terms)])
     atbs = [sum(r.p.weights[i] * rhs for i, _, rhs, _ in t) for r, t in zip(live, terms)]
     atb, widths = np.hstack(atbs), [b.shape[1] for b in atbs]
-    passive = predict_passive(ata, atb, np.hstack(prev), widths=widths)
-    F = nls_bpp_gram(ata, atb, passive=passive, widths=widths)
+    F = nls_bpp_gram(ata, atb, start=np.hstack(prev), widths=widths)
     # each run's columns as an array of their own, laid out as a solo call
     # returns them
     Fs = [np.ascontiguousarray(Fi) for Fi in np.hsplit(F, np.cumsum(widths)[:-1])]

@@ -184,11 +184,11 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     largest connected component, or without within kept whole.  An edge
     pair that leaves the kept documents is dropped whole, as is a
     self-loop; a hyperedge is trimmed, and dropped once it is empty.  No
-    document left is an EmptyGraph.  Edges give D^-1/2 A D^-1/2 of the
-    remaining pairs (A itself with raw_adjacency), hyperedges
-    hypergraph_similarity.  Returns S and the kept indices into within
-    (or range(n)).  A flag the chosen source does not read is a
-    ValueError.
+    edge left is an EmptyGraph, whatever the source and n.  Edges give
+    D^-1/2 A D^-1/2 of the remaining pairs (A itself with raw_adjacency),
+    hyperedges hypergraph_similarity.  Returns S and the kept indices
+    into within (or range(n)).  A flag the chosen source does not read is
+    a ValueError.
     """
     if dual and hyperedges is None:
         raise ValueError("dual needs hyperedges")
@@ -211,12 +211,12 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
         # from an isolated document
         M = _incidence(ids, sizes, _checked(ids, sizes, n, gaps=n is None))
     M = _restrict(M, None if within is None else _positions(within, M.shape[0]), pairs=pairs)
+    if not M.shape[1]:
+        raise EmptyGraph("graph has no edges")
     kept = np.arange(M.shape[0])
     if within is not None:
         kept, lcc_edges = largest_connected_component(M)
         M = M[kept][:, lcc_edges]
-    if not M.shape[0]:
-        raise EmptyGraph("graph has no vertices")
     if not pairs:
         return hypergraph_similarity(M), kept
     A = _adjacency(M)

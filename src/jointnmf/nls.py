@@ -28,7 +28,7 @@ passive solve is singular or nonfinite, or that is still pending after
 ROUNDS_PER_VARIABLE * k rounds, leaves the pivoting and is solved at
 the end by Lawson-Hanson NNLS, which needs no full rank.
 
-Both entries work on a stack of g Grams, (g, k, k), with widths, the
+nls_bpp_gram works on a stack of g Grams, (g, k, k), with widths, the
 number of columns of each: Gram i serves the next widths[i] columns,
 so that many small problems share one call and its per-round costs.
 A single k x k A^T A is a stack of one Gram for all n columns.  Each
@@ -40,16 +40,17 @@ columns.  Bit identity with the lone calls holds as long as a BLAS
 product computes each row the same way whatever the other rows are;
 the tests check it.
 
-A caller that knows a good support passes it as the initial passive
-set.  Variables whose A^T A diagonal is 0 (a zero column of A) have
-optimum 0 and are dropped from it.  With A^T A positive definite the
-optimum is unique, so the starting set changes only the number of
-rounds.  An alternating scheme has the previous iterate of each block,
-whose support is a fair guess; predict_passive makes a better one by
-running PREDICT_SWEEPS coordinate-descent (HALS) sweeps from that
-iterate on the new problem, at about the cost of PREDICT_SWEEPS
-gradients, and returns their support.  Columns are independent;
-identical inputs give identical outputs.
+Without a start the pivoting starts from the empty passive set.  An
+alternating scheme has the previous value of each block, a nearby
+iterate, and passes it as start: the solver runs PREDICT_SWEEPS
+coordinate-descent (HALS) sweeps from it on the new problem, at about
+the cost of PREDICT_SWEEPS gradients, and starts the pivoting from
+their support.  A variable whose A^T A diagonal is not positive is
+dead: the sweeps leave it and the support drops it, since with a zero
+diagonal (a zero column of A) its optimum is 0.  With A^T A positive
+definite the optimum is unique, so the start changes only the number
+of rounds.  Columns are independent; identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
 
-__all__ = ["nls_bpp", "nls_bpp_gram", "predict_passive", "kkt_residual", "kkt_residual_gram"]
+__all__ = ["nls_bpp", "nls_bpp_gram", "kkt_residual", "kkt_residual_gram"]
 
 # entries (columns x s x s) of one stacked passive-set solve: 256 columns
 # at s = 10, which keeps peak memory flat on wide solves
@@ -66,7 +67,7 @@ STACK_ENTRIES = 25_600
 # columns per block of _solve_passive; one count for every k, measured
 # at k = 10, 20 and 50
 BLOCK_COLUMNS = 1024
-# coordinate-descent sweeps of predict_passive
+# coordinate-descent sweeps from a start
 PREDICT_SWEEPS = 3
 # exchange rounds allowed per variable before a column is rescued, and
 # non-improving full exchanges a column may make before the backup rule
@@ -99,7 +100,7 @@ def nls_bpp(A, B) -> np.ndarray:
     return X[:, 0] if single else X
 
 
-def nls_bpp_gram(ata, atb, *, passive=None, widths=None) -> np.ndarray:
+def nls_bpp_gram(ata, atb, *, start=None, widths=None) -> np.ndarray:
     """Same solver fed the precomputed products A^T A and A^T B (k x n).
 
     This is the entry point the factorization sweeps use, since their
@@ -107,15 +108,14 @@ def nls_bpp_gram(ata, atb, *, passive=None, widths=None) -> np.ndarray:
     k x k Gram for every column, or a (g, k, k) stack of Grams with
     widths, g column counts summing to n: Gram i serves the next
     widths[i] columns, and each column's solution is the one a call
-    with its Gram alone gives, bit for bit.  passive, a k x n boolean
-    array, is the initial passive set (default: empty); variables whose
-    A^T A diagonal is 0 are dropped from it.  The rescue raises
-    SingularSystem for an A^T B positive where the A^T A diagonal is 0
-    (unbounded) or an A^T A that is not positive semidefinite, and
-    NonConvergence at its iteration limit.
+    with its Gram alone gives, bit for bit.  start, a k x n iterate near
+    the solution (default: none), is where the initial passive set is
+    predicted from.  The rescue raises SingularSystem for an A^T B
+    positive where the A^T A diagonal is 0 (unbounded) or an A^T A that
+    is not positive semidefinite, and NonConvergence at its iteration
+    limit.
     """
-    ata, atb, passive, widths = _normal_equations(
-        ata, atb, passive, bool, "the passive set", widths)
+    ata, atb, start, widths = _normal_equations(ata, atb, start, "start", widths)
     k, n = atb.shape
     if n == 0:
         return np.zeros((k, 0))
@@ -128,14 +128,8 @@ def nls_bpp_gram(ata, atb, *, passive=None, widths=None) -> np.ndarray:
     X = np.zeros((n, k))
     infeasible = B > 0.0
     rescue = np.zeros(n, dtype=bool)
-    if passive is None:
-        P = np.zeros((n, k), dtype=bool)
-    else:
-        # a variable with a zero A^T A diagonal has optimum 0
-        dead = np.diagonal(ata, axis1=1, axis2=2) == 0.0
-        P = passive.T.copy()
-        P &= ~dead[gram_of]
-        _solve_passive(ata, B, P, np.flatnonzero(P.any(axis=1)), X, infeasible, rescue, gram_of)
+    P = np.zeros((n, k), dtype=bool) if start is None else _predicted_passive(ata, atb, start, widths)
+    _solve_passive(ata, B, P, np.flatnonzero(P.any(axis=1)), X, infeasible, rescue, gram_of)
     # per-column backup budget and best infeasibility count seen so far
     budget = np.full(n, BACKUP_THRESHOLD, dtype=np.int64)
     best_ninf = np.full(n, k + 1, dtype=np.int64)
@@ -170,37 +164,39 @@ def nls_bpp_gram(ata, atb, *, passive=None, widths=None) -> np.ndarray:
     return np.ascontiguousarray(X.T)
 
 
-def predict_passive(ata, atb, start, *, widths=None) -> np.ndarray:
-    """Support predicted for nls_bpp_gram from a nearby iterate start (k x n).
+def _predicted_passive(ata, atb, start, widths):
+    """The passive set, one row per column, predicted from start.
 
     Runs PREDICT_SWEEPS coordinate-descent sweeps (HALS) from start on
-    the same problem: each variable in turn is set to the minimizer of
+    the problem: each live variable in turn is set to the minimizer of
     its quadratic with the others fixed, clamped at 0, in one step over
-    the columns of a Gram.  A variable whose A^T A diagonal is 0 keeps
-    its start value, which nls_bpp_gram drops.  ata and widths are as
-    for nls_bpp_gram.  Returns the k x n boolean support of the result,
-    to pass as passive=; a column whose sweeps overflow keeps the
-    support of start.
+    the columns of a Gram.  The set is the support of the result less
+    the dead variables, those whose A^T A diagonal is not positive; a
+    column whose sweeps overflow keeps the support of start.
     """
-    ata, atb, start, widths = _normal_equations(ata, atb, start, np.float64, "start", widths)
     X = np.array(start, order="C")
+    live = np.diagonal(ata, axis1=1, axis2=2) > 0.0
     cuts = np.cumsum(widths)[:-1]
     with np.errstate(all="ignore"):
         # the columns of each Gram are views of X and atb
-        for gram, Xs, Bs in zip(ata, np.hsplit(X, cuts), np.hsplit(atb, cuts)):
+        for gram, alive, Xs, Bs in zip(ata, live, np.hsplit(X, cuts), np.hsplit(atb, cuts)):
             diag = np.diag(gram).tolist()
-            live = [j for j, d in enumerate(diag) if d > 0.0]
+            rows = np.flatnonzero(alive).tolist()
             for _ in range(PREDICT_SWEEPS):
-                for j in live:
-                    Xs[j] = np.maximum(Xs[j] + (Bs[j] - gram[j] @ Xs) / diag[j], 0.0)
-    support = X > 0.0
+                for j in rows:
+                    # Xs[j] + (Bs[j] - gram[j] @ Xs) / diag[j], clamped, in place
+                    t = gram[j] @ Xs
+                    np.subtract(Bs[j], t, out=t)
+                    t /= diag[j]
+                    t += Xs[j]
+                    np.maximum(t, 0.0, out=Xs[j])
     lost = ~np.isfinite(X).all(axis=0)
-    support[:, lost] = start[:, lost] > 0.0
-    return support
+    X[:, lost] = start[:, lost]
+    return (X > 0.0).T & np.repeat(live, widths, axis=0)
 
 
-def _normal_equations(ata, atb, M, dtype, what, widths=None):
-    """ata as a Gram stack, atb, M (dtype, or None) and widths after the entry checks.
+def _normal_equations(ata, atb, M, what, widths=None):
+    """ata as a Gram stack, atb, M (or None) and widths after the entry checks.
 
     ata must be k x k, which is one Gram for every column, or a
     (g, k, k) stack with widths, g nonnegative integers summing to n;
@@ -218,7 +214,7 @@ def _normal_equations(ata, atb, M, dtype, what, widths=None):
     if not (np.isfinite(ata).all() and np.isfinite(atb).all()):
         raise NonFinite("nonfinite values in the normal equations")
     if M is not None:
-        M = np.asarray(M, dtype=dtype)
+        M = np.asarray(M, dtype=np.float64)
         if M.shape != atb.shape:
             raise ShapeMismatch(f"A^T B is {atb.shape}, {what} is {M.shape}")
     widths = np.asarray(widths)
@@ -372,7 +368,7 @@ def kkt_residual_gram(ata, atb, X) -> float:
     A 1-d atb and X are one column.
     """
     atb, X = (M[:, None] if M.ndim == 1 else M for M in map(np.asarray, (atb, X)))
-    ata, atb, X, _ = _normal_equations(ata, atb, X, np.float64, "X")
+    ata, atb, X, _ = _normal_equations(ata, atb, X, "X")
     grad = ata[0] @ X - atb
     viol = np.where(X > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
     return float(np.maximum(viol, np.maximum(-X, 0.0)).max(initial=0.0))

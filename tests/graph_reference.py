@@ -41,8 +41,8 @@ def dense_similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacenc
 
     The ids must pass similarity's range check.  Where S is undefined
     this raises what similarity raises: ZeroDegree for an inferred n with
-    a gap or a vertex of zero degree, EmptyGraph for no vertices or no
-    edge to restrict or to build a hypergraph S from.
+    a gap or a vertex of zero degree, EmptyGraph for no edge left after
+    the restriction to within.
     """
     lists = [list(e) for e in (hyperedges if edges is None else edges)]
     ids = sorted({v for e in lists for v in e})
@@ -59,15 +59,16 @@ def dense_similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacenc
     def surviving(M):
         # a pair needs both vertices (a self-loop has one), a hyperedge one
         counts = M.sum(axis=0)
-        return M[:, counts == 2] if edges is not None else M[:, counts > 0]
+        M = M[:, counts == 2] if edges is not None else M[:, counts > 0]
+        if not M.shape[1]:
+            raise EmptyGraph("no edges")
+        return M
 
     kept = np.arange(M.shape[0])
     if within is not None:
         kept, _ = csgraph_lcc(surviving(M[list(within)]))
         M = M[list(within)][kept]
     M = surviving(M)
-    if not M.shape[0]:
-        raise EmptyGraph("no vertices")
     if edges is not None:
         A = (M @ M.T > 0).astype(float)
         np.fill_diagonal(A, 0.0)
@@ -77,8 +78,6 @@ def dense_similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacenc
         if not d.all():
             raise ZeroDegree("a vertex has no edge")
         return A / np.sqrt(np.outer(d, d)), kept
-    if not M.shape[1]:
-        raise EmptyGraph("no edges")
     dv, de = M.sum(axis=1), M.sum(axis=0)
     if not dv.all():
         raise ZeroDegree("a vertex is on no edge")

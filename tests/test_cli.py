@@ -390,7 +390,24 @@ def test_an_empty_graph_file_is_a_data_error_from_every_source(tmp_path, capsys,
         "cluster", "--method", "symnmf", source[0], str(tmp_path / "empty"), *source[1:],
         "--k", "2", "--out-dir", str(out),
     ]) == 2
-    assert capsys.readouterr().err.splitlines() == ["data error: graph has no vertices"]
+    assert capsys.readouterr().err.splitlines() == ["data error: graph has no edges"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", [
+    ["--edges", "--raw-adjacency"], ["--edges"], ["--hyperedges"],
+], ids=["raw-adjacency", "edges", "hyperedges"])
+def test_an_empty_graph_file_beside_x_is_one_data_error_from_every_source(tmp_path, capsys, source):
+    # n comes from the 5 columns of X; the three sources used to fail
+    # three ways: zero degree, an identically zero S, an empty hypergraph
+    write_matrix_market(tmp_path / "X.mtx", np.arange(1.0, 16.0).reshape(3, 5))
+    (tmp_path / "empty").write_text("")
+    out = tmp_path / "o"
+    assert main([
+        "cluster", "--method", "joint", "--x", str(tmp_path / "X.mtx"),
+        source[0], str(tmp_path / "empty"), *source[1:], "--k", "2", "--out-dir", str(out),
+    ]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: graph has no edges"]
     assert not out.exists()
 
 

@@ -405,8 +405,9 @@ def test_predicted_start_keeps_the_factors_and_solves_fewer_columns(method, monk
     monkeypatch.setattr(nls, "_solve_passive",
                         lambda ata, B, P, cols, *rest: solved.append(cols.size) or solve(ata, B, P, cols, *rest))
     runs = []
-    for predict in (factorize.predict_passive, lambda ata, atb, start, widths: start > 0.0):
-        monkeypatch.setattr(factorize, "predict_passive", predict)
+    # without sweeps the pivoting starts from the support of the previous value
+    for sweeps in (nls.PREDICT_SWEEPS, 0):
+        monkeypatch.setattr(nls, "PREDICT_SWEEPS", sweeps)
         solved.clear()
         runs.append((run_method(method, X, S, opts), sum(solved)))
     (new, new_columns), (old, old_columns) = runs
@@ -414,6 +415,21 @@ def test_predicted_start_keeps_the_factors_and_solves_fewer_columns(method, monk
         a, b = getattr(new, name), getattr(old, name)
         assert (a is None and b is None) or np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
     assert new_columns < old_columns
+
+
+@pytest.mark.parametrize("method, blocks", [("nmf", 2), ("symnmf", 2), ("joint", 3)])
+def test_every_block_is_one_kernel_call_from_its_previous_value(method, blocks, monkeypatch):
+    # the sweeps hand the kernel each block's previous value and leave the
+    # support to it: one nls_bpp_gram call per block and sweep, however
+    # many trials advance in lockstep
+    X, S, _, _, _ = planted_joint()
+    calls = []
+    kernel = factorize.nls_bpp_gram
+    monkeypatch.setattr(factorize, "nls_bpp_gram",
+                        lambda ata, atb, **kw: calls.append(kw) or kernel(ata, atb, **kw))
+    res = run_method(method, X, S, FactorizeOptions(k=3, seed=0, max_sweeps=4, rel_tol=0.0, trials=2))
+    assert len(calls) == blocks * 4 == len(res.block_objective_history)
+    assert all(kw["start"].shape == (3, sum(kw["widths"])) for kw in calls)
 
 
 def test_joint_factors_nonnegative_and_shapes():
@@ -732,9 +748,9 @@ def test_sparse_and_dense_inputs_give_the_same_histories(inst, method):
     X, S, k = inst
     conds = []
 
-    def solve(ata, atb, passive, widths):
+    def solve(ata, atb, start, widths):
         conds.extend(np.linalg.cond(ata))
-        return nls_bpp_gram(ata, atb, passive=passive, widths=widths)
+        return nls_bpp_gram(ata, atb, start=start, widths=widths)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factorize, "nls_bpp_gram", solve)

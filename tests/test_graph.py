@@ -122,9 +122,15 @@ def test_edges_and_two_vertex_hyperedges_pass_one_id_check(pairs, n):
 @given(pairs=st.lists(st.tuples(pair_ids, pair_ids), max_size=5))
 @example(pairs=[(0, 1), (1, 300)])
 @example(pairs=[])
+@example(pairs=[(0, 0)])
 def test_edges_and_two_vertex_hyperedges_infer_one_n(pairs):
     got = raised(similarity, pairs, n=None, raw_adjacency=True)
-    assert got == raised(similarity, hyperedges=[list(p) for p in pairs], n=None)
+    want = raised(similarity, hyperedges=[list(p) for p in pairs], n=None)
+    if want is None and all(a == b for a, b in pairs):
+        # the one n passed, but self-loops leave no edge pair, while a
+        # one-vertex hyperedge is an edge
+        want = EmptyGraph, "graph has no edges"
+    assert got == want
 
 
 def test_hypergraph_from_edges_names_the_first_edge_and_its_smallest_id_outside():
@@ -375,11 +381,25 @@ def test_similarity_rejects_a_flag_its_source_does_not_read():
 def test_similarity_of_no_vertices_is_an_empty_graph_from_every_source():
     # the raw adjacency of no edges used to be a 0 x 0 S
     for kw in ({"raw_adjacency": True}, {}):
-        with pytest.raises(EmptyGraph, match="^graph has no vertices$"):
+        with pytest.raises(EmptyGraph, match="^graph has no edges$"):
             similarity([], n=None, **kw)
     for dual in (False, True):
-        with pytest.raises(EmptyGraph, match="^graph has no vertices$"):
+        with pytest.raises(EmptyGraph, match="^graph has no edges$"):
             similarity(hyperedges=[], n=None, dual=dual)
+
+
+def test_similarity_of_no_edge_left_is_one_empty_graph_whatever_n():
+    # with n given, no edge used to be a ZeroDegree for normalized edges,
+    # an n x n zero S for raw ones and another EmptyGraph for hyperedges;
+    # self-loops, an empty hyperedge and edges leaving within leave none
+    for kw in ({"edges": []}, {"edges": [], "raw_adjacency": True}, {"hyperedges": []},
+               {"edges": [(1, 1), (3, 3)]}, {"edges": [(2, 2)], "raw_adjacency": True},
+               {"hyperedges": [[]]}, {"edges": [(0, 1), (2, 3)], "within": [1, 2]},
+               {"hyperedges": [[0, 1]], "within": [2, 3, 4]}):
+        with pytest.raises(EmptyGraph, match="^graph has no edges$"):
+            similarity(n=5, **kw)
+    with pytest.raises(EmptyGraph, match="^graph has no edges$"):
+        similarity(hyperedges=[[]], n=None, dual=True)
 
 
 def test_similarity_within_must_be_ascending_distinct_positions():

@@ -258,6 +258,16 @@ def test_write_records_has_one_cell_rule(tmp_path, capsys):
     assert (tmp_path / "none.tsv").read_text() == ""
 
 
+def test_write_records_writes_a_column_of_names_as_it_is(tmp_path):
+    # the id columns of rec_*.tsv: Python str in an object array, whose
+    # trailing NULs a numpy U array would drop and read_names keeps
+    ids = np.array(["d\x00", "é", "7"], dtype=object)
+    write_records(tmp_path / "ids.txt", ids)
+    assert read_names(tmp_path / "ids.txt") == ["d\x00", "é", "7"]
+    write_records(tmp_path / "w.tsv", ids[[2, 2, 0]], [np.str_("x"), "y", None])
+    assert (tmp_path / "w.tsv").read_text(encoding="utf-8") == "7\tx\n7\ty\nd\x00\tNA\n"
+
+
 def test_write_records_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError, match=r"unequal length \[2, 1\]"):
         write_records(tmp_path / "w.tsv", ["a", "b"], np.array([1.0]))
@@ -292,6 +302,7 @@ _CELLS = st.one_of(
     st.none(),
     st.text(alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=["Cs"])),
 )
+_NAMES = st.text(alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=["Cs"]))
 
 
 @st.composite
@@ -299,13 +310,19 @@ def _columns(draw):
     rows = draw(st.integers(0, 12))
     columns = []
     for _ in range(draw(st.integers(0, 4))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["floats", "cells", "names"]))
+        if kind == "floats":
             # a float64 array, its values drawn from a few so that they repeat
             pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
             columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=rows,
                                                   max_size=rows)), dtype=np.float64))
-        else:
+        elif kind == "cells":
             columns.append(draw(st.lists(_CELLS, min_size=rows, max_size=rows)))
+        else:
+            # str only, as a list or as an object array like the id columns
+            # of rec_*.tsv
+            names = draw(st.lists(_NAMES, min_size=rows, max_size=rows))
+            columns.append(np.array(names, dtype=object) if draw(st.booleans()) else names)
     return columns
 
 
@@ -314,6 +331,8 @@ def _columns(draw):
 @example(columns=[np.array([0.0, -0.0, 0.0, np.nan, -np.nan, 5e-324]),
                   [np.float64(-0.0), np.int64(-3), None, "x", 1e16, 1e-5]], stdout=False, block=4)
 @example(columns=[[], np.array([])], stdout=True, block=1)
+@example(columns=[np.array(["a\x00", "b"], dtype=object), ["\x00", np.str_("c")]], stdout=False,
+         block=2)
 def test_write_records_equals_the_cell_rule_per_cell(tmp_path_factory, columns, stdout, block):
     expected = "".join("\t".join(map(_reference_cell, row)) + "\n"
                        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c

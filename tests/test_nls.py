@@ -28,7 +28,6 @@ from jointnmf.nls import (
     kkt_residual_gram,
     nls_bpp,
     nls_bpp_gram,
-    predict_passive,
 )
 
 
@@ -54,6 +53,17 @@ def oracle_nnls(A, b):
 def objective(A, B, X):
     R = A @ X - B
     return float(np.sum(R * R))
+
+
+def pivot_from(ata, atb, support, **kw):
+    """nls_bpp_gram pivoting from exactly the passive set support (None:
+    the cold start): with no sweeps, the predicted set is the support of
+    start less the dead variables."""
+    if support is None:
+        return nls_bpp_gram(ata, atb, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nls, "PREDICT_SWEEPS", 0)
+        return nls_bpp_gram(ata, atb, start=np.asarray(support, dtype=np.float64), **kw)
 
 
 def test_single_column_interior_solution():
@@ -204,7 +214,7 @@ def test_a_column_cycling_on_rounding_is_accepted_at_the_round_limit(ata, atb):
     # until NonConvergence from every start
     ata, atb = np.array(ata), np.array(atb)
     for passive in (None, [[True], [False]], [[False], [True]], [[True], [True]]):
-        X = nls_bpp_gram(ata, atb, passive=None if passive is None else np.array(passive))
+        X = pivot_from(ata, atb, passive)
         assert X.min() >= 0.0
         assert kkt_residual_gram(ata, atb, X) <= 1e-15
 
@@ -244,7 +254,7 @@ def test_rescue_keeps_the_part_of_b_in_the_null_directions_of_the_gram(passive):
     y = np.array([1.0, 1.0])
     ata, atb = A.T @ A, (A.T @ y)[:, None]
     assert np.all(ata == 1.0)
-    X = nls_bpp_gram(ata, atb, passive=None if passive is None else np.array(passive))
+    X = pivot_from(ata, atb, passive)
     assert X[0, 0] == 0.0
     assert X[1, 0] == pytest.approx(1.0 + 1e-8, rel=1e-13, abs=0.0)
     assert kkt_residual_gram(ata, atb, X) <= 1e-13
@@ -291,7 +301,7 @@ def test_warm_start_matches_cold_start_and_oracle(k, n, seed, data):
         data.draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n))
     ).reshape(k, n)
     ata, atb = A.T @ A, A.T @ B
-    X = nls_bpp_gram(ata, atb, passive=passive)
+    X = pivot_from(ata, atb, passive)
     assert kkt_residual_gram(ata, atb, X) <= 1e-10
     assert np.allclose(X, nls_bpp_gram(ata, atb), atol=1e-9, rtol=0.0)
     for c in range(n):
@@ -304,26 +314,26 @@ def test_warm_start_on_zero_gram_restarts_cold():
     # are emptied: the columns start from the empty passive set, where
     # the zero right-hand sides are optimal
     passive = np.array([[True, False, True], [True, True, False]])
-    X = nls_bpp_gram(np.zeros((2, 2)), np.zeros((2, 3)), passive=passive)
+    X = pivot_from(np.zeros((2, 2)), np.zeros((2, 3)), passive)
     assert X.shape == (2, 3) and np.all(X == 0.0)
     # a positive right-hand side lies outside the range of a zero Gram
     with pytest.raises(SingularSystem):
-        nls_bpp_gram(np.zeros((2, 2)), np.ones((2, 3)), passive=passive)
+        pivot_from(np.zeros((2, 2)), np.ones((2, 3)), passive)
 
 
 @settings(max_examples=100)
 @given(k=st.integers(2, 6), data=st.data(), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_rank_deficient_grams_meet_kkt_and_match_the_oracle(k, data, n, seed):
     # A = U V has rank r < k, where block pivoting may cycle or hit
-    # singular passive systems; cold and random warm starts both end at
-    # an optimum
+    # singular passive systems; cold starts, random warm passive sets and
+    # random starts swept first all end at an optimum
     r = data.draw(st.integers(1, k - 1))
     rng = np.random.default_rng(seed)
     A = rng.random((k + 3, r)) @ rng.random((r, k))
     B = rng.standard_normal((k + 3, n))
     ata, atb = A.T @ A, A.T @ B
-    for passive in (None, rng.random((k, n)) < 0.5):
-        X = nls_bpp_gram(ata, atb, passive=passive)
+    for X in (pivot_from(ata, atb, None), pivot_from(ata, atb, rng.random((k, n)) < 0.5),
+              nls_bpp_gram(ata, atb, start=rng.random((k, n)))):
         assert np.all(X >= 0.0)
         for c in range(n):
             size = np.abs(ata).max() * np.abs(X[:, c]).max() + np.abs(atb[:, c]).max()
@@ -347,8 +357,8 @@ def test_a_gram_form_b_off_the_range_of_a_singular_gram_is_still_solved(k, data,
     null = V[:, lam < 1e-10 * lam[-1]]
     atb = A.T @ rng.standard_normal((k + 3, n))
     atb += 10.0**tilt * np.abs(atb).max() * null @ rng.standard_normal((null.shape[1], n))
-    for passive in (None, rng.random((k, n)) < 0.5):
-        X = nls_bpp_gram(ata, atb, passive=passive)
+    for X in (pivot_from(ata, atb, None), pivot_from(ata, atb, rng.random((k, n)) < 0.5),
+              nls_bpp_gram(ata, atb, start=rng.random((k, n)))):
         assert np.all(X >= 0.0)
         for c in range(n):
             size = np.abs(ata).max() * np.abs(X[:, c]).max() + np.abs(atb[:, c]).max()
@@ -380,15 +390,16 @@ def test_importing_the_package_leaves_out_scipy_optimize(child_env, tmp_path):
 
 
 def test_warm_start_rejects_misshapen_passive_set():
-    with pytest.raises(ShapeMismatch):
-        nls_bpp_gram(np.eye(2), np.ones((2, 3)), passive=np.ones((3, 2), dtype=bool))
+    with pytest.raises(ShapeMismatch, match=r"start is \(3, 2\)"):
+        nls_bpp_gram(np.eye(2), np.ones((2, 3)), start=np.ones((3, 2)))
 
 
 @settings(max_examples=100)
 @given(k=st.integers(1, 6), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_predicted_start_gives_the_result_of_the_start_support_bit_for_bit(k, n, seed, data):
     # the Gram of the live variables is positive definite, so the optimum
-    # is unique and a start set changes only the rounds; the dead
+    # is unique and a start changes only the rounds: the swept start, its
+    # own support and the cold start give the same bytes; the dead
     # variables (zero columns of A) have optimum 0 from any start
     rng = np.random.default_rng(seed)
     A = rng.random((k + 3, k))
@@ -396,31 +407,40 @@ def test_predicted_start_gives_the_result_of_the_start_support_bit_for_bit(k, n,
     B = rng.standard_normal((k + 3, n))
     start = rng.random((k, n)) * (rng.random((k, n)) < 0.5)
     ata, atb = A.T @ A, A.T @ B
-    predicted = predict_passive(ata, atb, start)
-    assert predicted.dtype == bool and predicted.shape == (k, n)
-    X = nls_bpp_gram(ata, atb, passive=predicted)
-    assert X.tobytes() == nls_bpp_gram(ata, atb, passive=start > 0.0).tobytes()
+    X = nls_bpp_gram(ata, atb, start=start)
+    assert X.tobytes() == pivot_from(ata, atb, start > 0.0).tobytes()
+    assert X.tobytes() == nls_bpp_gram(ata, atb).tobytes()
 
 
-def test_predict_passive_overflow_warns_nothing_and_keeps_the_start_support():
-    # finite entries whose quotients overflow inside the sweeps: that
-    # column keeps its start support, the other gets the optimum's
-    ata = np.diag([1e-300, 1.0])
-    atb = np.array([[1e300, 0.0], [1.0, -1.0]])
-    start = np.array([[0.0, 1.0], [1.0, 1.0]])
+def test_overflowing_sweeps_warn_nothing_and_keep_the_start_support(monkeypatch):
+    # a positive definite Gram whose sweeps from a finite start overflow
+    # in column 0 (its first step is 1e50 / 2e-300): that column pivots
+    # from the support of its start, though its optimum is 0, and column
+    # 1 from the support its sweeps reach; both end at the cold start's
+    # bytes
+    ata = np.array([[2e-300, -1e-150], [-1e-150, 1.0]])
+    atb = np.array([[0.0, 1e-300], [-1.0, 1.0]])
+    start = np.array([[0.0, 0.0], [1e200, 0.0]])
+    first = []
+    solve = nls._solve_passive
+    monkeypatch.setattr(nls, "_solve_passive",
+                        lambda ata, B, P, *rest: first.append(P.T.tolist()) or solve(ata, B, P, *rest))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        predicted = predict_passive(ata, atb, start)
-    assert predicted.tolist() == [[False, False], [True, False]]
+        X = nls_bpp_gram(ata, atb, start=start)
+    assert first[0] == [[False, True], [True, True]]
+    assert X.tobytes() == nls_bpp_gram(ata, atb).tobytes()
+    assert X[:, 0].tolist() == [0.0, 0.0]
 
 
-def test_predict_passive_has_the_entry_checks_of_the_solver():
+def test_a_start_passes_the_entry_checks_of_the_solver():
+    start = np.ones((2, 3))
+    with pytest.raises(ShapeMismatch, match=r"start is \(2, 3\)"):
+        nls_bpp_gram(np.eye(2), np.ones((2, 2)), start=start)
     with pytest.raises(ShapeMismatch):
-        predict_passive(np.eye(2), np.ones((2, 3)), np.ones((3, 2)))
-    with pytest.raises(ShapeMismatch):
-        predict_passive(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)))
+        nls_bpp_gram(np.ones((2, 3)), np.ones((2, 3)), start=start)
     with pytest.raises(NonFinite):
-        predict_passive(np.eye(2), np.full((2, 3), np.inf), np.ones((2, 3)))
+        nls_bpp_gram(np.eye(2), np.full((2, 3), np.inf), start=start)
 
 
 @settings(max_examples=60)
@@ -446,9 +466,9 @@ def test_mixed_support_sizes_match_single_column_solves(k, per_size, stack_entri
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nls, "STACK_ENTRIES", stack_entries)
         mp.setattr(nls, "BLOCK_COLUMNS", max(1, stack_entries // k))
-        X = nls_bpp_gram(ata, atb, passive=passive)
+        X = pivot_from(ata, atb, passive)
         for c in range(sizes.size):
-            single = nls_bpp_gram(ata, atb[:, [c]], passive=passive[:, [c]])
+            single = pivot_from(ata, atb[:, [c]], passive[:, [c]])
             assert np.allclose(X[:, [c]], single, atol=1e-12, rtol=0.0)
     assert kkt_residual_gram(ata, atb, X) <= 1e-10
     for c in range(sizes.size):
@@ -458,23 +478,26 @@ def test_mixed_support_sizes_match_single_column_solves(k, per_size, stack_entri
 
 def test_dead_variable_leaves_the_warm_passive_set(monkeypatch):
     # a zero column of A gives a zero row and column of A^T A: its
-    # variable has optimum 0 and must not make the warm systems singular
+    # variable has optimum 0, keeps its start value through the sweeps,
+    # and must not make the warm systems singular, with or without sweeps
     rng = np.random.default_rng(21)
     A = rng.random((8, 4))
     A[:, 2] = 0.0
     B = rng.standard_normal((8, 6)) + A @ rng.random((4, 6))
-    passive = np.ones((4, 6), dtype=bool)
+    start = np.ones((4, 6))
     calls = []
     rescue = nls._lawson_hanson
     monkeypatch.setattr(nls, "_lawson_hanson", lambda *a: calls.append(a) or rescue(*a))
-    X = nls_bpp_gram(A.T @ A, A.T @ B, passive=passive)
-    assert calls == []
-    assert passive.all()  # the caller's passive set is left as it was
-    assert np.all(X[2] == 0.0)
-    for c in range(B.shape[1]):
-        star, x = oracle_nnls(A, B[:, c])
-        assert np.allclose(X[:, c], x, atol=1e-12, rtol=0.0)
-        assert abs(objective(A, B[:, [c]], X[:, [c]]) - star) <= 1e-12 * max(star, 1.0)
+    for sweeps in (0, nls.PREDICT_SWEEPS):
+        monkeypatch.setattr(nls, "PREDICT_SWEEPS", sweeps)
+        X = nls_bpp_gram(A.T @ A, A.T @ B, start=start)
+        assert calls == []
+        assert np.all(start == 1.0)  # the caller's start is left as it was
+        assert np.all(X[2] == 0.0)
+        for c in range(B.shape[1]):
+            star, x = oracle_nnls(A, B[:, c])
+            assert np.allclose(X[:, c], x, atol=1e-12, rtol=0.0)
+            assert abs(objective(A, B[:, [c]], X[:, [c]]) - star) <= 1e-12 * max(star, 1.0)
 
 
 def test_warm_wide_solve_memory_stays_flat():
@@ -486,12 +509,12 @@ def test_warm_wide_solve_memory_stays_flat():
     k, n = 10, 5000
     A = rng.random((3 * k, k))
     ata, atb = A.T @ A, A.T @ rng.standard_normal((3 * k, n))
-    passive = rng.random((k, n)) < 0.5
+    start = rng.random((k, n)) * (rng.random((k, n)) < 0.5)
     stack, _ = gram_stack(rng, k, 5, m=3 * k)
     for kw in ({"ata": ata}, {"ata": stack, "widths": [1000] * 5}):
         tracemalloc.start()
         try:
-            X = nls_bpp_gram(atb=atb, passive=passive, **kw)
+            X = nls_bpp_gram(atb=atb, start=start, **kw)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -542,6 +565,16 @@ def per_gram(fn, ata, atb, start, widths, **kw):
     return np.hstack(parts)
 
 
+def predicted_sets(mp):
+    """The passive sets (one row per column) that the sweeps of the
+    nls_bpp_gram calls made under the monkeypatch mp predict, in call
+    order."""
+    seen = []
+    predict = nls._predicted_passive
+    mp.setattr(nls, "_predicted_passive", lambda *a: seen.append(predict(*a)) or seen[-1])
+    return seen
+
+
 def test_gram_stack_equals_one_call_per_gram_bit_for_bit(monkeypatch):
     # Gram 0 is regular, Gram 1 has a dead variable (a zero column of A)
     # and Gram 2 a duplicated column of A, whose singular passive systems
@@ -562,10 +595,10 @@ def test_gram_stack_equals_one_call_per_gram_bit_for_bit(monkeypatch):
                         lambda gram, b: rescued.append(gram) or rescue(gram, b))
     for start in (None, rng.random((k, gram_of.size)) < 0.6):
         rescued.clear()
-        X = nls_bpp_gram(ata, atb, passive=start, widths=widths)
+        X = pivot_from(ata, atb, start, widths=widths)
         stacked_rescues = [gram.tobytes() for gram in rescued]
         rescued.clear()
-        want = per_gram(lambda a, b, p: nls_bpp_gram(a, b, passive=p), ata, atb,
+        want = per_gram(pivot_from, ata, atb,
                         np.zeros(atb.shape, dtype=bool) if start is None else start, widths)
         assert X.tobytes() == want.tobytes()
         assert stacked_rescues == [ata[2].tobytes()]
@@ -577,8 +610,9 @@ def test_gram_stack_equals_one_call_per_gram_bit_for_bit(monkeypatch):
 
 
 @pytest.mark.parametrize("widths", [(5, 5, 5), (3, 7, 1)], ids=["one-width", "mixed-widths"])
-def test_predict_passive_on_a_stack_equals_one_call_per_gram(widths):
-    # one product per Gram, whatever the widths; Gram 1 has a dead
+def test_a_start_on_a_stack_equals_one_call_per_gram(widths, monkeypatch):
+    # the sweeps take one product per Gram, whatever the widths, and
+    # predict the passive sets of the lone calls; Gram 1 has a dead
     # variable that its columns must not move
     rng = np.random.default_rng(32)
     k = 5
@@ -588,8 +622,13 @@ def test_predict_passive_on_a_stack_equals_one_call_per_gram(widths):
     gram_of = np.repeat(np.arange(len(widths)), widths)
     atb = np.stack([As[g].T @ y for g, y in zip(gram_of, rng.standard_normal((8, gram_of.size)).T)], axis=1)
     start = rng.random((k, gram_of.size)) * (rng.random((k, gram_of.size)) < 0.5)
-    got = predict_passive(ata, atb, start, widths=widths)
-    assert got.tobytes() == per_gram(predict_passive, ata, atb, start, widths).tobytes()
+    predicted = predicted_sets(monkeypatch)
+    got = nls_bpp_gram(ata, atb, start=start, widths=widths)
+    want = per_gram(lambda a, b, s: nls_bpp_gram(a, b, start=s), ata, atb, start, widths)
+    assert got.tobytes() == want.tobytes()
+    stacked, *alone = predicted
+    assert stacked.tobytes() == np.vstack(alone).tobytes()
+    assert not stacked[gram_of == 1, 3].any()
 
 
 @settings(max_examples=120)
@@ -600,7 +639,7 @@ def test_predict_passive_on_a_stack_equals_one_call_per_gram(widths):
 )
 def test_random_gram_stacks_equal_one_call_per_gram(k, counts, seed):
     # random small problem stacks: some Grams without columns, dead
-    # variables, cold or warm starts
+    # variables, cold or swept starts
     rng = np.random.default_rng(seed)
     As = [rng.random((k + 2, k)) * (rng.random(k) < 0.8) for _ in counts]
     ata = np.stack([A.T @ A for A in As])
@@ -610,20 +649,23 @@ def test_random_gram_stacks_equal_one_call_per_gram(k, counts, seed):
     for c, g in enumerate(gram_of):
         atb[:, c] = As[g].T @ Y[:, c]
     start = rng.random((k, gram_of.size)) * (rng.random((k, gram_of.size)) < 0.5)
-    passive = predict_passive(ata, atb, start, widths=counts)
-    X = nls_bpp_gram(ata, atb, passive=passive, widths=counts)
-    assert X.shape == (k, gram_of.size)
+    with pytest.MonkeyPatch.context() as mp:
+        predicted = predicted_sets(mp)
+        X = nls_bpp_gram(ata, atb, start=start, widths=counts)
+        assert X.shape == (k, gram_of.size)
+        if gram_of.size:
+            want = per_gram(lambda a, b, s: nls_bpp_gram(a, b, start=s), ata, atb, start, counts)
+            assert X.tobytes() == want.tobytes()
+            stacked, *alone = predicted
+            assert stacked.tobytes() == np.vstack(alone).tobytes()
     if gram_of.size:
-        assert passive.tobytes() == per_gram(predict_passive, ata, atb, start, counts).tobytes()
-        want = per_gram(lambda a, b, p: nls_bpp_gram(a, b, passive=p), ata, atb, passive, counts)
-        assert X.tobytes() == want.tobytes()
         cold = per_gram(lambda a, b, _: nls_bpp_gram(a, b), ata, atb, start, counts)
         assert nls_bpp_gram(ata, atb, widths=counts).tobytes() == cold.tobytes()
 
 
 def test_gram_stack_entry_checks():
     ata, atb = np.stack([np.eye(2), 2.0 * np.eye(2)]), np.ones((2, 3))
-    for fn in (nls_bpp_gram, lambda a, b, **kw: predict_passive(a, b, np.ones((2, 3)), **kw)):
+    for fn in (nls_bpp_gram, lambda a, b, **kw: nls_bpp_gram(a, b, start=np.ones((2, 3)), **kw)):
         with pytest.raises(ShapeMismatch):
             fn(ata, atb)  # a stack needs widths
         with pytest.raises(ShapeMismatch):

@@ -84,4 +84,5 @@ class NonConvergence(NumericalError):
 
 class SingularSystem(NumericalError):
     """A Gram-form NLS input with no optimum: A^T B positive where the A^T A
-    diagonal is 0 (unbounded), or an A^T A that is not positive semidefinite."""
+    diagonal is 0 (unbounded), an A^T A that is not positive semidefinite,
+    or an optimum past the float64 range."""

@@ -4,31 +4,35 @@ One penalized objective over whichever views are present:
 
   ||X - W H||_F^2 + alpha ||S - Ht^T H||_F^2 + beta ||Ht - H||_F^2
 
-minimized over W, H, Ht >= 0.  joint_nmf(X, S) has both views.  nmf(X)
-has no S, so no Ht and no alpha or beta term.  symnmf(S) has no X, so
-no W, and its similarity term has weight 1.  nmf_each(Xs) is one nmf
-per matrix.  All of them go through one entry, which accepts the views,
-checks shapes and k, resolves the weights and runs every trial of every
-fit in lockstep stacks of up to LOCKSTEP_COLUMNS columns: the sweeps
-advance a stack's runs together, and each block update is one NLS call
-over the live runs' normal equations (nls takes a stack of one Gram per
-run, each serving that run's columns), which gives each run the factors
-it gets alone, bit for bit.  A run leaves its stack when it stops; a
-run wider than the limit is a stack alone.
+minimized over W, H, Ht >= 0.  A fit's problem is a list of views: a
+text view (X, weight 1) owns the factor W^T, and a similarity view
+(S, alpha, beta) owns the copy Ht, whose tether beta ||Ht - H||^2 keeps
+every block update an exact nonnegative least squares solve.
+joint_nmf(X, S) has both views.  nmf(X) has the text view alone.
+symnmf(S) has the similarity view alone, with alpha = 1.  nmf_each(Xs)
+is one nmf per matrix.  All of them go through one entry, which checks
+shapes and k, builds the views with their resolved weights and runs
+every trial of every fit in lockstep stacks of up to LOCKSTEP_COLUMNS
+columns: the sweeps advance a stack's runs together, and each block
+update is one NLS call over the live runs' normal equations (nls takes
+a stack of one Gram per run, each serving that run's columns), which
+gives each run the factors it gets alone, bit for bit.  A run leaves
+its stack when it stops; a run wider than the limit is a stack alone.
 
-The similarity factor is split into H and a tether copy Ht so every
-block update is an exact nonnegative least squares solve; the beta term
-pulls the copies together.  A sweep updates W, then Ht, then H.  Each
-block is a list of weighted terms (text, similarity, tether), each term
-a Gram matrix, right-hand side and target norm; the block solves the
+A run holds its factors as [each view's factor..., H], one block each,
+and one loop walks the blocks in that order: W, then Ht, then H.  One
+term builder gives every block its weighted terms, each standing for
+||A^T F - T||^2 with Gram A A^T, right-hand side A T and target norm
+||T||^2: a view's own block takes the view's terms given H, and the H
+block takes every view's terms given its factor.  A term of weight 0 is
+left out, and a block without terms is skipped.  The block solves the
 summed normal equations by block principal pivoting in one nls call,
-started from the block's previous value, and a block without terms is
-skipped.  With a positive definite Gram the start changes only the
-number of pivoting rounds, not the solution.  One residual formula
-gives each term's value from the same products, so the objective is
-recorded after every block and every sweep without re-multiplying the
-inputs, and it never increases.  The public objectives evaluate the H
-block's terms with the same formula.
+started from the block's previous value.  With a positive definite Gram
+the start changes only the number of pivoting rounds, not the solution.
+One residual formula gives each term's value from the same products, so
+the objective is recorded after every block and every sweep without
+re-multiplying the inputs, and it never increases.  The public
+objectives evaluate the H block's terms with the same formula.
 
 alpha defaults to ||X||_F^2 / ||S||_F^2 so both data terms start on the
 same scale, and beta defaults to alpha times the largest entry of S.
@@ -124,10 +128,11 @@ class FactorizationResult:
     objective_history holds the objective after each sweep and
     block_objective_history after each block update: two per sweep for
     nmf and symnmf, three for joint_nmf (two when alpha = beta = 0
-    leave Ht without terms).  alpha and beta are the weights the solve
-    used, None where the method has no such term.  trials lists every
-    run in seed order, each with its own seed, histories and factors
-    (and an empty trials list).
+    leave Ht without terms, and H_tilde is then its random start).
+    alpha and beta are the weights the solve used: alpha is None for
+    nmf and for symnmf, whose similarity term has weight 1, and beta is
+    None for nmf.  trials lists every run in seed order, each with its
+    own seed, histories and factors (and an empty trials list).
     """
 
     W: np.ndarray | None
@@ -182,8 +187,12 @@ def penalized_objective(X, S, W, H, H_tilde, alpha: float, beta: float) -> float
     for M, name, shape in ((X, "X", (m, n)), (W, "W", (m, k)), (S, "S", (n, n)), (Ht, "H_tilde", (k, n))):
         if M is not None and M.shape != shape:
             raise ShapeMismatch(f"{name} is {M.shape}, expected {shape} from W and H {H.shape}")
-    weights = (1.0, alpha, beta)
-    return _objective([0.0] * 3, weights, _h_terms(_problem(X, S, weights), W, Ht), H)
+    views, F = [], []
+    if X is not None:
+        views, F = [_text_view(X)], [W.T]
+    if Ht is not None:
+        views, F = views + [_similarity_view(S, alpha, beta)], F + [Ht]
+    return _objective([0.0] * 2 * len(views), _terms(views, F + [H], len(views)), H)
 
 
 def nmf(X, opts: FactorizeOptions) -> FactorizationResult:
@@ -241,8 +250,20 @@ def write_result(result: FactorizationResult, out_dir) -> None:
 # ---------------------------------------------------------------------------
 # sweep engine
 
-# term slots: ||X - W H||^2, ||S - Ht^T H||^2, ||Ht - H||^2
-TEXT, SIM, TETHER = range(3)
+# one view of a fit: text (X, weight 1) or similarity (S, alpha, beta).
+# A view owns a factor L, W^T for text and the copy Ht for similarity, and
+# reads its target as own from its own block and as shared from the H
+# block (X^T and X, or S twice); nsq is ||target||^2, and weight and beta
+# weigh its data term and its tether ||L - H||^2
+_View = namedtuple("_View", "text own shared nsq weight beta")
+
+
+def _text_view(X):
+    return _View(True, X.T, X, frobenius_norm_sq(X), 1.0, 0.0)
+
+
+def _similarity_view(S, alpha, beta):
+    return _View(False, S, S, frobenius_norm_sq(S) if S is not None else 0.0, alpha, beta)
 
 
 def _fit(views, opts):
@@ -261,12 +282,11 @@ def _fit(views, opts):
 
 
 def _stacks(runs):
-    # consecutive (problem, seed) runs in stacks whose widest blocks add up
+    # consecutive (views, seed) runs in stacks whose widest blocks add up
     # to at most LOCKSTEP_COLUMNS columns; a wider run is a stack alone
     stack, columns = [], 0
     for run in runs:
-        p = run[0]
-        width = max(p.X.shape) if p.X is not None else p.S.shape[0]
+        width = max(max(v.shared.shape) for v in run[0])
         if stack and columns + width > LOCKSTEP_COLUMNS:
             yield stack
             stack, columns = [], 0
@@ -277,7 +297,7 @@ def _stacks(runs):
 
 
 def _setup(X, S, opts):
-    # the checked problem of one fit
+    # the checked views of one fit, text before similarity
     X, S = _matrix(X, "X"), _matrix(S, "S")
     for M, name in ((X, "X"), (S, "S")):
         if M is not None:
@@ -289,12 +309,12 @@ def _setup(X, S, opts):
     limit = min(X.shape) if X is not None else S.shape[0]
     if opts.k > limit:
         raise ValueError(f"k={opts.k} exceeds {'min(m, n)' if X is not None else 'n'}={limit}")
-    weights = (1.0, 0.0, 0.0)
+    views = [_text_view(X)] if X is not None else []
     if S is not None:
         # symnmf's one data term has weight 1
         a = 1.0 if X is None else opts.alpha if opts.alpha is not None else default_alpha(X, S)
-        weights = (1.0, a, opts.beta if opts.beta is not None else default_beta(a, S))
-    return _problem(X, S, weights)
+        views.append(_similarity_view(S, a, opts.beta if opts.beta is not None else default_beta(a, S)))
+    return views
 
 
 def _matrix(M, name, dense=False):
@@ -309,56 +329,51 @@ def _matrix(M, name, dense=False):
     return M
 
 
-# the data of one fit: each view (None if absent) with its squared norm,
-# and the weight of each term slot
-_Problem = namedtuple("_Problem", "X x_nsq S s_nsq weights")
-
-
-def _problem(X, S, weights):
-    return _Problem(X, frobenius_norm_sq(X) if X is not None else 0.0,
-                    S, frobenius_norm_sq(S) if S is not None else 0.0, weights)
-
-
-def _h_terms(p, W, G):
-    # the H block's terms (slot, gram, rhs, ||T||^2) given W and the copy
-    # G = Ht, each standing for ||A H - T||_F^2 with gram = A^T A and
-    # rhs = A^T T; with W None they are the Ht block's terms given G = H,
-    # since S is symmetric
+def _terms(views, F, b):
+    # the terms of block b given the factors F = [each view's L..., H]: a
+    # view's own block b solves for L given H, the last block for H given
+    # every view's L.  View i gives term slots 2i (data) and 2i + 1
+    # (tether), each (slot, weight, gram, rhs, ||T||^2) standing for
+    # ||A^T F - T||^2 with gram = A A^T and rhs = A T; a term of weight 0
+    # is left out
+    given = [(b, views[b], F[-1], views[b].own)] if b < len(views) else [
+        (i, v, L, v.shared) for i, (v, L) in enumerate(zip(views, F))]
     terms = []
-    if W is not None:
-        terms.append((TEXT, W.T @ W, W.T @ p.X, p.x_nsq))
-    if p.weights[SIM] != 0.0:
-        terms.append((SIM, G @ G.T, G @ p.S, p.s_nsq))
-    if p.weights[TETHER] != 0.0:
-        terms.append((TETHER, np.eye(G.shape[0]), G, float(np.vdot(G, G))))
+    for i, v, A, T in given:
+        if v.weight != 0.0:
+            terms.append((2 * i, v.weight, A @ A.T, A @ T, v.nsq))
+        if v.beta != 0.0:
+            terms.append((2 * i + 1, v.beta, np.eye(A.shape[0]), A, float(np.vdot(A, A))))
     return terms
 
 
-def _objective(resid, weights, terms, F):
-    # refreshes resid, the unweighted residual of each term slot, with the
-    # given terms at F, and returns the weighted total
+def _objective(resid, terms, F):
+    # refreshes resid, the weighted residual of each term slot, with the
+    # given terms at F, and returns their total
     fft = F @ F.T
-    for i, gram, rhs, t in terms:
+    for i, w, gram, rhs, t in terms:
         # ||A F - T||^2 = ||T||^2 - 2 <F, A^T T> + <A^T A, F F^T>, clamped
         # at 0 against cancellation
-        resid[i] = max(t - 2.0 * float(np.sum(F * rhs)) + float(np.sum(gram * fft)), 0.0)
-    return sum(w * v for w, v in zip(weights, resid))
+        resid[i] = w * max(t - 2.0 * float(np.sum(F * rhs)) + float(np.sum(gram * fft)), 0.0)
+    return sum(resid)
 
 
 class _Run:
-    """One member of a lockstep stack: its problem, factors and logs."""
+    """One member of a lockstep stack: its views, factors and logs."""
 
-    def __init__(self, p, k, seed):
+    def __init__(self, views, k, seed):
         rng = np.random.default_rng(seed)
-        self.p, self.seed = p, seed
-        self.W = rng.random((p.X.shape[0], k)) if p.X is not None else None
-        self.H = rng.random((k, p.X.shape[1] if p.X is not None else p.S.shape[0]))
-        self.Ht = rng.random(self.H.shape) if p.S is not None else None
-        # unweighted residual of each term slot (0 for an absent term); only
+        self.views, self.seed = views, seed
+        # the start draws each text view's W (m x k), then H, then each
+        # similarity view's copy
+        Ws = [rng.random((v.shared.shape[0], k)).T for v in views if v.text]
+        H = rng.random((k, views[0].shared.shape[1]))
+        self.F = Ws + [rng.random(H.shape) for v in views if not v.text] + [H]
+        # weighted residual of each term slot (0 for an absent term); only
         # the random start is evaluated from scratch, after that every block
         # refreshes the residuals of its own terms
-        self.resid = [0.0, 0.0, 0.0]
-        _objective(self.resid, p.weights, _h_terms(p, self.W, self.Ht), self.H)
+        self.resid = [0.0] * 2 * len(views)
+        _objective(self.resid, _terms(views, self.F, len(views)), H)
         self.history: list[float] = []
         self.blocks: list[float] = []
 
@@ -366,59 +381,56 @@ class _Run:
         h = self.history
         return len(h) >= 2 and abs(h[-1] - h[-2]) / max(h[-2], STOP_FLOOR) < rel_tol
 
+    def result(self):
+        # at most one view of each kind
+        kinds = {v.text: (v, L) for v, L in zip(self.views, self.F)}
+        (_, W), (s, Ht) = kinds.get(True, (None, None)), kinds.get(False, (None, None))
+        return FactorizationResult(
+            W=W.T if W is not None else None,
+            H=self.F[-1],
+            H_tilde=Ht,
+            objective_history=self.history,
+            sweeps_run=len(self.history),
+            seed_used=self.seed,
+            block_objective_history=self.blocks,
+            # None where the method has no such term: symnmf reports no alpha
+            alpha=s.weight if s is not None and W is not None else None,
+            beta=s.beta if s is not None else None,
+        )
+
 
 def _sweeps(problems, seeds, opts):
-    # one run per problem and seed, all with the same views present, so
-    # every live run has the same blocks in every sweep
-    runs = [_Run(p, opts.k, seed) for p, seed in zip(problems, seeds)]
+    # one run per list of views and seed, all with the same layout of
+    # views, so every live run has the same blocks in every sweep: each
+    # view's own block in turn, then H
+    runs = [_Run(views, opts.k, seed) for views, seed in zip(problems, seeds)]
     live = runs
     for _ in range(opts.max_sweeps):
         if not live:
             break
-        if live[0].W is not None:
-            # W^T solves min ||H^T W^T - X^T||_F^2
-            terms = [[(TEXT, r.H @ r.H.T, r.H @ r.p.X.T, r.p.x_nsq)] for r in live]
-            for r, F in zip(live, _solve(live, terms, [r.W.T for r in live])):
-                r.W = F.T
-        terms = [_h_terms(r.p, None, r.H) for r in live]
-        if terms[0]:
-            for r, F in zip(live, _solve(live, terms, [r.Ht for r in live])):
-                r.Ht = F
-        terms = [_h_terms(r.p, r.W, r.Ht) for r in live]
-        for r, F in zip(live, _solve(live, terms, [r.H for r in live])):
-            r.H = F
+        for b in range(len(runs[0].F)):
+            _solve(live, b)
         for r in live:
             r.history.append(r.blocks[-1])
         live = [r for r in live if not r.stopped(opts.rel_tol)]
-    return [
-        FactorizationResult(
-            W=r.W,
-            H=r.H,
-            H_tilde=r.Ht,
-            objective_history=r.history,
-            sweeps_run=len(r.history),
-            seed_used=r.seed,
-            block_objective_history=r.blocks,
-            # None where the method has no such term: symnmf reports no alpha
-            alpha=r.p.weights[SIM] if r.W is not None and r.Ht is not None else None,
-            beta=r.p.weights[TETHER] if r.Ht is not None else None,
-        )
-        for r in runs
-    ]
+    return [r.result() for r in runs]
 
 
-def _solve(live, terms, prev):
-    # the exact NLS solution of each live run's block, given its terms:
-    # the summed normal equations, started from the block's previous value
-    # prev, in one kernel call on the stack of the runs' Grams, each run's
-    # columns after the last's; records each run's objective
-    ata = np.stack([sum(r.p.weights[i] * gram for i, gram, _, _ in t) for r, t in zip(live, terms)])
-    atbs = [sum(r.p.weights[i] * rhs for i, _, rhs, _ in t) for r, t in zip(live, terms)]
-    atb, widths = np.hstack(atbs), [b.shape[1] for b in atbs]
-    F = nls_bpp_gram(ata, atb, start=np.hstack(prev), widths=widths)
+def _solve(live, b):
+    # replaces block b of each live run that has terms there by the exact
+    # NLS solution of its summed normal equations, started from the
+    # block's previous value, in one kernel call on the stack of the runs'
+    # Grams, each run's columns after the last's; records each run's
+    # objective
+    todo = [(r, t) for r in live if (t := _terms(r.views, r.F, b))]
+    if not todo:
+        return
+    ata = np.stack([sum(w * gram for _, w, gram, _, _ in t) for _, t in todo])
+    atbs = [sum(w * rhs for _, w, _, rhs, _ in t) for _, t in todo]
+    atb, widths = np.hstack(atbs), [rhs.shape[1] for rhs in atbs]
+    F = nls_bpp_gram(ata, atb, start=np.hstack([r.F[b] for r, _ in todo]), widths=widths)
     # each run's columns as an array of their own, laid out as a solo call
     # returns them
-    Fs = [np.ascontiguousarray(Fi) for Fi in np.hsplit(F, np.cumsum(widths)[:-1])]
-    for r, t, F in zip(live, terms, Fs):
-        r.blocks.append(_objective(r.resid, r.p.weights, t, F))
-    return Fs
+    for (r, t), Fi in zip(todo, np.hsplit(F, np.cumsum(widths)[:-1])):
+        r.F[b] = Fi = np.ascontiguousarray(Fi)
+        r.blocks.append(_objective(r.resid, t, Fi))

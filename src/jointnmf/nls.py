@@ -24,9 +24,11 @@ however many columns are pending.
 
 Without full rank a passive system can be singular, or rounding can
 make a column cycle.  Such columns take one rescue: a column whose
-passive solve is singular or nonfinite, or that is still pending after
-ROUNDS_PER_VARIABLE * k rounds, leaves the pivoting and is solved at
-the end by Lawson-Hanson NNLS, which needs no full rank.
+passive solve is singular or has a nonfinite gradient, or that is still
+pending after ROUNDS_PER_VARIABLE * k rounds, leaves the pivoting and
+is solved at the end by Lawson-Hanson NNLS, which needs no full rank.
+A rescued column whose optimum is past the float64 range is an error,
+so every solution returned is finite.
 
 nls_bpp_gram works on a stack of g Grams, (g, k, k), with widths, the
 number of columns of each: Gram i serves the next widths[i] columns,
@@ -111,9 +113,9 @@ def nls_bpp_gram(ata, atb, *, start=None, widths=None) -> np.ndarray:
     with its Gram alone gives, bit for bit.  start, a k x n iterate near
     the solution (default: none), is where the initial passive set is
     predicted from.  The rescue raises SingularSystem for an A^T B
-    positive where the A^T A diagonal is 0 (unbounded) or an A^T A that
-    is not positive semidefinite, and NonConvergence at its iteration
-    limit.
+    positive where the A^T A diagonal is 0 (unbounded), an A^T A that
+    is not positive semidefinite or an optimum past the float64 range,
+    and NonConvergence at its iteration limit.
     """
     ata, atb, start, widths = _normal_equations(ata, atb, start, "start", widths)
     k, n = atb.shape
@@ -218,6 +220,8 @@ def _normal_equations(ata, atb, M, what, widths=None):
         if M.shape != atb.shape:
             raise ShapeMismatch(f"A^T B is {atb.shape}, {what} is {M.shape}")
     widths = np.asarray(widths)
+    # unsigned widths are counted as int64, where np.repeat takes them
+    widths = widths.astype(np.int64) if widths.dtype.kind in "iu" else widths
     if (widths.shape != ata.shape[:1] or widths.dtype.kind not in "iu"
             or (widths < 0).any() or widths.sum() != atb.shape[1]):
         raise ShapeMismatch(f"widths must be {len(ata)} nonnegative integers summing to "
@@ -243,9 +247,12 @@ def _solve_passive(ata, B, P, cols, X, infeasible, rescue, gram_of):
         cs = cols[start:start + BLOCK_COLUMNS]
         Pb, Bb, gb = P[cs], B[cs], gram_of[cs]
         X[cs] = Xb = _solve_compacted(ata, Bb, Pb, sizes[start:start + BLOCK_COLUMNS], gb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = _times_gram(ata, Xb, gb)
         # A^T A x < b is a negative gradient
-        infeasible[cs] = np.where(Pb, Xb < 0.0, _times_gram(ata, Xb, gb) < Bb)
-        bad = cs[~np.isfinite(Xb).all(axis=1)]
+        infeasible[cs] = np.where(Pb, Xb < 0.0, grad < Bb)
+        # a nonfinite x has a nonfinite gradient
+        bad = cs[~np.isfinite(grad).all(axis=1)]
         rescue[bad] = True
         infeasible[bad] = False
 
@@ -337,20 +344,25 @@ def _lawson_hanson(ata, B):
     if (B[:, ~live] > 0.0).any():
         raise SingularSystem("unbounded: A^T B is positive where the A^T A diagonal is 0")
     X = np.zeros(B.shape)
-    if live.any():  # without a live variable the minimizer is 0
-        lam, V = np.linalg.eigh(ata[np.ix_(live, live)])
-        root = np.sqrt(np.maximum(lam, EIGEN_CUT * lam[-1]))
-        F = root[:, None] * V.T
-        for x, g in zip(X, (B[:, live] @ V) / root):
-            try:
-                x[live], _ = nnls(F, g)
-            except RuntimeError as exc:
-                raise NonConvergence(f"Lawson-Hanson rescue: {exc}") from None
-    top = np.abs(ata).max()
-    for x, b in zip(X, B):
-        if kkt_residual_gram(ata, b, x) > ROUNDING_SLACK * (top * x.max() + np.abs(b).max()):
-            raise SingularSystem(
-                "a rescued column misses the KKT conditions: A^T A is not positive semidefinite")
+    with np.errstate(all="ignore"):
+        if live.any():  # without a live variable the minimizer is 0
+            lam, V = np.linalg.eigh(ata[np.ix_(live, live)])
+            root = np.sqrt(np.maximum(lam, EIGEN_CUT * lam[-1]))
+            F = root[:, None] * V.T
+            for x, g in zip(X, (B[:, live] @ V) / root):
+                try:
+                    # a g past the float64 range leaves x there too
+                    x[live] = nnls(F, g)[0] if np.isfinite(g).all() else np.inf
+                except RuntimeError as exc:
+                    raise NonConvergence(f"Lawson-Hanson rescue: {exc}") from None
+        if not np.isfinite(X).all():
+            raise SingularSystem("a rescued column's optimum is past the float64 range")
+        top = np.abs(ata).max()
+        for x, b in zip(X, B):
+            # not <=, so that a NaN residual fails too
+            if not kkt_residual_gram(ata, b, x) <= ROUNDING_SLACK * (top * x.max() + np.abs(b).max()):
+                raise SingularSystem(
+                    "a rescued column misses the KKT conditions: A^T A is not positive semidefinite")
     return X
 
 

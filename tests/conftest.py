@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 import jointnmf
+from jointnmf import factorize
 
 # every property runs the same examples on every run and has no time
 # limit per example; a test sets only its max_examples
@@ -21,3 +22,12 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """The number of runs in each lockstep stack the solvers sweep, in order."""
+    sizes, sweeps = [], factorize._sweeps
+    monkeypatch.setattr(factorize, "_sweeps",
+                        lambda problems, *rest: sizes.append(len(problems)) or sweeps(problems, *rest))
+    return sizes

@@ -1,10 +1,8 @@
 """Factorization engine: objectives, descent, recovery, determinism."""
 
-import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-import jointnmf
 from jointnmf import factorize, nls
 from jointnmf.errors import NonFinite, NotSymmetric, ShapeMismatch, ZeroSimilarity
 from jointnmf.factorize import (
@@ -381,12 +378,9 @@ sys.stdout.buffer.write(res.W.tobytes() + res.H.tobytes() + res.H_tilde.tobytes(
 """
 
 
-def test_joint_bit_identical_across_processes():
-    src = str(Path(jointnmf.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+def test_joint_bit_identical_across_processes(child_env):
     runs = [
-        subprocess.run([sys.executable, "-c", SAME_SEED_RUN], env=env,
+        subprocess.run([sys.executable, "-c", SAME_SEED_RUN], env=child_env,
                        capture_output=True, check=True, timeout=120).stdout
         for _ in range(2)
     ]
@@ -430,6 +424,27 @@ def test_every_block_is_one_kernel_call_from_its_previous_value(method, blocks, 
     res = run_method(method, X, S, FactorizeOptions(k=3, seed=0, max_sweeps=4, rel_tol=0.0, trials=2))
     assert len(calls) == blocks * 4 == len(res.block_objective_history)
     assert all(kw["start"].shape == (3, sum(kw["widths"])) for kw in calls)
+
+
+@pytest.mark.parametrize("method", ["nmf", "symnmf", "joint"])
+def test_first_sweep_starts_each_block_from_its_draw_in_block_order(method, monkeypatch):
+    # the start draws W (m x k), then H, then Ht from default_rng(seed),
+    # and a sweep solves W (as W^T), then Ht, then H: in the first sweep
+    # each block starts from its own draw
+    X, S, _, _, _ = planted_joint()
+    starts = []
+    kernel = factorize.nls_bpp_gram
+    monkeypatch.setattr(factorize, "nls_bpp_gram",
+                        lambda ata, atb, **kw: starts.append(kw["start"]) or kernel(ata, atb, **kw))
+    run_method(method, X, S, FactorizeOptions(k=3, seed=7, max_sweeps=1))
+    rng = np.random.default_rng(7)
+    W = rng.random((X.shape[0], 3)) if method != "symnmf" else None
+    H = rng.random((3, X.shape[1]))
+    Ht = rng.random(H.shape) if method != "nmf" else None
+    want = [M for M in (W.T if W is not None else None, Ht, H) if M is not None]
+    assert len(starts) == len(want)
+    for got, M in zip(starts, want):
+        assert got.shape == M.shape and got.tobytes() == np.ascontiguousarray(M).tobytes()
 
 
 def test_joint_factors_nonnegative_and_shapes():
@@ -586,32 +601,23 @@ def test_nmf_each_of_nothing_and_of_a_bad_member():
         list(nmf_each([np.ones((3, 3)), np.ones((2, 5))], FactorizeOptions(k=3)))
 
 
-def spy_stacks(monkeypatch):
-    """The number of runs in each lockstep stack the solvers sweep."""
-    sizes, sweeps = [], factorize._sweeps
-    monkeypatch.setattr(factorize, "_sweeps",
-                        lambda problems, seeds, opts: sizes.append(len(problems)) or sweeps(problems, seeds, opts))
-    return sizes
-
-
-def test_nmf_each_splits_many_fits_into_stacks_under_the_column_limit(monkeypatch):
+def test_nmf_each_splits_many_fits_into_stacks_under_the_column_limit(monkeypatch, stack_sizes):
     # eleven 12 x 9 fits are 12 columns wide each: a limit of 40 columns
     # stacks them three at a time, and each matrix is read only once the
     # stacks before its own have run
     monkeypatch.setattr(factorize, "LOCKSTEP_COLUMNS", 40)
-    sizes = spy_stacks(monkeypatch)
     rng = np.random.default_rng(43)
     Xs = [rng.random((12, 9)) * (rng.random((12, 9)) < 0.8) for _ in range(11)]
     read = []
 
     def matrices():
         for X in Xs:
-            read.append(len(sizes))
+            read.append(len(stack_sizes))
             yield X
 
     opts = FactorizeOptions(k=3, seed=4, rel_tol=1e-3)
     each = list(nmf_each(matrices(), opts))
-    assert sizes == [3, 3, 3, 2]
+    assert stack_sizes == [3, 3, 3, 2]
     # the stacks swept when each matrix was read
     assert read == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
     solo = [nmf(X, opts) for X in Xs]
@@ -621,7 +627,7 @@ def test_nmf_each_splits_many_fits_into_stacks_under_the_column_limit(monkeypatc
 
 
 @pytest.mark.parametrize("method", ["nmf", "symnmf", "joint"])
-def test_trials_wider_than_the_column_limit_run_one_at_a_time(method, monkeypatch):
+def test_trials_wider_than_the_column_limit_run_one_at_a_time(method, monkeypatch, stack_sizes):
     # 12 x 15 views: every run is 15 columns wide, so a limit of 20
     # leaves each trial a stack of its own, and two trials share one
     # under a limit of 30
@@ -630,9 +636,9 @@ def test_trials_wider_than_the_column_limit_run_one_at_a_time(method, monkeypatc
     singles = [run_method(method, X, S, replace(opts, seed=5 + t, trials=1)) for t in range(3)]
     for limit, stacks in ((20, [1, 1, 1]), (30, [2, 1])):
         monkeypatch.setattr(factorize, "LOCKSTEP_COLUMNS", limit)
-        sizes = spy_stacks(monkeypatch)
+        stack_sizes.clear()
         multi = run_method(method, X, S, opts)
-        assert sizes == stacks
+        assert stack_sizes == stacks
         for a, b in zip(multi.trials, singles):
             assert_same_run(a, b)
 

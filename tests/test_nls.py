@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from jointnmf import nls
-from jointnmf.errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
+from jointnmf.errors import NonConvergence, NonFinite, NumericalError, ShapeMismatch, SingularSystem
 from jointnmf.matrix import write_matrix_market
 from jointnmf.nls import (
+    ROUNDING_SLACK,
     STACK_ENTRIES,
     kkt_residual,
     kkt_residual_gram,
@@ -433,6 +434,38 @@ def test_overflowing_sweeps_warn_nothing_and_keep_the_start_support(monkeypatch)
     assert X[:, 0].tolist() == [0.0, 0.0]
 
 
+def test_an_optimum_past_the_float64_range_is_a_typed_error():
+    # column 0's optimum is 1e300 / 1e-300: its passive solve overflows,
+    # so its gradient check must not warn and its rescue must not return inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="past the float64 range"):
+            nls_bpp_gram(np.diag([1e-300, 1.0]), [[1e300, 0.0], [1.0, -1.0]])
+
+
+@settings(max_examples=300)
+@given(k=st.integers(1, 5), n=st.integers(1, 4), rows=st.integers(1, 7), gram_scale=st.integers(-300, 300),
+       rhs_scale=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), warm=st.booleans())
+def test_grams_scaled_across_the_float64_range_give_an_optimum_or_a_typed_error(
+        k, n, rows, gram_scale, rhs_scale, seed, warm):
+    # rows < k gives singular Grams and the rescue; an optimum near
+    # 10**(rhs_scale - gram_scale) may be past the float64 range
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, k))
+    ata = 10.0**gram_scale * (A.T @ A)
+    atb = 10.0**rhs_scale * (A.T @ rng.standard_normal((rows, n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            X = nls_bpp_gram(ata, atb, start=rng.random((k, n)) if warm else None)
+        except NumericalError:
+            return
+        assert np.isfinite(X).all() and (X >= 0.0).all()
+        for c in range(n):
+            size = np.abs(ata).max() * X[:, c].max() + np.abs(atb[:, c]).max()
+            assert kkt_residual_gram(ata, atb[:, c], X[:, c]) <= ROUNDING_SLACK * size
+
+
 def test_a_start_passes_the_entry_checks_of_the_solver():
     start = np.ones((2, 3))
     with pytest.raises(ShapeMismatch, match=r"start is \(2, 3\)"):
@@ -676,3 +709,11 @@ def test_gram_stack_entry_checks():
             with pytest.raises(ShapeMismatch):
                 fn(ata, atb, widths=bad)
     assert nls_bpp_gram(ata, atb, widths=[1, 2]).tolist() == [[1.0, 0.5, 0.5]] * 2
+
+
+def test_unsigned_widths_solve_as_int64_widths():
+    rng = np.random.default_rng(8)
+    (ata, _), atb = gram_stack(rng, 3, 2), rng.standard_normal((3, 5))
+    want = nls_bpp_gram(ata, atb, widths=np.array([2, 3], dtype=np.int64))
+    for dtype in (np.uint8, np.uint64):
+        assert nls_bpp_gram(ata, atb, widths=np.array([2, 3], dtype=dtype)).tobytes() == want.tobytes()

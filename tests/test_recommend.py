@@ -337,19 +337,16 @@ def test_evaluate_makes_one_nmf2_kernel_call_per_block_per_sweep(t, monkeypatch)
     assert calls.count(False) == 3 * 4 + 2 * 4  # the joint and NMF-1 fits
 
 
-def test_evaluate_splits_many_test_documents_into_stacks(monkeypatch):
+def test_evaluate_splits_many_test_documents_into_stacks(monkeypatch, stack_sizes):
     # room for three augmented fits (40 terms) per stack: seven test
     # documents take stacks of 3, 3 and 1, and every NMF-2 score still
     # equals the one-query fit's bit for bit
     X, S, _, _ = planted(per_cluster=4)
     monkeypatch.setattr(factorize, "LOCKSTEP_COLUMNS", 3 * X.shape[0])
-    sizes, sweeps = [], factorize._sweeps
-    monkeypatch.setattr(factorize, "_sweeps",
-                        lambda problems, seeds, o: sizes.append(len(problems)) or sweeps(problems, seeds, o))
     X_test = X[:, [0, 1, 4, 5, 8, 9, 10]] + 0.01
     opts = FactorizeOptions(k=3, seed=0, max_sweeps=8, rel_tol=1e-3)
     got = evaluate(X, S, X_test, opts)
-    assert sizes == [1, 1, 3, 3, 1]  # the joint fit, NMF-1, then NMF-2
+    assert stack_sizes == [1, 1, 3, 3, 1]  # the joint fit, NMF-1, then NMF-2
     n = X.shape[1]
     for t, x in enumerate(X_test.T):
         H2 = baseline_nmf2(X, 3, opts, x)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -178,8 +179,8 @@ def _cmd_preprocess(args) -> int:
     )
     X = textprep.normalize_columns(textprep.tfidf(filtered))
 
-    pos_of = {doc: i for i, doc in enumerate(corpus.doc_ids)}
-    positions = np.array([pos_of[d] for d in filtered.doc_ids], dtype=np.int64)
+    pos = _positions(corpus.doc_ids, "doc")
+    positions = np.array([pos[d] for d in filtered.doc_ids], dtype=np.int64)
     S, kept = _graph_similarity(args, len(corpus.doc_ids), within=positions)
     doc_ids = filtered.doc_ids
     outside_lcc: list[str] = []
@@ -257,6 +258,8 @@ def _cmd_cluster(args) -> int:
     if method in ("joint", "nmf") and X is None:
         raise ValueError(f"method {method} needs --x")
     doc_ids = read_names(args.doc_ids) if args.doc_ids else None
+    if doc_ids is not None:
+        _positions(doc_ids, "doc")
     # a graph spans the documents: the columns of X, else the doc ids
     n = X.shape[1] if X is not None else (None if doc_ids is None else len(doc_ids))
     S, _ = _graph_similarity(args, n)
@@ -287,10 +290,7 @@ def _cmd_cluster(args) -> int:
     for t, run in enumerate(res.trials):
         row = {"trial": t, "seed": run.seed_used, "objective": run.objective_history[-1]}
         if truth_sets is not None:
-            labels = factorize.hard_assign(run.H)
-            cm = metrics.confusion(labels, truth_sets, n_pred_clusters=args.k)
-            row["average_f1"] = metrics.average_f1(cm)
-            row.update(_pairwise_row(labels, truth_sets))
+            row.update(_scores(factorize.hard_assign(run.H), truth_sets, args.k))
         rows.append(row)
 
     out = Path(args.out_dir)
@@ -326,15 +326,7 @@ def _cmd_eval(args) -> int:
         pred.append(next(iter(labs)))
     truth = [truth_map[i] for i in ids]
 
-    cm = metrics.confusion(pred, truth)
-    f1 = metrics.average_f1(cm)
-    pc = metrics.pairwise_counts(pred, truth)
-    scores = metrics.pairwise_scores(pc)
-    rows = [
-        ("items", len(ids)), ("average_f1", f1),
-        ("pwf1", scores.pwf1), ("pwfpr", scores.pwfpr), ("pwfnr", scores.pwfnr),
-        ("tp", pc.tp), ("tn", pc.tn), ("fp", pc.fp), ("fn", pc.fn),
-    ]
+    rows = [("items", len(ids)), *_scores(pred, truth).items()]
     write_records("-", *zip(*rows))
     if args.out_dir:
         out = Path(args.out_dir)
@@ -451,10 +443,15 @@ def _aligned_truth(truth_map, doc_ids):
     return [truth_map[d] for d in doc_ids]
 
 
-def _pairwise_row(labels, truth_sets):
-    pc = metrics.pairwise_counts(labels, truth_sets)
-    s = metrics.pairwise_scores(pc)
-    return {"pwf1": s.pwf1, "pwfpr": s.pwfpr, "pwfnr": s.pwfnr}
+def _scores(pred, truth, k=None):
+    # one labeling's scores in report order: average F1, the pairwise
+    # scores, then the pair counts; given k, a cluster that received no
+    # item still counts in average F1
+    scores = {"average_f1": metrics.average_f1(metrics.confusion(pred, truth, n_pred_clusters=k))}
+    pc = metrics.pairwise_counts(pred, truth)
+    scores.update(metrics.pairwise_scores(pc)._asdict())
+    scores.update(asdict(pc))
+    return scores
 
 
 def _write_metrics_table(path, rows):
@@ -478,9 +475,11 @@ def _read_citations(path, test_ids, train_ids):
 
 
 def _positions(ids, what):
-    pos = {d: i for i, d in enumerate(ids)}
-    if len(pos) != len(ids):
-        raise DataError(f"{what} ids are not unique")
+    # each id's position; an id listed twice names no one item
+    pos = {}
+    for i, d in enumerate(ids):
+        if pos.setdefault(d, i) != i:
+            raise DataError(f"{what} ids are not unique: {d!r} repeats")
     return pos
 
 

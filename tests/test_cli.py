@@ -105,6 +105,42 @@ def test_cluster_end_to_end(tmp_path, capsys):
     assert labels[0].startswith("doc0\t")
 
 
+def test_eval_on_a_cluster_run_prints_its_best_trial_scores(tmp_path, capsys):
+    # one scoring path: where every cluster received a document, eval on
+    # labels.tsv reads exactly what metrics.tsv holds for the best trial
+    make_planted_dir(tmp_path)
+    out = tmp_path / "out"
+    assert main([
+        "cluster", "--x", str(tmp_path / "X.mtx"), "--edges", str(tmp_path / "edges.tsv"),
+        "--doc-ids", str(tmp_path / "ids.txt"), "--truth", str(tmp_path / "truth.tsv"),
+        "--k", "3", "--seed", "0", "--trials", "2", "--out-dir", str(out),
+    ]) == 0
+    best_seed = capsys.readouterr().out.split("best_seed=")[1].split()[0]
+    labels = (out / "labels.tsv").read_text().splitlines()
+    assert {line.split("\t")[1] for line in labels} == {"0", "1", "2"}
+    header, *rows = (line.split("\t") for line in (out / "metrics.tsv").read_text().splitlines())
+    best = dict(zip(header, next(row for row in rows if row[1] == best_seed)))
+    assert main([
+        "eval", "--pred", str(out / "labels.tsv"), "--truth", str(tmp_path / "truth.tsv"),
+    ]) == 0
+    got = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+    for key in ("average_f1", "pwf1", "pwfpr", "pwfnr"):
+        assert got[key] == best[key]
+
+
+def test_cluster_repeated_doc_id_exits_2(tmp_path, capsys):
+    # labels.tsv names each document by its id, so an id must name one
+    make_planted_dir(tmp_path)
+    (tmp_path / "ids.txt").write_text("".join(f"doc{i % 23}\n" for i in range(24)))
+    out = tmp_path / "out"
+    assert main([
+        "cluster", "--x", str(tmp_path / "X.mtx"), "--edges", str(tmp_path / "edges.tsv"),
+        "--doc-ids", str(tmp_path / "ids.txt"), "--k", "3", "--out-dir", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == "data error: doc ids are not unique: 'doc0' repeats\n"
+    assert not out.exists()
+
+
 def test_cluster_nmf_and_symnmf_methods(tmp_path):
     make_planted_dir(tmp_path)
     assert main([
@@ -967,6 +1003,21 @@ def test_preprocess_without_graph(tmp_path):
     ]) == 0
     assert not (out / "S.mtx").exists()
     assert (out / "doc_ids.txt").read_text().splitlines() == ["d0", "d1", "d2", "d3", "d6"]
+
+
+@pytest.mark.parametrize("edges", [False, True], ids=["no-graph", "edges"])
+def test_preprocess_repeated_doc_id_exits_2(tmp_path, capsys, edges):
+    # d1 is listed again in place of d3
+    preprocess_setup(tmp_path)
+    (tmp_path / "docs.txt").write_text("d0\nd1\nd2\nd1\nd4\nd5\nd6\n")
+    out = tmp_path / "pp"
+    assert main([
+        "preprocess", "--vocab", str(tmp_path / "vocab.txt"),
+        "--doc-ids", str(tmp_path / "docs.txt"), "--counts", str(tmp_path / "counts.mtx"),
+        *(["--edges", str(tmp_path / "edges.tsv")] if edges else []), "--out-dir", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == "data error: doc ids are not unique: 'd1' repeats\n"
+    assert not out.exists()
 
 
 def test_preprocess_empty_corpus_exits_2(tmp_path):

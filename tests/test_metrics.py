@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointnmf.errors import DataError, DegenerateLabels, UniverseMismatch
+from jointnmf.errors import DataError, DegenerateLabels, LabelMissing, UniverseMismatch
 from jointnmf.matrix import write_records
 from jointnmf.metrics import (
     auc,
@@ -229,6 +229,14 @@ def test_pairwise_undefined_scores_are_none():
 def test_pairwise_needs_two_items():
     with pytest.raises(DataError):
         pairwise_counts([0], [{"a"}])
+
+
+def test_an_item_without_a_truth_label_is_label_missing():
+    # an empty label set names no truth cluster, through either entry
+    with pytest.raises(LabelMissing, match="^item 1 has no label$"):
+        confusion([0, 1], [{"a"}, set()])
+    with pytest.raises(LabelMissing, match="^item 1 has no label$"):
+        pairwise_counts(["x", "y"], [["a"], []])
 
 
 # ---------------------------------------------------------------------------

@@ -667,12 +667,14 @@ def test_a_start_on_a_stack_equals_one_call_per_gram(widths, monkeypatch):
 @settings(max_examples=120)
 @given(
     k=st.integers(1, 5),
-    counts=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    counts=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    block_columns=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_random_gram_stacks_equal_one_call_per_gram(k, counts, seed):
+def test_random_gram_stacks_equal_one_call_per_gram(k, counts, block_columns, seed):
     # random small problem stacks: some Grams without columns, dead
-    # variables, cold or swept starts
+    # variables, cold or swept starts; blocks of at most block_columns
+    # columns, so a Gram's columns may span several blocks
     rng = np.random.default_rng(seed)
     As = [rng.random((k + 2, k)) * (rng.random(k) < 0.8) for _ in counts]
     ata = np.stack([A.T @ A for A in As])
@@ -683,6 +685,7 @@ def test_random_gram_stacks_equal_one_call_per_gram(k, counts, seed):
         atb[:, c] = As[g].T @ Y[:, c]
     start = rng.random((k, gram_of.size)) * (rng.random((k, gram_of.size)) < 0.5)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nls, "BLOCK_COLUMNS", block_columns)
         predicted = predicted_sets(mp)
         X = nls_bpp_gram(ata, atb, start=start, widths=counts)
         assert X.shape == (k, gram_of.size)
@@ -691,9 +694,8 @@ def test_random_gram_stacks_equal_one_call_per_gram(k, counts, seed):
             assert X.tobytes() == want.tobytes()
             stacked, *alone = predicted
             assert stacked.tobytes() == np.vstack(alone).tobytes()
-    if gram_of.size:
-        cold = per_gram(lambda a, b, _: nls_bpp_gram(a, b), ata, atb, start, counts)
-        assert nls_bpp_gram(ata, atb, widths=counts).tobytes() == cold.tobytes()
+            cold = per_gram(lambda a, b, _: nls_bpp_gram(a, b), ata, atb, start, counts)
+            assert nls_bpp_gram(ata, atb, widths=counts).tobytes() == cold.tobytes()
 
 
 def test_gram_stack_entry_checks():

@@ -173,16 +173,24 @@ def main(argv=None) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    # between steps one full-size copy of the corpus is live: a step's
+    # input is dropped once its output holds what the next step needs,
+    # and of the raw corpus only the doc ids are kept
     corpus = textprep.read_corpus(args.vocab, args.doc_ids, args.counts)
+    _positions(corpus.vocab, "vocab terms")
+    all_ids = corpus.doc_ids
     filtered, report = textprep.filter_corpus(
         corpus, args.min_term_df, args.min_doc_len, dedupe=not args.keep_duplicates
     )
-    X = textprep.normalize_columns(textprep.tfidf(filtered))
+    del corpus
+    vocab, doc_ids = filtered.vocab, filtered.doc_ids
+    X = textprep.tfidf(filtered)
+    del filtered
+    X = textprep.normalize_columns(X)
 
-    pos = _positions(corpus.doc_ids, "doc")
-    positions = np.array([pos[d] for d in filtered.doc_ids], dtype=np.int64)
-    S, kept = _graph_similarity(args, len(corpus.doc_ids), within=positions)
-    doc_ids = filtered.doc_ids
+    pos = _positions(all_ids, "doc ids")
+    positions = np.array([pos[d] for d in doc_ids], dtype=np.int64)
+    S, kept = _graph_similarity(args, len(all_ids), within=positions)
     outside_lcc: list[str] = []
     if S is not None:
         outside_lcc = [doc_ids[i] for i in np.setdiff1d(np.arange(len(doc_ids)), kept)]
@@ -192,7 +200,7 @@ def _cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_market(out / "X.mtx", X)
-    write_records(out / "vocab.txt", filtered.vocab)
+    write_records(out / "vocab.txt", vocab)
     write_records(out / "doc_ids.txt", doc_ids)
     if S is not None:
         write_matrix_market(out / "S.mtx", S)
@@ -259,7 +267,7 @@ def _cmd_cluster(args) -> int:
         raise ValueError(f"method {method} needs --x")
     doc_ids = read_names(args.doc_ids) if args.doc_ids else None
     if doc_ids is not None:
-        _positions(doc_ids, "doc")
+        _positions(doc_ids, "doc ids")
     # a graph spans the documents: the columns of X, else the doc ids
     n = X.shape[1] if X is not None else (None if doc_ids is None else len(doc_ids))
     S, _ = _graph_similarity(args, n)
@@ -402,7 +410,9 @@ def _cmd_topics(args) -> int:
     W = read_matrix_market(args.w)
     if sparse.issparse(W):
         W = W.toarray()
-    report = top_terms(W, read_names(args.vocab), args.top_terms)
+    vocab = read_names(args.vocab)
+    _positions(vocab, "vocab terms")
+    report = top_terms(W, vocab, args.top_terms)
     rows = [
         (c, rank, term, weight)
         for c, terms in enumerate(report.clusters)
@@ -445,10 +455,11 @@ def _aligned_truth(truth_map, doc_ids):
 
 def _scores(pred, truth, k=None):
     # one labeling's scores in report order: average F1, the pairwise
-    # scores, then the pair counts; given k, a cluster that received no
-    # item still counts in average F1
-    scores = {"average_f1": metrics.average_f1(metrics.confusion(pred, truth, n_pred_clusters=k))}
-    pc = metrics.pairwise_counts(pred, truth)
+    # scores, then the pair counts, all read off one contingency table;
+    # given k, a cluster that received no item still counts in average F1
+    table = metrics._contingency(pred, truth, k)
+    scores = {"average_f1": metrics.average_f1(metrics._confusion(*table))}
+    pc = metrics._pair_counts(*table)
     scores.update(metrics.pairwise_scores(pc)._asdict())
     scores.update(asdict(pc))
     return scores
@@ -465,8 +476,8 @@ def _write_metrics_table(path, rows):
 
 def _read_citations(path, test_ids, train_ids):
     """Boolean (test x train) array, True where path lists the pair."""
-    row = _positions(test_ids, "test")
-    col = _positions(train_ids, "train")
+    row = _positions(test_ids, "test ids")
+    col = _positions(train_ids, "train ids")
     cited = np.zeros((len(row), len(col)), dtype=bool)
     for i, j in read_records(path, fields=2, convert=lambda r: (row[r[0]], col[r[1]]),
                              expect="`test_id<TAB>train_id` with a listed test and train id"):
@@ -474,12 +485,12 @@ def _read_citations(path, test_ids, train_ids):
     return cited
 
 
-def _positions(ids, what):
-    # each id's position; an id listed twice names no one item
+def _positions(names, what):
+    # each name's position; a name listed twice names no one item
     pos = {}
-    for i, d in enumerate(ids):
+    for i, d in enumerate(names):
         if pos.setdefault(d, i) != i:
-            raise DataError(f"{what} ids are not unique: {d!r} repeats")
+            raise DataError(f"{what} are not unique: {d!r} repeats")
     return pos
 
 

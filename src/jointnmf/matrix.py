@@ -208,9 +208,10 @@ def write_records(path, *columns) -> None:
 
     The one cell rule: a float is written as its repr, which reads back
     bit for bit, None as NA, anything else with str.  A float64 array is
-    converted to floats once per block of rows and each one reprd, and a
-    block of str values is its own cells, both without the rule's
-    per-cell dispatch.  Columns of unequal length are a ValueError.
+    converted to floats once per block of rows and each one reprd, an
+    integer array to ints and each one strd, and a block of str values
+    is its own cells, all without the rule's per-cell dispatch.  Columns
+    of unequal length are a ValueError.
     """
     columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
     lengths = [len(c) for c in columns]
@@ -225,6 +226,8 @@ def write_records(path, *columns) -> None:
 def _column(values) -> list[str]:
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         return list(map(repr, values.tolist()))
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
     if set(map(type, values)) == {str}:
         return list(values)
     return list(map(_cell, values))

@@ -73,7 +73,10 @@ def confusion(pred, truth, n_pred_clusters: int | None = None) -> ConfusionMatri
     received no item still get a (zero) row, so empty clusters are
     visible to average_f1.
     """
-    pred_labels, truth_labels, table, member = _contingency(pred, truth, n_pred_clusters)
+    return _confusion(*_contingency(pred, truth, n_pred_clusters))
+
+
+def _confusion(pred_labels, truth_labels, table, member) -> ConfusionMatrix:
     counts = (table @ member).toarray()
     return ConfusionMatrix(
         counts=counts,
@@ -110,7 +113,10 @@ def pairwise_counts(pred, truth) -> PairwiseCounts:
     halving leaves the unordered counts.  L is sparse, one entry per
     intersecting pair, and every sum is exact int64.
     """
-    _, _, table, member = _contingency(pred, truth)
+    return _pair_counts(*_contingency(pred, truth))
+
+
+def _pair_counts(pred_labels, truth_labels, table, member) -> PairwiseCounts:
     n = int(table.sum())
     if n < 2:
         raise DataError("pairwise counts need at least 2 items")

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from graph_reference import dense_similarity
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from jointnmf import cli, metrics
 from jointnmf.cli import build_parser, main, top_terms
 from jointnmf.errors import VocabMismatch
 from jointnmf.matrix import read_matrix_market, write_matrix_market
@@ -126,6 +129,63 @@ def test_eval_on_a_cluster_run_prints_its_best_trial_scores(tmp_path, capsys):
     got = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
     for key in ("average_f1", "pwf1", "pwfpr", "pwfnr"):
         assert got[key] == best[key]
+
+
+def test_scores_read_one_contingency_table(monkeypatch):
+    # cluster --truth and eval encode each labeling once, and the scores
+    # equal those of the public confusion and pairwise counts
+    calls = []
+    contingency = metrics._contingency
+    monkeypatch.setattr(metrics, "_contingency",
+                        lambda *a: calls.append(a) or contingency(*a))
+    pred = [0, 2, 2, 1, 0, 2, 0]
+    truth = ["a", {"a", "b"}, "b", "c", "a", "b", "c"]
+    scores = cli._scores(pred, truth, 4)
+    assert len(calls) == 1
+    pc = metrics.pairwise_counts(pred, truth)
+    assert scores == {
+        "average_f1": metrics.average_f1(metrics.confusion(pred, truth, n_pred_clusters=4)),
+        **metrics.pairwise_scores(pc)._asdict(),
+        "tp": pc.tp, "tn": pc.tn, "fp": pc.fp, "fn": pc.fn,
+    }
+
+
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cluster_outputs_do_not_depend_on_the_line_order_within_a_column(tmp_path_factory, seed):
+    # preprocess writes X.mtx rows ascending within each column, where it
+    # once wrote them descending; cluster reads either to the same bytes
+    root = tmp_path_factory.mktemp("order")
+    make_planted_dir(root)
+    X = read_matrix_market(root / "X.mtx")
+    X[X < 0.03] = 0.0
+    write_matrix_market(root / "X.mtx", sparse.csc_array(X))
+    header, entries = _split_mtx(root / "X.mtx")
+    outputs = []
+    for name, lines in (("sorted", entries), ("shuffled", _shuffled_within_columns(entries, seed))):
+        (root / "X.mtx").write_text("".join(header + lines))
+        out = root / name
+        assert main([
+            "cluster", "--x", str(root / "X.mtx"), "--edges", str(root / "edges.tsv"),
+            "--doc-ids", str(root / "ids.txt"), "--truth", str(root / "truth.tsv"),
+            "--k", "3", "--trials", "2", "--out-dir", str(out),
+        ]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+
+
+def _split_mtx(path):
+    # the header and size lines, then the entry lines of a coordinate file
+    lines = path.read_text().splitlines(keepends=True)
+    body = next(i for i, line in enumerate(lines) if not line.startswith("%")) + 1
+    return lines[:body], lines[body:]
+
+
+def _shuffled_within_columns(entries, seed):
+    rng = np.random.default_rng(seed)
+    cols = np.array([int(line.split()[1]) for line in entries])
+    order = np.lexsort((rng.random(len(entries)), cols))
+    return [entries[i] for i in order]
 
 
 def test_cluster_repeated_doc_id_exits_2(tmp_path, capsys):
@@ -1017,6 +1077,25 @@ def test_preprocess_repeated_doc_id_exits_2(tmp_path, capsys, edges):
         *(["--edges", str(tmp_path / "edges.tsv")] if edges else []), "--out-dir", str(out),
     ]) == 2
     assert capsys.readouterr().err == "data error: doc ids are not unique: 'd1' repeats\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "topics"])
+def test_repeated_vocab_term_exits_2(tmp_path, capsys, command):
+    # a term listed twice would be ranked twice by topics; alpha is
+    # listed again in place of delta
+    preprocess_setup(tmp_path)
+    (tmp_path / "vocab.txt").write_text("alpha\nbravo\ncharlie\nalpha\necho\nrare\n")
+    write_matrix_market(tmp_path / "W.mtx", np.ones((6, 2)))
+    given = {
+        "preprocess": ["--doc-ids", "docs.txt", "--counts", "counts.mtx", "--edges", "edges.tsv"],
+        "topics": ["--w", "W.mtx"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, "--vocab", str(tmp_path / "vocab.txt"),
+                 *(str(tmp_path / a) if "." in a else a for a in given),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: vocab terms are not unique: 'alpha' repeats\n"
     assert not out.exists()
 
 

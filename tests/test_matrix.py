@@ -310,8 +310,14 @@ def _columns(draw):
     rows = draw(st.integers(0, 12))
     columns = []
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["floats", "cells", "names"]))
-        if kind == "floats":
+        kind = draw(st.sampled_from(["floats", "ints", "cells", "names"]))
+        if kind == "ints":
+            # an integer array, such as the cluster column of labels.tsv
+            dtype = draw(st.sampled_from([np.int64, np.int32, np.uint8, np.uint64]))
+            info = np.iinfo(dtype)
+            columns.append(np.array(draw(st.lists(st.integers(int(info.min), int(info.max)),
+                                                  min_size=rows, max_size=rows)), dtype=dtype))
+        elif kind == "floats":
             # a float64 array, its values drawn from a few so that they repeat
             pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
             columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=rows,
@@ -334,9 +340,7 @@ def _columns(draw):
 @example(columns=[np.array(["a\x00", "b"], dtype=object), ["\x00", np.str_("c")]], stdout=False,
          block=2)
 def test_write_records_equals_the_cell_rule_per_cell(tmp_path_factory, columns, stdout, block):
-    expected = "".join("\t".join(map(_reference_cell, row)) + "\n"
-                       for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                                        for c in columns)))
+    expected = "".join("\t".join(map(_reference_cell, row)) + "\n" for row in zip(*columns))
     # small blocks, so that a file spans several
     with mock.patch.object(matrix, "WRITE_BLOCK_ROWS", block):
         if stdout:

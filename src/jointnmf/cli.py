@@ -16,11 +16,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import factorize, graph, metrics, textprep
 from .errors import DataError, NumericalError, UniverseMismatch
-from .matrix import read_matrix_market, read_names, read_records, write_matrix_market, write_records
+from .matrix import (as_dense, read_matrix_market, read_names, read_records,
+                     write_matrix_market, write_records)
 from .recommend import evaluate, recommend as recommend_above
 from .textprep import top_terms
 
@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--min-doc-len", type=int, default=textprep.DEFAULT_MIN_DOC_LEN)
     pp.add_argument("--keep-duplicates", action="store_true", help="skip duplicate-column removal")
     pp.add_argument("--out-dir", required=True)
-    pp.set_defaults(func=_cmd_preprocess, parser=pp)
+    # a source the command has no option for reads as not given to _similarity
+    pp.set_defaults(func=_cmd_preprocess, parser=pp, similarity=None)
 
     pc = sub.add_parser("cluster", help="factorize and write factors, labels, metrics")
     pc.add_argument("--method", choices=("joint", "nmf", "symnmf"), default="joint")
@@ -101,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--hyperedges", required=True, type=_path)
     ph.add_argument("--dual", action="store_true")
     ph.add_argument("--out-dir", required=True)
-    ph.set_defaults(func=_cmd_hypergraph_sim, parser=ph)
+    # likewise the sources and the flag hypergraph-sim has no option for
+    ph.set_defaults(func=_cmd_hypergraph_sim, parser=ph, edges=None, raw_adjacency=False,
+                    similarity=None)
 
     pt = sub.add_parser("topics", help="top terms per cluster from a basis matrix")
     pt.add_argument("--w", required=True, type=_path, help="Matrix Market basis W")
@@ -133,6 +136,9 @@ def _factor_flags(p):
 
 
 def _options(args) -> factorize.FactorizeOptions:
+    # the fit's options, checked before any input is read
+    if args.k is None:
+        raise ValueError("--k is required")
     return factorize.FactorizeOptions(
         k=args.k, alpha=args.alpha, beta=args.beta, max_sweeps=args.max_sweeps,
         rel_tol=args.tol, seed=args.seed, trials=args.trials,
@@ -190,15 +196,14 @@ def _cmd_preprocess(args) -> int:
 
     pos = _positions(all_ids, "doc ids")
     positions = np.array([pos[d] for d in doc_ids], dtype=np.int64)
-    S, kept = _graph_similarity(args, len(all_ids), within=positions)
+    S, kept = _similarity(args, len(all_ids), within=positions)
     outside_lcc: list[str] = []
     if S is not None:
         outside_lcc = [doc_ids[i] for i in np.setdiff1d(np.arange(len(doc_ids)), kept)]
         doc_ids = [doc_ids[i] for i in kept]
         X = X[:, kept]
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_matrix_market(out / "X.mtx", X)
     write_records(out / "vocab.txt", vocab)
     write_records(out / "doc_ids.txt", doc_ids)
@@ -214,12 +219,14 @@ def _cmd_preprocess(args) -> int:
         *(("duplicate", d) for d in report.duplicate_docs),
         *(("outside", d) for d in outside_lcc),
     ]))
-    _write_manifest(out / "manifest.tsv", args)
+    _write_manifest(args)
     print(f"kept {X.shape[0]} terms x {X.shape[1]} documents -> {out}")
     return 0
 
 
-# the inputs each cluster method does not read
+# the inputs each cluster method does not read: each method is the joint
+# fit without the views it ignores, and needs --x unless it ignores x
+# and a similarity unless it ignores similarity
 _IGNORED_INPUTS = {
     "joint": (),
     "nmf": ("similarity", "edges", "hyperedges", "dual", "raw_adjacency", "alpha", "beta"),
@@ -251,29 +258,26 @@ def _cmd_cluster(args) -> int:
                     + ", ".join(action.choices)
                 )
             setattr(args, action.dest, value)
-    if args.k is None:
-        raise ValueError("--k is required")
+    opts = _options(args)
 
-    method = args.method
+    method, ignored = args.method, _IGNORED_INPUTS[args.method]
     # an input the method ignores would silently set n or go unused; an
     # option is given when it differs from its default (--alpha 0 too)
-    for dest in _IGNORED_INPUTS[method]:
+    for dest in ignored:
         if getattr(args, dest) != args.parser.get_default(dest):
             raise ValueError(f"method {method} does not use --{dest.replace('_', '-')}")
     if sum(bool(getattr(args, dest)) for dest in ("similarity", "edges", "hyperedges")) > 1:
         raise ValueError("give only one of --similarity, --edges, --hyperedges")
-    X = read_matrix_market(args.x) if args.x else None
-    if method in ("joint", "nmf") and X is None:
+    if not args.x and "x" not in ignored:
         raise ValueError(f"method {method} needs --x")
+    X = read_matrix_market(args.x) if args.x else None
     doc_ids = read_names(args.doc_ids) if args.doc_ids else None
     if doc_ids is not None:
         _positions(doc_ids, "doc ids")
     # a graph spans the documents: the columns of X, else the doc ids
     n = X.shape[1] if X is not None else (None if doc_ids is None else len(doc_ids))
-    S, _ = _graph_similarity(args, n)
-    if args.similarity:
-        S = read_matrix_market(args.similarity)
-    if method != "nmf" and S is None:
+    S, _ = _similarity(args, n)
+    if S is None and "similarity" not in ignored:
         raise ValueError(f"method {method} needs --similarity, --edges, or --hyperedges")
 
     n = X.shape[1] if X is not None else S.shape[0]
@@ -286,13 +290,7 @@ def _cmd_cluster(args) -> int:
     if args.truth:
         truth_sets = _aligned_truth(metrics.read_labels(args.truth), doc_ids)
 
-    opts = _options(args)
-    if method == "joint":
-        res = factorize.joint_nmf(X, S, opts)
-    elif method == "nmf":
-        res = factorize.nmf(X, opts)
-    else:
-        res = factorize.symnmf(S, opts)
+    res = factorize.joint_nmf(X, S, opts)
 
     rows = []
     for t, run in enumerate(res.trials):
@@ -301,16 +299,13 @@ def _cmd_cluster(args) -> int:
             row.update(_scores(factorize.hard_assign(run.H), truth_sets, args.k))
         rows.append(row)
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     factorize.write_result(res, out)
     write_records(out / "labels.tsv", doc_ids, factorize.hard_assign(res.H))
     if truth_sets is not None:
         _write_metrics_table(out / "metrics.tsv", rows)
-    _write_manifest(
-        out / "manifest.tsv", args, alpha=res.alpha, beta=res.beta,
-        seeds=",".join(str(run.seed_used) for run in res.trials),
-    )
+    _write_manifest(args, alpha=res.alpha, beta=res.beta,
+                    seeds=",".join(str(run.seed_used) for run in res.trials))
     print(f"method={method} k={args.k} best_seed={res.seed_used} "
           f"objective={res.objective_history[-1]!r} sweeps={res.sweeps_run}")
     if truth_sets is not None:
@@ -337,28 +332,19 @@ def _cmd_eval(args) -> int:
     rows = [("items", len(ids)), *_scores(pred, truth).items()]
     write_records("-", *zip(*rows))
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_records(out / "metrics.tsv", *zip(*rows))
-        _write_manifest(out / "manifest.tsv", args)
+        write_records(_out_dir(args) / "metrics.tsv", *zip(*rows))
+        _write_manifest(args)
     return 0
 
 
 def _cmd_recommend(args) -> int:
-    if args.k is None:
-        raise ValueError("--k is required")
+    opts = _options(args)
     if bool(args.similarity) == bool(args.edges):
         raise ValueError("recommend needs exactly one of --similarity or --edges")
     if np.isnan(args.threshold):
         raise ValueError("--threshold must not be NaN")
-    X_train = read_matrix_market(args.train_x)
-    train_ids = read_names(args.train_ids)
-    if len(train_ids) != X_train.shape[1]:
-        raise DataError(f"{len(train_ids)} train ids for {X_train.shape[1]} columns")
-    X_test = read_matrix_market(args.test_x)
-    test_ids = read_names(args.test_ids)
-    if len(test_ids) != X_test.shape[1]:
-        raise DataError(f"{len(test_ids)} test ids for {X_test.shape[1]} columns")
+    X_train, train_ids = _named_columns(args.train_x, args.train_ids, "train")
+    X_test, test_ids = _named_columns(args.test_x, args.test_ids, "test")
     if args.similarity:
         S = read_matrix_market(args.similarity)
     else:
@@ -367,16 +353,15 @@ def _cmd_recommend(args) -> int:
             graph.read_edge_list(args.edges), n=len(train_ids), raw_adjacency=True
         )
     flags = _read_citations(args.citations, test_ids, train_ids).ravel()
-    score_sets = evaluate(X_train, S, X_test, _options(args))
+    score_sets = evaluate(X_train, S, X_test, opts)
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     for name, scores in score_sets.items():
         fpr, tpr = metrics.roc_curve(scores.ravel(), flags)
         write_records(out / f"roc_{name}.tsv", fpr, tpr)
         write_records("-", [f"auc_{name}"], [metrics.auc(fpr, tpr)])
         write_records(out / f"rec_{name}.tsv", *_ranked(test_ids, scores, train_ids, args.threshold))
-    _write_manifest(out / "manifest.tsv", args)
+    _write_manifest(args)
     print(f"artifacts -> {out}")
     return 0
 
@@ -395,21 +380,18 @@ def _ranked(test_ids, scores, train_ids, threshold):
 
 
 def _cmd_hypergraph_sim(args) -> int:
-    S, _ = graph.similarity(
-        hyperedges=graph.read_hyperedges(args.hyperedges), n=None, dual=args.dual
-    )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    S, _ = _similarity(args, None)
+    if S is None:  # an empty --hyperedges reads as not given
+        raise ValueError("hypergraph-sim needs --hyperedges")
+    out = _out_dir(args)
     write_matrix_market(out / "S.mtx", S)
-    _write_manifest(out / "manifest.tsv", args)
+    _write_manifest(args)
     print(f"S is {S.shape[0]}x{S.shape[1]} -> {out / 'S.mtx'}")
     return 0
 
 
 def _cmd_topics(args) -> int:
-    W = read_matrix_market(args.w)
-    if sparse.issparse(W):
-        W = W.toarray()
+    W = as_dense(read_matrix_market(args.w))
     vocab = read_names(args.vocab)
     _positions(vocab, "vocab terms")
     report = top_terms(W, vocab, args.top_terms)
@@ -419,10 +401,8 @@ def _cmd_topics(args) -> int:
         for rank, (term, weight) in enumerate(terms, start=1)
     ]
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_records(out / "topics.tsv", *zip(*rows))
-        _write_manifest(out / "manifest.tsv", args)
+        write_records(_out_dir(args) / "topics.tsv", *zip(*rows))
+        _write_manifest(args)
     else:
         write_records("-", *zip(*rows))
     return 0
@@ -432,16 +412,35 @@ def _cmd_topics(args) -> int:
 # shared plumbing
 
 
-def _graph_similarity(args, n, within=None):
-    # (None, None) when no graph option is given; a flag without its
-    # source still reaches graph.similarity, which rejects it
-    if not (args.edges or args.hyperedges or args.dual or args.raw_adjacency):
-        return None, None
-    return graph.similarity(
-        graph.read_edge_list(args.edges) if args.edges else None,
-        graph.read_hyperedges(args.hyperedges) if args.hyperedges else None,
-        n=n, dual=args.dual, raw_adjacency=args.raw_adjacency, within=within,
-    )
+def _out_dir(args):
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _similarity(args, n, within=None):
+    # S over n documents and the kept indices into within (or range(n)):
+    # a graph source or flag goes to graph.similarity, which rejects a
+    # flag without its source; else the --similarity file, kept whole;
+    # (None, None) when neither is given
+    if args.edges or args.hyperedges or args.dual or args.raw_adjacency:
+        return graph.similarity(
+            graph.read_edge_list(args.edges) if args.edges else None,
+            graph.read_hyperedges(args.hyperedges) if args.hyperedges else None,
+            n=n, dual=args.dual, raw_adjacency=args.raw_adjacency, within=within,
+        )
+    if args.similarity:
+        return read_matrix_market(args.similarity), None
+    return None, None
+
+
+def _named_columns(matrix_path, ids_path, what):
+    # a matrix and the names of its columns, one name per column
+    M = read_matrix_market(matrix_path)
+    names = read_names(ids_path)
+    if len(names) != M.shape[1]:
+        raise DataError(f"{len(names)} {what} ids for {M.shape[1]} columns")
+    return M, names
 
 
 def _aligned_truth(truth_map, doc_ids):
@@ -500,8 +499,9 @@ def _manifest_actions(args):
     return [a for a in args.parser._actions if a.dest not in ("help", "out_dir", "manifest")]
 
 
-def _write_manifest(path, args, **resolved) -> None:
-    """command, then each option of args.command under its dest.
+def _write_manifest(args, **resolved) -> None:
+    """manifest.tsv in args.out_dir: command, then each option of
+    args.command under its dest.
 
     A resolved value (a weight the run worked out) replaces the given
     one in place; a resolved key that is no option follows the options.
@@ -509,7 +509,8 @@ def _write_manifest(path, args, **resolved) -> None:
     entries = {"command": args.command}
     entries.update((a.dest, getattr(args, a.dest)) for a in _manifest_actions(args))
     entries.update(resolved)
-    write_records(path, entries.keys(), map(_manifest_value, entries.values()))
+    write_records(Path(args.out_dir) / "manifest.tsv", entries.keys(),
+                  map(_manifest_value, entries.values()))
 
 
 def _manifest_value(v):

@@ -218,7 +218,12 @@ def symnmf(S, opts: FactorizeOptions) -> FactorizationResult:
 
 
 def joint_nmf(X, S, opts: FactorizeOptions) -> FactorizationResult:
-    """Joint factorization sharing H between the text and similarity views."""
+    """Joint factorization sharing H between the text and similarity views.
+
+    A view left as None drops out: joint_nmf(X, None, opts) is
+    nmf(X, opts) and joint_nmf(None, S, opts) is symnmf(S, opts), bit
+    for bit.  At least one of X and S must be given.
+    """
     return next(_fit([(X, S)], opts))
 
 
@@ -298,6 +303,8 @@ def _stacks(runs):
 
 def _setup(X, S, opts):
     # the checked views of one fit, text before similarity
+    if X is None and S is None:
+        raise ValueError("a fit needs X, S or both")
     X, S = _matrix(X, "X"), _matrix(S, "S")
     for M, name in ((X, "X"), (S, "S")):
         if M is not None:

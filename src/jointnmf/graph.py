@@ -273,12 +273,10 @@ def _component_labels(n, a, b):
 
 
 def _best_component(labels):
-    # largest component; ties go to the one containing the smallest vertex
-    sizes = np.bincount(labels)
-    biggest = np.flatnonzero(sizes == sizes.max())
-    first_seen = np.full(sizes.size, labels.size, dtype=np.int64)
-    np.minimum.at(first_seen, labels, np.arange(labels.size))
-    return int(biggest[np.argmin(first_seen[biggest])])
+    # largest component; ties go to the one containing the smallest
+    # vertex: a vertex's label is the smallest vertex of its component
+    # (vertices are numbered before edges), and argmax takes the first
+    return int(np.argmax(np.bincount(labels)))
 
 
 def read_edge_list(path) -> np.ndarray:

@@ -42,15 +42,20 @@ DEFAULT_MIN_DOC_LEN = 5
 
 @dataclass
 class Corpus:
+    """Vocabulary, document ids and their terms x documents counts.
+
+    counts is held as a float64 CSC array with each (term, document)
+    entry stored once: repeated entries are summed and stored zeros
+    dropped, in a copy, so the caller's matrix stays as it is.  A term's
+    stored entries are thus the documents it is in.
+    """
+
     vocab: list[str]
     doc_ids: list[str]
     counts: sparse.csc_array  # terms x documents
 
     def __post_init__(self):
-        self.counts = as_csc(self.counts)
-        if not self.counts.data.all():  # in a copy, so the caller's matrix stays
-            self.counts = self.counts.copy()
-            self.counts.eliminate_zeros()
+        self.counts = _canonical(self.counts)
         m, n = self.counts.shape
         if len(self.vocab) != m:
             raise ShapeMismatch(
@@ -218,11 +223,7 @@ def normalize_columns(X):
     stored zeros dropped first, in a copy.
     """
     if sparse.issparse(X):
-        X = as_csc(X)
-        if not (X.has_canonical_format and X.data.all()):
-            X = X.copy()
-            X.sum_duplicates()
-            X.eliminate_zeros()
+        X = _canonical(X)
         data, indptr = X.data, X.indptr
         norms = np.sqrt(_column_sums(data * data, indptr))
         if np.any(norms == 0):
@@ -239,6 +240,17 @@ def normalize_columns(X):
         bad = int(np.flatnonzero(norms == 0)[0])
         raise ZeroColumn(f"column {bad} has zero norm")
     return X / norms
+
+
+def _canonical(M):
+    # M as a CSC array with repeated entries summed and stored zeros
+    # dropped, in a copy when it has either, so the caller's matrix stays
+    M = as_csc(M)
+    if not (M.has_canonical_format and M.data.all()):
+        M = M.copy()
+        M.sum_duplicates()
+        M.eliminate_zeros()
+    return M
 
 
 def read_corpus(vocab_path, doc_ids_path, counts_path) -> Corpus:

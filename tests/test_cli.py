@@ -15,7 +15,7 @@ from scipy import sparse
 
 from jointnmf import cli, metrics
 from jointnmf.cli import build_parser, main, top_terms
-from jointnmf.errors import VocabMismatch
+from jointnmf.errors import SingularSystem, VocabMismatch
 from jointnmf.matrix import read_matrix_market, write_matrix_market
 
 
@@ -381,6 +381,68 @@ def test_cluster_replay_rejects_a_bad_manifest_entry(tmp_path, capsys, entry, va
     assert f"{entry} entry {value!r}" in err[0]
 
 
+def test_cluster_doc_ids_that_miscount_the_documents_exit_2(tmp_path, capsys):
+    write_matrix_market(tmp_path / "X.mtx", np.arange(1.0, 16.0).reshape(5, 3))
+    (tmp_path / "ids4.txt").write_text("a\nb\nc\nd\n")
+    out = tmp_path / "o"
+    assert main([
+        "cluster", "--method", "nmf", "--x", str(tmp_path / "X.mtx"),
+        "--doc-ids", str(tmp_path / "ids4.txt"), "--k", "2", "--out-dir", str(out),
+    ]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: 4 doc ids for 3 documents"]
+    assert not out.exists()
+
+
+def test_cluster_replay_of_another_commands_manifest_exits_2(tmp_path, capsys):
+    preprocess_setup(tmp_path)
+    assert main([
+        "preprocess", "--vocab", str(tmp_path / "vocab.txt"),
+        "--doc-ids", str(tmp_path / "docs.txt"), "--counts", str(tmp_path / "counts.mtx"),
+        "--out-dir", str(tmp_path / "pp"),
+    ]) == 0
+    capsys.readouterr()
+    manifest = tmp_path / "pp" / "manifest.tsv"
+    out = tmp_path / "o"
+    assert main(["cluster", "--manifest", str(manifest), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {manifest} is not a cluster manifest"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["joint", "nmf", "symnmf"])
+def test_a_numerical_failure_in_the_fit_exits_3(tmp_path, capsys, monkeypatch, method):
+    # every method is one joint_nmf fit, so the one patch reaches all three
+    def singular(*_):
+        raise SingularSystem("no optimum")
+
+    monkeypatch.setattr(cli.factorize, "joint_nmf", singular)
+    make_planted_dir(tmp_path)
+    given = {"joint": ["--x", "X.mtx", "--edges", "edges.tsv"], "nmf": ["--x", "X.mtx"],
+             "symnmf": ["--edges", "edges.tsv"]}[method]
+    given = [str(tmp_path / a) if "." in a else a for a in given]
+    out = tmp_path / "o"
+    assert main(["cluster", "--method", method, *given, "--k", "3", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["numerical error: no optimum"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "recommend"])
+def test_an_option_value_is_checked_before_any_input_is_read(tmp_path, capsys, command):
+    # --trials 0 with a missing first input used to exit 2 for the file
+    missing = str(tmp_path / "missing.mtx")
+    if command == "cluster":
+        make_planted_dir(tmp_path)
+        argv = ["cluster", "--x", missing, "--edges", str(tmp_path / "edges.tsv"), "--k", "3",
+                "--out-dir", str(tmp_path / "o")]
+    else:
+        recommend_setup(tmp_path)
+        argv = recommend_args(tmp_path, "o")
+        argv[argv.index("--train-x") + 1] = missing
+    assert main([*argv, "--trials", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["usage error: trials must be at least 1"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, given, message", [
     ("cluster", ["--x", "X.mtx", "--similarity", "S.mtx", "--dual"], "dual needs hyperedges"),
     ("cluster", ["--x", "X.mtx", "--similarity", "S.mtx", "--raw-adjacency"],
@@ -393,9 +455,12 @@ def test_cluster_replay_rejects_a_bad_manifest_entry(tmp_path, capsys, entry, va
      "raw adjacency needs edges"),
     ("preprocess", ["--dual"], "dual needs hyperedges"),
     ("preprocess", ["--raw-adjacency"], "raw adjacency needs edges"),
+    ("cluster", ["--x", "X.mtx", "--similarity", "S.mtx", "--edges", "edges.tsv"],
+     "give only one of --similarity, --edges, --hyperedges"),
+    ("cluster", ["--edges", "edges.tsv"], "method joint needs --x"),
 ], ids=["cluster-similarity-dual", "cluster-similarity-raw", "cluster-edges-dual",
         "cluster-hyperedges-raw", "preprocess-edges-dual", "preprocess-hyperedges-raw",
-        "preprocess-dual", "preprocess-raw"])
+        "preprocess-dual", "preprocess-raw", "cluster-two-sources", "cluster-joint-without-x"])
 def test_a_flag_its_similarity_source_does_not_read_is_a_usage_error(
     tmp_path, capsys, command, given, message
 ):
@@ -772,6 +837,15 @@ def test_hypergraph_sim_dual_skips_an_unused_participant_id(tmp_path):
     assert np.max(np.abs(S.toarray() - expect)) <= 1e-14
 
 
+def test_hypergraph_sim_with_an_empty_hyperedges_path_is_a_usage_error(tmp_path, capsys):
+    # an empty path reads as not given, as in every command; it used to
+    # exit 2 for a file named ''
+    out = tmp_path / "o"
+    assert main(["hypergraph-sim", "--hyperedges", "", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["usage error: hypergraph-sim needs --hyperedges"]
+    assert not out.exists()
+
+
 def test_hypergraph_sim_dual(tmp_path):
     (tmp_path / "h.txt").write_text("0 1\n1 2\n")
     assert main([
@@ -956,6 +1030,46 @@ def test_recommend_rejects_two_similarity_sources(tmp_path, capsys):
         "usage error: recommend needs exactly one of --similarity or --edges"
     ]
     assert not (tmp_path / "rec7").exists()
+
+
+def test_recommend_without_k_is_a_usage_error(tmp_path, capsys):
+    recommend_setup(tmp_path)
+    args = recommend_args(tmp_path, "rec11")
+    del args[args.index("--k"):args.index("--k") + 2]
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["usage error: --k is required"]
+    assert not (tmp_path / "rec11").exists()
+
+
+@pytest.mark.parametrize("side, message", [
+    ("train", "20 train ids for 21 columns"), ("test", "2 test ids for 3 columns"),
+])
+def test_recommend_ids_that_miscount_their_columns_exit_2(tmp_path, capsys, side, message):
+    recommend_setup(tmp_path)
+    ids = tmp_path / {"train": "tr.txt", "test": "te.txt"}[side]
+    ids.write_text("".join(ids.read_text().splitlines(keepends=True)[:-1]))
+    assert main(recommend_args(tmp_path, "rec12")) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert not (tmp_path / "rec12").exists()
+
+
+def test_recommend_similarity_of_the_raw_adjacency_equals_the_edges_run(tmp_path, capsys):
+    recommend_setup(tmp_path)
+    edges = [tuple(map(int, line.split())) for line in
+             (tmp_path / "tr_edges.tsv").read_text().splitlines()]
+    A, _ = dense_similarity(edges=edges, n=21, raw_adjacency=True)
+    write_matrix_market(tmp_path / "A.mtx", sparse.csc_array(A))
+    runs = []
+    for out, source in (("by_edges", []), ("by_similarity", ["--similarity", str(tmp_path / "A.mtx")])):
+        args = recommend_args(tmp_path, out)
+        if source:
+            args[args.index("--edges"):args.index("--edges") + 2] = source
+        assert main(args) == 0
+        printed = capsys.readouterr().out.splitlines()
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / out).glob("r*_*.tsv"))}
+        runs.append(([line for line in printed if line.startswith("auc_")], files))
+    assert len(runs[0][0]) == 7 and len(runs[0][1]) == 14
+    assert runs[0] == runs[1]
 
 
 def test_recommend_unknown_citation_id_exits_2(tmp_path):

@@ -601,6 +601,30 @@ def test_nmf_each_of_nothing_and_of_a_bad_member():
         list(nmf_each([np.ones((3, 3)), np.ones((2, 5))], FactorizeOptions(k=3)))
 
 
+def test_a_fit_with_no_view_is_a_value_error():
+    # each used to raise an AttributeError from deep in the setup
+    opts = FactorizeOptions(k=1)
+    for fit in (lambda: nmf(None, opts), lambda: symnmf(None, opts),
+                lambda: joint_nmf(None, None, opts),
+                lambda: list(nmf_each([np.ones((3, 3)), None], opts))):
+        with pytest.raises(ValueError, match="^a fit needs X, S or both$"):
+            fit()
+
+
+@pytest.mark.parametrize("method", ["nmf", "symnmf"])
+def test_joint_nmf_without_a_view_is_that_method_bit_for_bit(method):
+    # the CLI runs every method as joint_nmf with the view it does not
+    # read left as None
+    X, S = noisy_pair(24)
+    opts = FactorizeOptions(k=3, seed=5, trials=3, rel_tol=1e-3)
+    got = joint_nmf(X, None, opts) if method == "nmf" else joint_nmf(None, S, opts)
+    want = run_method(method, X, S, opts)
+    assert len(got.trials) == len(want.trials) == 3
+    for a, b in zip([got, *got.trials], [want, *want.trials]):
+        assert_same_run(a, b)
+        assert (a.alpha, a.beta) == (b.alpha, b.beta)
+
+
 def test_nmf_each_splits_many_fits_into_stacks_under_the_column_limit(monkeypatch, stack_sizes):
     # eleven 12 x 9 fits are 12 columns wide each: a limit of 40 columns
     # stacks them three at a time, and each matrix is read only once the

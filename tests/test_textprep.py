@@ -57,6 +57,22 @@ def test_corpus_drops_stored_zeros_in_a_copy():
     assert unchanged(M, before)
 
 
+def test_corpus_sums_repeated_entries_in_a_copy():
+    # document x stores term a twice: a is in 2 of 3 documents, which it
+    # used to count as 3, so min_term_df=3 kept it and its idf was ln(3/3)
+    M = sparse.csc_array((np.array([1.0, 1.0, 3.0, 2.0, 3.0, 3.0]), np.array([0, 0, 1, 0, 1, 1]),
+                          np.array([0, 3, 5, 6])), shape=(2, 3))
+    before = snapshot(M)
+    c = Corpus(["a", "b"], ["x", "y", "z"], M)
+    assert c.counts.has_canonical_format
+    assert (c.counts.toarray() == [[2.0, 2.0, 0.0], [3.0, 3.0, 3.0]]).all()
+    assert unchanged(M, before)
+    _, report = filter_corpus(c, min_term_df=3, min_doc_len=0, dedupe=False)
+    assert report.removed_terms == ["a"]
+    assert np.allclose(tfidf(c).toarray()[0], [2 * np.log(1.5), 2 * np.log(1.5), 0.0],
+                       rtol=1e-15, atol=0)
+
+
 def test_filter_removes_rare_terms_then_short_docs_then_duplicates():
     #       d0 d1 d2 d3  (d3 duplicates d0 after the rare term goes)
     M = np.array([

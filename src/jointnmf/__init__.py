@@ -65,6 +65,7 @@ from .metrics import (
     auc,
     average_f1,
     confusion,
+    labeling_scores,
     pairwise_counts,
     pairwise_scores,
     read_labels,

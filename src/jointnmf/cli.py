@@ -2,17 +2,17 @@
 
 Subcommands: preprocess, cluster, eval, recommend, hypergraph-sim,
 topics.  Exit codes: 0 success, 1 usage, 2 data problem, 3 numerical
-failure.  Each subparser is the one list of its command's parameters:
-every command that writes artifacts also writes a manifest.tsv with
-each of its options, and `cluster --manifest` reads one back through
-the same option types and reproduces the outputs byte for byte.
+failure, each with one stderr line.  Each subparser is the one list of
+its command's parameters: every command that writes artifacts also
+writes a manifest.tsv with each of its options, and `cluster
+--manifest` parses one back as the command line it records and
+reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,11 @@ class _Parser(argparse.ArgumentParser):
         except ValueError:
             return super()._parse_optional(arg_string)
         return None
+
+    # a parse error is a usage error like any other: main prints it as
+    # one line, and a manifest replay names its file
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,25 +158,19 @@ def _path(value):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # each failure is one stderr line, named by the first kind that holds
+    # it (NegativeEntries is a DataError and a ValueError)
+    exits = ((DataError, 2, "data"), (ValueError, 1, "usage"),
+             (NumericalError, 3, "numerical"), (OSError, 2, "data"))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args) or 0
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+    except SystemExit as exc:  # --help, the one exit the parser makes
+        return exc.code
+    except tuple(kind for kind, _, _ in exits) as exc:
+        code, what = next((code, what) for kind, code, what in exits if isinstance(exc, kind))
+        print(f"{what} error: {exc}", file=sys.stderr)
+        return code
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +178,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    textprep._check_thresholds(args.min_term_df, args.min_doc_len)
     # between steps one full-size copy of the corpus is live: a step's
     # input is dropped once its output holds what the next step needs,
     # and of the raw corpus only the doc ids are kept
@@ -235,41 +235,8 @@ _IGNORED_INPUTS = {
 
 
 def _cmd_cluster(args) -> int:
-    if args.manifest:
-        stored = dict(read_records(args.manifest, fields=2, expect="`option<TAB>value`"))
-        if stored.get("command") != "cluster":
-            raise DataError(f"{args.manifest} is not a cluster manifest")
-        # every option reads back through its own parser action; "-" and
-        # a missing key mean the option was not given
-        for action in _manifest_actions(args):
-            raw = stored.get(action.dest, "-")
-            if raw == "-":
-                value = action.default
-            elif action.nargs == 0:  # a flag
-                value = raw == "1"
-            else:
-                try:
-                    value = action.type(raw) if action.type else raw
-                except ValueError as exc:
-                    raise DataError(f"{args.manifest}: bad {action.dest} entry {raw!r}") from exc
-            if action.choices is not None and value not in action.choices:
-                raise DataError(
-                    f"{args.manifest}: {action.dest} entry {raw!r} is not one of "
-                    + ", ".join(action.choices)
-                )
-            setattr(args, action.dest, value)
-    opts = _options(args)
-
+    args, opts = _replayed(args) if args.manifest else (args, _cluster_options(args))
     method, ignored = args.method, _IGNORED_INPUTS[args.method]
-    # an input the method ignores would silently set n or go unused; an
-    # option is given when it differs from its default (--alpha 0 too)
-    for dest in ignored:
-        if getattr(args, dest) != args.parser.get_default(dest):
-            raise ValueError(f"method {method} does not use --{dest.replace('_', '-')}")
-    if sum(bool(getattr(args, dest)) for dest in ("similarity", "edges", "hyperedges")) > 1:
-        raise ValueError("give only one of --similarity, --edges, --hyperedges")
-    if not args.x and "x" not in ignored:
-        raise ValueError(f"method {method} needs --x")
     X = read_matrix_market(args.x) if args.x else None
     doc_ids = read_names(args.doc_ids) if args.doc_ids else None
     if doc_ids is not None:
@@ -296,7 +263,7 @@ def _cmd_cluster(args) -> int:
     for t, run in enumerate(res.trials):
         row = {"trial": t, "seed": run.seed_used, "objective": run.objective_history[-1]}
         if truth_sets is not None:
-            row.update(_scores(factorize.hard_assign(run.H), truth_sets, args.k))
+            row.update(metrics.labeling_scores(factorize.hard_assign(run.H), truth_sets, args.k))
         rows.append(row)
 
     out = _out_dir(args)
@@ -315,6 +282,56 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
+def _cluster_options(args) -> factorize.FactorizeOptions:
+    # the fit's options and the inputs the method reads, checked from the
+    # arguments alone; an input the method ignores would silently set n
+    # or go unused
+    opts = _options(args)
+    method, ignored = args.method, _IGNORED_INPUTS[args.method]
+    for action in _given(args):
+        if action.dest in ignored:
+            raise ValueError(f"method {method} does not use {action.option_strings[0]}")
+    if sum(bool(getattr(args, dest)) for dest in ("similarity", "edges", "hyperedges")) > 1:
+        raise ValueError("give only one of --similarity, --edges, --hyperedges")
+    if not args.x and "x" not in ignored:
+        raise ValueError(f"method {method} needs --x")
+    return opts
+
+
+def _replayed(args):
+    """(args, options) of the cluster run args.manifest records.
+
+    The manifest is the whole command line but --out-dir: each entry is
+    one `--option=value` token for the cluster parser itself, and a
+    flag's 1 is the bare flag; a flag's 0, another entry's "-" and a
+    missing key mean the option was not given.  Whatever that parse or
+    the option checks reject is a DataError naming the manifest.
+    """
+    beside = [a.option_strings[0] for a in _given(args)]
+    if beside:
+        raise ValueError(f"only --out-dir may stand beside --manifest, not {beside[0]}")
+    stored = dict(read_records(args.manifest, fields=2, expect="`option<TAB>value`"))
+    if stored.pop("command", None) != "cluster":
+        raise DataError(f"{args.manifest} is not a cluster manifest")
+    stored.pop("seeds", None)  # what the run drew, not an option
+    flags = {a.dest for a in _manifest_actions(args) if a.nargs == 0}
+    tokens = []
+    for key, value in stored.items():
+        option = "--" + key.replace("_", "-")
+        if key in flags:
+            if value not in ("0", "1"):
+                raise DataError(f"{args.manifest}: flag {key} entry {value!r} is not 0 or 1")
+            tokens += [option] if value == "1" else []
+        elif value != "-":
+            tokens.append(f"{option}={value}")
+    try:
+        replayed = args.parser.parse_args([*tokens, f"--out-dir={args.out_dir}"],
+                                          argparse.Namespace(command=args.command))
+        return replayed, _cluster_options(replayed)
+    except ValueError as exc:
+        raise DataError(f"{args.manifest}: {exc}") from exc
+
+
 def _cmd_eval(args) -> int:
     pred_map = metrics.read_labels(args.pred)
     truth_map = metrics.read_labels(args.truth)
@@ -329,7 +346,7 @@ def _cmd_eval(args) -> int:
         pred.append(next(iter(labs)))
     truth = [truth_map[i] for i in ids]
 
-    rows = [("items", len(ids)), *_scores(pred, truth).items()]
+    rows = [("items", len(ids)), *metrics.labeling_scores(pred, truth).items()]
     write_records("-", *zip(*rows))
     if args.out_dir:
         write_records(_out_dir(args) / "metrics.tsv", *zip(*rows))
@@ -391,6 +408,7 @@ def _cmd_hypergraph_sim(args) -> int:
 
 
 def _cmd_topics(args) -> int:
+    textprep._check_top_terms(args.top_terms)
     W = as_dense(read_matrix_market(args.w))
     vocab = read_names(args.vocab)
     _positions(vocab, "vocab terms")
@@ -452,18 +470,6 @@ def _aligned_truth(truth_map, doc_ids):
     return [truth_map[d] for d in doc_ids]
 
 
-def _scores(pred, truth, k=None):
-    # one labeling's scores in report order: average F1, the pairwise
-    # scores, then the pair counts, all read off one contingency table;
-    # given k, a cluster that received no item still counts in average F1
-    table = metrics._contingency(pred, truth, k)
-    scores = {"average_f1": metrics.average_f1(metrics._confusion(*table))}
-    pc = metrics._pair_counts(*table)
-    scores.update(metrics.pairwise_scores(pc)._asdict())
-    scores.update(asdict(pc))
-    return scores
-
-
 def _write_metrics_table(path, rows):
     keys = ["trial", "seed", "objective", "average_f1", "pwf1", "pwfpr", "pwfnr"]
     means = ["mean", "-"]
@@ -491,6 +497,12 @@ def _positions(names, what):
         if pos.setdefault(d, i) != i:
             raise DataError(f"{what} are not unique: {d!r} repeats")
     return pos
+
+
+def _given(args):
+    # the options given but --out-dir and --manifest: an option is given
+    # when it differs from its default (--alpha 0 too)
+    return [a for a in _manifest_actions(args) if getattr(args, a.dest) != a.default]
 
 
 def _manifest_actions(args):

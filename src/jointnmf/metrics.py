@@ -16,7 +16,7 @@ truth.  Only the confusion counts are dense, k x (number of labels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "average_f1",
     "pairwise_counts",
     "pairwise_scores",
+    "labeling_scores",
     "roc_curve",
     "auc",
     "read_labels",
@@ -141,6 +142,19 @@ def pairwise_scores(pc: PairwiseCounts) -> PairwiseScores:
         pwfpr=ratio(float(pc.fp), pc.fp + pc.tn),
         pwfnr=ratio(float(pc.fn), pc.fn + pc.tp),
     )
+
+
+def labeling_scores(pred, truth, n_pred_clusters: int | None = None) -> dict:
+    """A labeling's scores in report order, from one contingency table.
+
+    average_f1 (counting, given n_pred_clusters, the clusters that
+    received no item, as confusion does), then pwf1, pwfpr and pwfnr,
+    then the pair counts tp, tn, fp and fn.
+    """
+    table = _contingency(pred, truth, n_pred_clusters)
+    pc = _pair_counts(*table)
+    return {"average_f1": average_f1(_confusion(*table)),
+            **pairwise_scores(pc)._asdict(), **asdict(pc)}
 
 
 def roc_curve(scores, truth) -> tuple[np.ndarray, np.ndarray]:

@@ -93,8 +93,7 @@ def filter_corpus(
     the kept entries are selected once, and the new counts have their
     rows ascending within each column.
     """
-    if min_term_df < 0 or min_doc_len < 0:
-        raise ValueError("thresholds must be nonnegative")
+    _check_thresholds(min_term_df, min_doc_len)
     report = FilterReport()
 
     counts = c.counts
@@ -130,6 +129,13 @@ def filter_corpus(
     vocab = [c.vocab[i] for i in np.flatnonzero(keep_terms)]
     doc_ids = [c.doc_ids[j] for j in np.flatnonzero(keep_docs)]
     return Corpus(vocab, doc_ids, out), report
+
+
+def _check_thresholds(min_term_df, min_doc_len):
+    # filter_corpus's rule on its thresholds; the CLI applies it before
+    # it reads a file
+    if min_term_df < 0 or min_doc_len < 0:
+        raise ValueError("thresholds must be nonnegative")
 
 
 def _column_sums(data, indptr):
@@ -277,10 +283,16 @@ def top_terms(W, vocab, t: int) -> TopicReport:
         raise VocabMismatch(f"W must be 2-d, got shape {W.shape}")
     if len(vocab) != W.shape[0]:
         raise VocabMismatch(f"{len(vocab)} terms for {W.shape[0]} rows of W")
-    if t < 1:
-        raise ValueError("top-terms count must be at least 1")
+    _check_top_terms(t)
     clusters = []
     for c in range(W.shape[1]):
         order = np.argsort(-W[:, c], kind="stable")[:t]
         clusters.append([(vocab[i], float(W[i, c])) for i in order])
     return TopicReport(clusters)
+
+
+def _check_top_terms(t):
+    # top_terms's rule on its count; the CLI applies it before it reads
+    # a file
+    if t < 1:
+        raise ValueError("top-terms count must be at least 1")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from jointnmf import cli, metrics
+from jointnmf import cli
 from jointnmf.cli import build_parser, main, top_terms
 from jointnmf.errors import SingularSystem, VocabMismatch
 from jointnmf.matrix import read_matrix_market, write_matrix_market
@@ -129,25 +129,6 @@ def test_eval_on_a_cluster_run_prints_its_best_trial_scores(tmp_path, capsys):
     got = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
     for key in ("average_f1", "pwf1", "pwfpr", "pwfnr"):
         assert got[key] == best[key]
-
-
-def test_scores_read_one_contingency_table(monkeypatch):
-    # cluster --truth and eval encode each labeling once, and the scores
-    # equal those of the public confusion and pairwise counts
-    calls = []
-    contingency = metrics._contingency
-    monkeypatch.setattr(metrics, "_contingency",
-                        lambda *a: calls.append(a) or contingency(*a))
-    pred = [0, 2, 2, 1, 0, 2, 0]
-    truth = ["a", {"a", "b"}, "b", "c", "a", "b", "c"]
-    scores = cli._scores(pred, truth, 4)
-    assert len(calls) == 1
-    pc = metrics.pairwise_counts(pred, truth)
-    assert scores == {
-        "average_f1": metrics.average_f1(metrics.confusion(pred, truth, n_pred_clusters=4)),
-        **metrics.pairwise_scores(pc)._asdict(),
-        "tp": pc.tp, "tn": pc.tn, "fp": pc.fp, "fn": pc.fn,
-    }
 
 
 @settings(max_examples=6)
@@ -361,8 +342,22 @@ def test_cluster_rejects_an_input_the_method_ignores(tmp_path, capsys, method, i
     assert not out.exists()
 
 
-@pytest.mark.parametrize("entry, value", [("method", "bogus"), ("k", "three")])
-def test_cluster_replay_rejects_a_bad_manifest_entry(tmp_path, capsys, entry, value):
+@pytest.mark.parametrize("entry, value, message", [
+    ("method", "bogus",
+     "argument --method: invalid choice: 'bogus' (choose from 'joint', 'nmf', 'symnmf')"),
+    ("k", "three", "argument --k: invalid int value: 'three'"),
+    ("max_sweeps", "0", "max_sweeps must be at least 1"),
+    ("tol", "nan", "rel_tol must be finite and nonnegative"),
+    ("dual", "yes", "flag dual entry 'yes' is not 0 or 1"),
+    ("raw_adjacency", "yes", "flag raw_adjacency entry 'yes' is not 0 or 1"),
+    ("method", "nmf", "method nmf does not use --edges"),
+], ids=["method-bogus", "k-three", "max_sweeps-0", "tol-nan", "dual-yes", "raw_adjacency-yes",
+        "method-nmf"])
+def test_cluster_replay_rejects_a_bad_manifest_entry(tmp_path, capsys, entry, value, message):
+    # the replay parses the manifest as its command line, so whatever the
+    # parser or the option checks reject is the manifest's data error;
+    # max_sweeps 0, tol nan and method nmf used to exit 1 without naming
+    # the file, and a flag entry yes was read as off, with exit 0
     make_planted_dir(tmp_path)
     first = tmp_path / "first"
     assert main([
@@ -376,9 +371,25 @@ def test_cluster_replay_rejects_a_bad_manifest_entry(tmp_path, capsys, entry, va
     ))
     capsys.readouterr()
     assert main(["cluster", "--manifest", str(manifest), "--out-dir", str(tmp_path / "again")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("data error: ")
-    assert f"{entry} entry {value!r}" in err[0]
+    assert capsys.readouterr().err.splitlines() == [f"data error: {manifest}: {message}"]
+    assert not (tmp_path / "again").exists()
+
+
+def test_cluster_replay_takes_no_option_but_out_dir(tmp_path, capsys):
+    # --k given beside --manifest used to be dropped, with exit 0
+    make_planted_dir(tmp_path)
+    first = tmp_path / "first"
+    assert main([
+        "cluster", "--x", str(tmp_path / "X.mtx"), "--edges", str(tmp_path / "edges.tsv"),
+        "--k", "3", "--max-sweeps", "5", "--out-dir", str(first),
+    ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "again"
+    assert main(["cluster", "--manifest", str(first / "manifest.tsv"), "--k", "7",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: only --out-dir may stand beside --manifest, not --k"]
+    assert not out.exists()
 
 
 def test_cluster_doc_ids_that_miscount_the_documents_exit_2(tmp_path, capsys):
@@ -426,20 +437,30 @@ def test_a_numerical_failure_in_the_fit_exits_3(tmp_path, capsys, monkeypatch, m
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["cluster", "recommend"])
+@pytest.mark.parametrize("command", ["cluster", "recommend", "preprocess", "topics"])
 def test_an_option_value_is_checked_before_any_input_is_read(tmp_path, capsys, command):
-    # --trials 0 with a missing first input used to exit 2 for the file
+    # a bad option value with a missing first input used to exit 2 for
+    # the file
     missing = str(tmp_path / "missing.mtx")
+    message = "trials must be at least 1"
     if command == "cluster":
         make_planted_dir(tmp_path)
         argv = ["cluster", "--x", missing, "--edges", str(tmp_path / "edges.tsv"), "--k", "3",
-                "--out-dir", str(tmp_path / "o")]
-    else:
+                "--trials", "0"]
+    elif command == "recommend":
         recommend_setup(tmp_path)
-        argv = recommend_args(tmp_path, "o")
+        argv = [*recommend_args(tmp_path, "o")[:-2], "--trials", "0"]
         argv[argv.index("--train-x") + 1] = missing
-    assert main([*argv, "--trials", "0"]) == 1
-    assert capsys.readouterr().err.splitlines() == ["usage error: trials must be at least 1"]
+    elif command == "preprocess":
+        preprocess_setup(tmp_path)
+        argv = ["preprocess", "--vocab", missing, "--doc-ids", str(tmp_path / "docs.txt"),
+                "--counts", str(tmp_path / "counts.mtx"), "--min-term-df", "-1"]
+        message = "thresholds must be nonnegative"
+    else:
+        argv = ["topics", "--w", missing, "--vocab", missing, "--top-terms", "0"]
+        message = "top-terms count must be at least 1"
+    assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
     assert not (tmp_path / "o").exists()
 
 
@@ -1249,3 +1270,18 @@ def test_unknown_command_exits_one(capsys):
 def test_missing_required_flag_exits_one(capsys):
     assert main(["topics"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "x", "--out-dir", "o"], "argument --k: invalid int value: 'x'"),
+    (["--method", "bogus", "--out-dir", "o"],
+     "argument --method: invalid choice: 'bogus' (choose from 'joint', 'nmf', 'symnmf')"),
+    (["--k", "3", "--out-dir", "o", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--k", "3"], "the following arguments are required: --out-dir"),
+], ids=["bad-int", "bad-choice", "unknown-option", "missing-out-dir"])
+def test_a_parse_error_is_one_usage_line(tmp_path, capsys, monkeypatch, argv, message):
+    # argparse used to print its usage block before the error
+    monkeypatch.chdir(tmp_path)
+    assert main(["cluster", *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+    assert not (tmp_path / "o").exists()

@@ -1,8 +1,9 @@
 """Garbled input files and inputs at their limits: the CLI exits with a
 one-line message, never a traceback.
 
-Every input file the cluster and recommend commands read is truncated,
-flipped and spliced with seeded tokens.  The cases run through
+Every input file the cluster and recommend commands read, a finished
+cluster run's manifest among them, is truncated, flipped and spliced
+with seeded tokens.  The cases run through
 `cli.main` in one child process (this file run as a script), so a
 crash in a parser fails the test instead of killing pytest.  The
 limit cases (ids at and past int64, huge Matrix Market headers, k at
@@ -70,6 +71,7 @@ def _commands(root, out):
         "ids.txt": cluster + ["--x", r("X.mtx"), "--edges", r("edges.tsv"),
                               "--doc-ids", "{}", "--truth", r("truth.tsv")],
         "cites.tsv": recommend,
+        "manifest.tsv": ["cluster", "--manifest", "{}", "--out-dir", str(out)],
     }
 
 
@@ -93,9 +95,16 @@ def _variants(data, rng, count):
 def _run_all(root):
     """Run every garbled case; return the ones that broke the exit contract."""
     _fixture(root)
+    argv = _commands(root, root / "run")["edges.tsv"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([str(root / "edges.tsv") if a == "{}" else a for a in argv]) == 0
+    (root / "manifest.tsv").write_bytes((root / "run" / "manifest.tsv").read_bytes())
     rng = np.random.default_rng(0)
     bad = []
     for name, argv in _commands(root, root / "out").items():
+        # a garbled manifest may name a k above n, a usage error as it is
+        # on the command line
+        codes = (0, 1, 2, 3) if name == "manifest.tsv" else (0, 2, 3)
         original = (root / name).read_bytes()
         for i, data in enumerate(_variants(original, rng, VARIANTS_PER_FILE)):
             garbled = root / f"garbled_{i}_{name}"
@@ -107,7 +116,7 @@ def _run_all(root):
                 except Exception as exc:  # an escape from main is a failure
                     code = f"raised {type(exc).__name__}: {exc}"
             lines = err.getvalue().splitlines()
-            if code not in (0, 2, 3) or len(lines) != (code != 0):
+            if code not in codes or len(lines) != (code != 0):
                 bad.append({"file": name, "data": data.decode("latin-1"),
                             "code": code, "stderr": lines})
             garbled.unlink()
@@ -115,6 +124,7 @@ def _run_all(root):
 
 
 def test_garbled_inputs_exit_0_2_or_3_with_one_line(tmp_path, child_env):
+    # a garbled manifest may also exit 1 (see _run_all)
     done = subprocess.run(
         [sys.executable, __file__, str(tmp_path)],
         env=child_env, capture_output=True, text=True, timeout=300,

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointnmf import metrics
 from jointnmf.errors import DataError, DegenerateLabels, LabelMissing, UniverseMismatch
 from jointnmf.matrix import write_records
 from jointnmf.metrics import (
     auc,
     average_f1,
     confusion,
+    labeling_scores,
     pairwise_counts,
     pairwise_scores,
     read_labels,
@@ -237,6 +239,25 @@ def test_an_item_without_a_truth_label_is_label_missing():
         confusion([0, 1], [{"a"}, set()])
     with pytest.raises(LabelMissing, match="^item 1 has no label$"):
         pairwise_counts(["x", "y"], [["a"], []])
+
+
+def test_labeling_scores_read_one_contingency_table(monkeypatch):
+    # cluster --truth and eval encode each labeling once, and the scores
+    # equal those of the public confusion and pairwise counts
+    calls = []
+    contingency = metrics._contingency
+    monkeypatch.setattr(metrics, "_contingency",
+                        lambda *a: calls.append(a) or contingency(*a))
+    pred = [0, 2, 2, 1, 0, 2, 0]
+    truth = ["a", {"a", "b"}, "b", "c", "a", "b", "c"]
+    scores = labeling_scores(pred, truth, 4)
+    assert len(calls) == 1
+    pc = pairwise_counts(pred, truth)
+    assert list(scores.items()) == [
+        ("average_f1", average_f1(confusion(pred, truth, n_pred_clusters=4))),
+        *pairwise_scores(pc)._asdict().items(),
+        ("tp", pc.tp), ("tn", pc.tn), ("fp", pc.fp), ("fn", pc.fn),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,22 @@ _IGNORED_INPUTS = {
 
 
 def _cmd_cluster(args) -> int:
-    args, opts = _replayed(args) if args.manifest else (args, _cluster_options(args))
+    if not args.manifest:
+        return _cluster(args, _cluster_options(args))
+    beside = [a.option_strings[0] for a in _given(args)]
+    if beside:
+        raise ValueError(f"only --out-dir may stand beside --manifest, not {beside[0]}")
+    # a replayed run's usage errors, from its entries, its inputs or the
+    # fit's checks on them (a k above min(m, n)), are the manifest's
+    try:
+        return _cluster(*_replayed(args))
+    except DataError:
+        raise
+    except ValueError as exc:
+        raise DataError(f"{args.manifest}: {exc}") from exc
+
+
+def _cluster(args, opts) -> int:
     method, ignored = args.method, _IGNORED_INPUTS[args.method]
     X = read_matrix_market(args.x) if args.x else None
     doc_ids = read_names(args.doc_ids) if args.doc_ids else None
@@ -304,12 +319,8 @@ def _replayed(args):
     The manifest is the whole command line but --out-dir: each entry is
     one `--option=value` token for the cluster parser itself, and a
     flag's 1 is the bare flag; a flag's 0, another entry's "-" and a
-    missing key mean the option was not given.  Whatever that parse or
-    the option checks reject is a DataError naming the manifest.
+    missing key mean the option was not given.
     """
-    beside = [a.option_strings[0] for a in _given(args)]
-    if beside:
-        raise ValueError(f"only --out-dir may stand beside --manifest, not {beside[0]}")
     stored = dict(read_records(args.manifest, fields=2, expect="`option<TAB>value`"))
     if stored.pop("command", None) != "cluster":
         raise DataError(f"{args.manifest} is not a cluster manifest")
@@ -324,12 +335,9 @@ def _replayed(args):
             tokens += [option] if value == "1" else []
         elif value != "-":
             tokens.append(f"{option}={value}")
-    try:
-        replayed = args.parser.parse_args([*tokens, f"--out-dir={args.out_dir}"],
-                                          argparse.Namespace(command=args.command))
-        return replayed, _cluster_options(replayed)
-    except ValueError as exc:
-        raise DataError(f"{args.manifest}: {exc}") from exc
+    replayed = args.parser.parse_args([*tokens, f"--out-dir={args.out_dir}"],
+                                      argparse.Namespace(command=args.command))
+    return replayed, _cluster_options(replayed)
 
 
 def _cmd_eval(args) -> int:
@@ -412,10 +420,9 @@ def _cmd_topics(args) -> int:
     W = as_dense(read_matrix_market(args.w))
     vocab = read_names(args.vocab)
     _positions(vocab, "vocab terms")
-    report = top_terms(W, vocab, args.top_terms)
     rows = [
         (c, rank, term, weight)
-        for c, terms in enumerate(report.clusters)
+        for c, terms in enumerate(top_terms(W, vocab, args.top_terms))
         for rank, (term, weight) in enumerate(terms, start=1)
     ]
     if args.out_dir:

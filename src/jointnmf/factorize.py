@@ -31,11 +31,12 @@ started from the block's previous value.  With a positive definite Gram
 the start changes only the number of pivoting rounds, not the solution.
 One residual formula gives each term's value from the same products, so
 the objective is recorded after every block and every sweep without
-re-multiplying the inputs, and it never increases.  The public
-objectives evaluate the H block's terms with the same formula.
+re-multiplying the inputs, and it never increases.  penalized_objective
+evaluates the H block's terms with the same formula.
 
 alpha defaults to ||X||_F^2 / ||S||_F^2 so both data terms start on the
-same scale, and beta defaults to alpha times the largest entry of S.
+same scale, and beta defaults to alpha times the largest entry of S;
+the entry resolves both, and each result reports the weights it used.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ from .nls import nls_bpp_gram
 __all__ = [
     "FactorizeOptions",
     "FactorizationResult",
-    "default_alpha",
-    "default_beta",
-    "joint_objective",
     "penalized_objective",
     "nmf",
     "nmf_each",
@@ -88,8 +86,9 @@ LOCKSTEP_COLUMNS = 4096
 class FactorizeOptions:
     """Settings shared by all three solvers.
 
-    alpha and beta left as None are resolved from the data via
-    default_alpha / default_beta (symnmf: beta = max|S|).  trials > 1
+    alpha and beta left as None are resolved from the data: alpha =
+    ||X||_F^2 / ||S||_F^2 and beta = alpha max|S| (symnmf: alpha = 1,
+    beta = max|S|).  trials > 1
     runs independent starts from seeds seed, seed+1, ... and keeps the
     best final objective.  A run stops after max_sweeps sweeps, or once
     a sweep changes the objective by less than rel_tol relative.
@@ -145,28 +144,6 @@ class FactorizationResult:
     alpha: float | None = None
     beta: float | None = None
     trials: list[FactorizationResult] = field(default_factory=list)
-
-
-def default_alpha(X, S) -> float:
-    """Balance weight ||X||_F^2 / ||S||_F^2 for the similarity term."""
-    s = frobenius_norm_sq(S)
-    if s == 0.0:
-        raise ZeroSimilarity("similarity matrix is identically zero")
-    return frobenius_norm_sq(X) / s
-
-def default_beta(alpha: float, S) -> float:
-    """Tether weight alpha times the largest absolute entry of S."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return alpha * max_abs(S)
-
-
-def joint_objective(X, S, W, H, alpha: float) -> float:
-    """||X - W H||_F^2 + alpha ||S - H^T H||_F^2 without the split copy.
-
-    X=None (with W=None) or S=None leaves that view out.
-    """
-    return penalized_objective(X, S, W, H, H, alpha, 0.0)
 
 
 def penalized_objective(X, S, W, H, H_tilde, alpha: float, beta: float) -> float:
@@ -318,9 +295,15 @@ def _setup(X, S, opts):
         raise ValueError(f"k={opts.k} exceeds {'min(m, n)' if X is not None else 'n'}={limit}")
     views = [_text_view(X)] if X is not None else []
     if S is not None:
-        # symnmf's one data term has weight 1
-        a = 1.0 if X is None else opts.alpha if opts.alpha is not None else default_alpha(X, S)
-        views.append(_similarity_view(S, a, opts.beta if opts.beta is not None else default_beta(a, S)))
+        # symnmf's one data term has weight 1; alpha defaults to the norm
+        # ratio, beta to alpha times the largest entry of S
+        a = 1.0 if X is None else opts.alpha
+        if a is None:
+            s = frobenius_norm_sq(S)
+            if s == 0.0:
+                raise ZeroSimilarity("similarity matrix is identically zero")
+            a = frobenius_norm_sq(X) / s
+        views.append(_similarity_view(S, a, opts.beta if opts.beta is not None else a * max_abs(S)))
     return views
 
 

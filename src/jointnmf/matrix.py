@@ -32,7 +32,6 @@ __all__ = [
     "as_csc",
     "frobenius_norm_sq",
     "max_abs",
-    "is_symmetric",
     "require_nonnegative",
     "require_symmetric",
     "read_matrix_market",
@@ -84,17 +83,6 @@ def max_abs(m) -> float:
     return float(np.abs(a).max())
 
 
-def is_symmetric(m) -> bool:
-    """Square, and each entry within SYMMETRY_TOL of its transpose's."""
-    if m.shape[0] != m.shape[1]:
-        return False
-    if sparse.issparse(m):
-        d = (m - m.T).tocoo()
-        return bool(np.all(np.abs(d.data) <= SYMMETRY_TOL)) if d.data.size else True
-    a = np.asarray(m, dtype=np.float64)
-    return bool(np.abs(a - a.T).max() <= SYMMETRY_TOL) if a.size else True
-
-
 def require_nonnegative(m, what: str = "matrix"):
     """Reject NaN or infinite entries (NonFinite), then negative ones (NegativeEntries).
 
@@ -108,9 +96,16 @@ def require_nonnegative(m, what: str = "matrix"):
 
 
 def require_symmetric(m, what: str = "matrix"):
+    """Reject a non-square m (ShapeMismatch), then asymmetry past SYMMETRY_TOL (NotSymmetric)."""
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"{what} is {m.shape[0]}x{m.shape[1]}, not square")
-    if not is_symmetric(m):
+    if sparse.issparse(m):
+        d = np.abs((m - m.T).tocoo().data)
+    else:
+        a = np.asarray(m, dtype=np.float64)
+        d = np.abs(a - a.T)
+    # not <=, so that a NaN difference fails too
+    if d.size and not d.max() <= SYMMETRY_TOL:
         raise NotSymmetric(f"{what} is not symmetric within {SYMMETRY_TOL:g}")
 
 

@@ -3,7 +3,8 @@
 Labelings are positional: item i carries pred[i] and truth[i].
 Predictions are hard (one label per item).  Truth may overlap, in
 which case truth[i] is a set of labels; two items count as
-truth-connected when their label sets intersect.
+truth-connected when their label sets intersect.  labeling_scores gives
+every score of a labeling, and confusion and average_f1 the F1 alone.
 
 Both the confusion matrix and the pairwise counts are read off one
 sparse contingency table of predicted cluster x distinct truth label
@@ -16,8 +17,7 @@ truth.  Only the confusion counts are dense, k x (number of labels).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -27,12 +27,8 @@ from .matrix import read_records
 
 __all__ = [
     "ConfusionMatrix",
-    "PairwiseCounts",
-    "PairwiseScores",
     "confusion",
     "average_f1",
-    "pairwise_counts",
-    "pairwise_scores",
     "labeling_scores",
     "roc_curve",
     "auc",
@@ -47,24 +43,6 @@ class ConfusionMatrix:
     truth_sizes: np.ndarray
     pred_labels: list
     truth_labels: list
-
-
-@dataclass
-class PairwiseCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-class PairwiseScores(NamedTuple):
-    pwf1: float | None
-    pwfpr: float | None
-    pwfnr: float | None
 
 
 def confusion(pred, truth, n_pred_clusters: int | None = None) -> ConfusionMatrix:
@@ -102,22 +80,37 @@ def average_f1(C: ConfusionMatrix) -> float:
     return 0.5 * (float(f1.max(axis=1).mean()) + float(f1.max(axis=0).mean()))
 
 
-def pairwise_counts(pred, truth) -> PairwiseCounts:
-    """Tally every unordered item pair.
+def labeling_scores(pred, truth, n_pred_clusters: int | None = None) -> dict:
+    """A labeling's scores in report order, from one contingency table.
 
-    Predicted-connected means same hard cluster; truth-connected means
-    intersecting label sets.  Counting ordered pairs, self-pairs
-    included, gives sum_p n_p^2 same-cluster pairs, N^T L N
-    truth-connected ones and sum_p t_p^T L t_p that are both, where t_p
-    is row p of the contingency table, N its column sums and L[g, h]
-    whether label sets g and h intersect; removing the n self-pairs and
-    halving leaves the unordered counts.  L is sparse, one entry per
-    intersecting pair, and every sum is exact int64.
+    average_f1 (counting, given n_pred_clusters, the clusters that
+    received no item, as confusion does), then pwf1, pwfpr and pwfnr
+    (None where the denominator is zero), then the pair counts tp, tn,
+    fp and fn over every unordered item pair.  Predicted-connected
+    means same hard cluster; truth-connected means intersecting label
+    sets.
     """
-    return _pair_counts(*_contingency(pred, truth))
+    table = _contingency(pred, truth, n_pred_clusters)
+    tp, tn, fp, fn = _pair_counts(*table)
+
+    def ratio(num, den):
+        return num / den if den > 0 else None
+
+    return {"average_f1": average_f1(_confusion(*table)),
+            "pwf1": ratio(2.0 * tp, 2.0 * tp + fn + fp),
+            "pwfpr": ratio(float(fp), fp + tn),
+            "pwfnr": ratio(float(fn), fn + tp),
+            "tp": tp, "tn": tn, "fp": fp, "fn": fn}
 
 
-def _pair_counts(pred_labels, truth_labels, table, member) -> PairwiseCounts:
+def _pair_counts(pred_labels, truth_labels, table, member):
+    # (tp, tn, fp, fn) over the unordered item pairs.  Counting ordered
+    # pairs, self-pairs included, gives sum_p n_p^2 same-cluster pairs,
+    # N^T L N truth-connected ones and sum_p t_p^T L t_p that are both,
+    # where t_p is row p of the contingency table, N its column sums and
+    # L[g, h] whether label sets g and h intersect; removing the n
+    # self-pairs and halving leaves the unordered counts.  L is sparse,
+    # one entry per intersecting pair, and every sum is exact int64
     n = int(table.sum())
     if n < 2:
         raise DataError("pairwise counts need at least 2 items")
@@ -127,34 +120,7 @@ def _pair_counts(pred_labels, truth_labels, table, member) -> PairwiseCounts:
     tp = (int((table @ linked).multiply(table).sum()) - n) // 2
     same_pred = (int(np.sum(table.sum(axis=1) ** 2)) - n) // 2
     connected = (int(N @ (linked @ N)) - n) // 2
-    return PairwiseCounts(tp=tp, tn=n * (n - 1) // 2 - same_pred - connected + tp,
-                          fp=same_pred - tp, fn=connected - tp)
-
-
-def pairwise_scores(pc: PairwiseCounts) -> PairwiseScores:
-    """PWF1, PWFPR, PWFNR; None where the denominator is zero."""
-
-    def ratio(num, den):
-        return num / den if den > 0 else None
-
-    return PairwiseScores(
-        pwf1=ratio(2.0 * pc.tp, 2.0 * pc.tp + pc.fn + pc.fp),
-        pwfpr=ratio(float(pc.fp), pc.fp + pc.tn),
-        pwfnr=ratio(float(pc.fn), pc.fn + pc.tp),
-    )
-
-
-def labeling_scores(pred, truth, n_pred_clusters: int | None = None) -> dict:
-    """A labeling's scores in report order, from one contingency table.
-
-    average_f1 (counting, given n_pred_clusters, the clusters that
-    received no item, as confusion does), then pwf1, pwfpr and pwfnr,
-    then the pair counts tp, tn, fp and fn.
-    """
-    table = _contingency(pred, truth, n_pred_clusters)
-    pc = _pair_counts(*table)
-    return {"average_f1": average_f1(_confusion(*table)),
-            **pairwise_scores(pc)._asdict(), **asdict(pc)}
+    return tp, n * (n - 1) // 2 - same_pred - connected + tp, same_pred - tp, connected - tp
 
 
 def roc_curve(scores, truth) -> tuple[np.ndarray, np.ndarray]:

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
 
-__all__ = ["nls_bpp", "nls_bpp_gram", "kkt_residual", "kkt_residual_gram"]
+__all__ = ["nls_bpp", "nls_bpp_gram", "kkt_residual_gram"]
 
 # entries (columns x s x s) of one stacked passive-set solve: 256 columns
 # at s = 10, which keeps peak memory flat on wide solves
@@ -366,15 +366,10 @@ def _lawson_hanson(ata, B):
     return X
 
 
-def kkt_residual(A, B, X) -> float:
-    """Largest optimality violation of X for min ||A X - B||_F^2, X >= 0."""
-    A = np.asarray(A, dtype=np.float64)
-    return kkt_residual_gram(A.T @ A, A.T @ np.asarray(B, dtype=np.float64), X)
-
-
 def kkt_residual_gram(ata, atb, X) -> float:
-    """KKT violation from the normal-equation products.
+    """Largest optimality violation of X for min ||A X - B||_F^2, X >= 0.
 
+    Read from the normal-equation products ata = A^T A and atb = A^T B.
     For each entry: negativity of X counts directly; where X > 0 the
     gradient must vanish; where X == 0 the gradient must be nonnegative.
     A 1-d atb and X are one column.

@@ -30,7 +30,6 @@ __all__ = [
     "tfidf",
     "normalize_columns",
     "read_corpus",
-    "TopicReport",
     "top_terms",
 ]
 
@@ -269,15 +268,8 @@ def read_corpus(vocab_path, doc_ids_path, counts_path) -> Corpus:
     return Corpus(vocab, doc_ids, counts)
 
 
-@dataclass
-class TopicReport:
-    """Per cluster, the strongest terms with their basis weights."""
-
-    clusters: list[list[tuple[str, float]]]
-
-
-def top_terms(W, vocab, t: int) -> TopicReport:
-    """The t heaviest terms of each basis column, ties by term index."""
+def top_terms(W, vocab, t: int) -> list[list[tuple[str, float]]]:
+    """Per basis column, its t heaviest terms with their weights, ties by term index."""
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2:
         raise VocabMismatch(f"W must be 2-d, got shape {W.shape}")
@@ -288,7 +280,7 @@ def top_terms(W, vocab, t: int) -> TopicReport:
     for c in range(W.shape[1]):
         order = np.argsort(-W[:, c], kind="stable")[:t]
         clusters.append([(vocab[i], float(W[i, c])) for i in order])
-    return TopicReport(clusters)
+    return clusters
 
 
 def _check_top_terms(t):

@@ -27,11 +27,10 @@ from jointnmf.metrics import (
     auc,
     average_f1,
     confusion,
-    pairwise_counts,
-    pairwise_scores,
+    labeling_scores,
     roc_curve,
 )
-from jointnmf.nls import kkt_residual, nls_bpp
+from jointnmf.nls import kkt_residual_gram, nls_bpp
 from jointnmf.recommend import baseline_nmf2, project, score
 
 
@@ -88,7 +87,7 @@ def test_criterion_1_nls_matches_exhaustive_oracle():
             worst_gap = max(
                 worst_gap, float(np.dot(resid, resid)) - _oracle_nnls(A, B[:, c])
             )
-        worst_kkt = max(worst_kkt, kkt_residual(A, B, X))
+        worst_kkt = max(worst_kkt, kkt_residual_gram(A.T @ A, A.T @ B, X))
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-8 and worst_kkt <= 1e-10 and elapsed < 5.0
     _verdict(
@@ -225,10 +224,10 @@ def test_criterion_6_metric_fixtures_and_brute_force():
     pred = [0, 1, 1, 1]
     truth = [{"a"}, {"a"}, {"b"}, {"b"}]
     f1 = average_f1(confusion(pred, truth, n_pred_clusters=2))
-    s = pairwise_scores(pairwise_counts(pred, truth))
+    s = labeling_scores(pred, truth)
     fixtures_ok = (
         abs(f1 - 11.0 / 15.0) <= 1e-12
-        and (s.pwf1, s.pwfpr, s.pwfnr) == (0.4, 0.5, 0.5)
+        and (s["pwf1"], s["pwfpr"], s["pwfnr"]) == (0.4, 0.5, 0.5)
     )
 
     rng = np.random.default_rng(271828)
@@ -243,7 +242,7 @@ def test_criterion_6_metric_fixtures_and_brute_force():
                 {int(v) for v in rng.choice(4, size=rng.integers(1, 4), replace=False)}
                 for _ in range(n)
             ]
-        pc = pairwise_counts(p, t)
+        pc = labeling_scores(p, t)
         tp = tn = fp = fn = 0
         for i in range(n):
             for j in range(i + 1, n):
@@ -253,7 +252,7 @@ def test_criterion_6_metric_fixtures_and_brute_force():
                 fp += same and not conn
                 fn += (not same) and conn
                 tn += (not same) and (not conn)
-        if (pc.tp, pc.tn, pc.fp, pc.fn) != (tp, tn, fp, fn):
+        if (pc["tp"], pc["tn"], pc["fp"], pc["fn"]) != (tp, tn, fp, fn):
             brute_ok = False
             break
     ok = fixtures_ok and brute_ok

@@ -50,26 +50,26 @@ def make_planted_dir(root, k=3, per_cluster=8, n_terms=30, seed=7):
 def test_top_terms_fixture():
     W = np.array([[0.1], [0.9], [0.5]])
     report = top_terms(W, ["a", "b", "c"], 2)
-    assert [t for t, _ in report.clusters[0]] == ["b", "c"]
+    assert [t for t, _ in report[0]] == ["b", "c"]
 
 
 def test_top_terms_requests_beyond_vocab_return_everything():
     W = np.array([[0.1], [0.9], [0.5]])
     report = top_terms(W, ["a", "b", "c"], 10)
-    assert [t for t, _ in report.clusters[0]] == ["b", "c", "a"]
+    assert [t for t, _ in report[0]] == ["b", "c", "a"]
 
 
 def test_top_terms_ties_break_by_term_index():
     W = np.array([[0.5], [0.5], [0.5]])
     report = top_terms(W, ["a", "b", "c"], 2)
-    assert [t for t, _ in report.clusters[0]] == ["a", "b"]
+    assert [t for t, _ in report[0]] == ["a", "b"]
 
 
 def test_top_terms_weights_non_increasing():
     rng = np.random.default_rng(61)
     W = rng.random((12, 4))
     report = top_terms(W, [f"t{i}" for i in range(12)], 5)
-    for cluster in report.clusters:
+    for cluster in report:
         weights = [w for _, w in cluster]
         assert weights == sorted(weights, reverse=True)
 
@@ -389,6 +389,25 @@ def test_cluster_replay_takes_no_option_but_out_dir(tmp_path, capsys):
                  "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "usage error: only --out-dir may stand beside --manifest, not --k"]
+    assert not out.exists()
+
+
+def test_cluster_replay_names_the_manifest_when_k_exceeds_its_data(tmp_path, capsys):
+    # k is checked against the data once the inputs are read; a manifest
+    # whose k exceeds min(m, n) used to exit 1 without naming the file
+    write_matrix_market(tmp_path / "x.mtx", np.arange(1.0, 25.0).reshape(3, 8))
+    first = tmp_path / "first"
+    assert main(["cluster", "--method", "nmf", "--x", str(tmp_path / "x.mtx"), "--k", "2",
+                 "--max-sweeps", "5", "--out-dir", str(first)]) == 0
+    manifest = first / "manifest.tsv"
+    text = manifest.read_text()
+    assert "\nk\t2\n" in text
+    manifest.write_text(text.replace("\nk\t2\n", "\nk\t9\n"))
+    capsys.readouterr()
+    out = tmp_path / "again"
+    assert main(["cluster", "--manifest", str(manifest), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {manifest}: k=9 exceeds min(m, n)=3"]
     assert not out.exists()
 
 

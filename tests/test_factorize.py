@@ -14,18 +14,15 @@ from jointnmf import factorize, nls
 from jointnmf.errors import NonFinite, NotSymmetric, ShapeMismatch, ZeroSimilarity
 from jointnmf.factorize import (
     FactorizeOptions,
-    default_alpha,
-    default_beta,
     hard_assign,
     joint_nmf,
-    joint_objective,
     nmf,
     nmf_each,
     penalized_objective,
     symnmf,
     write_result,
 )
-from jointnmf.matrix import max_abs, read_matrix_market
+from jointnmf.matrix import frobenius_norm_sq, max_abs, read_matrix_market
 from jointnmf.metrics import average_f1, confusion
 from jointnmf.nls import kkt_residual_gram, nls_bpp_gram
 
@@ -71,21 +68,27 @@ def test_options_validation():
             FactorizeOptions(**bad)
 
 
+def resolved(X, S, **kw):
+    """(alpha, beta) a one-sweep joint fit of X and S resolves."""
+    res = joint_nmf(X, S, FactorizeOptions(k=1, max_sweeps=1, **kw))
+    return res.alpha, res.beta
+
+
 def test_default_alpha_is_norm_ratio():
     X = np.full((2, 2), 1.0)
     S = np.eye(2)
-    assert default_alpha(X, S) == 2.0
-    assert default_alpha(2.0 * X, S) == 8.0
+    assert resolved(X, S)[0] == 2.0
+    assert resolved(2.0 * X, S)[0] == 8.0
 
 
 def test_default_alpha_rejects_zero_similarity():
     with pytest.raises(ZeroSimilarity):
-        default_alpha(np.ones((2, 3)), np.zeros((3, 3)))
+        resolved(np.ones((2, 3)), np.zeros((3, 3)))
 
 
 def test_default_beta_scales_by_largest_entry():
     S = np.array([[0.0, 0.25], [0.25, 0.0]])
-    assert default_beta(3.0, S) == 0.75
+    assert resolved(np.ones((2, 2)), S, alpha=3.0)[1] == 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +103,7 @@ def test_joint_objective_zero_factors():
     W = np.zeros((4, 2))
     H = np.zeros((2, 6))
     expect = np.sum(X * X) + 2.0 * np.sum(S * S)
-    assert abs(joint_objective(X, S, W, H, 2.0) - expect) <= 1e-12 * expect
+    assert abs(penalized_objective(X, S, W, H, H, 2.0, 0.0) - expect) <= 1e-12 * expect
 
 
 def test_joint_objective_exact_factorization_is_zero():
@@ -109,12 +112,12 @@ def test_joint_objective_exact_factorization_is_zero():
     H = rng.random((2, 7))
     X = W @ H
     S = H.T @ H
-    assert joint_objective(X, S, W, H, 1.0) <= 1e-9
+    assert penalized_objective(X, S, W, H, H, 1.0, 0.0) <= 1e-9
 
 
 def test_joint_objective_1x1_exact():
     one = np.array([[1.0]])
-    assert joint_objective(one, one, one, one, 1.0) == 0.0
+    assert penalized_objective(one, one, one, one, one, 1.0, 0.0) == 0.0
 
 
 def test_penalized_objective_hand_case():
@@ -131,7 +134,7 @@ def test_penalized_objective_with_tied_auxiliary():
     W = rng.random((4, 3))
     H = rng.random((3, 5))
     a = penalized_objective(X, S, W, H, H.copy(), 1.5, 7.0)
-    b = joint_objective(X, S, W, H, 1.5)
+    b = penalized_objective(X, S, W, H, H, 1.5, 0.0)
     assert abs(a - b) <= 1e-9 * max(b, 1.0)
 
 
@@ -139,7 +142,7 @@ def test_objectives_leave_out_an_absent_view():
     one, zero = np.array([[1.0]]), np.array([[0.0]])
     assert penalized_objective(2.0 * one, None, one, one, None, 0.0, 0.0) == 1.0
     assert penalized_objective(None, one, None, one, zero, 1.0, 3.0) == 4.0
-    assert joint_objective(None, 2.0 * one, None, one, 1.0) == 1.0
+    assert penalized_objective(None, 2.0 * one, None, one, one, 1.0, 0.0) == 1.0
     for bad in ((one, None, None, one, None, 0.0, 0.0),  # X without W
                 (one, None, one, one, None, 1.0, 0.0),  # alpha without S
                 (one, one, one, one, None, 1.0, 0.0)):  # alpha without H_tilde
@@ -156,8 +159,8 @@ def test_objectives_accept_sparse_inputs():
     S = (S + S.T) / 2
     W = rng.random((4, 2))
     H = rng.random((2, 5))
-    dense = joint_objective(X, S, W, H, 1.0)
-    sp = joint_objective(sparse.csc_array(X), sparse.csc_array(S), W, H, 1.0)
+    dense = penalized_objective(X, S, W, H, H, 1.0, 0.0)
+    sp = penalized_objective(sparse.csc_array(X), sparse.csc_array(S), W, H, H, 1.0, 0.0)
     assert abs(dense - sp) <= 1e-9 * max(dense, 1.0)
 
 
@@ -540,8 +543,8 @@ def test_trials_recorded_in_seed_order(method):
     assert multi.seed_used == 5 + best
     assert (multi.H == multi.trials[best].H).all()
     if method == "joint":
-        alpha = default_alpha(X, S)
-        expected = (alpha, default_beta(alpha, S))
+        alpha = frobenius_norm_sq(X) / frobenius_norm_sq(S)
+        expected = (alpha, alpha * max_abs(S))
     elif method == "symnmf":
         expected = (None, max_abs(S))
     else:

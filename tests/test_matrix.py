@@ -19,7 +19,6 @@ from jointnmf.matrix import (
     as_csc,
     as_dense,
     frobenius_norm_sq,
-    is_symmetric,
     max_abs,
     read_matrix_market,
     read_names,
@@ -54,13 +53,15 @@ def test_max_abs():
 
 
 def test_is_symmetric():
-    assert is_symmetric(np.eye(3))
-    assert is_symmetric(sparse.csc_array(np.eye(3)))
+    require_symmetric(np.eye(3))
+    require_symmetric(sparse.csc_array(np.eye(3)))
     A = np.array([[0.0, 1.0], [1.0 + 5e-13, 0.0]])
-    assert is_symmetric(A)
+    require_symmetric(A)
     B = np.array([[0.0, 1.0], [1.1, 0.0]])
-    assert not is_symmetric(B)
-    assert not is_symmetric(np.zeros((2, 3)))
+    with pytest.raises(NotSymmetric):
+        require_symmetric(B)
+    with pytest.raises(ShapeMismatch):
+        require_symmetric(np.zeros((2, 3)))
 
 
 def test_require_symmetric_errors():

@@ -17,8 +17,6 @@ from jointnmf.metrics import (
     average_f1,
     confusion,
     labeling_scores,
-    pairwise_counts,
-    pairwise_scores,
     read_labels,
     roc_curve,
 )
@@ -40,6 +38,12 @@ def brute_force_pairwise(pred, truth_sets):
             else:
                 tn += 1
     return tp, tn, fp, fn
+
+
+def pair_counts(pred, truth):
+    """(tp, tn, fp, fn) as labeling_scores reports them."""
+    s = labeling_scores(pred, truth)
+    return s["tp"], s["tn"], s["fp"], s["fn"]
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +104,11 @@ def test_confusion_without_explicit_cluster_count():
 def test_pairwise_fixture():
     pred = [0, 1, 1, 1]
     truth = [{"a"}, {"a"}, {"b"}, {"b"}]
-    pc = pairwise_counts(pred, truth)
-    assert (pc.tp, pc.tn, pc.fp, pc.fn) == (1, 2, 2, 1)
-    s = pairwise_scores(pc)
-    assert s.pwf1 == 0.4
-    assert s.pwfpr == 0.5
-    assert s.pwfnr == 0.5
+    assert pair_counts(pred, truth) == (1, 2, 2, 1)
+    s = labeling_scores(pred, truth)
+    assert s["pwf1"] == 0.4
+    assert s["pwfpr"] == 0.5
+    assert s["pwfnr"] == 0.5
 
 
 def test_pairwise_totals():
@@ -114,8 +117,7 @@ def test_pairwise_totals():
         n = int(rng.integers(2, 9))
         pred = rng.integers(0, 3, n).tolist()
         truth = [{int(x) for x in rng.integers(0, 3, rng.integers(1, 3))} for _ in range(n)]
-        pc = pairwise_counts(pred, truth)
-        assert pc.total == n * (n - 1) // 2
+        assert sum(pair_counts(pred, truth)) == n * (n - 1) // 2
 
 
 def test_pairwise_matches_brute_force():
@@ -130,8 +132,7 @@ def test_pairwise_matches_brute_force():
                 {int(x) for x in rng.choice(4, size=rng.integers(1, 4), replace=False)}
                 for _ in range(n)
             ]
-        pc = pairwise_counts(pred, truth)
-        assert (pc.tp, pc.tn, pc.fp, pc.fn) == brute_force_pairwise(pred, truth)
+        assert pair_counts(pred, truth) == brute_force_pairwise(pred, truth)
 
 
 @st.composite
@@ -153,9 +154,9 @@ def labelings(draw):
 @given(labelings())
 def test_counts_match_per_item_and_per_pair_references(labeling):
     pred, truth = labeling
-    pc = pairwise_counts(pred, truth)
-    assert (pc.tp, pc.tn, pc.fp, pc.fn) == brute_force_pairwise(pred, truth)
-    assert pc.total == len(pred) * (len(pred) - 1) // 2
+    pc = pair_counts(pred, truth)
+    assert pc == brute_force_pairwise(pred, truth)
+    assert sum(pc) == len(pred) * (len(pred) - 1) // 2
 
     per_item = Counter((p, lab) for p, s in zip(pred, truth) for lab in s)
     given_k = [{}] if isinstance(pred[0], str) else [{}, {"n_pred_clusters": 4}]
@@ -181,7 +182,7 @@ def test_pairwise_counts_memory_is_not_quadratic():
     truth = [{int(a), int(b)} for a, b in rng.integers(0, 10, (n, 2))]
     tracemalloc.start()
     try:
-        pairwise_counts(pred, truth)
+        labeling_scores(pred, truth)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -199,13 +200,13 @@ def test_counts_follow_linked_set_pairs_not_distinct_sets_squared():
     start = time.perf_counter()
     try:
         cm = confusion(pred, truth, n_pred_clusters=10)
-        pc = pairwise_counts(pred, truth)
+        tp, _, fp, fn = pair_counts(pred, truth)
         seconds = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # neighbours i, i+1 share a label and never a cluster
-    assert (pc.tp, pc.fn, pc.fp) == (0, n - 1, 10 * (200 * 199 // 2))
+    assert (tp, fn, fp) == (0, n - 1, 10 * (200 * 199 // 2))
     assert cm.counts.shape == (10, n + 1) and cm.counts.sum() == 2 * n
     assert seconds < 2.0
     assert peak < 8 * 2**20
@@ -214,23 +215,20 @@ def test_counts_follow_linked_set_pairs_not_distinct_sets_squared():
 def test_pairwise_undefined_scores_are_none():
     # all pairs truth-connected: TN + FP = 0 so the false positive rate
     # has an empty denominator
-    pc = pairwise_counts([0, 1], [{"a"}, {"a"}])
-    s = pairwise_scores(pc)
-    assert s.pwfpr is None
-    assert s.pwfnr == 1.0
+    s = labeling_scores([0, 1], [{"a"}, {"a"}])
+    assert s["pwfpr"] is None
+    assert s["pwfnr"] == 1.0
     # nothing truth-connected: FN + TP = 0
-    pc2 = pairwise_counts([0, 0], [{"a"}, {"b"}])
-    s2 = pairwise_scores(pc2)
-    assert s2.pwfnr is None
-    assert s2.pwfpr == 1.0
+    s2 = labeling_scores([0, 0], [{"a"}, {"b"}])
+    assert s2["pwfnr"] is None
+    assert s2["pwfpr"] == 1.0
     # no positive calls anywhere: PWF1 denominator empty
-    pc3 = pairwise_counts([0, 1], [{"a"}, {"b"}])
-    assert pairwise_scores(pc3).pwf1 is None
+    assert labeling_scores([0, 1], [{"a"}, {"b"}])["pwf1"] is None
 
 
 def test_pairwise_needs_two_items():
     with pytest.raises(DataError):
-        pairwise_counts([0], [{"a"}])
+        labeling_scores([0], [{"a"}])
 
 
 def test_an_item_without_a_truth_label_is_label_missing():
@@ -238,12 +236,12 @@ def test_an_item_without_a_truth_label_is_label_missing():
     with pytest.raises(LabelMissing, match="^item 1 has no label$"):
         confusion([0, 1], [{"a"}, set()])
     with pytest.raises(LabelMissing, match="^item 1 has no label$"):
-        pairwise_counts(["x", "y"], [["a"], []])
+        labeling_scores(["x", "y"], [["a"], []])
 
 
 def test_labeling_scores_read_one_contingency_table(monkeypatch):
     # cluster --truth and eval encode each labeling once, and the scores
-    # equal those of the public confusion and pairwise counts
+    # equal those of the public confusion and of counting every pair
     calls = []
     contingency = metrics._contingency
     monkeypatch.setattr(metrics, "_contingency",
@@ -252,11 +250,12 @@ def test_labeling_scores_read_one_contingency_table(monkeypatch):
     truth = ["a", {"a", "b"}, "b", "c", "a", "b", "c"]
     scores = labeling_scores(pred, truth, 4)
     assert len(calls) == 1
-    pc = pairwise_counts(pred, truth)
+    tp, tn, fp, fn = brute_force_pairwise(pred, [{t} if isinstance(t, str) else t for t in truth])
     assert list(scores.items()) == [
         ("average_f1", average_f1(confusion(pred, truth, n_pred_clusters=4))),
-        *pairwise_scores(pc)._asdict().items(),
-        ("tp", pc.tp), ("tn", pc.tn), ("fp", pc.fp), ("fn", pc.fn),
+        ("pwf1", 2.0 * tp / (2.0 * tp + fn + fp)), ("pwfpr", fp / (fp + tn)),
+        ("pwfnr", fn / (fn + tp)),
+        ("tp", tp), ("tn", tn), ("fp", fp), ("fn", fn),
     ]
 
 

@@ -38,6 +38,18 @@ def test_perfbench_selftest_passes():
     assert done.returncode == 0, done.stderr
 
 
+def test_importing_the_package_loads_every_traced_layer(child_env):
+    # Tracer.install looks each layer up in sys.modules right after
+    # `import jointnmf`, so the package import alone must load them all
+    layers = perfbench_module("spans").LAYERS
+    code = ("import sys, jointnmf; "
+            f"print(sorted(l for l in {layers!r} if 'jointnmf.' + l not in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_solve_k10_setup_reads_tiny_inputs(tmp_path):
     workloads = perfbench_module("workloads")
     (tmp_path / "X.mtx").write_text(

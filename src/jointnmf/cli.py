@@ -282,7 +282,7 @@ def _cluster(args, opts) -> int:
         rows.append(row)
 
     out = _out_dir(args)
-    factorize.write_result(res, out)
+    _write_result(res, out)
     write_records(out / "labels.tsv", doc_ids, factorize.hard_assign(res.H))
     if truth_sets is not None:
         _write_metrics_table(out / "metrics.tsv", rows)
@@ -475,6 +475,18 @@ def _aligned_truth(truth_map, doc_ids):
             f"truth file does not label {len(missing)} document(s), e.g. {missing[0]!r}"
         )
     return [truth_map[d] for d in doc_ids]
+
+
+def _write_result(res, out):
+    # the factors as Matrix Market array files in the run directory out,
+    # and the objective after each sweep
+    if res.W is not None:
+        write_matrix_market(out / "W.mtx", res.W)
+    write_matrix_market(out / "H.mtx", res.H)
+    if res.H_tilde is not None:
+        write_matrix_market(out / "Htilde.mtx", res.H_tilde)
+    history = np.asarray(res.objective_history, dtype=np.float64)
+    write_records(out / "objective.log", range(1, history.size + 1), history)
 
 
 def _write_metrics_table(path, rows):

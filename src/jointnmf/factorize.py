@@ -29,14 +29,17 @@ left out, and a block without terms is skipped.  The block solves the
 summed normal equations by block principal pivoting in one nls call,
 started from the block's previous value.  With a positive definite Gram
 the start changes only the number of pivoting rounds, not the solution.
-One residual formula gives each term's value from the same products, so
-the objective is recorded after every block and every sweep without
-re-multiplying the inputs, and it never increases.  penalized_objective
-evaluates the H block's terms with the same formula.
+One residual formula, the package's one formula for the objective,
+gives each term's value from the same products, so the objective is
+recorded after every block and every sweep without re-multiplying the
+inputs, and it never increases.
 
-alpha defaults to ||X||_F^2 / ||S||_F^2 so both data terms start on the
-same scale, and beta defaults to alpha times the largest entry of S;
-the entry resolves both, and each result reports the weights it used.
+The entry reads a sparse X or S in canonical form (matrix.as_csc), so
+its checks, norms and products see the matrix the caller means however
+its entries are stored.  alpha defaults to ||X||_F^2 / ||S||_F^2 so
+both data terms start on the same scale, and beta defaults to alpha
+times the largest entry of S; the entry resolves both, and each result
+reports the weights it used.
 """
 
 from __future__ import annotations
@@ -44,34 +47,23 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+from numbers import Integral
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ShapeMismatch, ZeroSimilarity
-from .matrix import (
-    as_csc,
-    as_dense,
-    frobenius_norm_sq,
-    max_abs,
-    require_nonnegative,
-    require_symmetric,
-    write_matrix_market,
-    write_records,
-)
+from .matrix import as_csc, as_dense, frobenius_norm_sq, require_nonnegative, require_symmetric
 from .nls import nls_bpp_gram
 
 __all__ = [
     "FactorizeOptions",
     "FactorizationResult",
-    "penalized_objective",
     "nmf",
     "nmf_each",
     "symnmf",
     "joint_nmf",
     "hard_assign",
-    "write_result",
 ]
 
 STOP_FLOOR = 1e-30
@@ -87,11 +79,12 @@ class FactorizeOptions:
     """Settings shared by all three solvers.
 
     alpha and beta left as None are resolved from the data: alpha =
-    ||X||_F^2 / ||S||_F^2 and beta = alpha max|S| (symnmf: alpha = 1,
-    beta = max|S|).  trials > 1
-    runs independent starts from seeds seed, seed+1, ... and keeps the
-    best final objective.  A run stops after max_sweeps sweeps, or once
-    a sweep changes the objective by less than rel_tol relative.
+    ||X||_F^2 / ||S||_F^2 and beta = alpha max S (symnmf: alpha = 1,
+    beta = max S).  trials > 1 runs independent starts from seeds seed,
+    seed+1, ... and keeps the best final objective.  A run stops after
+    max_sweeps sweeps, or once a sweep changes the objective by less
+    than rel_tol relative.  k, max_sweeps, seed and trials are integers
+    (Python or numpy).
     """
 
     k: int
@@ -103,6 +96,9 @@ class FactorizeOptions:
     trials: int = 1
 
     def __post_init__(self):
+        for name in ("k", "max_sweeps", "seed", "trials"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         # NaN fails both comparisons, inf the upper one
@@ -144,32 +140,6 @@ class FactorizationResult:
     alpha: float | None = None
     beta: float | None = None
     trials: list[FactorizationResult] = field(default_factory=list)
-
-
-def penalized_objective(X, S, W, H, H_tilde, alpha: float, beta: float) -> float:
-    """The split objective the sweeps actually minimize.
-
-    X=None (with W=None) or S=None leaves that view out, so nmf's
-    objective is (X, None, W, H, None, 0, 0) and symnmf's is
-    (None, S, None, H, H_tilde, 1, beta).
-    """
-    X, S = _matrix(X, "X"), _matrix(S, "S")
-    W, H, Ht = (_matrix(F, name, dense=True) for F, name in ((W, "W"), (H, "H"), (H_tilde, "H_tilde")))
-    if (X is None) != (W is None):
-        raise ValueError("X and W must be given together")
-    if alpha != 0.0 and S is None or (alpha != 0.0 or beta != 0.0) and Ht is None:
-        raise ValueError("alpha needs S and H_tilde, and beta needs H_tilde")
-    k, n = H.shape
-    m = W.shape[0] if W is not None else None
-    for M, name, shape in ((X, "X", (m, n)), (W, "W", (m, k)), (S, "S", (n, n)), (Ht, "H_tilde", (k, n))):
-        if M is not None and M.shape != shape:
-            raise ShapeMismatch(f"{name} is {M.shape}, expected {shape} from W and H {H.shape}")
-    views, F = [], []
-    if X is not None:
-        views, F = [_text_view(X)], [W.T]
-    if Ht is not None:
-        views, F = views + [_similarity_view(S, alpha, beta)], F + [Ht]
-    return _objective([0.0] * 2 * len(views), _terms(views, F + [H], len(views)), H)
 
 
 def nmf(X, opts: FactorizeOptions) -> FactorizationResult:
@@ -216,19 +186,6 @@ def hard_assign(H) -> np.ndarray:
     return np.argmax(H, axis=0)
 
 
-def write_result(result: FactorizationResult, out_dir) -> None:
-    """Serialize factors as Matrix Market array files plus a sweep log."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if result.W is not None:
-        write_matrix_market(out / "W.mtx", result.W)
-    write_matrix_market(out / "H.mtx", result.H)
-    if result.H_tilde is not None:
-        write_matrix_market(out / "Htilde.mtx", result.H_tilde)
-    history = np.asarray(result.objective_history, dtype=np.float64)
-    write_records(out / "objective.log", range(1, history.size + 1), history)
-
-
 # ---------------------------------------------------------------------------
 # sweep engine
 
@@ -245,7 +202,7 @@ def _text_view(X):
 
 
 def _similarity_view(S, alpha, beta):
-    return _View(False, S, S, frobenius_norm_sq(S) if S is not None else 0.0, alpha, beta)
+    return _View(False, S, S, frobenius_norm_sq(S), alpha, beta)
 
 
 def _fit(views, opts):
@@ -296,22 +253,24 @@ def _setup(X, S, opts):
     views = [_text_view(X)] if X is not None else []
     if S is not None:
         # symnmf's one data term has weight 1; alpha defaults to the norm
-        # ratio, beta to alpha times the largest entry of S
+        # ratio, beta to alpha times the largest entry of S, checked
+        # nonnegative above
         a = 1.0 if X is None else opts.alpha
         if a is None:
             s = frobenius_norm_sq(S)
             if s == 0.0:
                 raise ZeroSimilarity("similarity matrix is identically zero")
             a = frobenius_norm_sq(X) / s
-        views.append(_similarity_view(S, a, opts.beta if opts.beta is not None else a * max_abs(S)))
+        b = opts.beta if opts.beta is not None else a * float(S.max())
+        views.append(_similarity_view(S, a, b))
     return views
 
 
-def _matrix(M, name, dense=False):
-    # M as a 2-d float64 matrix, CSC if sparse unless dense; None stays None
+def _matrix(M, name):
+    # M as a 2-d float64 matrix, canonical CSC if sparse; None stays None
     if M is None:
         return None
-    if sparse.issparse(M) and not dense:
+    if sparse.issparse(M):
         return as_csc(M)
     M = as_dense(M)
     if M.ndim != 2:

@@ -2,10 +2,13 @@
 
 Dense matrices are numpy float64 arrays.  Sparse matrices are scipy CSC
 arrays (column-compressed, float64), since every algorithm in this
-package walks columns.  On disk both live in Matrix Market files:
-coordinate format for sparse data (read general or symmetric, written
-general), array format for dense data.  Indices are 1-based on disk
-and 0-based in memory.
+package walks columns, in canonical form: as_csc, the one rule every
+entry of the package applies to sparse input, stores each entry once,
+rows ascending within each column, with no stored zeros, so a sum or
+check over the stored entries is one over the matrix.  On disk both
+live in Matrix Market files: coordinate format for sparse data (read
+general or symmetric, written general), array format for dense data.
+Indices are 1-based on disk and 0-based in memory.
 
 Every other file is UTF-8 text, one record per line, and passes through
 read_records and write_records: blank lines are skipped, fields are
@@ -31,7 +34,6 @@ __all__ = [
     "as_dense",
     "as_csc",
     "frobenius_norm_sq",
-    "max_abs",
     "require_nonnegative",
     "require_symmetric",
     "read_matrix_market",
@@ -52,12 +54,22 @@ def as_dense(m) -> np.ndarray:
 
 
 def as_csc(m) -> sparse.csc_array:
-    """Coerce to a float64 CSC array without copying when already one."""
-    if isinstance(m, sparse.csc_array) and m.dtype == np.float64:
-        return m
-    if sparse.issparse(m):
-        return sparse.csc_array(m, dtype=np.float64)
-    return sparse.csc_array(np.asarray(m, dtype=np.float64))
+    """m as a float64 CSC array in canonical form, the package's one rule
+    for sparse input: each entry stored once, rows ascending within each
+    column, no stored zeros.
+
+    Repeated entries are summed and stored zeros dropped in a copy, so
+    the caller's matrix stays as it is; a float64 CSC array already in
+    that form comes back as it is.
+    """
+    if not (isinstance(m, sparse.csc_array) and m.dtype == np.float64):
+        m = sparse.csc_array(m if sparse.issparse(m) else np.asarray(m, dtype=np.float64),
+                             dtype=np.float64)
+    if not (m.has_canonical_format and m.data.all()):
+        m = m.copy()
+        m.sum_duplicates()
+        m.eliminate_zeros()
+    return m
 
 
 def frobenius_norm_sq(m) -> float:
@@ -69,24 +81,11 @@ def frobenius_norm_sq(m) -> float:
     return float(np.vdot(a, a).real)
 
 
-def max_abs(m) -> float:
-    """Largest absolute entry; 0 for a matrix with no stored entries."""
-    if sparse.issparse(m):
-        if m.data.size == 0:
-            return 0.0
-        # implicit zeros never beat an explicit max, but an all-negative
-        # pattern with implicit zeros still has max_abs from the data
-        return float(np.abs(m.data).max())
-    a = np.asarray(m, dtype=np.float64)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).max())
-
-
 def require_nonnegative(m, what: str = "matrix"):
     """Reject NaN or infinite entries (NonFinite), then negative ones (NegativeEntries).
 
-    Sparse matrices are checked on their stored entries only.
+    A sparse m is checked on its stored entries, which for a canonical
+    one (as_csc) are its nonzero entries.
     """
     data = m.data if sparse.issparse(m) else np.asarray(m, dtype=np.float64)
     if not np.isfinite(data).all():

@@ -1,7 +1,8 @@
 """Nonnegative least squares by block principal pivoting.
 
-Solves min_{X >= 0} ||A X - B||_F^2 column by column on the normal
-equations: A^T A and A^T B are formed once and shared by every column.
+Solves min_{X >= 0} ||A X - B||_F^2 column by column in Gram form: the
+caller passes the normal-equation products A^T A and A^T B, and A^T A
+is shared by every column.
 Each column keeps a passive set (variables allowed to be positive) and
 an active set (variables pinned at zero).  A round solves the
 unconstrained system on the passive set, checks primal feasibility of
@@ -61,7 +62,7 @@ import numpy as np
 
 from .errors import NonConvergence, NonFinite, ShapeMismatch, SingularSystem
 
-__all__ = ["nls_bpp", "nls_bpp_gram", "kkt_residual_gram"]
+__all__ = ["nls_bpp_gram", "kkt_residual_gram"]
 
 # entries (columns x s x s) of one stacked passive-set solve: 256 columns
 # at s = 10, which keeps peak memory flat on wide solves
@@ -83,30 +84,11 @@ EIGEN_CUT = 1e-14
 ROUNDING_SLACK = 1e-9
 
 
-def nls_bpp(A, B) -> np.ndarray:
-    """Minimize ||A X - B||_F^2 over X >= 0.
-
-    A is dense m x k, B is dense m x n (a single m-vector is accepted
-    and returns a k-vector).  Returns the k x n optimizer.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2:
-        raise ShapeMismatch(f"A must be 2-d, got shape {A.shape}")
-    single = B.ndim == 1
-    if single:
-        B = B[:, None]
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise ShapeMismatch(f"A is {A.shape}, B is {B.shape}")
-    X = nls_bpp_gram(A.T @ A, A.T @ B)
-    return X[:, 0] if single else X
-
-
 def nls_bpp_gram(ata, atb, *, start=None, widths=None) -> np.ndarray:
-    """Same solver fed the precomputed products A^T A and A^T B (k x n).
+    """Minimize ||A X - B||_F^2 over X >= 0 given A^T A and A^T B (k x n).
 
-    This is the entry point the factorization sweeps use, since their
-    stacked subproblems assemble the products directly.  ata is one
+    Returns the k x n optimizer.  The factorization sweeps assemble the
+    products of their stacked subproblems directly.  ata is one
     k x k Gram for every column, or a (g, k, k) stack of Grams with
     widths, g column counts summing to n: Gram i serves the next
     widths[i] columns, and each column's solution is the one a call

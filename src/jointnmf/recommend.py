@@ -26,8 +26,8 @@ from scipy import sparse
 
 from .errors import EmptyCorpus, ShapeMismatch, ZeroQuery
 from .factorize import FactorizeOptions, joint_nmf, nmf, nmf_each
-from .matrix import as_dense, require_nonnegative
-from .nls import nls_bpp
+from .matrix import as_csc, as_dense, require_nonnegative
+from .nls import nls_bpp_gram
 
 __all__ = [
     "project",
@@ -48,7 +48,7 @@ def project(W, X) -> np.ndarray:
     if W.ndim != 2 or X.ndim != 2 or X.shape[0] != W.shape[0]:
         raise ShapeMismatch(f"W is {W.shape}, X is {X.shape}")
     require_nonnegative(X, what="X")
-    return nls_bpp(W, X)
+    return nls_bpp_gram(W.T @ W, W.T @ X)
 
 
 def score(H, Q, scoring: str) -> np.ndarray:
@@ -86,7 +86,7 @@ def recommend(scores, threshold: float) -> np.ndarray:
 
 def baseline_shared_words(X_train, X_test) -> np.ndarray:
     """Per test and training document (t × n), how many terms they share."""
-    X = sparse.csc_array(X_train, dtype=np.float64)
+    X = as_csc(X_train)
     Q = as_dense(X_test)
     if Q.ndim != 2 or Q.shape[0] != X.shape[0]:
         raise ShapeMismatch(f"X_train is {X.shape}, X_test is {Q.shape}")
@@ -149,14 +149,14 @@ def _augmented(X_train, X):
     as they are read, so a caller holds only those it still uses.
     """
     dense = not sparse.issparse(X_train)
-    X_train = as_dense(X_train) if dense else X_train.tocsc()
+    X_train = as_dense(X_train) if dense else as_csc(X_train)
     if X_train.ndim != 2 or X_train.shape[1] == 0:
         raise EmptyCorpus("X_train has no documents")
     if X_train.shape[0] != X.shape[0]:
         raise ShapeMismatch(f"X_train is {X_train.shape}, x has length {X.shape[0]}")
     if dense:
         return (np.hstack([X_train, x[:, None]]) for x in X.T)
-    return (sparse.hstack([X_train, sparse.csc_array(x[:, None])], format="csc") for x in X.T)
+    return (sparse.hstack([X_train, as_csc(x[:, None])], format="csc") for x in X.T)
 
 
 def _require_nonzero(Q, what):

@@ -5,11 +5,13 @@ duplicate documents, then tf-idf, then unit 2-norm columns.  The tf-idf
 variant is raw count times ln(n / df) with no smoothing.  top_terms
 reads a basis matrix back in terms of the same vocabulary.
 
-Each step is a few array passes over the CSC arrays of its input, which
-it leaves as it is, and returns a new matrix with the rows ascending
-within each column.  A step's temporaries are a fraction of a copy, so
-a caller that drops each step's input once it has the output holds one
-full-size copy of the corpus at a time, two while a step runs.
+A Corpus holds its counts, and normalize_columns reads a sparse X, in
+the canonical form of matrix.as_csc.  Each step is a few array passes
+over the CSC arrays of its input, which it leaves as it is, and returns
+a new matrix with the rows ascending within each column.  A step's
+temporaries are a fraction of a copy, so a caller that drops each
+step's input once it has the output holds one full-size copy of the
+corpus at a time, two while a step runs.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ DEFAULT_MIN_DOC_LEN = 5
 class Corpus:
     """Vocabulary, document ids and their terms x documents counts.
 
-    counts is held as a float64 CSC array with each (term, document)
-    entry stored once: repeated entries are summed and stored zeros
-    dropped, in a copy, so the caller's matrix stays as it is.  A term's
-    stored entries are thus the documents it is in.
+    counts is held in canonical form (matrix.as_csc): each (term,
+    document) entry stored once and no stored zeros, so a term's stored
+    entries are the documents it is in.  The caller's matrix stays as it
+    is.
     """
 
     vocab: list[str]
@@ -54,7 +56,7 @@ class Corpus:
     counts: sparse.csc_array  # terms x documents
 
     def __post_init__(self):
-        self.counts = _canonical(self.counts)
+        self.counts = as_csc(self.counts)
         m, n = self.counts.shape
         if len(self.vocab) != m:
             raise ShapeMismatch(
@@ -223,12 +225,12 @@ def tfidf(c: Corpus) -> sparse.csc_array:
 def normalize_columns(X):
     """Scale every column to unit 2-norm.  Idempotent.
 
-    A sparse X comes back as a new CSC array whose data is X's divided
-    by its column's norm, in one pass.  Duplicate entries are summed and
-    stored zeros dropped first, in a copy.
+    A sparse X comes back as a new CSC array whose data is that of X's
+    canonical form (matrix.as_csc) divided by its column's norm, in one
+    pass.
     """
     if sparse.issparse(X):
-        X = _canonical(X)
+        X = as_csc(X)
         data, indptr = X.data, X.indptr
         norms = np.sqrt(_column_sums(data * data, indptr))
         if np.any(norms == 0):
@@ -247,25 +249,9 @@ def normalize_columns(X):
     return X / norms
 
 
-def _canonical(M):
-    # M as a CSC array with repeated entries summed and stored zeros
-    # dropped, in a copy when it has either, so the caller's matrix stays
-    M = as_csc(M)
-    if not (M.has_canonical_format and M.data.all()):
-        M = M.copy()
-        M.sum_duplicates()
-        M.eliminate_zeros()
-    return M
-
-
 def read_corpus(vocab_path, doc_ids_path, counts_path) -> Corpus:
     """Load vocabulary, document id, and Matrix Market count files."""
-    vocab = read_names(vocab_path)
-    doc_ids = read_names(doc_ids_path)
-    counts = read_matrix_market(counts_path)
-    if not sparse.issparse(counts):
-        counts = as_csc(counts)
-    return Corpus(vocab, doc_ids, counts)
+    return Corpus(read_names(vocab_path), read_names(doc_ids_path), read_matrix_market(counts_path))
 
 
 def top_terms(W, vocab, t: int) -> list[list[tuple[str, float]]]:

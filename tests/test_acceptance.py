@@ -30,7 +30,7 @@ from jointnmf.metrics import (
     labeling_scores,
     roc_curve,
 )
-from jointnmf.nls import kkt_residual_gram, nls_bpp
+from jointnmf.nls import kkt_residual_gram, nls_bpp_gram
 from jointnmf.recommend import baseline_nmf2, project, score
 
 
@@ -81,7 +81,7 @@ def test_criterion_1_nls_matches_exhaustive_oracle():
         B = rng.random((6, 3))
         neg = rng.permutation(B.size)[: B.size // 2]
         B.ravel()[neg] *= -1.0
-        X = nls_bpp(A, B)
+        X = nls_bpp_gram(A.T @ A, A.T @ B)
         for c in range(B.shape[1]):
             resid = A @ X[:, c] - B[:, c]
             worst_gap = max(

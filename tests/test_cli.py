@@ -16,6 +16,7 @@ from scipy import sparse
 from jointnmf import cli
 from jointnmf.cli import build_parser, main, top_terms
 from jointnmf.errors import SingularSystem, VocabMismatch
+from jointnmf.factorize import FactorizeOptions, joint_nmf
 from jointnmf.matrix import read_matrix_market, write_matrix_market
 
 
@@ -167,6 +168,25 @@ def _shuffled_within_columns(entries, seed):
     cols = np.array([int(line.split()[1]) for line in entries])
     order = np.lexsort((rng.random(len(entries)), cols))
     return [entries[i] for i in order]
+
+
+def test_write_result_round_trip(tmp_path):
+    rng = np.random.default_rng(19)
+    X = rng.random((6, 8))
+    S = rng.random((8, 8))
+    S = (S + S.T) / 2
+    res = joint_nmf(X, S, FactorizeOptions(k=2, seed=0))
+    cli._write_result(res, tmp_path)
+    W = read_matrix_market(tmp_path / "W.mtx")
+    H = read_matrix_market(tmp_path / "H.mtx")
+    Ht = read_matrix_market(tmp_path / "Htilde.mtx")
+    assert (W == res.W).all() and (H == res.H).all() and (Ht == res.H_tilde).all()
+    lines = (tmp_path / "objective.log").read_text().splitlines()
+    assert len(lines) == res.sweeps_run
+    for i, line in enumerate(lines):
+        sweep, value = line.split("\t")
+        assert int(sweep) == i + 1
+        assert float(value) == res.objective_history[i]
 
 
 def test_cluster_repeated_doc_id_exits_2(tmp_path, capsys):

@@ -19,7 +19,6 @@ from jointnmf.matrix import (
     as_csc,
     as_dense,
     frobenius_norm_sq,
-    max_abs,
     read_matrix_market,
     read_names,
     read_records,
@@ -43,13 +42,6 @@ def test_frobenius_norm_sq_sparse_dense_agree():
         d = frobenius_norm_sq(M)
         s = frobenius_norm_sq(sparse.csc_array(M))
         assert abs(d - s) <= 1e-12 * max(d, 1.0)
-
-
-def test_max_abs():
-    assert max_abs(np.array([[0.0, -3.0], [2.0, 1.0]])) == 3.0
-    assert max_abs(sparse.csc_array(np.array([[0.0, 0.25]]))) == 0.25
-    assert max_abs(sparse.csc_array((2, 2))) == 0.0
-    assert max_abs(np.zeros((2, 2))) == 0.0
 
 
 def test_is_symmetric():
@@ -80,6 +72,20 @@ def test_as_dense_and_as_csc():
     assert sparse.issparse(C) and C.dtype == np.float64
     C2 = as_csc(sparse.coo_array(M))
     assert (C2.toarray() == D).all()
+
+
+@pytest.mark.parametrize("kind", [sparse.csc_array, sparse.csc_matrix])
+def test_as_csc_stores_each_entry_once_in_a_copy(kind):
+    # column 0 stores row 1 as a zero and row 0 as two halves, after it
+    M = kind((np.array([0.0, 0.5, 0.5, 2.0]), np.array([1, 0, 0, 1]), np.array([0, 3, 4])),
+             shape=(2, 2))
+    stored = [a.copy() for a in (M.data, M.indices, M.indptr)]
+    C = as_csc(M)
+    assert isinstance(C, sparse.csc_array) and C.dtype == np.float64
+    assert C.has_canonical_format and C.nnz == 2
+    assert C.toarray().tolist() == [[1.0, 0.0], [0.0, 2.0]]
+    assert all(np.array_equal(a, b) for a, b in zip(stored, (M.data, M.indices, M.indptr)))
+    assert as_csc(C) is C
 
 
 def test_sparse_round_trip_exact(tmp_path):

@@ -26,7 +26,6 @@ from jointnmf.nls import (
     ROUNDING_SLACK,
     STACK_ENTRIES,
     kkt_residual_gram,
-    nls_bpp,
     nls_bpp_gram,
 )
 
@@ -68,20 +67,20 @@ def pivot_from(ata, atb, support, **kw):
 
 def test_single_column_interior_solution():
     A = np.array([[1.0], [1.0]])
-    x = nls_bpp(A, np.array([1.0, 2.0]))
-    assert x.shape == (1,)
-    assert abs(x[0] - 1.5) <= 1e-12
+    x = nls_bpp_gram(A.T @ A, A.T @ np.array([[1.0], [2.0]]))
+    assert x.shape == (1, 1)
+    assert abs(x[0, 0] - 1.5) <= 1e-12
 
 
 def test_negative_target_clamps_to_zero():
     A = np.array([[1.0], [1.0]])
-    x = nls_bpp(A, np.array([-1.0, -2.0]))
-    assert x[0] == 0.0
+    x = nls_bpp_gram(A.T @ A, A.T @ np.array([[-1.0], [-2.0]]))
+    assert x[0, 0] == 0.0
 
 
 def test_identity_system_clips_negatives():
-    x = nls_bpp(np.eye(2), np.array([3.0, -2.0]))
-    assert x[0] == 3.0 and x[1] == 0.0
+    x = nls_bpp_gram(np.eye(2), np.array([[3.0], [-2.0]]))
+    assert x[0, 0] == 3.0 and x[1, 0] == 0.0
 
 
 def test_matches_oracle_on_random_instances():
@@ -91,7 +90,7 @@ def test_matches_oracle_on_random_instances():
         B = rng.random((6, 3))
         neg = rng.permutation(B.size)[: B.size // 2]
         B.ravel()[neg] *= -1.0
-        X = nls_bpp(A, B)
+        X = nls_bpp_gram(A.T @ A, A.T @ B)
         assert np.all(X >= 0.0)
         for c in range(B.shape[1]):
             star, _ = oracle_nnls(A, B[:, c])
@@ -101,11 +100,13 @@ def test_matches_oracle_on_random_instances():
 
 
 def test_gram_form_agrees_with_factored_form():
+    # the factored problem min ||A x - b||, x >= 0, solved column by
+    # column by scipy's Lawson-Hanson NNLS
     rng = np.random.default_rng(7)
     for _ in range(20):
         A = rng.random((8, 5))
         B = rng.standard_normal((8, 4))
-        X1 = nls_bpp(A, B)
+        X1 = np.column_stack([scipy.optimize.nnls(A, b)[0] for b in B.T])
         X2 = nls_bpp_gram(A.T @ A, A.T @ B)
         assert np.allclose(X1, X2, atol=1e-9, rtol=0.0)
         assert kkt_residual_gram(A.T @ A, A.T @ B, X2) <= 1e-10
@@ -115,10 +116,10 @@ def test_columns_solve_independently():
     rng = np.random.default_rng(3)
     A = rng.random((7, 3))
     B = rng.standard_normal((7, 5))
-    X = nls_bpp(A, B)
+    X = nls_bpp_gram(A.T @ A, A.T @ B)
     for c in range(5):
-        xc = nls_bpp(A, B[:, c])
-        assert np.allclose(X[:, c], xc, atol=1e-12, rtol=0.0)
+        xc = nls_bpp_gram(A.T @ A, A.T @ B[:, [c]])
+        assert np.allclose(X[:, [c]], xc, atol=1e-12, rtol=0.0)
 
 
 def test_columns_match_single_column_solves_across_chunks():
@@ -129,10 +130,10 @@ def test_columns_match_single_column_solves_across_chunks():
     rng = np.random.default_rng(13)
     A = rng.random((12, k))
     B = rng.standard_normal((12, n))
-    X = nls_bpp(A, B)
+    X = nls_bpp_gram(A.T @ A, A.T @ B)
     assert kkt_residual_gram(A.T @ A, A.T @ B, X) <= 1e-10
     for c in range(n):
-        assert np.allclose(X[:, c], nls_bpp(A, B[:, c]), atol=1e-12, rtol=0.0)
+        assert np.allclose(X[:, [c]], nls_bpp_gram(A.T @ A, A.T @ B[:, [c]]), atol=1e-12, rtol=0.0)
 
 
 def test_shared_support_columns_solved_in_one_group():
@@ -141,7 +142,7 @@ def test_shared_support_columns_solved_in_one_group():
     A = rng.random((6, 3))
     base = rng.random(3)
     B = A @ np.column_stack([base * s for s in np.linspace(0.5, 2.0, 12)])
-    X = nls_bpp(A, B)
+    X = nls_bpp_gram(A.T @ A, A.T @ B)
     assert kkt_residual_gram(A.T @ A, A.T @ B, X) <= 1e-10
     assert np.allclose(A @ X, B, atol=1e-9, rtol=0.0)
 
@@ -151,14 +152,14 @@ def test_exact_recovery_when_unconstrained_solution_feasible():
     A = rng.random((9, 4))
     X_true = rng.random((4, 3))
     B = A @ X_true
-    X = nls_bpp(A, B)
+    X = nls_bpp_gram(A.T @ A, A.T @ B)
     assert np.allclose(X, X_true, atol=1e-8, rtol=0.0)
 
 
 def test_zero_rhs_gives_zero_solution():
     rng = np.random.default_rng(6)
     A = rng.random((5, 3))
-    X = nls_bpp(A, np.zeros((5, 2)))
+    X = nls_bpp_gram(A.T @ A, A.T @ np.zeros((5, 2)))
     assert X.shape == (3, 2)
     assert np.all(X == 0.0)
 
@@ -175,7 +176,7 @@ def test_every_pending_column_is_rescued_when_the_pivot_budget_is_exhausted(monk
     rescued = []
     rescue = nls._lawson_hanson
     monkeypatch.setattr(nls, "_lawson_hanson", lambda ata, b: rescued.append(len(b)) or rescue(ata, b))
-    X = nls_bpp(A, B)
+    X = nls_bpp_gram(A.T @ A, A.T @ B)
     assert rescued == [1]
     assert np.all(X >= 0.0)
     assert kkt_residual_gram(A.T @ A, A.T @ B, X) <= 1e-10
@@ -194,7 +195,7 @@ def test_non_convergence_when_the_rescue_hits_its_iteration_limit(monkeypatch):
     real = scipy.optimize.nnls
     monkeypatch.setattr(scipy.optimize, "nnls", lambda F, g: real(F, g, maxiter=1))
     with pytest.raises(NonConvergence):
-        nls_bpp(A, b)
+        nls_bpp_gram(A.T @ A, A.T @ b[:, None])
 
 
 @pytest.mark.parametrize("ata, atb", [
@@ -258,8 +259,6 @@ def test_rescue_keeps_the_part_of_b_in_the_null_directions_of_the_gram(passive):
     assert X[0, 0] == 0.0
     assert X[1, 0] == pytest.approx(1.0 + 1e-8, rel=1e-13, abs=0.0)
     assert kkt_residual_gram(ata, atb, X) <= 1e-13
-    if passive is None:
-        assert np.array_equal(nls_bpp(A, y), X[:, 0])
 
 
 def test_rescue_solves_a_duplicated_column():
@@ -267,8 +266,8 @@ def test_rescue_solves_a_duplicated_column():
     # rescue finds one of the optima
     a = np.array([[1.0], [2.0], [3.0]])
     A = np.hstack([a, a])
-    b = (2.0 * a).ravel()
-    x = nls_bpp(A, b)
+    b = 2.0 * a
+    x = nls_bpp_gram(A.T @ A, A.T @ b)
     assert np.all(x >= 0.0)
     assert np.allclose(A @ x, b, atol=1e-6, rtol=0.0)
 
@@ -283,10 +282,10 @@ def test_rescue_solves_singular_columns_inside_a_chunk():
     e = np.array([0.0, 1.0, 0.0, 1.0])
     A = np.column_stack([a, a, e])
     B = np.column_stack([2.0 * a, e - a, a + e, -a, 3.0 * e, 2.0 * a + e])
-    X = nls_bpp(A, B)
+    X = nls_bpp_gram(A.T @ A, A.T @ B)
     assert np.all(X >= 0.0)
     for c in range(B.shape[1]):
-        assert np.allclose(X[:, c], nls_bpp(A, B[:, c]), atol=1e-12, rtol=0.0)
+        assert np.allclose(X[:, [c]], nls_bpp_gram(A.T @ A, A.T @ B[:, [c]]), atol=1e-12, rtol=0.0)
     assert np.allclose(A @ X[:, [0, 2, 4, 5]], B[:, [0, 2, 4, 5]], atol=1e-6, rtol=0.0)
     assert np.allclose(X[:, 1], [0.0, 0.0, 1.0]) and np.all(X[:, 3] == 0.0)
 
@@ -569,14 +568,6 @@ def test_kkt_residual_gram_reads_a_1d_rhs_as_one_column():
     for atb, X in ((np.ones((2, 3)), np.ones((2, 1))), (np.ones(3), np.ones(3)), (np.ones((2, 3)), np.ones(2))):
         with pytest.raises(ShapeMismatch):
             kkt_residual_gram(np.eye(2), atb, X)
-
-
-def test_1d_rhs_round_trip_shape():
-    rng = np.random.default_rng(9)
-    A = rng.random((5, 2))
-    b = rng.standard_normal(5)
-    x = nls_bpp(A, b)
-    assert x.ndim == 1 and x.shape == (2,)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from scipy import sparse
 from jointnmf import factorize
 from jointnmf.errors import EmptyCorpus, NonFinite, ShapeMismatch, ZeroQuery
 from jointnmf.factorize import FactorizeOptions, joint_nmf, nmf, nmf_each
-from jointnmf.nls import nls_bpp
+from jointnmf.nls import nls_bpp_gram
 from jointnmf.recommend import (
     baseline_nmf2,
     baseline_shared_words,
@@ -181,6 +181,15 @@ def test_shared_words_counts_support_overlap():
     assert baseline_shared_words(X.toarray(), Q).tolist() == [[2, 1], [0, 1]]
 
 
+def test_shared_words_count_a_term_stored_in_parts_once():
+    # training document 0 stores term 1 as 1 + 1, which counted as two
+    # shared words
+    X = sparse.csc_array((np.array([1.0, 1.0, 1.0, 3.0]), np.array([0, 1, 1, 2]),
+                          np.array([0, 3, 4])), shape=(3, 2))
+    Q = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert baseline_shared_words(X, Q).tolist() == [[2, 0], [0, 1]]
+
+
 def test_shared_words_zero_query_scores_zero():
     X = sparse.csc_array(np.eye(3))
     assert baseline_shared_words(X, np.zeros((3, 1))).tolist() == [[0, 0, 0]]
@@ -269,7 +278,8 @@ def test_evaluate_matches_the_one_query_functions():
     for t, x in enumerate(X_test.T):
         aug = sparse.hstack([X_train, sparse.csc_array(x[:, None])], format="csc")
         H2 = nmf(aug, opts).H
-        want = {name: explicit(fit.H, nls_bpp(fit.W, x)) for name, fit in fits.items()}
+        want = {name: explicit(fit.H, nls_bpp_gram(fit.W.T @ fit.W, fit.W.T @ x[:, None])[:, 0])
+                for name, fit in fits.items()}
         want["nmf2"] = explicit(H2[:, :n], H2[:, -1])
         for name, by_scoring in want.items():
             # one column projected alone may round apart from the batch
@@ -280,7 +290,7 @@ def test_evaluate_matches_the_one_query_functions():
         assert np.array_equal(got["sharedwords"][t], shared)
     # on the coordinates of the one batched projection, bit for bit
     for name, fit in fits.items():
-        Q = nls_bpp(fit.W, X_test)
+        Q = nls_bpp_gram(fit.W.T @ fit.W, fit.W.T @ X_test)
         for t in range(X_test.shape[1]):
             for scoring, ref in explicit(fit.H, Q[:, t]).items():
                 assert np.array_equal(got[f"{name}_{scoring}"][t], ref), name

@@ -52,7 +52,7 @@ from numbers import Integral
 import numpy as np
 from scipy import sparse
 
-from .errors import ShapeMismatch, ZeroSimilarity
+from .errors import NonFinite, ShapeMismatch, ZeroSimilarity
 from .matrix import as_csc, as_dense, frobenius_norm_sq, require_nonnegative, require_symmetric
 from .nls import nls_bpp_gram
 
@@ -197,14 +197,6 @@ def hard_assign(H) -> np.ndarray:
 _View = namedtuple("_View", "text own shared nsq weight beta")
 
 
-def _text_view(X):
-    return _View(True, X.T, X, frobenius_norm_sq(X), 1.0, 0.0)
-
-
-def _similarity_view(S, alpha, beta):
-    return _View(False, S, S, frobenius_norm_sq(S), alpha, beta)
-
-
 def _fit(views, opts):
     # the one entry of the solvers: yields one result per (X, S) pair of
     # views, all of one method (X is None for symnmf, S is None for nmf),
@@ -240,9 +232,16 @@ def _setup(X, S, opts):
     if X is None and S is None:
         raise ValueError("a fit needs X, S or both")
     X, S = _matrix(X, "X"), _matrix(S, "S")
+    nsq = {}
     for M, name in ((X, "X"), (S, "S")):
         if M is not None:
             require_nonnegative(M, what=name)
+            # each view's ||M||^2, computed once: its data term and the
+            # default alpha read it, and past float64's range it would
+            # drop a term out of the fit
+            nsq[name] = frobenius_norm_sq(M)
+            if np.isinf(nsq[name]):
+                raise NonFinite(f"nonfinite values: the squared norm of {name} overflows")
     if X is not None and S is not None and S.shape != (X.shape[1],) * 2:
         raise ShapeMismatch(f"X has {X.shape[1]} columns but S is {S.shape[0]}x{S.shape[1]}")
     if S is not None:
@@ -250,19 +249,18 @@ def _setup(X, S, opts):
     limit = min(X.shape) if X is not None else S.shape[0]
     if opts.k > limit:
         raise ValueError(f"k={opts.k} exceeds {'min(m, n)' if X is not None else 'n'}={limit}")
-    views = [_text_view(X)] if X is not None else []
+    views = [_View(True, X.T, X, nsq["X"], 1.0, 0.0)] if X is not None else []
     if S is not None:
         # symnmf's one data term has weight 1; alpha defaults to the norm
         # ratio, beta to alpha times the largest entry of S, checked
         # nonnegative above
         a = 1.0 if X is None else opts.alpha
         if a is None:
-            s = frobenius_norm_sq(S)
-            if s == 0.0:
+            if nsq["S"] == 0.0:
                 raise ZeroSimilarity("similarity matrix is identically zero")
-            a = frobenius_norm_sq(X) / s
+            a = nsq["X"] / nsq["S"]
         b = opts.beta if opts.beta is not None else a * float(S.max())
-        views.append(_similarity_view(S, a, b))
+        views.append(_View(False, S, S, nsq["S"], a, b))
     return views
 
 

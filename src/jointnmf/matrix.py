@@ -73,12 +73,14 @@ def as_csc(m) -> sparse.csc_array:
 
 
 def frobenius_norm_sq(m) -> float:
-    """Sum of squared entries. Zero only for the zero matrix."""
-    if sparse.issparse(m):
-        data = m.data
-        return float(np.dot(data, data)) if data.size else 0.0
-    a = np.asarray(m, dtype=np.float64)
-    return float(np.vdot(a, a).real)
+    """Sum of squared entries. Zero only for the zero matrix; inf, without
+    a warning, once the sum overflows float64."""
+    with np.errstate(over="ignore"):
+        if sparse.issparse(m):
+            data = m.data
+            return float(np.dot(data, data)) if data.size else 0.0
+        a = np.asarray(m, dtype=np.float64)
+        return float(np.vdot(a, a).real)
 
 
 def require_nonnegative(m, what: str = "matrix"):
@@ -112,7 +114,8 @@ def read_matrix_market(path):
     """Read a Matrix Market file.
 
     Coordinate files come back as float64 CSC arrays (symmetric storage is
-    expanded), array files as float64 ndarrays.
+    expanded), array files as float64 ndarrays.  A complex file is a
+    DataError naming it.
     """
     # the mmread backend reports a missing file as a parse error, and
     # crashes on a number with a dangling exponent at the very end of a
@@ -125,6 +128,9 @@ def read_matrix_market(path):
             source = io.BytesIO(fh.read() + b"\n")
     try:
         m = mmread(source)
+        if np.iscomplexobj(m):
+            # a float64 copy would keep the real parts alone
+            raise DataError(f"{path}: complex entries; expected real ones")
         if sparse.issparse(m):
             # a CSC array's column pointers are as many as the header's
             # columns, so a huge header fails here, not in mmread

@@ -8,13 +8,15 @@ of X, are placed by
     Q = argmin_{Q >= 0} ||X - W Q||_F
 
 and the scores of test document t against training document j are
-either the inner product (H^T q_t)_j or the cosine between q_t and
+both the inner product (H^T q_t)_j and the cosine between q_t and
 column j of H.  Three reference baselines: shared word count, NMF on
 text alone with the same projection (NMF-1), and NMF on the
 column-augmented matrix [X_train, x] reading off the last coordinate
-column (NMF-2), one fit per test document; evaluate runs those fits
-together, in lockstep (factorize.nmf_each).  Every score set is a
-test × train array.
+column (NMF-2), one fit per test document.  evaluate is the one input
+boundary: it checks the test documents once, fits every model, the
+NMF-2 fits together in lockstep (factorize.nmf_each), and returns
+every score set as a test × train array.  baseline_nmf2 is one NMF-2
+fit, and recommend thresholds a score set.
 """
 
 from __future__ import annotations
@@ -29,71 +31,13 @@ from .factorize import FactorizeOptions, joint_nmf, nmf, nmf_each
 from .matrix import as_csc, as_dense, require_nonnegative
 from .nls import nls_bpp_gram
 
-__all__ = [
-    "project",
-    "score",
-    "recommend",
-    "baseline_shared_words",
-    "baseline_nmf2",
-    "evaluate",
-]
-
-SCORINGS = ("inner", "cosine")
-
-
-def project(W, X) -> np.ndarray:
-    """Nonnegative coordinates (k × t) of the columns of X in the basis W."""
-    W = np.asarray(W, dtype=np.float64)
-    X = as_dense(X)
-    if W.ndim != 2 or X.ndim != 2 or X.shape[0] != W.shape[0]:
-        raise ShapeMismatch(f"W is {W.shape}, X is {X.shape}")
-    require_nonnegative(X, what="X")
-    return nls_bpp_gram(W.T @ W, W.T @ X)
-
-
-def score(H, Q, scoring: str) -> np.ndarray:
-    """Scores (t × n) of the query coordinates Q (k × t) against H.
-
-    H holds the training coordinates, k × n for all queries or a
-    (t, k, n) stack with one set per query.  Cosine scores of zero-norm
-    training columns are 0; a zero query is an error.
-    """
-    if scoring not in SCORINGS:
-        raise ValueError(f"unknown scoring {scoring!r}; use 'inner' or 'cosine'")
-    H = np.asarray(H, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.ndim != 2 or H.ndim not in (2, 3) or H.shape[-2] != Q.shape[0] or (
-        H.ndim == 3 and H.shape[0] != Q.shape[1]
-    ):
-        raise ShapeMismatch(f"H is {H.shape}, Q is {Q.shape}")
-    _require_nonzero(Q, "query")
-    # one matrix-vector product per query and one norm call per query
-    # keep every score equal, bit for bit, to scoring the queries one at
-    # a time; a single matrix product or a batched norm rounds differently
-    inner = np.matvec(np.swapaxes(H, -1, -2), Q.T)
-    if scoring == "inner":
-        return inner
-    q_norms = np.array([np.linalg.norm(q) for q in Q.T])
-    norms = np.linalg.norm(H, axis=-2)
-    return np.divide(inner, norms * q_norms[:, None], out=np.zeros_like(inner), where=norms > 0)
+__all__ = ["recommend", "baseline_nmf2", "evaluate"]
 
 
 def recommend(scores, threshold: float) -> np.ndarray:
     """Indices scoring strictly above the threshold."""
     scores = np.asarray(scores, dtype=np.float64)
     return np.flatnonzero(scores > threshold)
-
-
-def baseline_shared_words(X_train, X_test) -> np.ndarray:
-    """Per test and training document (t × n), how many terms they share."""
-    X = as_csc(X_train)
-    Q = as_dense(X_test)
-    if Q.ndim != 2 or Q.shape[0] != X.shape[0]:
-        raise ShapeMismatch(f"X_train is {X.shape}, X_test is {Q.shape}")
-    support = sparse.csc_array(
-        ((X.data > 0).astype(np.float64), X.indices, X.indptr), shape=X.shape
-    )
-    return (support.T @ (Q > 0).astype(np.float64)).T
 
 
 def baseline_nmf2(X_train, k: int, opts: FactorizeOptions | None, x) -> np.ndarray:
@@ -127,19 +71,41 @@ def evaluate(X_train, S_train, X_test, opts: FactorizeOptions) -> dict:
     # NMF-2 scores each query against its own fit: a (t, k, n+1) stack
     fits = np.stack([fit.H for fit in nmf_each(_augmented(X_train, X_test), opts)])
     models = {
-        "joint": (joint.H, project(joint.W, X_test)),
-        "nmf1": (text.H, project(text.W, X_test)),
+        "joint": (joint.H, nls_bpp_gram(joint.W.T @ joint.W, joint.W.T @ X_test)),
+        "nmf1": (text.H, nls_bpp_gram(text.W.T @ text.W, text.W.T @ X_test)),
         "nmf2": (fits[..., :n], fits[..., -1].T),
     }
     for name, (_, Q) in models.items():
         _require_nonzero(Q, f"{name} projection of test_x")
-    scores = {
-        f"{name}_{scoring}": score(H, Q, scoring)
-        for scoring in SCORINGS
-        for name, (H, Q) in models.items()
-    }
-    scores["sharedwords"] = baseline_shared_words(X_train, X_test)
+    inner, cosine = zip(*(_scores(H, Q) for H, Q in models.values()))
+    scores = {f"{name}_inner": s for name, s in zip(models, inner)}
+    scores.update({f"{name}_cosine": s for name, s in zip(models, cosine)})
+    scores["sharedwords"] = _shared_words(X_train, X_test)
     return scores
+
+
+def _scores(H, Q):
+    # the inner and cosine scores (t × n) of the query coordinates Q
+    # (k × t) against H, k × n for all queries or a (t, k, n) stack with
+    # one set per query; the cosine of a zero-norm training column is 0.
+    # One matrix-vector product per query and one norm call per query
+    # keep every score equal, bit for bit, to scoring the queries one at
+    # a time; a single matrix product or a batched norm rounds differently
+    inner = np.matvec(np.swapaxes(H, -1, -2), Q.T)
+    q_norms = np.array([np.linalg.norm(q) for q in Q.T])
+    norms = np.linalg.norm(H, axis=-2)
+    return inner, np.divide(inner, norms * q_norms[:, None], out=np.zeros_like(inner),
+                            where=norms > 0)
+
+
+def _shared_words(X_train, X_test):
+    # per test and training document (t × n), how many terms they share;
+    # the canonical X_train stores each term of a document once
+    X = as_csc(X_train)
+    support = sparse.csc_array(
+        ((X.data > 0).astype(np.float64), X.indices, X.indptr), shape=X.shape
+    )
+    return (support.T @ (X_test > 0).astype(np.float64)).T
 
 
 def _augmented(X_train, X):

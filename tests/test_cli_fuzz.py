@@ -7,7 +7,8 @@ with seeded tokens.  The cases run through
 `cli.main` in one child process (this file run as a script), so a
 crash in a parser fails the test instead of killing pytest.  The
 limit cases (ids at and past int64, huge Matrix Market headers, k at
-min(m, n), a vertex count set by one large id) run in-process.
+min(m, n), a vertex count set by one large id, complex Matrix Market
+files, entries whose squared norm overflows) run in-process.
 """
 
 import contextlib
@@ -178,6 +179,24 @@ def _limit_cases(root):
     nmf = ["cluster", "--method", "nmf", "--x", r("X.mtx"), "--max-sweeps", "5", *out]
     yield [*nmf, "--k", "8"], 0, ""
     yield [*nmf, "--k", "9"], 1, "k=9 exceeds min(m, n)=8"
+    # a complex file is refused, not read as its real part; as topics'
+    # W it has a row per vocab term
+    header = "%%MatrixMarket matrix {} complex general\n"
+    (root / "complex.mtx").write_text(header.format("coordinate") + "12 2 2\n1 1 1 2\n2 2 1 0\n")
+    (root / "complex_array.mtx").write_text(header.format("array") + "12 1\n" + "1 1\n" * 12)
+    for name in ("complex.mtx", "complex_array.mtx"):
+        yield ["cluster", "--method", "nmf", "--x", r(name), "--k", "1", *out], 2, f"{name}: complex"
+        yield ["topics", "--w", r(name), "--vocab", r("vocab.txt")], 2, f"{name}: complex"
+    # a squared norm past float64's range would turn a weight to 0 or
+    # the fit's products to inf
+    coordinate = "%%MatrixMarket matrix coordinate real general\n"
+    (root / "X_two.mtx").write_text(coordinate + "3 2 2\n1 1 1\n2 2 1\n")
+    (root / "X_huge.mtx").write_text(coordinate + "3 2 2\n1 1 1e200\n2 2 1\n")
+    (root / "S_huge.mtx").write_text(coordinate + "2 2 2\n1 1 1e200\n2 2 1\n")
+    yield ["cluster", "--method", "nmf", "--x", r("X_huge.mtx"), "--k", "1", *out], 2, \
+        "the squared norm of X overflows"
+    yield ["cluster", "--x", r("X_two.mtx"), "--similarity", r("S_huge.mtx"), "--k", "1", *out], \
+        2, "the squared norm of S overflows"
 
 
 def test_inputs_at_their_limits_exit_with_one_line(tmp_path):

@@ -235,6 +235,12 @@ def test_nonfinite_input_rejected_at_entry(as_sparse):
         joint_nmf(np.ones((3, 2)), wrap(S), FactorizeOptions(k=1))
     with pytest.raises(NonFinite):
         symnmf(wrap(S), FactorizeOptions(k=1))
+    # finite entries whose squared norm overflows, named by their view
+    huge = np.diag([1e200, 1.0])
+    with pytest.raises(NonFinite, match="the squared norm of X overflows"):
+        nmf(wrap(huge), FactorizeOptions(k=1))
+    with pytest.raises(NonFinite, match="the squared norm of S overflows"):
+        joint_nmf(np.eye(2), wrap(huge), FactorizeOptions(k=1))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@ def test_frobenius_norm_sq_known_value():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert frobenius_norm_sq(M) == 30.0
     assert frobenius_norm_sq(sparse.csc_array(M)) == 30.0
+    # past the float64 range: inf, without a warning (warnings fail the run)
+    M = np.diag([1e200, 1.0])
+    assert frobenius_norm_sq(M) == frobenius_norm_sq(sparse.csc_array(M)) == np.inf
 
 
 def test_frobenius_norm_sq_sparse_dense_agree():

@@ -39,7 +39,8 @@ its checks, norms and products see the matrix the caller means however
 its entries are stored.  alpha defaults to ||X||_F^2 / ||S||_F^2 so
 both data terms start on the same scale, and beta defaults to alpha
 times the largest entry of S; the entry resolves both, and each result
-reports the weights it used.
+reports the weights it used.  A default that is not finite is a
+NonFinite naming the weight, raised before any sweep.
 """
 
 from __future__ import annotations
@@ -253,15 +254,24 @@ def _setup(X, S, opts):
     if S is not None:
         # symnmf's one data term has weight 1; alpha defaults to the norm
         # ratio, beta to alpha times the largest entry of S, checked
-        # nonnegative above
+        # nonnegative above, so an S without a positive entry is zero
+        # (its squared norm can underflow to 0 while it has one)
         a = 1.0 if X is None else opts.alpha
+        top = float(S.max())
         if a is None:
-            if nsq["S"] == 0.0:
+            if top == 0.0:
                 raise ZeroSimilarity("similarity matrix is identically zero")
-            a = nsq["X"] / nsq["S"]
-        b = opts.beta if opts.beta is not None else a * float(S.max())
+            a = _finite_default("alpha", nsq["X"] / nsq["S"] if nsq["S"] else np.inf)
+        b = opts.beta if opts.beta is not None else _finite_default("beta", a * top)
         views.append(_View(False, S, S, nsq["S"], a, b))
     return views
+
+
+def _finite_default(name, value):
+    # a default weight past float64's range would fail inside the sweeps
+    if not np.isfinite(value):
+        raise NonFinite(f"the default {name} is not finite ({value}); pass {name} explicitly")
+    return value
 
 
 def _matrix(M, name):

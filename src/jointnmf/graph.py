@@ -1,10 +1,14 @@
 """Graphs, hypergraphs, and the similarity matrices built from them.
 
-Edges and hyperedges are one structure: a 0/1 incidence M with vertices
-as rows and edges as columns, an edge pair being a column with its two
-vertices.  Similarity for clustering is, for edge pairs, the adjacency A
-of the pairs or its degree-normalized form D^-1/2 A D^-1/2, and for
-hyperedges
+Edges and hyperedges arrive as one form, an int64 id array and the
+number of ids in each edge (read_hyperedges returns that pair), and
+become one structure: a 0/1 incidence M with vertices as rows and edges
+as columns, an edge pair being a column with its two vertices.
+`similarity` is the one builder of S from either source, and its steps
+are private; `symmetrize` and `normalized_adjacency`, the two steps of
+edge pairs, stay public for callers that build A themselves, as the
+benchmark's set-up does.  Similarity for clustering is, for edge pairs, the adjacency A of the pairs or its
+degree-normalized form D^-1/2 A D^-1/2, and for hyperedges
 
     S = Dv^-1/2 M De^-1 M^T Dv^-1/2
 
@@ -18,7 +22,6 @@ participants it shares.
 from __future__ import annotations
 
 import warnings
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -26,15 +29,7 @@ from scipy import sparse
 from .errors import EmptyGraph, IndexOutOfRange, ShapeMismatch, ZeroDegree
 from .matrix import as_csc, read_records
 
-__all__ = [
-    "symmetrize",
-    "normalized_adjacency",
-    "hypergraph_similarity",
-    "similarity",
-    "largest_connected_component",
-    "read_edge_list",
-    "read_hyperedges",
-]
+__all__ = ["similarity", "read_edge_list", "read_hyperedges", "symmetrize", "normalized_adjacency"]
 
 
 def symmetrize(edges, n_vertices: int | None = None) -> sparse.csc_array:
@@ -53,25 +48,27 @@ def symmetrize(edges, n_vertices: int | None = None) -> sparse.csc_array:
 def _edge_ids(edges):
     # the ids of the edges end to end as one int64 array, two per edge,
     # and the number of ids in each edge
-    try:
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-    except OverflowError:
-        raise IndexOutOfRange("an id does not fit 64 bits") from None
+    pairs = _int64(edges if isinstance(edges, np.ndarray) else list(edges))
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"edges must be pairs, got an array of shape {pairs.shape}")
     return pairs.ravel(), np.full(pairs.size // 2, 2)
 
 
-def _vertex_ids(edge_vertex_lists):
-    # every edge's vertex ids end to end as one int64 array, and the
-    # number of ids in each edge
-    edges = list(edge_vertex_lists)
-    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+def _hyperedge_ids(hyperedges):
+    # the (ids, sizes) pair as int64 arrays, edge j holding the next
+    # sizes[j] ids
+    ids, sizes = hyperedges
+    ids, sizes = _int64(ids), np.asarray(sizes, dtype=np.int64)
+    if ids.ndim != 1 or sizes.ndim != 1 or np.any(sizes < 0) or sizes.sum() != ids.size:
+        raise ValueError("hyperedges must be an id array and edge sizes that sum to its length")
+    return ids, sizes
+
+
+def _int64(ids):
     try:
-        ids = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+        return np.asarray(ids, dtype=np.int64)
     except OverflowError:
         raise IndexOutOfRange("an id does not fit 64 bits") from None
-    return ids, sizes
 
 
 def _checked(ids, sizes, n, gaps=False):
@@ -147,30 +144,29 @@ def normalized_adjacency(A) -> sparse.csc_array:
     return as_csc(d @ A @ d)
 
 
-def hypergraph_similarity(M) -> sparse.csc_array:
-    """Vertex similarity Dv^-1/2 M De^-1 M^T Dv^-1/2 of a 0/1 incidence M
-    (vertices x edges).
+def _hypergraph_similarity(M) -> sparse.csc_array:
+    """Vertex similarity Dv^-1/2 M De^-1 M^T Dv^-1/2 of a 0/1 CSC
+    incidence M (vertices x edges) whose every edge has a vertex.
 
     The diagonal is naturally nonzero and is kept.
     """
-    M = as_csc(M)
-    if M.shape[0] == 0 or M.shape[1] == 0:
-        raise EmptyGraph("hypergraph has no vertices or no edges")
     dv = M.sum(axis=1)
-    de = M.sum(axis=0)
     if np.any(dv == 0):
         bad = int(np.flatnonzero(dv == 0)[0])
         raise ZeroDegree(f"vertex {bad} belongs to no edge")
-    if np.any(de == 0):
-        bad = int(np.flatnonzero(de == 0)[0])
-        raise ZeroDegree(f"edge {bad} has no vertices")
     dvi = sparse.diags_array(1.0 / np.sqrt(dv))
-    dei = sparse.diags_array(1.0 / de)
+    dei = sparse.diags_array(1.0 / M.sum(axis=0))
     return as_csc(dvi @ M @ dei @ M.T @ dvi)
 
 
 def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=False, within=None):
-    """S over n documents from exactly one of edges or hyperedge lists.
+    """S over n documents from exactly one of edges or hyperedges.
+
+    edges are pairs, as read_edge_list returns them; hyperedges are the
+    (ids, sizes) pair read_hyperedges returns, edge j holding the next
+    sizes[j] ids (any integer sequences whose sizes sum to the number of
+    ids; a ValueError if not).  An id past int64 in either is an
+    IndexOutOfRange.
 
     n is the size of S, or None to infer it; with dual=True the documents
     are the hyperedges.  Both sources pass one id check: an id outside
@@ -186,7 +182,8 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     self-loop; a hyperedge is trimmed, and dropped once it is empty.  No
     edge left is an EmptyGraph, whatever the source and n.  Edges give
     D^-1/2 A D^-1/2 of the remaining pairs (A itself with raw_adjacency),
-    hyperedges hypergraph_similarity.  Returns S and the kept indices
+    hyperedges Dv^-1/2 M De^-1 M^T Dv^-1/2, where a vertex in no edge is
+    a ZeroDegree.  Returns S and the kept indices
     into within (or range(n)).  A flag the chosen source does not read is
     a ValueError.
     """
@@ -197,7 +194,7 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     if (edges is None) == (hyperedges is None):
         raise ValueError("give exactly one of edges or hyperedges")
     pairs = edges is not None
-    ids, sizes = _edge_ids(edges) if pairs else _vertex_ids(hyperedges)
+    ids, sizes = _edge_ids(edges) if pairs else _hyperedge_ids(hyperedges)
     if dual:
         # a vertex id in no hyperedge is an empty edge of the dual, which S
         # drops, so ids keep only their order
@@ -215,30 +212,32 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
         raise EmptyGraph("graph has no edges")
     kept = np.arange(M.shape[0])
     if within is not None:
-        kept, lcc_edges = largest_connected_component(M)
+        kept, lcc_edges = _largest_connected_component(M)
         M = M[kept][:, lcc_edges]
     if not pairs:
-        return hypergraph_similarity(M), kept
+        return _hypergraph_similarity(M), kept
     A = _adjacency(M)
     return (A if raw_adjacency else normalized_adjacency(A)), kept
 
 
-def largest_connected_component(M):
+def _largest_connected_component(M):
     """Vertices and edges of the largest component of a 0/1 incidence M
-    (vertices x edges), smallest vertex first on ties.
+    (vertices x edges) with at least one incidence, smallest vertex
+    first on ties.
 
     Vertices are connected when they share an edge.  The edges returned
     are those whose vertices all lie in the component; an empty edge
     lies in none.
     """
     coo = sparse.coo_array(M)
-    if not coo.nnz:
-        raise EmptyGraph("graph has no edges")
     nv, ne = coo.shape
     # edge j is node nv + j, joined to each of its vertices; an edge's
     # component is its node's, and an empty edge is a component alone
     labels = _component_labels(nv + ne, coo.row, nv + coo.col.astype(np.int64))
-    best = _best_component(labels[:nv])
+    # ties go to the component of the smallest vertex: a vertex's label
+    # is the smallest vertex of its component (vertices are numbered
+    # before edges), and argmax takes the first
+    best = int(np.argmax(np.bincount(labels[:nv])))
     return np.flatnonzero(labels[:nv] == best), np.flatnonzero(labels[nv:] == best)
 
 
@@ -272,13 +271,6 @@ def _component_labels(n, a, b):
             parent = up
 
 
-def _best_component(labels):
-    # largest component; ties go to the one containing the smallest
-    # vertex: a vertex's label is the smallest vertex of its component
-    # (vertices are numbered before edges), and argmax takes the first
-    return int(np.argmax(np.bincount(labels)))
-
-
 def read_edge_list(path) -> np.ndarray:
     """Parse `src<TAB>dst` lines (or any whitespace), 0-based, skipping blanks.
 
@@ -302,10 +294,34 @@ def read_edge_list(path) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def read_hyperedges(path) -> list[list[int]]:
-    """Parse one edge per line, whitespace-separated 0-based vertex ids."""
-    return list(read_records(path, sep=None, convert=lambda r: [_id(v) for v in r],
-                             expect="whitespace-separated integer vertex ids"))
+def read_hyperedges(path):
+    """Parse one edge per line, whitespace-separated 0-based vertex ids,
+    skipping blanks.
+
+    Returns the (ids, sizes) pair similarity takes: every line's ids end
+    to end as one int64 array, and the number of ids on each line.  The
+    file is converted a block of lines at a time, each id as int() reads
+    it; a file that fails to convert (a token int() rejects, an id past
+    int64, bytes that are not UTF-8) is read again line by line, which
+    names the first malformed line.
+    """
+    ids, sizes = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # about 64k characters of lines at a time: the ids held as
+            # strings stay few however long the file is
+            while lines := fh.readlines(1 << 16):
+                sizes.append(np.array([len(line.split()) for line in lines], dtype=np.int64))
+                ids.append(np.array("".join(lines).split(), dtype=np.int64))
+    except (ValueError, OverflowError):  # a UnicodeDecodeError too
+        # the line reader converts each id as the blocks do, so it stops
+        # at the first line that fails, with a DataError naming it
+        for _ in read_records(path, sep=None, convert=lambda r: [_id(v) for v in r],
+                              expect="whitespace-separated integer vertex ids"):
+            pass
+        raise
+    sizes = np.concatenate(sizes)
+    return np.concatenate(ids), sizes[sizes > 0]  # a blank line is no edge
 
 
 _INT64 = np.iinfo(np.int64)

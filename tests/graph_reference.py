@@ -13,6 +13,12 @@ from scipy.sparse import csgraph
 from jointnmf.errors import EmptyGraph, ZeroDegree
 
 
+def id_pair(edge_lists):
+    """The (ids, sizes) pair graph.similarity takes for hyperedges, as
+    plain lists: every list's ids end to end, and each list's length."""
+    return [v for e in edge_lists for v in e], [len(e) for e in edge_lists]
+
+
 def dense_incidence(edge_lists, n):
     """0/1 vertices x edges array; a vertex listed twice in an edge is one incidence."""
     M = np.zeros((n, len(edge_lists)))
@@ -44,7 +50,12 @@ def dense_similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacenc
     a gap or a vertex of zero degree, EmptyGraph for no edge left after
     the restriction to within.
     """
-    lists = [list(e) for e in (hyperedges if edges is None else edges)]
+    if edges is None:
+        ids, sizes = hyperedges
+        ends = np.cumsum(sizes, dtype=np.int64)
+        lists = [list(ids[end - size:end]) for size, end in zip(sizes, ends)]
+    else:
+        lists = [list(e) for e in edges]
     ids = sorted({v for e in lists for v in e})
     if dual:
         rank = {v: i for i, v in enumerate(ids)}

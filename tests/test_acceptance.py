@@ -10,7 +10,7 @@ import itertools
 import time
 
 import numpy as np
-from graph_reference import dense_similarity
+from graph_reference import dense_similarity, id_pair
 
 from jointnmf.cli import main
 from jointnmf.errors import EmptyGraph, ZeroDegree
@@ -180,7 +180,7 @@ def test_criterion_4_zero_weight_joint_degenerates_to_nmf():
 
 
 def test_criterion_5_hypergraph_similarity_exact_and_symmetric():
-    S, _ = similarity(hyperedges=[[0, 1], [1, 2], [2, 0]], n=3)
+    S, _ = similarity(hyperedges=id_pair([[0, 1], [1, 2], [2, 0]]), n=3)
     expect = 0.25 * np.ones((3, 3)) + 0.25 * np.eye(3)
     fixture_err = float(np.max(np.abs(S.toarray() - expect)))
 
@@ -188,8 +188,8 @@ def test_criterion_5_hypergraph_similarity_exact_and_symmetric():
     hyperedges = [[0, 1], [1, 2, 3], [3]]
     members = [[j for j, e in enumerate(hyperedges) if v in e] for v in range(4)]
     dual_exact = (
-        similarity(hyperedges=hyperedges, n=3, dual=True)[0]
-        != similarity(hyperedges=members, n=3)[0]
+        similarity(hyperedges=id_pair(hyperedges), n=3, dual=True)[0]
+        != similarity(hyperedges=id_pair(members), n=3)[0]
     ).nnz == 0
 
     rng = np.random.default_rng(31415)
@@ -202,12 +202,12 @@ def test_criterion_5_hypergraph_similarity_exact_and_symmetric():
             for _ in range(int(rng.integers(1, 8)))
         ]
         try:
-            R = similarity(hyperedges=edges, n=n)[0].toarray()
+            R = similarity(hyperedges=id_pair(edges), n=n)[0].toarray()
         except (EmptyGraph, ZeroDegree):
             # draws that leave a vertex uncovered don't count toward the 50
             continue
         worst_asym = max(worst_asym, float(np.max(np.abs(R - R.T))))
-        expect, _ = dense_similarity(hyperedges=edges, n=n)
+        expect, _ = dense_similarity(hyperedges=id_pair(edges), n=n)
         worst_gap = max(worst_gap, float(np.max(np.abs(R - expect))))
         built += 1
     ok = fixture_err <= 1e-14 and dual_exact and worst_asym <= 1e-14 and worst_gap <= 1e-14

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from graph_reference import dense_similarity
+from graph_reference import dense_similarity, id_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -630,6 +630,20 @@ def test_an_empty_graph_file_beside_x_is_one_data_error_from_every_source(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [1e-170, 1e-160])
+def test_a_default_alpha_past_the_float64_range_is_one_data_error(tmp_path, capsys, value):
+    # the first S used to read as identically zero, the second to fail
+    # inside the sweeps
+    write_matrix_market(tmp_path / "X.mtx", np.array([[1.0, 2.0], [3.0, 1.0]]))
+    write_matrix_market(tmp_path / "S.mtx", sparse.csc_array(np.diag([value, value])))
+    out = tmp_path / "o"
+    assert main(["cluster", "--x", str(tmp_path / "X.mtx"), "--similarity", str(tmp_path / "S.mtx"),
+                 "--k", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: the default alpha is not finite (inf); pass alpha explicitly"]
+    assert not out.exists()
+
+
 def test_an_id_named_only_by_a_self_loop_is_no_gap(tmp_path, capsys):
     # the self-loop is dropped from S, but its line names document 3
     (tmp_path / "loop.tsv").write_text("0\t1\n1\t2\n2\t0\n3\t3\n")
@@ -689,7 +703,7 @@ def test_hypergraph_sim_dual_takes_huge_participant_ids_by_their_order(tmp_path,
         "--out-dir", str(tmp_path / "o"),
     ]) == 0
     S = read_matrix_market(tmp_path / "o" / "S.mtx")
-    expect, _ = dense_similarity(hyperedges=[[0, 3], [3, 2], [0, 1]], n=None, dual=True)
+    expect, _ = dense_similarity(hyperedges=id_pair([[0, 3], [3, 2], [0, 1]]), n=None, dual=True)
     assert np.max(np.abs(S.toarray() - expect)) <= 1e-14
 
 
@@ -879,7 +893,7 @@ def test_hypergraph_sim_matches_library(tmp_path):
         "--out-dir", str(tmp_path / "o"),
     ]) == 0
     S = read_matrix_market(tmp_path / "o" / "S.mtx")
-    expect, _ = dense_similarity(hyperedges=[[0, 1, 2], [2, 3]], n=None)
+    expect, _ = dense_similarity(hyperedges=id_pair([[0, 1, 2], [2, 3]]), n=None)
     assert np.max(np.abs(S.toarray() - expect)) <= 1e-14
 
 
@@ -891,7 +905,7 @@ def test_hypergraph_sim_dual_skips_an_unused_participant_id(tmp_path):
         "--out-dir", str(tmp_path / "o"),
     ]) == 0
     S = read_matrix_market(tmp_path / "o" / "S.mtx")
-    expect, _ = dense_similarity(hyperedges=[[0, 1], [1, 2], [0, 2, 3]], n=None, dual=True)
+    expect, _ = dense_similarity(hyperedges=id_pair([[0, 1], [1, 2], [0, 2, 3]]), n=None, dual=True)
     assert np.max(np.abs(S.toarray() - expect)) <= 1e-14
 
 

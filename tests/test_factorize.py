@@ -89,6 +89,30 @@ def test_default_alpha_rejects_zero_similarity():
         resolved(np.ones((2, 3)), np.zeros((3, 3)))
 
 
+def test_a_similarity_whose_squared_norm_underflows_is_not_zero():
+    # ||S||^2 of diag(1e-170, 1e-170) underflows to 0, which used to read
+    # as an identically zero S; the default alpha it gives, and that of
+    # diag(1e-160, 1e-160), is past float64's range, which used to fail
+    # inside the sweeps
+    X = np.array([[1.0, 2.0], [3.0, 1.0]])
+    for v in (1e-170, 1e-160):
+        with pytest.raises(NonFinite, match=r"^the default alpha is not finite \(inf\); "
+                                            r"pass alpha explicitly$"):
+            joint_nmf(X, np.diag([v, v]), FactorizeOptions(k=1))
+        assert resolved(X, np.diag([v, v]), alpha=1.0, beta=1.0) == (1.0, 1.0)
+    # S has no positive entry: zero however it is stored
+    for S in (np.zeros((2, 2)), sparse.csc_array((2, 2)),
+              sparse.csc_array((np.zeros(2), ([0, 1], [0, 1])), shape=(2, 2))):
+        with pytest.raises(ZeroSimilarity, match="^similarity matrix is identically zero$"):
+            joint_nmf(X, S, FactorizeOptions(k=1))
+
+
+def test_a_default_beta_past_the_float64_range_is_refused_at_entry():
+    with pytest.raises(NonFinite, match=r"^the default beta is not finite \(inf\); "
+                                        r"pass beta explicitly$"):
+        joint_nmf(np.eye(2), np.diag([1e10, 1e10]), FactorizeOptions(k=1, alpha=1e300))
+
+
 def test_default_beta_scales_by_largest_entry():
     S = np.array([[0.0, 0.25], [0.25, 0.0]])
     assert resolved(np.ones((2, 2)), S, alpha=3.0)[1] == 0.75

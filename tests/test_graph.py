@@ -4,15 +4,15 @@ import time
 
 import numpy as np
 import pytest
-from graph_reference import csgraph_lcc, dense_incidence, dense_similarity
+from graph_reference import csgraph_lcc, dense_incidence, dense_similarity, id_pair
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from jointnmf.errors import DataError, EmptyGraph, IndexOutOfRange, ShapeMismatch, ZeroDegree
 from jointnmf.graph import (
-    hypergraph_similarity,
-    largest_connected_component,
+    _hypergraph_similarity,
+    _largest_connected_component,
     normalized_adjacency,
     read_edge_list,
     read_hyperedges,
@@ -79,11 +79,11 @@ def test_symmetrize_rejects_out_of_range():
 
 def test_hypergraph_from_edges_dedupes_within_edge():
     # vertex 1 listed twice in the first edge is one incidence
-    S, _ = similarity(hyperedges=[[0, 1, 1], [1, 2]], n=3)
-    expect, _ = similarity(hyperedges=[[0, 1], [1, 2]], n=3)
+    S, _ = similarity(hyperedges=id_pair([[0, 1, 1], [1, 2]]), n=3)
+    expect, _ = similarity(hyperedges=id_pair([[0, 1], [1, 2]]), n=3)
     assert (S != expect).nnz == 0
     with pytest.raises(IndexOutOfRange):
-        similarity(hyperedges=[[0, 9]], n=3)
+        similarity(hyperedges=id_pair([[0, 9]]), n=3)
 
 
 # ids around the range checks: negative, gaps, past n = 4 or 13, int64 max
@@ -113,7 +113,7 @@ def test_edges_and_two_vertex_hyperedges_pass_one_id_check(pairs, n):
     got = raised(symmetrize, pairs, n)
     assert got is None or got[0] is IndexOutOfRange
     edges = raised(similarity, pairs, n=n, raw_adjacency=True)
-    assert id_check(edges) == id_check(raised(similarity, hyperedges=[list(p) for p in pairs], n=n))
+    assert id_check(edges) == id_check(raised(similarity, hyperedges=id_pair(pairs), n=n))
     if n is not None:
         assert id_check(edges) == got
 
@@ -125,7 +125,7 @@ def test_edges_and_two_vertex_hyperedges_pass_one_id_check(pairs, n):
 @example(pairs=[(0, 0)])
 def test_edges_and_two_vertex_hyperedges_infer_one_n(pairs):
     got = raised(similarity, pairs, n=None, raw_adjacency=True)
-    want = raised(similarity, hyperedges=[list(p) for p in pairs], n=None)
+    want = raised(similarity, hyperedges=id_pair(pairs), n=None)
     if want is None and all(a == b for a, b in pairs):
         # the one n passed, but self-loops leave no edge pair, while a
         # one-vertex hyperedge is an edge
@@ -135,9 +135,9 @@ def test_edges_and_two_vertex_hyperedges_infer_one_n(pairs):
 
 def test_hypergraph_from_edges_names_the_first_edge_and_its_smallest_id_outside():
     with pytest.raises(IndexOutOfRange, match=r"^edge 1 references vertex -2 outside \[0, 3\)$"):
-        similarity(hyperedges=[[0, 2], [5, -1, 1, -2], [-7]], n=3)
+        similarity(hyperedges=id_pair([[0, 2], [5, -1, 1, -2], [-7]]), n=3)
     with pytest.raises(IndexOutOfRange, match="does not fit 64 bits"):
-        similarity(hyperedges=[[0], [2**63]], n=None)
+        similarity(hyperedges=id_pair([[0], [2**63]]), n=None)
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +188,24 @@ def test_normalized_adjacency_eigen_property():
 
 
 def test_hypergraph_similarity_single_edge():
-    S = hypergraph_similarity(incidence([[0, 1]], 2)).toarray()
+    S = _hypergraph_similarity(incidence([[0, 1]], 2)).toarray()
     assert np.max(np.abs(S - 0.5)) <= 1e-14
 
 
 def test_hypergraph_similarity_triangle_exact():
-    S = hypergraph_similarity(incidence([[0, 1], [1, 2], [2, 0]], 3)).toarray()
+    S = _hypergraph_similarity(incidence([[0, 1], [1, 2], [2, 0]], 3)).toarray()
     expect = 0.25 * np.ones((3, 3)) + 0.25 * np.eye(3)
     assert np.max(np.abs(S - expect)) <= 1e-14
 
 
 def test_hypergraph_similarity_single_vertex():
-    assert hypergraph_similarity(incidence([[0]], 1)).toarray().tolist() == [[1.0]]
+    assert _hypergraph_similarity(incidence([[0]], 1)).toarray().tolist() == [[1.0]]
 
 
 def test_hypergraph_similarity_errors():
-    with pytest.raises(EmptyGraph):
-        hypergraph_similarity(sparse.csc_array((0, 0)))
-    with pytest.raises(ZeroDegree):
-        hypergraph_similarity(incidence([[0]], 2))
-    with pytest.raises(ZeroDegree):
-        hypergraph_similarity(incidence([[0, 1], []], 2))
+    # similarity reaches this with a given n and a vertex in no edge
+    with pytest.raises(ZeroDegree, match="^vertex 1 belongs to no edge$"):
+        _hypergraph_similarity(incidence([[0]], 2))
 
 
 def test_hypergraph_similarity_symmetric_on_random_instances():
@@ -220,7 +217,7 @@ def test_hypergraph_similarity_symmetric_on_random_instances():
             size = int(rng.integers(1, n + 1))
             edges.append(list(rng.choice(n, size=size, replace=False)))
         edges.append(list(range(n)))  # no zero-degree vertices
-        S = hypergraph_similarity(incidence(edges, n)).toarray()
+        S = _hypergraph_similarity(incidence(edges, n)).toarray()
         assert np.max(np.abs(S - S.T)) <= 1e-14
 
 
@@ -233,12 +230,12 @@ def memberships(hyperedges):
 def test_dual_hypergraph_swaps_roles_and_involutes():
     # the dual's documents are the hyperedges, its edges the vertex ids
     hyperedges = [[0, 1], [1, 2, 3]]
-    S, kept = similarity(hyperedges=hyperedges, n=2, dual=True)
-    expect, _ = similarity(hyperedges=memberships(hyperedges), n=2)
+    S, kept = similarity(hyperedges=id_pair(hyperedges), n=2, dual=True)
+    expect, _ = similarity(hyperedges=id_pair(memberships(hyperedges)), n=2)
     assert (S != expect).nnz == 0 and kept.tolist() == [0, 1]
     assert memberships(memberships(hyperedges)) == hyperedges
-    S, _ = similarity(hyperedges=memberships(hyperedges), n=4, dual=True)
-    assert (S != similarity(hyperedges=hyperedges, n=4)[0]).nnz == 0
+    S, _ = similarity(hyperedges=id_pair(memberships(hyperedges)), n=4, dual=True)
+    assert (S != similarity(hyperedges=id_pair(hyperedges), n=4)[0]).nnz == 0
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +255,7 @@ def similarity_calls(draw):
         kw = {"edges": lists, "raw_adjacency": draw(st.booleans())}
     else:
         lists = draw(st.lists(st.lists(vertex, max_size=4), max_size=8))
-        kw = {"hyperedges": lists, "dual": source == "dual"}
+        kw = {"hyperedges": id_pair(lists), "dual": source == "dual"}
     if source == "dual":
         size = len(lists)
         kw["n"] = draw(st.sampled_from([None, size]))
@@ -276,7 +273,8 @@ def similarity_calls(draw):
 @example(kw={"edges": [], "n": None, "raw_adjacency": True})
 @example(kw={"edges": [(0, 1), (1, 2), (2, 3)], "n": 4, "raw_adjacency": False,
              "within": [1, 2, 3]})
-@example(kw={"hyperedges": [[0, 1], [2, 3], [1, 2]], "n": 4, "dual": False, "within": [0, 1]})
+@example(kw={"hyperedges": id_pair([[0, 1], [2, 3], [1, 2]]), "n": 4, "dual": False,
+             "within": [0, 1]})
 def test_similarity_equals_the_dense_formulas(kw):
     try:
         expect, kept = dense_similarity(**kw)
@@ -307,7 +305,7 @@ def assert_identical(S, ref):
 
 
 def test_similarity_matches_the_chains_it_replaces():
-    # the public steps called one after another give what similarity gives
+    # the steps called one after another give what similarity gives
     rng = np.random.default_rng(41)
     for _ in range(8):
         n = int(rng.integers(5, 30))
@@ -319,10 +317,10 @@ def test_similarity_matches_the_chains_it_replaces():
         S, _ = similarity(edges, n=n, raw_adjacency=True)
         assert_identical(S, A)
         M = incidence(hyperedges, n)
-        S, _ = similarity(hyperedges=hyperedges, n=n)
-        assert_identical(S, hypergraph_similarity(M))
-        S, kept = similarity(hyperedges=hyperedges, n=len(hyperedges), dual=True)
-        assert_identical(S, hypergraph_similarity(M.T))
+        S, _ = similarity(hyperedges=id_pair(hyperedges), n=n)
+        assert_identical(S, _hypergraph_similarity(M))
+        S, kept = similarity(hyperedges=id_pair(hyperedges), n=len(hyperedges), dual=True)
+        assert_identical(S, _hypergraph_similarity(M.T.tocsc()))
         assert kept.tolist() == list(range(len(hyperedges)))
 
 
@@ -335,7 +333,7 @@ def test_similarity_within_matches_restrict_component_restrict():
         pos = {int(v): i for i, v in enumerate(within)}
         # a pair that leaves within is dropped whole
         pairs = [(pos[u], pos[v]) for u, v in edges if u in pos and v in pos and u != v]
-        lcc, _ = largest_connected_component(incidence(pairs, len(within)))
+        lcc, _ = _largest_connected_component(incidence(pairs, len(within)))
         A = symmetrize(pairs, n_vertices=len(within))[lcc][:, lcc]
         for raw in (False, True):
             S, kept = similarity(edges, n=n, raw_adjacency=raw, within=within)
@@ -344,9 +342,9 @@ def test_similarity_within_matches_restrict_component_restrict():
         # a hyperedge is trimmed to within and dropped once empty
         trimmed = [t for t in ([pos[v] for v in e if v in pos] for e in hyperedges) if t]
         M = incidence(trimmed, len(within))
-        lcc_v, lcc_e = largest_connected_component(M)
-        S, kept = similarity(hyperedges=hyperedges, n=n, within=within)
-        assert_identical(S, hypergraph_similarity(M[lcc_v][:, lcc_e]))
+        lcc_v, lcc_e = _largest_connected_component(M)
+        S, kept = similarity(hyperedges=id_pair(hyperedges), n=n, within=within)
+        assert_identical(S, _hypergraph_similarity(M[lcc_v][:, lcc_e]))
         assert kept.tolist() == lcc_v.tolist()
 
 
@@ -354,13 +352,13 @@ def test_similarity_n_is_the_size_of_s():
     # documents 3 and 4 are in no hyperedge; with dual the 2 lines are
     # the documents, whatever the participant ids
     with pytest.raises(ZeroDegree):
-        similarity(hyperedges=[[0, 1], [1, 2]], n=5)
-    S, _ = similarity(hyperedges=[[0, 1], [1, 2]], n=5, within=np.arange(5))
+        similarity(hyperedges=id_pair([[0, 1], [1, 2]]), n=5)
+    S, _ = similarity(hyperedges=id_pair([[0, 1], [1, 2]]), n=5, within=np.arange(5))
     assert S.shape == (3, 3)
-    S, _ = similarity(hyperedges=[[0, 7], [7, 9]], n=2, dual=True)
+    S, _ = similarity(hyperedges=id_pair([[0, 7], [7, 9]]), n=2, dual=True)
     assert S.shape == (2, 2)
     with pytest.raises(ShapeMismatch):
-        similarity(hyperedges=[[0, 7], [7, 9]], n=3, dual=True)
+        similarity(hyperedges=id_pair([[0, 7], [7, 9]]), n=3, dual=True)
     with pytest.raises(IndexOutOfRange):
         similarity([(0, 5)], n=3)
 
@@ -371,11 +369,23 @@ def test_similarity_rejects_a_flag_its_source_does_not_read():
     with pytest.raises(ValueError, match="dual needs hyperedges"):
         similarity(n=2, dual=True)
     with pytest.raises(ValueError, match="raw adjacency needs edges"):
-        similarity(hyperedges=[[0, 1]], n=2, raw_adjacency=True)
+        similarity(hyperedges=id_pair([[0, 1]]), n=2, raw_adjacency=True)
     with pytest.raises(ValueError, match="exactly one"):
         similarity(n=2)
     with pytest.raises(ValueError, match="exactly one"):
         similarity([(0, 1)], [[0, 1]], n=2)
+
+
+def test_similarity_takes_hyperedges_as_one_id_pair(tmp_path):
+    # the pair read_hyperedges returns, or any integer sequences of that form
+    path = tmp_path / "h.txt"
+    path.write_text("0 1 2\n\n2 3\n")
+    S, _ = similarity(hyperedges=read_hyperedges(path), n=None)
+    expect, _ = similarity(hyperedges=([0, 1, 2, 2, 3], (3, 2)), n=None)
+    assert_identical(S, expect)
+    for bad in (([0, 1, 2], [2]), ([0, 1], [3, -1]), ([[0, 1]], [2]), ([0, 1], [[2]])):
+        with pytest.raises(ValueError, match="^hyperedges must be an id array and edge sizes"):
+            similarity(hyperedges=bad, n=None)
 
 
 def test_similarity_of_no_vertices_is_an_empty_graph_from_every_source():
@@ -385,28 +395,29 @@ def test_similarity_of_no_vertices_is_an_empty_graph_from_every_source():
             similarity([], n=None, **kw)
     for dual in (False, True):
         with pytest.raises(EmptyGraph, match="^graph has no edges$"):
-            similarity(hyperedges=[], n=None, dual=dual)
+            similarity(hyperedges=id_pair([]), n=None, dual=dual)
 
 
 def test_similarity_of_no_edge_left_is_one_empty_graph_whatever_n():
     # with n given, no edge used to be a ZeroDegree for normalized edges,
     # an n x n zero S for raw ones and another EmptyGraph for hyperedges;
     # self-loops, an empty hyperedge and edges leaving within leave none
-    for kw in ({"edges": []}, {"edges": [], "raw_adjacency": True}, {"hyperedges": []},
+    for kw in ({"edges": []}, {"edges": [], "raw_adjacency": True}, {"hyperedges": id_pair([])},
                {"edges": [(1, 1), (3, 3)]}, {"edges": [(2, 2)], "raw_adjacency": True},
-               {"hyperedges": [[]]}, {"edges": [(0, 1), (2, 3)], "within": [1, 2]},
-               {"hyperedges": [[0, 1]], "within": [2, 3, 4]}):
+               {"hyperedges": id_pair([[]])}, {"edges": [(0, 1), (2, 3)], "within": [1, 2]},
+               {"hyperedges": id_pair([[0, 1]]), "within": [2, 3, 4]}):
         with pytest.raises(EmptyGraph, match="^graph has no edges$"):
             similarity(n=5, **kw)
     with pytest.raises(EmptyGraph, match="^graph has no edges$"):
-        similarity(hyperedges=[[]], n=None, dual=True)
+        similarity(hyperedges=id_pair([[]]), n=None, dual=True)
 
 
 def test_similarity_within_must_be_ascending_distinct_positions():
     # kept indexes into within, so within=[3, 1, 2] would name row 0 of S
     # (vertex 1) as within[0] = 3
     for within in ([3, 1, 2], [1, 1, 2]):
-        for kw in ({"edges": [(0, 1), (1, 2), (2, 3)]}, {"hyperedges": [[0, 1], [1, 2], [2, 3]]}):
+        for kw in ({"edges": [(0, 1), (1, 2), (2, 3)]},
+                   {"hyperedges": id_pair([[0, 1], [1, 2], [2, 3]])}):
             with pytest.raises(ValueError, match="ascending"):
                 similarity(n=4, within=within, **kw)
     for within in ([1, 4], [-1, 2], [4, 1]):
@@ -421,28 +432,22 @@ def test_similarity_within_must_be_ascending_distinct_positions():
 
 
 def test_lcc_disjoint_hyperedges():
-    vertices, edges = largest_connected_component(incidence([[0, 1], [2, 3, 4]], 5))
+    vertices, edges = _largest_connected_component(incidence([[0, 1], [2, 3, 4]], 5))
     assert vertices.tolist() == [2, 3, 4]
     assert edges.tolist() == [1]
 
 
 def test_lcc_path_keeps_everything():
-    vertices, edges = largest_connected_component(incidence([(0, 1), (1, 2), (2, 3)], 4))
+    vertices, edges = _largest_connected_component(incidence([(0, 1), (1, 2), (2, 3)], 4))
     assert vertices.tolist() == [0, 1, 2, 3]
     assert edges.tolist() == [0, 1, 2]
 
 
 def test_lcc_tie_prefers_smallest_vertex():
-    vertices, edges = largest_connected_component(incidence([(0, 1), (2, 3)], 4))
+    vertices, edges = _largest_connected_component(incidence([(0, 1), (2, 3)], 4))
     assert (vertices.tolist(), edges.tolist()) == ([0, 1], [0])
-    vertices, edges = largest_connected_component(incidence([[2, 3], [0, 1]], 4))
+    vertices, edges = _largest_connected_component(incidence([[2, 3], [0, 1]], 4))
     assert (vertices.tolist(), edges.tolist()) == ([0, 1], [1])
-
-
-def test_lcc_empty_inputs_rejected():
-    for shape in ((3, 2), (3, 0), (0, 2)):
-        with pytest.raises(EmptyGraph, match="^graph has no edges$"):
-            largest_connected_component(sparse.csc_array(shape))
 
 
 @st.composite
@@ -460,10 +465,8 @@ def assert_lcc_equals_csgraph(M):
     try:
         expected = csgraph_lcc(M)
     except EmptyGraph:
-        with pytest.raises(EmptyGraph):
-            largest_connected_component(M)
-        return
-    vertices, edges = largest_connected_component(M)
+        return  # no incidence: similarity raises before it searches components
+    vertices, edges = _largest_connected_component(M)
     assert (vertices.tolist(), edges.tolist()) == (expected[0].tolist(), expected[1].tolist())
 
 
@@ -509,7 +512,7 @@ def test_lcc_of_a_long_path_in_random_order_is_fast():
     rows = np.column_stack([order[:-1], order[1:]]).ravel()
     M = sparse.csc_array((np.ones(rows.size), (rows, np.arange(rows.size) // 2)), shape=(n, n - 1))
     start = time.perf_counter()
-    vertices, edges = largest_connected_component(M)
+    vertices, edges = _largest_connected_component(M)
     assert time.perf_counter() - start < 2.0
     assert vertices.size == n and edges.size == n - 1
 
@@ -526,8 +529,8 @@ def test_induce_subgraph():
 def test_induce_subhypergraph_drops_emptied_edges():
     # [1, 2] is trimmed to [1]; [2, 3] is emptied and dropped, where it
     # would be an edge with no vertices
-    S, kept = similarity(hyperedges=[[0, 1], [2, 3], [1, 2]], n=4, within=[0, 1])
-    expect, _ = similarity(hyperedges=[[0, 1], [1]], n=2)
+    S, kept = similarity(hyperedges=id_pair([[0, 1], [2, 3], [1, 2]]), n=4, within=[0, 1])
+    expect, _ = similarity(hyperedges=id_pair([[0, 1], [1]]), n=2)
     assert (S != expect).nnz == 0 and kept.tolist() == [0, 1]
 
 
@@ -540,8 +543,8 @@ def test_lcc_then_induce_leaves_no_zero_degrees():
             for _ in range(int(rng.integers(2, 6)))
         ]
         M = incidence(edges, n)
-        vertices, kept = largest_connected_component(M)
-        S = hypergraph_similarity(M[vertices][:, kept])  # would raise ZeroDegree on a bad cut
+        vertices, kept = _largest_connected_component(M)
+        S = _hypergraph_similarity(M[vertices][:, kept])  # would raise ZeroDegree on a bad cut
         assert S.shape == (len(vertices), len(vertices))
 
 
@@ -602,20 +605,23 @@ SPACES = " \t\v"
 
 
 @st.composite
-def edge_files(draw):
+def edge_files(draw, fields=None):
     """Edge-list bytes over whitespace, line ends, blank lines and id
     forms, with or without a final newline; files drawn with BAD_IDS
-    also get wrong field counts, a BOM and bytes that are not UTF-8."""
+    also get wrong field counts, a BOM and bytes that are not UTF-8.
+    fields, if given, draws the id count of each line instead."""
     ids = draw(st.sampled_from([PLAIN_IDS, INT_IDS, BAD_IDS]))
     bad = ids is BAD_IDS
+    if fields is None:
+        fields = st.sampled_from([2, 2, 2, 2, 1, 3] if bad else [2])
     lines = []
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 4)) == 0:
             line = draw(st.text(SPACES, max_size=3))  # blank or whitespace only
         else:
-            fields = draw(st.sampled_from([2, 2, 2, 2, 1, 3] if bad else [2]))
+            count = draw(fields)
             line = draw(st.text(SPACES, min_size=1, max_size=3)).join(
-                draw(ids) for _ in range(fields))
+                draw(ids) for _ in range(count))
             line = draw(st.text(SPACES, max_size=2)) + line + draw(st.text(SPACES, max_size=2))
         lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
     text = "".join(lines)
@@ -654,11 +660,67 @@ def test_read_edge_list_equals_the_line_reader(tmp_path_factory, raw):
         assert np.array_equal(got, expect)
 
 
+def reference_hyperedges(path):
+    """The per-line reader: read_records and int() on each field, each id
+    within int64, as the (ids, sizes) pair."""
+    def ids(rec):
+        line = [int(v) for v in rec]
+        if not all(-2**63 <= v < 2**63 for v in line):
+            raise ValueError("id outside int64")
+        return line
+    lines = list(read_records(path, sep=None, convert=ids,
+                              expect="whitespace-separated integer vertex ids"))
+    return (np.array([v for line in lines for v in line], dtype=np.int64),
+            np.array([len(line) for line in lines], dtype=np.int64))
+
+
+@settings(max_examples=400)
+@given(raw=edge_files(fields=st.integers(1, 4)))
+@example(raw=b"0 1 2\n\n3\r\n4 5\r6")
+@example(raw="+7 1_0 \u0663\n".encode())
+@example(raw=b"\xef\xbb\xbf0 1\n")
+@example(raw=b"0 1\n\xff 2\n")
+@example(raw=b"5 1 99999999999999999999\n")
+@example(raw=b"5 9223372036854775807\n-9223372036854775808\n")
+@example(raw=b"")
+@example(raw=b" \n\t\n")
+def test_read_hyperedges_equals_the_line_reader(tmp_path_factory, raw):
+    # a file the line reader rejects gives its message, which names the
+    # first line with a token int() rejects or an id past int64
+    path = tmp_path_factory.getbasetemp() / "drawn_hyperedges.txt"
+    path.write_bytes(raw)
+    got, expect = outcome(read_hyperedges, path), outcome(reference_hyperedges, path)
+    if isinstance(expect, str):
+        assert got == expect
+    else:
+        assert not isinstance(got, str) and got[0].dtype == got[1].dtype == np.int64
+        assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+
+
+def test_read_hyperedges_names_a_bad_line_past_the_first_block(tmp_path):
+    # the file is converted a block of lines at a time; the line reader
+    # that names a failing line counts from the file's start
+    lines = [" ".join(map(str, range(i % 7, i % 7 + 5))) for i in range(30_000)]
+    path = tmp_path / "h.txt"
+    path.write_text("\n".join(lines) + "\n")
+    ids, sizes = read_hyperedges(path)
+    expect = reference_hyperedges(path)
+    assert np.array_equal(ids, expect[0]) and np.array_equal(sizes, expect[1])
+    for bad in ("x", str(2**63)):
+        lines[25_000] = f"1 {bad} 2"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"^{path}:25001: expected whitespace-separated "):
+            read_hyperedges(path)
+
+
 def test_read_hyperedges(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("0 1 2\n\n3 4\n")
-    assert read_hyperedges(path) == [[0, 1, 2], [3, 4]]
+    ids, sizes = read_hyperedges(path)
+    assert ids.dtype == sizes.dtype == np.int64
+    assert (ids.tolist(), sizes.tolist()) == ([0, 1, 2, 3, 4], [3, 2])
     bad = tmp_path / "bad.txt"
-    bad.write_text("0 oops\n")
-    with pytest.raises(DataError):
+    bad.write_text("0 1\n\n0 oops\n")
+    with pytest.raises(DataError, match=f"^{bad}:3: expected whitespace-separated integer "
+                                        "vertex ids, got '0 oops'$"):
         read_hyperedges(bad)

@@ -34,6 +34,16 @@ def test_jointnmf_recommend_is_the_submodule():
     assert recommend is sys.modules["jointnmf.recommend"]
 
 
+def test_graph_lists_only_the_builder_the_readers_and_the_benchmark_steps():
+    # the incidence, restriction, component and hypergraph steps are
+    # similarity's own; symmetrize and normalized_adjacency are listed
+    # because the benchmark's set-up calls them
+    from jointnmf import graph
+
+    assert graph.__all__ == ["similarity", "read_edge_list", "read_hyperedges", "symmetrize",
+                             "normalized_adjacency"]
+
+
 def test_every_name_a_module_lists_in_all_exists():
     # a stale __all__ entry would make the benchmark's tracer, which wraps
     # each listed function, raise AttributeError

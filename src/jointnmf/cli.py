@@ -134,10 +134,11 @@ def _factor_flags(p):
     p.add_argument("--k", type=int, help="number of clusters / factors")
     p.add_argument("--alpha", type=float, default=None, help="similarity weight (default: auto)")
     p.add_argument("--beta", type=float, default=None, help="tether weight (default: auto)")
-    p.add_argument("--max-sweeps", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    opts = factorize.FactorizeOptions
+    p.add_argument("--max-sweeps", type=int, default=opts.max_sweeps)
+    p.add_argument("--tol", type=float, default=opts.rel_tol)
+    p.add_argument("--seed", type=int, default=opts.seed)
+    p.add_argument("--trials", type=int, default=opts.trials)
 
 
 def _options(args) -> factorize.FactorizeOptions:

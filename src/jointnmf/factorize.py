@@ -300,7 +300,7 @@ def _terms(views, F, b):
         if v.weight != 0.0:
             terms.append((2 * i, v.weight, A @ A.T, A @ T, v.nsq))
         if v.beta != 0.0:
-            terms.append((2 * i + 1, v.beta, np.eye(A.shape[0]), A, float(np.vdot(A, A))))
+            terms.append((2 * i + 1, v.beta, np.eye(A.shape[0]), A, frobenius_norm_sq(A)))
     return terms
 
 

@@ -7,8 +7,12 @@ as columns, an edge pair being a column with its two vertices.
 `similarity` is the one builder of S from either source, and its steps
 are private; `symmetrize` and `normalized_adjacency`, the two steps of
 edge pairs, stay public for callers that build A themselves, as the
-benchmark's set-up does.  Similarity for clustering is, for edge pairs, the adjacency A of the pairs or its
-degree-normalized form D^-1/2 A D^-1/2, and for hyperedges
+benchmark's set-up does.  Every id, hyperedge size and `within`
+position passes one int64 conversion: a value that is not an integer
+(a fraction, a bool) is a ValueError naming it.
+
+Similarity for clustering is, for edge pairs, the adjacency A of the
+pairs or its degree-normalized form D^-1/2 A D^-1/2, and for hyperedges
 
     S = Dv^-1/2 M De^-1 M^T Dv^-1/2
 
@@ -58,17 +62,34 @@ def _hyperedge_ids(hyperedges):
     # the (ids, sizes) pair as int64 arrays, edge j holding the next
     # sizes[j] ids
     ids, sizes = hyperedges
-    ids, sizes = _int64(ids), np.asarray(sizes, dtype=np.int64)
+    ids, sizes = _int64(ids), _int64(sizes, "hyperedge size")
     if ids.ndim != 1 or sizes.ndim != 1 or np.any(sizes < 0) or sizes.sum() != ids.size:
         raise ValueError("hyperedges must be an id array and edge sizes that sum to its length")
     return ids, sizes
 
 
-def _int64(ids):
-    try:
-        return np.asarray(ids, dtype=np.int64)
-    except OverflowError:
-        raise IndexOutOfRange("an id does not fit 64 bits") from None
+def _int64(values, what="vertex id"):
+    """Ids, hyperedge sizes or positions as an int64 array.  An integer
+    array is taken as it is; any other must hold whole numbers: a
+    fraction, a bool, NaN or inf is a ValueError naming the first one.
+    A whole number past int64 is an IndexOutOfRange."""
+    a = np.asarray(values)
+    past = f"a {what} does not fit 64 bits"
+    if a.dtype.kind in "iu":
+        top = a.max() if a.dtype == np.uint64 and a.size else 0
+    else:
+        # floats or bools, or Python ints too large for int64 as objects
+        try:
+            f = a.astype(np.float64)
+        except OverflowError:  # an int past the float64 range
+            raise IndexOutOfRange(past) from None
+        bad = ~np.isfinite(f) | (np.trunc(f) != f) | (a.dtype == bool)
+        if bad.any():
+            raise ValueError(f"{what} {a[bad][:1].tolist()[0]!r} is not an integer")
+        top = np.abs(f).max() if f.size else 0
+    if top >= 2**63:  # exact for floats, where int64's max rounds up to 2**63
+        raise IndexOutOfRange(past)
+    return a.astype(np.int64, copy=False)
 
 
 def _checked(ids, sizes, n, gaps=False):
@@ -165,8 +186,9 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     edges are pairs, as read_edge_list returns them; hyperedges are the
     (ids, sizes) pair read_hyperedges returns, edge j holding the next
     sizes[j] ids (any integer sequences whose sizes sum to the number of
-    ids; a ValueError if not).  An id past int64 in either is an
-    IndexOutOfRange.
+    ids; a ValueError if not).  An id, size or within position that is
+    not an integer (0.5, True) is a ValueError naming it, and an id past
+    int64 an IndexOutOfRange.
 
     n is the size of S, or None to infer it; with dual=True the documents
     are the hyperedges.  Both sources pass one id check: an id outside
@@ -337,7 +359,7 @@ def _id(field) -> int:
 
 def _positions(within, n):
     """within as an int64 array of ascending distinct positions in [0, n)."""
-    idx = np.asarray(within, dtype=np.int64)
+    idx = _int64(within, "position")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexOutOfRange(f"vertex index outside [0, {n})")
     if np.any(np.diff(idx) <= 0):

@@ -73,14 +73,17 @@ def as_csc(m) -> sparse.csc_array:
 
 
 def frobenius_norm_sq(m) -> float:
-    """Sum of squared entries. Zero only for the zero matrix; inf, without
-    a warning, once the sum overflows float64."""
+    """Sum of squared entries (the stored ones of a sparse m), the
+    package's one squared norm.  Zero only for the zero matrix; inf,
+    without a warning, once the sum overflows float64.
+
+    einsum sums in numpy's own loop and in place, with no copy of a
+    dense m.  BLAS dot would split a long sum across its threads, so the
+    default weights and every objective would depend on the thread count.
+    """
+    x = np.asarray(m.data if sparse.issparse(m) else m, dtype=np.float64)
     with np.errstate(over="ignore"):
-        if sparse.issparse(m):
-            data = m.data
-            return float(np.dot(data, data)) if data.size else 0.0
-        a = np.asarray(m, dtype=np.float64)
-        return float(np.vdot(a, a).real)
+        return float(np.einsum(x, range(x.ndim), x, range(x.ndim), []))
 
 
 def require_nonnegative(m, what: str = "matrix"):

@@ -78,6 +78,8 @@ def test_top_terms_weights_non_increasing():
 def test_top_terms_vocab_mismatch():
     with pytest.raises(VocabMismatch):
         top_terms(np.ones((3, 1)), ["a", "b"], 1)
+    with pytest.raises(VocabMismatch, match=r"^W must be 2-d, got shape \(3,\)$"):
+        top_terms(np.ones(3), ["a", "b", "c"], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1311,6 +1313,38 @@ def test_module_entry_point_runs_without_runtime_warning(child_env):
         env=child_env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, child_env):
+    # OpenBLAS splits a long dot product across its threads, which moved
+    # the last bits of the default weights, the objectives, the factors
+    # and the joint scores; 40k stored entries are long enough to split
+    rng = np.random.default_rng(0)
+    n, t = 2000, 10
+    write_matrix_market(tmp_path / "X.mtx", sparse.random_array((200, n), density=0.1, rng=rng))
+    write_matrix_market(tmp_path / "Xte.mtx", sparse.random_array((200, t), density=0.1, rng=rng))
+    (tmp_path / "edges.tsv").write_text("".join(f"{i}\t{(i + 1) % n}\n" for i in range(n)))
+    (tmp_path / "tr.txt").write_text("".join(f"tr{i}\n" for i in range(n)))
+    (tmp_path / "te.txt").write_text("".join(f"te{i}\n" for i in range(t)))
+    (tmp_path / "cites.tsv").write_text("".join(f"te{i}\ttr{7 * i}\n" for i in range(t)))
+    fit = ["--edges", "edges.tsv", "--k", "10", "--max-sweeps", "3", "--tol", "0"]
+    commands = {
+        "cluster": ["cluster", "--method", "joint", "--x", "X.mtx", *fit],
+        "recommend": ["recommend", "--train-x", "X.mtx", "--train-ids", "tr.txt", "--test-x",
+                      "Xte.mtx", "--test-ids", "te.txt", "--citations", "cites.tsv", *fit],
+    }
+    outputs = {}
+    for threads in ("1", "2"):
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}-{threads}"
+            subprocess.run([sys.executable, "-m", "jointnmf.cli", *argv, "--out-dir", out.name],
+                           env=dict(child_env, OPENBLAS_NUM_THREADS=threads), cwd=tmp_path,
+                           check=True, capture_output=True, timeout=120)
+            outputs[name, threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    for name in commands:
+        one, two = outputs[name, "1"], outputs[name, "2"]
+        assert one.keys() == two.keys()
+        assert [f for f in sorted(one) if one[f] != two[f]] == [], name
 
 
 def test_unknown_command_exits_one(capsys):

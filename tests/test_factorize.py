@@ -206,6 +206,11 @@ def test_nmf_k_above_min_dim_rejected():
         nmf(np.ones((3, 5)), FactorizeOptions(k=4))
 
 
+def test_nmf_needs_a_matrix():
+    with pytest.raises(ShapeMismatch, match=r"^X must be 2-d, got shape \(3,\)$"):
+        nmf(np.ones(3), FactorizeOptions(k=1))
+
+
 def test_nmf_history_non_increasing():
     rng = np.random.default_rng(4)
     X = rng.random((10, 12))

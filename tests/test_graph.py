@@ -73,8 +73,33 @@ def test_symmetrize_rejects_out_of_range():
     with pytest.raises(IndexOutOfRange):
         symmetrize([(-1, 0)], n_vertices=3)
     for n in (3, None):
-        with pytest.raises(IndexOutOfRange):
-            symmetrize([(0, 1), (1, 2**64)], n_vertices=n)
+        for far in (2**64, 10**400):
+            with pytest.raises(IndexOutOfRange):
+                symmetrize([(0, 1), (1, far)], n_vertices=n)
+
+
+def test_symmetrize_takes_only_pairs():
+    with pytest.raises(ValueError, match=r"^edges must be pairs, got an array of shape \(1, 3\)$"):
+        symmetrize([(0, 1, 2)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: similarity(hyperedges=([0, 0.5, 1.7], [3]), n=None), "vertex id 0.5"),
+    (lambda: symmetrize([(0, 1), (0.2, 1.8)]), "vertex id 0.2"),
+    (lambda: similarity([(True, False)], n=None, raw_adjacency=True), "vertex id True"),
+    (lambda: similarity(hyperedges=([0, 1, 2], [2.5, 1]), n=None), "hyperedge size 2.5"),
+    (lambda: similarity([(0, 1), (1, 2)], n=3, within=[0, 1.2, 2.9]), "position 1.2"),
+], ids=["hyperedge-ids", "symmetrize-ids", "boolean-ids", "hyperedge-sizes", "within"])
+def test_a_value_that_is_not_an_integer_is_refused_by_name(call, message):
+    # each used to be cast to int64 silently: ids 0.5 and 1.7 read as the
+    # edge {0, 1}, and True and False as the pair (1, 0)
+    with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        call()
+
+
+def test_whole_floats_are_ids():
+    for n in (None, 4):
+        assert_identical(symmetrize([(0.0, 1.0), (3.0, 1.0)], n), symmetrize([(0, 1), (3, 1)], n))
 
 
 def test_hypergraph_from_edges_dedupes_within_edge():

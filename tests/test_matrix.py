@@ -59,6 +59,12 @@ def test_is_symmetric():
         require_symmetric(np.zeros((2, 3)))
 
 
+def test_write_matrix_market_needs_a_2d_array(tmp_path):
+    with pytest.raises(ShapeMismatch, match=r"^expected a 2-d array, got shape \(3,\)$"):
+        write_matrix_market(tmp_path / "v.mtx", np.ones(3))
+    assert not (tmp_path / "v.mtx").exists()
+
+
 def test_require_symmetric_errors():
     with pytest.raises(ShapeMismatch):
         require_symmetric(np.zeros((2, 3)))

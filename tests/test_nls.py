@@ -246,6 +246,16 @@ def test_singular_system_reported_for_a_dead_variable_beside_a_live_one():
         nls_bpp_gram(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
 
 
+def test_a_rescue_that_misses_the_kkt_conditions_is_singular():
+    # an indefinite A^T A, which no real A gives: the rescue solves on an
+    # eigen-factor with its negative eigenvalue raised, whose optimum is no
+    # KKT point of the problem as given
+    ata = [[1.0, 0.5, -1.0], [0.5, 1.0, -1.5], [-1.0, -1.5, 1.0]]
+    with pytest.raises(SingularSystem, match=r"^a rescued column misses the KKT conditions: "
+                                             r"A\^T A is not positive semidefinite$"):
+        nls_bpp_gram(ata, [[1.0], [1.0], [-1.0]])
+
+
 @pytest.mark.parametrize("passive", [None, [[True], [True]], [[True], [False]]])
 def test_rescue_keeps_the_part_of_b_in_the_null_directions_of_the_gram(passive):
     # A has full column rank, but A^T A rounds to [[1, 1], [1, 1]], whose

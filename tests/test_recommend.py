@@ -200,6 +200,11 @@ def test_nmf2_rejects_empty_training_set():
         baseline_nmf2(np.zeros((4, 0)), 1, FactorizeOptions(k=1), np.ones(4))
 
 
+def test_nmf2_rejects_a_query_of_another_length():
+    with pytest.raises(ShapeMismatch, match=r"^X_train is \(4, 3\), x has length 5$"):
+        baseline_nmf2(np.ones((4, 3)), 1, None, np.ones(5))
+
+
 # ---------------------------------------------------------------------------
 # models and end-to-end properties
 

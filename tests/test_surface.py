@@ -2,13 +2,15 @@
 
 `import jointnmf` exports the fits, their options and result and
 hard_assign, exactly the names README's library section lists; the
-rest of the library is reached through its submodules.
+rest of the library is reached through its submodules.  README's Python
+examples run as written.
 """
 
 import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +55,12 @@ def test_every_name_a_module_lists_in_all_exists():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_the_readme_python_examples_run(child_env, tmp_path):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) >= 2
+    for block in blocks:
+        done = subprocess.run([sys.executable, "-c", block], env=child_env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, f"{block}\n{done.stderr}"

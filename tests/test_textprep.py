@@ -136,6 +136,11 @@ def test_filter_monotone_in_term_threshold():
         assert set(tight.vocab) <= set(loose.vocab)
 
 
+def test_tfidf_of_no_documents_is_an_empty_corpus():
+    with pytest.raises(EmptyCorpus, match="^corpus has no documents$"):
+        tfidf(Corpus(["a", "b"], [], sparse.csc_array((2, 0))))
+
+
 def test_tfidf_hand_values():
     # term0 in doc0 only: idf = ln 2; counts 1 and 3
     M = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 1.0]])

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import factorize, graph, metrics, textprep
 from .errors import DataError, NumericalError, UniverseMismatch
-from .matrix import (as_dense, read_matrix_market, read_names, read_records,
+from .matrix import (as_dense, read_matrix_market, read_names, read_records, require_count,
                      write_matrix_market, write_records)
-from .recommend import evaluate, recommend as recommend_above
+from .recommend import _check_threshold, evaluate, recommend as recommend_above
 from .textprep import top_terms
 
 __all__ = ["main"]
@@ -367,8 +367,7 @@ def _cmd_recommend(args) -> int:
     opts = _options(args)
     if bool(args.similarity) == bool(args.edges):
         raise ValueError("recommend needs exactly one of --similarity or --edges")
-    if np.isnan(args.threshold):
-        raise ValueError("--threshold must not be NaN")
+    _check_threshold(args.threshold, "--threshold")
     X_train, train_ids = _named_columns(args.train_x, args.train_ids, "train")
     X_test, test_ids = _named_columns(args.test_x, args.test_ids, "test")
     if args.similarity:
@@ -417,7 +416,7 @@ def _cmd_hypergraph_sim(args) -> int:
 
 
 def _cmd_topics(args) -> int:
-    textprep._check_top_terms(args.top_terms)
+    require_count(args.top_terms, "top-terms count", 1)
     W = as_dense(read_matrix_market(args.w))
     vocab = read_names(args.vocab)
     _positions(vocab, "vocab terms")

@@ -48,13 +48,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 from scipy import sparse
 
 from .errors import NonFinite, ShapeMismatch, ZeroSimilarity
-from .matrix import as_csc, as_dense, frobenius_norm_sq, require_nonnegative, require_symmetric
+from .matrix import (as_csc, as_dense, frobenius_norm_sq, require_count, require_nonnegative,
+                     require_symmetric)
 from .nls import nls_bpp_gram
 
 __all__ = [
@@ -84,8 +84,9 @@ class FactorizeOptions:
     beta = max S).  trials > 1 runs independent starts from seeds seed,
     seed+1, ... and keeps the best final objective.  A run stops after
     max_sweeps sweeps, or once a sweep changes the objective by less
-    than rel_tol relative.  k, max_sweeps, seed and trials are integers
-    (Python or numpy).
+    than rel_tol relative.  k, max_sweeps, seed and trials are counts
+    (matrix.require_count): integers, not bools, seed at least 0 and the
+    others at least 1.
     """
 
     k: int
@@ -97,24 +98,14 @@ class FactorizeOptions:
     trials: int = 1
 
     def __post_init__(self):
-        for name in ("k", "max_sweeps", "seed", "trials"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        for name, least in (("k", 1), ("max_sweeps", 1), ("seed", 0), ("trials", 1)):
+            require_count(getattr(self, name), name, least)
         # NaN fails both comparisons, inf the upper one
-        if self.alpha is not None and not 0 <= self.alpha < np.inf:
-            raise ValueError("alpha must be finite and nonnegative")
-        if self.beta is not None and not 0 <= self.beta < np.inf:
-            raise ValueError("beta must be finite and nonnegative")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) is not None and not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if not 0 <= self.rel_tol < np.inf:
             raise ValueError("rel_tol must be finite and nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
 
 
 @dataclass
@@ -179,11 +170,14 @@ def hard_assign(H) -> np.ndarray:
     """Cluster of each column: row index of its largest coordinate.
 
     Ties go to the lowest row index, so the result is scale invariant
-    and deterministic.
+    and deterministic.  H may hold negative entries, but a NaN or an
+    infinite one, whose argmax would pick it, is a NonFinite.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] < 1:
         raise ShapeMismatch(f"H must be k x n with k >= 1, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise NonFinite("H has NaN or infinite entries")
     return np.argmax(H, axis=0)
 
 

@@ -8,8 +8,9 @@ as columns, an edge pair being a column with its two vertices.
 are private; `symmetrize` and `normalized_adjacency`, the two steps of
 edge pairs, stay public for callers that build A themselves, as the
 benchmark's set-up does.  Every id, hyperedge size and `within`
-position passes one int64 conversion: a value that is not an integer
-(a fraction, a bool) is a ValueError naming it.
+position passes matrix's id rule, one int64 conversion: a value that is
+not an integer (a fraction, a bool) is a ValueError naming it.  A given
+n or n_vertices passes matrix's count rule, require_count.
 
 Similarity for clustering is, for edge pairs, the adjacency A of the
 pairs or its degree-normalized form D^-1/2 A D^-1/2, and for hyperedges
@@ -31,7 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyGraph, IndexOutOfRange, ShapeMismatch, ZeroDegree
-from .matrix import as_csc, read_records
+from .matrix import _int64, as_csc, read_records, require_count
 
 __all__ = ["similarity", "read_edge_list", "read_hyperedges", "symmetrize", "normalized_adjacency"]
 
@@ -42,8 +43,11 @@ def symmetrize(edges, n_vertices: int | None = None) -> sparse.csc_array:
     edges is an (m, 2) integer array, as read_edge_list returns, or any
     iterable of pairs.  Either direction produces A_ij = A_ji = 1;
     self-loops are dropped and duplicates collapse.  Vertex count is
-    inferred from the largest id unless given.
+    inferred from the largest id unless given, as a count (a ValueError if
+    not one).
     """
+    if n_vertices is not None:
+        require_count(n_vertices, "n_vertices")
     ids, sizes = _edge_ids(edges)
     return _adjacency(_restrict(_incidence(ids, sizes, _checked(ids, sizes, n_vertices)),
                                 pairs=True))
@@ -66,30 +70,6 @@ def _hyperedge_ids(hyperedges):
     if ids.ndim != 1 or sizes.ndim != 1 or np.any(sizes < 0) or sizes.sum() != ids.size:
         raise ValueError("hyperedges must be an id array and edge sizes that sum to its length")
     return ids, sizes
-
-
-def _int64(values, what="vertex id"):
-    """Ids, hyperedge sizes or positions as an int64 array.  An integer
-    array is taken as it is; any other must hold whole numbers: a
-    fraction, a bool, NaN or inf is a ValueError naming the first one.
-    A whole number past int64 is an IndexOutOfRange."""
-    a = np.asarray(values)
-    past = f"a {what} does not fit 64 bits"
-    if a.dtype.kind in "iu":
-        top = a.max() if a.dtype == np.uint64 and a.size else 0
-    else:
-        # floats or bools, or Python ints too large for int64 as objects
-        try:
-            f = a.astype(np.float64)
-        except OverflowError:  # an int past the float64 range
-            raise IndexOutOfRange(past) from None
-        bad = ~np.isfinite(f) | (np.trunc(f) != f) | (a.dtype == bool)
-        if bad.any():
-            raise ValueError(f"{what} {a[bad][:1].tolist()[0]!r} is not an integer")
-        top = np.abs(f).max() if f.size else 0
-    if top >= 2**63:  # exact for floats, where int64's max rounds up to 2**63
-        raise IndexOutOfRange(past)
-    return a.astype(np.int64, copy=False)
 
 
 def _checked(ids, sizes, n, gaps=False):
@@ -190,7 +170,8 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
     not an integer (0.5, True) is a ValueError naming it, and an id past
     int64 an IndexOutOfRange.
 
-    n is the size of S, or None to infer it; with dual=True the documents
+    n is the size of S, a count (a ValueError if not: 3.5, True), or
+    None to infer it; with dual=True the documents
     are the hyperedges.  Both sources pass one id check: an id outside
     [0, n) is an IndexOutOfRange, and an n inferred as one more than the
     largest id is a ZeroDegree if a smaller id is on no edge (a self-loop
@@ -215,6 +196,8 @@ def similarity(edges=None, hyperedges=None, *, n, dual=False, raw_adjacency=Fals
         raise ValueError("raw adjacency needs edges")
     if (edges is None) == (hyperedges is None):
         raise ValueError("give exactly one of edges or hyperedges")
+    if n is not None:
+        require_count(n, "n")
     pairs = edges is not None
     ids, sizes = _edge_ids(edges) if pairs else _hyperedge_ids(hyperedges)
     if dual:

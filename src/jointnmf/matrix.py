@@ -10,6 +10,12 @@ live in Matrix Market files: coordinate format for sparse data (read
 general or symmetric, written general), array format for dense data.
 Indices are 1-based on disk and 0-based in memory.
 
+The package's two integer rules live here too.  require_count is the
+rule for a scalar count (a rank, a sweep or trial count, a seed, a
+number of documents or clusters): an integer, not a bool, at least its
+least value.  _int64 is the rule for arrays of ids, edge sizes,
+positions and cluster codes: whole numbers that fit int64.
+
 Every other file is UTF-8 text, one record per line, and passes through
 read_records and write_records: blank lines are skipped, fields are
 tab-separated (whitespace-separated for edges and hyperedges), and a
@@ -23,12 +29,14 @@ from __future__ import annotations
 import io
 import sys
 from contextlib import nullcontext
+from numbers import Integral
 
 import numpy as np
 from scipy import sparse
 from scipy.io import mmread, mmwrite
 
-from .errors import DataError, NegativeEntries, NonFinite, NotSymmetric, ShapeMismatch
+from .errors import (DataError, IndexOutOfRange, NegativeEntries, NonFinite, NotSymmetric,
+                     ShapeMismatch)
 
 __all__ = [
     "as_dense",
@@ -36,6 +44,7 @@ __all__ = [
     "frobenius_norm_sq",
     "require_nonnegative",
     "require_symmetric",
+    "require_count",
     "read_matrix_market",
     "write_matrix_market",
     "read_records",
@@ -111,6 +120,40 @@ def require_symmetric(m, what: str = "matrix"):
     # not <=, so that a NaN difference fails too
     if d.size and not d.max() <= SYMMETRY_TOL:
         raise NotSymmetric(f"{what} is not symmetric within {SYMMETRY_TOL:g}")
+
+
+def require_count(value, what: str, least: int = 0):
+    """The one rule for a scalar count: value must be an integer (Python
+    or numpy) that is not a bool, and at least least.  A ValueError
+    naming what if not."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}")
+
+
+def _int64(values, what="vertex id"):
+    """Ids, hyperedge sizes, positions or cluster codes as an int64
+    array.  An integer array is taken as it is; any other must hold
+    whole numbers: a fraction, a bool, NaN or inf is a ValueError naming
+    the first one.  A whole number past int64 is an IndexOutOfRange."""
+    a = np.asarray(values)
+    past = f"a {what} does not fit 64 bits"
+    if a.dtype.kind in "iu":
+        top = a.max() if a.dtype == np.uint64 and a.size else 0
+    else:
+        # floats or bools, or Python ints too large for int64 as objects
+        try:
+            f = a.astype(np.float64)
+        except OverflowError:  # an int past the float64 range
+            raise IndexOutOfRange(past) from None
+        bad = ~np.isfinite(f) | (np.trunc(f) != f) | (a.dtype == bool)
+        if bad.any():
+            raise ValueError(f"{what} {a[bad][:1].tolist()[0]!r} is not an integer")
+        top = np.abs(f).max() if f.size else 0
+    if top >= 2**63:  # exact for floats, where int64's max rounds up to 2**63
+        raise IndexOutOfRange(past)
+    return a.astype(np.int64, copy=False)
 
 
 def read_matrix_market(path):

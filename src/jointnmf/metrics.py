@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError, DegenerateLabels, LabelMissing, UniverseMismatch
-from .matrix import read_records
+from .matrix import _int64, read_records, require_count
 
 __all__ = [
     "ConfusionMatrix",
@@ -48,9 +48,11 @@ class ConfusionMatrix:
 def confusion(pred, truth, n_pred_clusters: int | None = None) -> ConfusionMatrix:
     """Intersection counts between hard predicted clusters and truth clusters.
 
-    With integer predictions and n_pred_clusters given, clusters that
-    received no item still get a (zero) row, so empty clusters are
-    visible to average_f1.
+    With n_pred_clusters given, a count (matrix.require_count), the
+    predictions are integer cluster codes in [0, n_pred_clusters), which
+    pass matrix's id rule (a code 0.5 is a ValueError, a code outside
+    the range a DataError), and clusters that received no item
+    still get a (zero) row, so empty clusters are visible to average_f1.
     """
     return _confusion(*_contingency(pred, truth, n_pred_clusters))
 
@@ -182,7 +184,8 @@ def _contingency(pred, truth, n_pred_clusters=None):
         raise UniverseMismatch("empty labelings")
 
     if n_pred_clusters is not None:
-        codes = np.asarray(pred, dtype=np.int64)
+        require_count(n_pred_clusters, "n_pred_clusters")
+        codes = _int64(pred, "cluster code")
         if codes.min() < 0 or codes.max() >= n_pred_clusters:
             raise DataError("prediction label outside [0, n_pred_clusters)")
         pred_labels = list(range(n_pred_clusters))

@@ -22,6 +22,7 @@ fit, and recommend thresholds a score set.
 from __future__ import annotations
 
 from dataclasses import replace
+from numbers import Real
 
 import numpy as np
 from scipy import sparse
@@ -35,9 +36,20 @@ __all__ = ["recommend", "baseline_nmf2", "evaluate"]
 
 
 def recommend(scores, threshold: float) -> np.ndarray:
-    """Indices scoring strictly above the threshold."""
+    """Indices scoring strictly above the threshold, a real number that
+    is not NaN (-inf picks every index, inf none)."""
+    _check_threshold(threshold)
     scores = np.asarray(scores, dtype=np.float64)
     return np.flatnonzero(scores > threshold)
+
+
+def _check_threshold(threshold, what="threshold"):
+    # recommend's rule on its threshold; the CLI applies it before it
+    # reads a file.  A NaN would pick nothing without a word
+    if not isinstance(threshold, Real):
+        raise ValueError(f"{what} must be a real number, got {threshold!r}")
+    if np.isnan(threshold):
+        raise ValueError(f"{what} must not be NaN")
 
 
 def baseline_nmf2(X_train, k: int, opts: FactorizeOptions | None, x) -> np.ndarray:

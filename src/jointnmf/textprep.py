@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyCorpus, ShapeMismatch, VocabMismatch, ZeroColumn
-from .matrix import as_csc, read_matrix_market, read_names, require_nonnegative
+from .matrix import as_csc, read_matrix_market, read_names, require_count, require_nonnegative
 
 __all__ = [
     "Corpus",
@@ -255,22 +255,20 @@ def read_corpus(vocab_path, doc_ids_path, counts_path) -> Corpus:
 
 
 def top_terms(W, vocab, t: int) -> list[list[tuple[str, float]]]:
-    """Per basis column, its t heaviest terms with their weights, ties by term index."""
+    """Per basis column, its t heaviest terms with their weights, ties by term index.
+
+    t is a count of at least 1 (matrix.require_count); the CLI applies
+    that rule before it reads a file.
+    """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2:
         raise VocabMismatch(f"W must be 2-d, got shape {W.shape}")
     if len(vocab) != W.shape[0]:
         raise VocabMismatch(f"{len(vocab)} terms for {W.shape[0]} rows of W")
-    _check_top_terms(t)
+    require_count(t, "top-terms count", 1)
     clusters = []
     for c in range(W.shape[1]):
         order = np.argsort(-W[:, c], kind="stable")[:t]
         clusters.append([(vocab[i], float(W[i, c])) for i in order])
     return clusters
 
-
-def _check_top_terms(t):
-    # top_terms's rule on its count; the CLI applies it before it reads
-    # a file
-    if t < 1:
-        raise ValueError("top-terms count must be at least 1")

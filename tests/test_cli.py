@@ -66,6 +66,16 @@ def test_top_terms_ties_break_by_term_index():
     assert [t for t, _ in report[0]] == ["a", "b"]
 
 
+@pytest.mark.parametrize("t, message", [
+    (2.5, "top-terms count must be an integer, got 2.5"),
+    (True, "top-terms count must be an integer, got True"),
+])
+def test_top_terms_count_passes_the_count_rule(t, message):
+    # 2.5 used to fail inside numpy with a TypeError, and True listed one term
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        top_terms(np.eye(3), ["a", "b", "c"], t)
+
+
 def test_top_terms_weights_non_increasing():
     rng = np.random.default_rng(61)
     W = rng.random((12, 4))
@@ -1045,7 +1055,10 @@ def test_recommend_zero_test_document_exits_2_before_fitting(tmp_path, capsys, m
 
 def test_recommend_nan_threshold_is_a_usage_error(tmp_path, capsys):
     recommend_setup(tmp_path)
-    assert main(recommend_args(tmp_path, "rec9") + ["--threshold", "nan"]) == 1
+    # refused before any input is read, so a missing one is not named
+    args = recommend_args(tmp_path, "rec9")
+    args[args.index("--train-x") + 1] = str(tmp_path / "missing.mtx")
+    assert main(args + ["--threshold", "nan"]) == 1
     assert capsys.readouterr().err.splitlines() == ["usage error: --threshold must not be NaN"]
     assert not (tmp_path / "rec9").exists()
     # -inf keeps its meaning: every training document of every test document

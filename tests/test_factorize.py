@@ -62,8 +62,9 @@ def test_options_validation():
 
 def test_count_options_must_be_integers():
     # a float k, max_sweeps, seed or trials used to construct, and the fit
-    # then failed deep inside with a TypeError
-    for name, value in (("k", 2.5), ("max_sweeps", 2.5), ("seed", 1.5), ("trials", 2.0)):
+    # then failed deep inside with a TypeError; so did k=True
+    for name, value in (("k", 2.5), ("max_sweeps", 2.5), ("seed", 1.5), ("trials", 2.0),
+                        ("k", True)):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             FactorizeOptions(**{"k": 2, name: value})
     opts = FactorizeOptions(k=np.int64(2), max_sweeps=np.int32(2), seed=np.int64(1),
@@ -775,6 +776,14 @@ def test_hard_assign_scale_invariant():
 def test_hard_assign_needs_matrix():
     with pytest.raises(ShapeMismatch):
         hard_assign(np.zeros(3))
+
+
+def test_hard_assign_refuses_a_nonfinite_h():
+    # argmax used to pick the NaN, so this H was assigned [0, 1]
+    for H in ([[np.nan, 1.0], [0.5, np.nan]], [[np.inf, 1.0], [0.5, 2.0]]):
+        with pytest.raises(NonFinite, match="^H has NaN or infinite entries$"):
+            hard_assign(H)
+    assert hard_assign([[-1.0, -3.0], [-2.0, 0.5]]).tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,21 @@ def test_a_value_that_is_not_an_integer_is_refused_by_name(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: similarity([(0, 1), (1, 2)], n=3.5), "n must be an integer, got 3.5"),
+    (lambda: similarity([(0, 1)], n=True), "n must be an integer, got True"),
+    (lambda: similarity(hyperedges=([0, 1], [2]), n=True, dual=True),
+     "n must be an integer, got True"),
+    (lambda: similarity([(0, 1)], n=-1), "n must be at least 0"),
+    (lambda: symmetrize([(0, 1), (1, 2)], n_vertices=2.7), "n_vertices must be an integer, got 2.7"),
+], ids=["n-fraction", "n-bool", "dual-n-bool", "n-negative", "n_vertices-fraction"])
+def test_a_vertex_count_passes_the_count_rule(call, message):
+    # n=3.5 and n_vertices=2.7 used to fail inside scipy with a bare
+    # TypeError, and n=True built S over one document
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_whole_floats_are_ids():
     for n in (None, 4):
         assert_identical(symmetrize([(0.0, 1.0), (3.0, 1.0)], n), symmetrize([(0, 1), (3, 1)], n))

@@ -91,6 +91,19 @@ def test_confusion_rejects_mismatched_or_empty_input():
         confusion([0, 5], [{"a"}, {"a"}], n_pred_clusters=2)
 
 
+@pytest.mark.parametrize("score", [confusion, labeling_scores])
+@pytest.mark.parametrize("pred, k, message", [
+    ([0.5, 1.7, 1.2], 2, "cluster code 0.5 is not an integer"),
+    ([0, 1, 1], 2.5, "n_pred_clusters must be an integer, got 2.5"),
+    ([0, 0, 0], True, "n_pred_clusters must be an integer, got True"),
+], ids=["fractional-codes", "fractional-count", "boolean-count"])
+def test_cluster_codes_and_count_pass_the_integer_rules(score, pred, k, message):
+    # the codes used to be truncated to [0, 1, 1], scoring F1 = 1.0; a
+    # count of 2.5 failed with a TypeError, and True counted one cluster
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        score(pred, ["a", "b", "b"], n_pred_clusters=k)
+
+
 def test_confusion_without_explicit_cluster_count():
     cm = confusion(["u", "v", "v"], [{"a"}, {"a"}, {"b"}])
     assert cm.counts.shape == (2, 2)

@@ -134,6 +134,13 @@ def test_recommend_strict_threshold():
     assert recommend(scores, 0.4).tolist() == [0, 2]
     assert recommend(scores, 0.5).tolist() == [2]
     assert recommend(scores, float("inf")).tolist() == []
+    assert recommend(scores, -float("inf")).tolist() == [0, 1, 2]
+
+
+def test_recommend_refuses_a_nan_threshold():
+    # a NaN threshold used to pick nothing, without a word
+    with pytest.raises(ValueError, match="^threshold must not be NaN$"):
+        recommend(np.array([0.1, 0.9]), np.nan)
 
 
 def test_recommend_threshold_monotone():
